@@ -12,26 +12,25 @@
 /// Workloads (2-d, alpha 0.75, eps 0.5, Params::practical_params; every call
 /// pins its thread count, and obs is off outside the traced pass):
 ///   span   `span` then `verify` on a uniform instance, 1 thread.
-///   route  `route` on a clustered instance at 4 threads; one 1-thread run
+///   route  `route` on a uniform instance, 1 thread; one 2-thread command
 ///          afterwards must give the same spanner and routing stats.
 ///   churn  `dynamic`: per-event DynamicSpanner::apply over Poisson churn,
-///          4 threads, then the final audit.
-///   serve  `serve`: open loop, a 64-event apply_batch window every 500 ms
-///          and 2 readers at 2,500 queries/s each (7 distance : 1 route),
-///          then the 256-pair served-vs-exact audit.
-///   dist   `span --algo relaxed-dist --net async --loss 0.1`, 4 threads.
+///          1 thread, then the final audit.
+///   serve  `serve`: open loop, a 32-event apply_batch window every 500 ms
+///          (1 writer thread) beside 2 readers at 2,500 queries/s each
+///          (7 distance : 1 route), then the 256-pair served-vs-exact audit.
+///   dist   `span --algo relaxed-dist --net async --loss 0.1`, 1 thread.
 ///
-/// End-to-end metrics, reported with --trace 0 (the unit of work, "op", is
-/// one span+verify pair, one route command, one churn event, one query, or
-/// one relaxed-dist span command):
-///   setup_s      median over 5 set-ups of: make and write the inputs, load
-///                them, and build the initial state (dynamic engine, first
-///                published snapshot) where the workload has one.
-///   op_p50_ms, op_p90_ms   op latency; serve queries are timed from the
-///                time they were due, so a stall also delays later queries.
-///   ops_per_s    ops completed per second of the measured window.
-///   peak_rss_mb  ru_maxrss of the process.
+/// End-to-end metrics, reported with --trace 0. The unit of work, "op", is
+/// one span+verify pair, one route command, one churn event, one serve
+/// window (due time to published snapshot), or one relaxed-dist command:
+///   setup_s      median set-up: make and write the inputs, load them, and
+///                build the initial state (dynamic engine, first published
+///                snapshot) where the workload has one.
+///   op_p50_ms    median op latency.
+///   peak_rss_mb  ru_maxrss of the process after the measured ops.
 ///   lightness    w(spanner)/w(MSF) of the workload's output topology.
+/// Times are scaled by the host's measured speed (HostSpeed below).
 ///
 /// --trace 1 runs the workload twice for --seconds/2 each: untraced, then
 /// with bench-side spans and the library's obs layer on. It writes a Chrome
@@ -45,6 +44,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -53,11 +53,15 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <random>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -91,7 +95,14 @@ using Clock = std::chrono::steady_clock;
 
 constexpr double kAlpha = 0.75;
 constexpr double kEps = 0.5;
-constexpr int kSetups = 5;         ///< set-ups per untraced run (setup_s is their median).
+// An untraced run sets up at least kMinSetups times and until kSetupBudgetS
+// has passed, at most kMaxSetups times; setup_s is the median. A set-up
+// takes from 8 ms (span, dist) to 0.3 s (serve); repeating the short ones
+// for a fixed time spreads them over more of the host's fast and slow
+// spells than five back-to-back set-ups did.
+constexpr int kMinSetups = 3;
+constexpr int kMaxSetups = 400;
+constexpr double kSetupBudgetS = 1.5;
 constexpr int kMinCommands = 3;    ///< whole commands per pass, however slow.
 
 struct MetricDef {
@@ -101,8 +112,10 @@ struct MetricDef {
 
 // The names, units and order must match BENCHMARK.json.
 constexpr MetricDef kEndToEnd[] = {
-    {"setup_s", "s"},        {"op_p50_ms", "ms"},   {"op_p90_ms", "ms"},
-    {"ops_per_s", "1/s"},    {"peak_rss_mb", "MB"}, {"lightness", "ratio"},
+    {"setup_s", "s"},
+    {"op_p50_ms", "ms"},
+    {"peak_rss_mb", "MB"},
+    {"lightness", "ratio"},
 };
 
 constexpr MetricDef kPerLayer[] = {
@@ -133,8 +146,8 @@ constexpr MetricDef kPerLayer[] = {
     {"rg.heap_pops_per_op", "count"},
     {"cover.waste_ratio", "ratio"},
     {"pool.idle_frac", "ratio"},
-    {"pool.dispatches_per_op", "count"},
-    {"pool.tasks_per_op", "count"},
+    {"pool.dispatches", "count"},
+    {"pool.tasks", "count"},
     {"pool.speedup", "ratio"},
     {"net.rounds_per_op", "count"},
     {"net.messages_per_op", "count"},
@@ -148,6 +161,10 @@ constexpr MetricDef kPerLayer[] = {
     {"dyn.fallbacks", "count"},
     {"dyn.regions_mean", "count"},
     {"serve.window_util", "ratio"},
+    {"serve.query_p50_us", "us"},
+    {"serve.query_p99_us", "us"},
+    {"serve.distance_p50_us", "us"},
+    {"serve.route_p50_us", "us"},
     {"serve.oracle_hit_ratio", "ratio"},
     {"serve.epochs", "count"},
     {"serve.late_frac", "ratio"},
@@ -209,7 +226,6 @@ struct Tally {
 struct Pass {
   std::vector<double> setup_s;
   std::vector<double> op_ms;
-  double window_s = 0.0;
 };
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
@@ -231,6 +247,193 @@ double quantile(std::vector<double> v, double q) {
 }
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
+
+/// The host's speed, measured during the run. On the 4-vCPU virtual machine
+/// the benchmark was written on, the same work ran 20-30% slower in some
+/// minutes than in others, with no steal time visible to the guest, so CPU
+/// time drifts as much as wall time. Fixed kernels, timed between the
+/// workload's ops and set-ups, drift with it, and times are scaled by them.
+///
+/// The graph kernel is Dijkstra from a rotating source over a fixed
+/// 32,768-node graph (a grid with diagonal links plus one random long link
+/// per node, about 2.5 MB). In two six-minute runs of 15-second windows a
+/// 1-thread relaxed-dist command moved by 17% and 22% (IQR/median of the
+/// window medians) and its ratio to this kernel by 5% and 6%. An op time is multiplied by
+/// kGraphReferenceMs / (median graph-kernel time of the measured phase).
+///
+/// Set-ups mostly write and read their inputs as decimal text, and that
+/// slows down more than the graph kernel on a slow host: in 10-second
+/// windows io::save_instance time went as the graph time to the power 1.9.
+/// The text kernel formats 20,000 fixed doubles at 17 digits into a string
+/// and parses them back; it went as the power 1.7. Between set-ups both
+/// kernels run, and a set-up time is multiplied by kSetupReferenceMs /
+/// (median of their summed time). Divided by that sum, the time to make and
+/// save an instance spread by 2.6% over the windows; divided by the graph
+/// kernel alone, by 3.1%.
+///
+/// The kernels' code and data depend on neither the library nor the seed,
+/// so a change to the library cannot move them. A scaled time reads as the
+/// time on a host where the kernels take their reference times, their
+/// medians on that machine at its usual speed.
+class HostSpeed {
+ public:
+  static constexpr double kGraphReferenceMs = 10.0;
+  static constexpr double kSetupReferenceMs = 20.0;  ///< graph plus text kernel.
+
+  HostSpeed() {
+    constexpr std::size_t kWidth = 256;
+    constexpr std::size_t kN = kWidth * 128;
+    std::mt19937_64 rng(0x5EEDCA11);
+    std::uniform_real_distribution<float> weight(1.0F, 2.0F);
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    std::vector<float> edge_weight;
+    const auto link = [&](std::size_t a, std::size_t b, float w) {
+      edges.emplace_back(a, b);
+      edge_weight.push_back(w);
+    };
+    for (std::size_t v = 0; v < kN; ++v) {
+      const bool right = v % kWidth + 1 < kWidth;
+      const bool down = v + kWidth < kN;
+      if (right) link(v, v + 1, weight(rng));
+      if (down) link(v, v + kWidth, weight(rng));
+      if (right && down) link(v, v + kWidth + 1, weight(rng));
+      link(v, rng() % kN, 4.0F + weight(rng));
+    }
+    // Compressed adjacency: both directions of every edge, by source.
+    offset_.assign(kN + 1, 0);
+    for (const auto& [a, b] : edges) {
+      ++offset_[a + 1];
+      ++offset_[b + 1];
+    }
+    for (std::size_t v = 0; v < kN; ++v) offset_[v + 1] += offset_[v];
+    target_.resize(offset_[kN]);
+    weight_.resize(offset_[kN]);
+    std::vector<std::uint32_t> fill(offset_.begin(), offset_.end() - 1);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const auto [a, b] = edges[e];
+      target_[fill[a]] = static_cast<std::uint32_t>(b);
+      weight_[fill[a]++] = edge_weight[e];
+      target_[fill[b]] = static_cast<std::uint32_t>(a);
+      weight_[fill[b]++] = edge_weight[e];
+    }
+    dist_.resize(kN);
+    std::uniform_real_distribution<double> value(0.0, 100.0);
+    numbers_.resize(20000);
+    for (double& x : numbers_) x = value(rng);
+    for (int i = 0; i < 2; ++i) {  // warm the caches and the allocator; untimed.
+      run_graph();
+      run_text();
+    }
+  }
+
+  /// Between ops: time graph-kernel runs until they have taken kOpShare of
+  /// the time since the phase's first call, and at least one ran, so the
+  /// samples spread over the phase in proportion to its time.
+  void tick() { sample(false, kOpShare); }
+  /// Between set-ups: the same, each graph run followed by a text run, at
+  /// kSetupShare. Set-ups are short, so they get a larger share to fill the
+  /// median with samples.
+  void tick_setup() { sample(true, kSetupShare); }
+
+  /// Graph-kernel samples so far; an op phase starts at this index.
+  [[nodiscard]] std::size_t samples() const { return graph_ms_.size(); }
+  [[nodiscard]] std::size_t setup_samples() const { return setup_ms_.size(); }
+  /// Median graph-kernel time over samples [from, end).
+  [[nodiscard]] double graph_median_ms(std::size_t from) const {
+    return quantile(std::vector<double>(graph_ms_.begin() + static_cast<std::ptrdiff_t>(from),
+                                        graph_ms_.end()),
+                    0.5);
+  }
+  /// Median summed graph and text time over the set-up samples.
+  [[nodiscard]] double setup_median_ms() const { return quantile(setup_ms_, 0.5); }
+  /// Scales op times taken while graph samples [from, end) ran.
+  [[nodiscard]] double op_factor(std::size_t from) const {
+    return kGraphReferenceMs / graph_median_ms(from);
+  }
+  /// Scales set-up times.
+  [[nodiscard]] double setup_factor() const { return kSetupReferenceMs / setup_median_ms(); }
+  /// Sum of every kernel run's result; printed, so the kernels' work has an
+  /// observable result.
+  [[nodiscard]] double checksum() const { return checksum_; }
+
+ private:
+  static constexpr double kOpShare = 0.08;
+  static constexpr double kSetupShare = 0.2;
+
+  void sample(bool text, double share) {
+    bool start = graph_ms_.empty() || text != text_phase_;
+    if (start) {
+      text_phase_ = text;
+      first_ = Clock::now();
+      spent_ms_ = 0.0;
+    }
+    for (; start || spent_ms_ < share * ms_between(first_, Clock::now()); start = false) {
+      const Scope s("bench.calibrate");
+      const Clock::time_point a = Clock::now();
+      run_graph();
+      const Clock::time_point b = Clock::now();
+      graph_ms_.push_back(ms_between(a, b));
+      if (text) {
+        run_text();
+        setup_ms_.push_back(ms_between(a, Clock::now()));
+      }
+      spent_ms_ += ms_between(a, Clock::now());
+    }
+  }
+
+  void run_graph() {
+    using Entry = std::pair<float, std::uint32_t>;
+    std::fill(dist_.begin(), dist_.end(), std::numeric_limits<float>::infinity());
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    source_ = (source_ + 7919) % dist_.size();
+    dist_[source_] = 0.0F;
+    heap.emplace(0.0F, static_cast<std::uint32_t>(source_));
+    double settled = 0.0;
+    while (!heap.empty()) {
+      const auto [d, v] = heap.top();
+      heap.pop();
+      if (d > dist_[v]) continue;
+      settled += d;
+      for (std::uint32_t i = offset_[v]; i < offset_[v + 1]; ++i) {
+        const float nd = d + weight_[i];
+        if (nd < dist_[target_[i]]) {
+          dist_[target_[i]] = nd;
+          heap.emplace(nd, target_[i]);
+        }
+      }
+    }
+    checksum_ += settled;
+  }
+
+  void run_text() {
+    std::ostringstream os;
+    os << std::setprecision(17);
+    for (const double x : numbers_) os << x << ' ';
+    const std::string text = os.str();
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    while (p < end) {
+      double x = 0.0;
+      const std::from_chars_result r = std::from_chars(p, end, x);
+      if (r.ec != std::errc()) throw std::runtime_error("HostSpeed: text kernel failed to parse");
+      checksum_ += x;
+      p = r.ptr + 1;  // past the separator
+    }
+  }
+
+  std::vector<std::uint32_t> offset_;
+  std::vector<std::uint32_t> target_;
+  std::vector<float> weight_;
+  std::vector<float> dist_;
+  std::vector<double> numbers_;
+  std::vector<double> graph_ms_;
+  std::vector<double> setup_ms_;  ///< graph plus text time, one per set-up sample.
+  std::size_t source_ = 0;
+  double checksum_ = 0.0;
+  bool text_phase_ = false;
+  double spent_ms_ = 0.0;  ///< kernel time since first_, the start of the phase.
+  Clock::time_point first_{};
+};
 
 core::Params params_for(const ubg::UbgInstance& inst) {
   return core::Params::practical_params(kEps, inst.config.alpha);
@@ -279,16 +482,17 @@ api::Options threads_option(int threads) {
 }
 
 /// Runs `op` back to back until `seconds` have passed and at least
-/// `min_ops` ran, recording each op's latency.
+/// `min_ops` ran, recording each op's latency and sampling the host's
+/// speed between ops.
 template <class Op>
-void closed_loop(double seconds, int min_ops, Pass& pass, Op&& op) {
+void closed_loop(double seconds, int min_ops, HostSpeed& host, Pass& pass, Op&& op) {
   const Clock::time_point t0 = Clock::now();
   for (int i = 0; i < min_ops || seconds_between(t0, Clock::now()) < seconds; ++i) {
+    host.tick();
     const Clock::time_point a = Clock::now();
     op();
     pass.op_ms.push_back(ms_between(a, Clock::now()));
   }
-  pass.window_s = seconds_between(t0, Clock::now());
 }
 
 class Workload {
@@ -301,7 +505,8 @@ class Workload {
   [[nodiscard]] virtual std::string describe() const = 0;
   /// Make and write the inputs, then bring the system to its ready state.
   virtual void setup() = 0;
-  virtual void measure(double seconds, Pass& pass) = 0;
+  /// Run ops for `seconds`, calling host.tick() between them.
+  virtual void measure(double seconds, HostSpeed& host, Pass& pass) = 0;
   /// Output checks that run once, after the last pass.
   virtual void check() = 0;
 
@@ -320,7 +525,7 @@ class Workload {
 class SpanWorkload final : public Workload {
  public:
   SpanWorkload(const Context& ctx, Tally& tally)
-      : Workload(ctx, tally), n_(ctx.quick ? 512 : 2048), path_(ctx.dir / "span.lsi") {}
+      : Workload(ctx, tally), n_(ctx.quick ? 512 : 1024), path_(ctx.dir / "span.lsi") {}
 
   std::string describe() const override {
     return "span+verify, n=" + std::to_string(n_) + " uniform, 1 thread";
@@ -331,8 +536,8 @@ class SpanWorkload final : public Workload {
     save_instance(path_, make_instance(n_, ubg::Placement::kUniform, ctx_.seed));
   }
 
-  void measure(double seconds, Pass& pass) override {
-    closed_loop(seconds, kMinCommands, pass, [this] {
+  void measure(double seconds, HostSpeed& host, Pass& pass) override {
+    closed_loop(seconds, kMinCommands, host, pass, [this] {
       span_command();
       verify_command();
     });
@@ -381,52 +586,60 @@ class SpanWorkload final : public Workload {
 };
 
 // ---------------------------------------------------------------------------
-// route: `localspan_cli route --threads 4` on a clustered instance.
+// route: `localspan_cli route --threads 1`.
 // ---------------------------------------------------------------------------
 class RouteWorkload final : public Workload {
  public:
   RouteWorkload(const Context& ctx, Tally& tally)
-      : Workload(ctx, tally), n_(ctx.quick ? 2048 : 16384), path_(ctx.dir / "route.lsi") {}
+      : Workload(ctx, tally), n_(ctx.quick ? 2048 : 8192), path_(ctx.dir / "route.lsi") {}
 
   std::string describe() const override {
-    return "route, n=" + std::to_string(n_) + " clustered, " + std::to_string(kThreads) +
-           " threads (1-thread determinism check)";
+    return "route, n=" + std::to_string(n_) + " uniform, 1 thread (" +
+           std::to_string(kPoolThreads) + "-thread determinism check)";
   }
 
+  /// Uniform, not clustered: the cost of a clustered instance depends on
+  /// where its hubs fall. Among four clustered instances of one seed the
+  /// command time ranged over 35%, which no run length averages out.
   void setup() override {
     const Scope s("setup");
-    save_instance(path_, make_instance(n_, ubg::Placement::kClustered, ctx_.seed));
+    save_instance(path_, make_instance(n_, ubg::Placement::kUniform, ctx_.seed));
   }
 
-  void measure(double seconds, Pass& pass) override {
-    closed_loop(seconds, kMinCommands, pass, [this] {
+  void measure(double seconds, HostSpeed& host, Pass& pass) override {
+    closed_loop(seconds, kMinCommands, host, pass, [this] {
       const Scope cmd("cmd.route");
       try {
-        compare(run(kThreads), "4-thread repeat");
+        compare(run(1), "repeat");
       } catch (const std::exception& e) {
         tally_.fail(std::string("route: ") + e.what());
       }
     });
-    t4_ms_ = quantile(pass.op_ms, 0.5);
+    serial_ms_ = quantile(pass.op_ms, 0.5);
   }
 
-  /// The determinism contract: a 1-thread route command gives the same
-  /// spanner and the same routing stats as the 4-thread ones.
+  /// The determinism contract: a route command on the worker pool gives the
+  /// same spanner and the same routing stats as the 1-thread ones.
   void check() override {
-    if (!ref_) return;  // every 4-thread run failed, and each was counted.
-    const Scope cmd("cmd.route_t1");
+    if (!ref_) return;  // every command failed, and each was counted.
+    const Scope cmd("cmd.route_pool");
     try {
       const Clock::time_point a = Clock::now();
-      compare(run(1), "1-thread run");
-      layer["pool.speedup"] = ratio(ms_between(a, Clock::now()), t4_ms_);
+      compare(run(kPoolThreads), "pool command");
+      layer["pool.speedup"] = ratio(serial_ms_, ms_between(a, Clock::now()));
+      layer["route.delivery"] = ref_->over_spanner.delivery_rate;
       lightness = graph::lightness(load_instance(path_).g, ref_->spanner);
     } catch (const std::exception& e) {
-      tally_.fail(std::string("route (1 thread): ") + e.what());
+      tally_.fail(std::string("route (pool): ") + e.what());
     }
   }
 
  private:
-  static constexpr int kThreads = 4;
+  // Commands are timed on one thread. At 2 threads the median command time
+  // of one input spread by 24% (IQR/median) over eight runs, even scaled by
+  // the HostSpeed kernel run on 2 threads; the 1-thread workloads spread by
+  // 2-8% over ten seeds.
+  static constexpr int kPoolThreads = 2;
   static constexpr int kTrials = 200;
 
   struct Outcome {
@@ -452,7 +665,6 @@ class RouteWorkload final : public Workload {
       out.over_spanner = route::evaluate_routing(inst, csr, route::Forwarding::kGreedy, kTrials,
                                                  ctx_.seed, ws, pool ? &*pool : nullptr);
     }
-    layer["route.delivery"] = out.over_spanner.delivery_rate;
     out.spanner = std::move(r.spanner);
     return out;
   }
@@ -470,7 +682,7 @@ class RouteWorkload final : public Workload {
       tally_.ok();
     } else if (!(out.spanner == ref_->spanner) || !same(out.over_g, ref_->over_g) ||
                !same(out.over_spanner, ref_->over_spanner)) {
-      tally_.fail(std::string("route: ") + what + " differs from the first 4-thread run");
+      tally_.fail(std::string("route: ") + what + " differs from the first command");
     } else {
       tally_.ok();
     }
@@ -479,7 +691,7 @@ class RouteWorkload final : public Workload {
   int n_;
   std::filesystem::path path_;
   std::optional<Outcome> ref_;
-  double t4_ms_ = 0.0;
+  double serial_ms_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -497,7 +709,8 @@ class ChurnWorkload final : public Workload {
 
   std::string describe() const override {
     return "dynamic per-event, n=" + std::to_string(n_) + " uniform, " +
-           std::to_string(events_) + " Poisson events available, 4 threads";
+           std::to_string(events_) + " Poisson events available, " + std::to_string(kThreads) +
+           " threads";
   }
 
   void setup() override {
@@ -538,17 +751,17 @@ class ChurnWorkload final : public Workload {
   /// Applies events until the time is up, but never fewer than the
   /// checkpoint, so `lightness` and the dyn.* means describe the same
   /// events on every run whatever the speed.
-  void measure(double seconds, Pass& pass) override {
+  void measure(double seconds, HostSpeed& host, Pass& pass) override {
     long long ball = 0;
     long long scope = 0;
     long long sub_edges = 0;
     long long changed = 0;
     int fallbacks = 0;
-    double paused = 0.0;
     const Clock::time_point t0 = Clock::now();
     int i = 0;
     for (; i < static_cast<int>(trace_.events.size()); ++i) {
-      if (i >= checkpoint_ && seconds_between(t0, Clock::now()) - paused >= seconds) break;
+      if (i >= checkpoint_ && seconds_between(t0, Clock::now()) >= seconds) break;
+      host.tick();
       const Clock::time_point a = Clock::now();
       try {
         dynamic::RepairStats st;
@@ -570,15 +783,12 @@ class ChurnWorkload final : public Workload {
       } catch (const std::exception& e) {
         tally_.fail("churn: event " + std::to_string(i) + ": " + e.what());
       }
-      const Clock::time_point b = Clock::now();
-      pass.op_ms.push_back(ms_between(a, b));
+      pass.op_ms.push_back(ms_between(a, Clock::now()));
       if (i + 1 == checkpoint_) {
         const Scope l("bench.lightness");
         lightness = graph::lightness(engine_->instance().g, engine_->spanner());
-        paused += seconds_between(b, Clock::now());
       }
     }
-    pass.window_s = seconds_between(t0, Clock::now()) - paused;
     layer["dyn.ball_mean"] = ratio(static_cast<double>(ball), std::min(i, checkpoint_));
     layer["dyn.certify_scope_mean"] = ratio(static_cast<double>(scope), std::min(i, checkpoint_));
     layer["dyn.change_ratio"] = ratio(static_cast<double>(changed), static_cast<double>(sub_edges));
@@ -597,7 +807,9 @@ class ChurnWorkload final : public Workload {
   }
 
  private:
-  static constexpr int kThreads = 4;
+  // One thread: events are small, so a pool mostly adds dispatch; at 2
+  // threads the median event took 11 ms against 8 ms at one.
+  static constexpr int kThreads = 1;
 
   int n_;
   int checkpoint_;
@@ -673,7 +885,7 @@ class ServeWorkload final : public Workload {
     qe_->publish(*engine_);
   }
 
-  void measure(double seconds, Pass& pass) override {
+  void measure(double seconds, HostSpeed& host, Pass& pass) override {
     const Clock::time_point start = Clock::now();
     const Clock::time_point end =
         start + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(seconds));
@@ -687,13 +899,15 @@ class ServeWorkload final : public Workload {
           [this, k, start, end, &logs] { read(k, start, end, logs[static_cast<std::size_t>(k)]); });
     }
 
-    std::vector<double> window_ms;
+    std::vector<double>& window_ms = pass.op_ms;
     long long regions = 0;
     std::size_t next = 0;
     for (int w = 1;; ++w) {
       const Clock::time_point due =
           start + std::chrono::duration_cast<Clock::duration>(w * kPeriod);
       if (due >= end || next >= trace_.events.size()) break;
+      // The writer is idle until `due`; the kernel runs there when it fits.
+      if (due - Clock::now() > kCalibrationSlack) host.tick();
       {
         const Scope s("serve.wait");
         std::this_thread::sleep_until(due);
@@ -722,19 +936,16 @@ class ServeWorkload final : public Workload {
       const Scope j("serve.join");
       for (std::jthread& t : readers) t.join();
     }
-    // The achieved rate: readers that fall behind finish after `end`.
-    for (const ReaderLog& log : logs) {
-      pass.window_s = std::max(pass.window_s, seconds_between(start, log.finished));
-    }
 
     long long distances = 0;
     long long hits = 0;
     long long late = 0;
+    std::vector<double> query_ms;
     std::vector<double> late_us;
     std::vector<double> distance_us;
     std::vector<double> route_us;
     for (ReaderLog& log : logs) {
-      pass.op_ms.insert(pass.op_ms.end(), log.latency_ms.begin(), log.latency_ms.end());
+      query_ms.insert(query_ms.end(), log.latency_ms.begin(), log.latency_ms.end());
       late_us.insert(late_us.end(), log.late_us.begin(), log.late_us.end());
       distance_us.insert(distance_us.end(), log.distance_us.begin(), log.distance_us.end());
       route_us.insert(route_us.end(), log.route_us.begin(), log.route_us.end());
@@ -749,11 +960,17 @@ class ServeWorkload final : public Workload {
     layer["serve.late_frac"] = ratio(static_cast<double>(late), static_cast<double>(late_us.size()));
     layer["dyn.regions_mean"] = ratio(static_cast<double>(regions), static_cast<double>(window_ms.size()));
     layer["serve.epochs"] = static_cast<double>(qe_->store().current_epoch());
-    std::printf("serve: %zu windows, window p50 %.2f ms; distance p50 %.2f us p99 %.2f us; "
-                "route p50 %.2f us p99 %.2f us; generator late p50 %.2f us p99 %.1f us\n",
-                window_ms.size(), quantile(window_ms, 0.5), quantile(distance_us, 0.5),
-                quantile(distance_us, 0.99), quantile(route_us, 0.5), quantile(route_us, 0.99),
-                quantile(late_us, 0.5), quantile(late_us, 0.99));
+    layer["serve.query_p50_us"] = 1e3 * quantile(query_ms, 0.5);
+    layer["serve.query_p99_us"] = 1e3 * quantile(query_ms, 0.99);
+    layer["serve.distance_p50_us"] = quantile(distance_us, 0.5);
+    layer["serve.route_p50_us"] = quantile(route_us, 0.5);
+    std::printf("serve: %zu windows, window p50 %.2f ms; %zu queries from due time p50 %.2f us "
+                "p99 %.1f us; distance p50 %.2f us p99 %.2f us; route p50 %.2f us p99 %.2f us; "
+                "generator late p50 %.2f us p99 %.1f us\n",
+                window_ms.size(), quantile(window_ms, 0.5), query_ms.size(),
+                1e3 * quantile(query_ms, 0.5), 1e3 * quantile(query_ms, 0.99),
+                quantile(distance_us, 0.5), quantile(distance_us, 0.99), quantile(route_us, 0.5),
+                quantile(route_us, 0.99), quantile(late_us, 0.5), quantile(late_us, 0.99));
   }
 
   /// The CLI's exit-code audit: on the final snapshot every served distance
@@ -793,14 +1010,17 @@ class ServeWorkload final : public Workload {
   }
 
  private:
-  static constexpr int kWindow = 64;
-  // A window's repair and publish take about 350 ms at n=8192 on 4 cores;
-  // the period leaves the writer headroom so windows do not queue.
+  static constexpr int kWindow = 32;
+  // A window's repair and publish take about 200 ms at n=8192 with one
+  // writer thread. The period keeps the writer under half busy: at 64 events
+  // every 400 ms it was 85% busy, windows queued whenever the host slowed,
+  // and their median latency moved by ±30% from run to run.
   static constexpr std::chrono::duration<double> kPeriod{0.5};
   static constexpr int kReaders = 2;
   static constexpr double kRate = 2500.0;  ///< queries per second per reader.
-  static constexpr int kWriterThreads = 2;
+  static constexpr int kWriterThreads = 1;
   static constexpr double kLateUs = 100.0;
+  static constexpr std::chrono::milliseconds kCalibrationSlack{100};
 
   struct ReaderLog {
     std::vector<double> latency_ms;  ///< from the due time to the answer.
@@ -810,7 +1030,6 @@ class ServeWorkload final : public Workload {
     long long oracle_hits = 0;
     long long failed_queries = 0;
     std::vector<std::string> errors;  ///< one per failed query, plus any set-up failure.
-    Clock::time_point finished;       ///< when the reader's last query completed.
   };
 
   /// Busy-wait until `due`. A reader that slept between queries would wake
@@ -864,7 +1083,6 @@ class ServeWorkload final : public Workload {
     } catch (const std::exception& e) {
       log.errors.push_back(e.what());
     }
-    log.finished = Clock::now();
   }
 
   int n_;
@@ -885,11 +1103,11 @@ class ServeWorkload final : public Workload {
 class DistWorkload final : public Workload {
  public:
   DistWorkload(const Context& ctx, Tally& tally)
-      : Workload(ctx, tally), n_(ctx.quick ? 512 : 2048), path_(ctx.dir / "dist.lsi") {}
+      : Workload(ctx, tally), n_(ctx.quick ? 512 : 1024), path_(ctx.dir / "dist.lsi") {}
 
   std::string describe() const override {
     return "relaxed-dist over the async network (loss 0.1), n=" + std::to_string(n_) +
-           " uniform, 4 threads";
+           " uniform, " + std::to_string(kThreads) + " threads";
   }
 
   void setup() override {
@@ -897,12 +1115,12 @@ class DistWorkload final : public Workload {
     save_instance(path_, make_instance(n_, ubg::Placement::kUniform, ctx_.seed));
   }
 
-  void measure(double seconds, Pass& pass) override {
-    closed_loop(seconds, kMinCommands, pass, [this] {
+  void measure(double seconds, HostSpeed& host, Pass& pass) override {
+    closed_loop(seconds, kMinCommands, host, pass, [this] {
       const Scope cmd("cmd.span");
       try {
         const ubg::UbgInstance inst = load_instance(path_);
-        api::Options o = threads_option(4);
+        api::Options o = threads_option(kThreads);
         o.set("net", "async");
         o.set("loss", "0.1");
         o.set("net-seed", std::to_string(ctx_.seed));
@@ -942,6 +1160,11 @@ class DistWorkload final : public Workload {
   }
 
  private:
+  // One thread: the async network is a single-threaded event simulation
+  // either way. Over ten seeds, measured back to back, the median command
+  // time spread by 17% (IQR/median) at 2 threads against 2.5% at one.
+  static constexpr int kThreads = 1;
+
   int n_;
   std::filesystem::path path_;
   std::optional<graph::Graph> spanner_;  ///< the last command's output.
@@ -956,8 +1179,11 @@ std::unique_ptr<Workload> make_workload(const Context& ctx, Tally& tally) {
   return nullptr;
 }
 
-void run_setups(Workload& w, int setups, Pass& pass) {
-  for (int i = 0; i < setups; ++i) {
+void run_setups(Workload& w, int min_setups, double budget_s, HostSpeed& host, Pass& pass) {
+  const Clock::time_point t0 = Clock::now();
+  for (int i = 0;
+       i < kMaxSetups && (i < min_setups || seconds_between(t0, Clock::now()) < budget_s); ++i) {
+    host.tick_setup();
     const Clock::time_point a = Clock::now();
     w.setup();
     pass.setup_s.push_back(seconds_between(a, Clock::now()));
@@ -989,7 +1215,8 @@ double obs_span_ns(const obs::Snapshot& snap, const char* name) {
 /// totals over the whole pass (`full`). Counts and ratios come from the
 /// obs counters accumulated over the measured ops only (`before` to
 /// `after`); counts are per op, so they repeat exactly where every op does
-/// the same work.
+/// the same work. The pool values cover the whole pass: every timed op runs
+/// on one thread, and the pool's work is route's determinism check.
 std::map<std::string, double> layer_metrics(const perfbench::Attribution& at,
                                             const obs::Snapshot& full,
                                             const obs::Snapshot& before,
@@ -1015,11 +1242,10 @@ std::map<std::string, double> layer_metrics(const perfbench::Attribution& at,
   out["rg.accept_ratio"] = ratio(count("rg.edges_added"), count("rg.edges_examined"));
   out["rg.heap_pops_per_op"] = per_op("rg.heap_pops");
   out["cover.waste_ratio"] = ratio(count("cover.speculation_waste"), count("cover.centers"));
-  const double idle = count("pool.idle_ns");
-  out["pool.idle_frac"] =
-      ratio(idle, idle + obs_span_ns(after, "pool.chunk") - obs_span_ns(before, "pool.chunk"));
-  out["pool.dispatches_per_op"] = per_op("pool.dispatches");
-  out["pool.tasks_per_op"] = per_op("pool.tasks");
+  const double idle = obs_counter(full, "pool.idle_ns");
+  out["pool.idle_frac"] = ratio(idle, idle + obs_span_ns(full, "pool.chunk"));
+  out["pool.dispatches"] = obs_counter(full, "pool.dispatches");
+  out["pool.tasks"] = obs_counter(full, "pool.tasks");
   out["net.rounds_per_op"] = per_op("net.rounds");
   out["net.messages_per_op"] = per_op("net.messages");
   out["net.async.posted_per_op"] = per_op("net.async.posted");
@@ -1167,6 +1393,7 @@ int main(int argc, char** argv) {
     Tally tally;
     std::unique_ptr<Workload> w = make_workload(ctx, tally);
     if (!w) return usage();
+    HostSpeed host;
     std::printf("workload %s (%s), seed %llu, %.3g s%s\n", ctx.workload.c_str(),
                 w->describe().c_str(), static_cast<unsigned long long>(ctx.seed), ctx.seconds,
                 ctx.trace ? ", traced" : "");
@@ -1175,34 +1402,52 @@ int main(int argc, char** argv) {
     std::vector<MetricDef> defs;
     if (!ctx.trace) {
       Pass pass;
-      run_setups(*w, kSetups, pass);
-      w->measure(ctx.seconds, pass);
-      w->check();
-      values["setup_s"] = quantile(pass.setup_s, 0.5);
-      values["op_p50_ms"] = quantile(pass.op_ms, 0.5);
-      values["op_p90_ms"] = quantile(pass.op_ms, 0.9);
-      values["ops_per_s"] = ratio(static_cast<double>(pass.op_ms.size()), pass.window_s);
+      run_setups(*w, kMinSetups, ctx.quick ? 0.0 : kSetupBudgetS, host, pass);
+      const std::size_t op_samples_from = host.samples();
+      w->measure(ctx.seconds, host, pass);
+      host.tick();
+      // Before the checks, whose extra work (route's pool command) is not
+      // part of an op.
       values["peak_rss_mb"] = peak_rss_mb();
+      w->check();
+      // Times are scaled to the reference host speed (see HostSpeed) by the
+      // kernel samples of their own phase; the raw values are printed too.
+      const double setup_f = host.setup_factor();
+      const double op_f = host.op_factor(op_samples_from);
+      const double raw[] = {quantile(pass.setup_s, 0.5), quantile(pass.op_ms, 0.5)};
+      values["setup_s"] = setup_f * raw[0];
+      values["op_p50_ms"] = op_f * raw[1];
       values["lightness"] = w->lightness;
       defs.assign(std::begin(kEndToEnd), std::end(kEndToEnd));
-      const std::size_t samples[] = {pass.setup_s.size(), pass.op_ms.size(), pass.op_ms.size(),
-                                     pass.op_ms.size(), 1, 1};
+      std::printf("host: graph+text kernels median %.3f ms over %zu set-up samples (reference "
+                  "%.1f ms); graph kernel median %.3f ms over %zu op samples (reference %.1f ms); "
+                  "checksum %.17g\n",
+                  host.setup_median_ms(), host.setup_samples(), HostSpeed::kSetupReferenceMs,
+                  host.graph_median_ms(op_samples_from), host.samples() - op_samples_from,
+                  HostSpeed::kGraphReferenceMs, host.checksum());
+      const std::size_t samples[] = {pass.setup_s.size(), pass.op_ms.size(), 1, 1};
       for (std::size_t i = 0; i < defs.size(); ++i) {
-        std::printf("  %-12s %14.6g %-6s (%zu samples)\n", defs[i].name, values[defs[i].name],
+        std::printf("  %-12s %14.6g %-6s (%zu samples)", defs[i].name, values[defs[i].name],
                     defs[i].unit, samples[i]);
+        if (i < std::size(raw)) std::printf("  raw %.6g %s", raw[i], defs[i].unit);
+        std::printf("\n");
       }
+      // The tail is printed, not reported: see README.md, "End-to-end metrics".
+      std::printf("  %-12s %14.6g %-6s (%zu samples)  raw %.6g ms\n", "op_p90",
+                  op_f * quantile(pass.op_ms, 0.9), "ms", pass.op_ms.size(),
+                  quantile(pass.op_ms, 0.9));
     } else {
       Pass untraced;
-      run_setups(*w, 1, untraced);
-      w->measure(ctx.seconds / 2, untraced);
+      run_setups(*w, 1, 0.0, host, untraced);
+      w->measure(ctx.seconds / 2, host, untraced);
       obs::reset();
       obs::set_enabled(true);
       perfbench::Recorder& rec = perfbench::Recorder::get();
       rec.start();
       Pass traced;
-      run_setups(*w, 1, traced);
+      run_setups(*w, 1, 0.0, host, traced);
       const obs::Snapshot before = obs::snapshot();
-      w->measure(ctx.seconds / 2, traced);
+      w->measure(ctx.seconds / 2, host, traced);
       const obs::Snapshot after = obs::snapshot();
       w->check();
       rec.stop();
