@@ -1,8 +1,9 @@
 #pragma once
 /// \file bench_util.hpp
-/// Shared helpers for the experiment binaries E1..E12: instance
-/// construction and markdown table printing. Each bench prints the
-/// paper-shaped table documented in DESIGN.md §4 and EXPERIMENTS.md.
+/// Shared helpers for the experiment binaries E1..E17 (bench/bench_e*.cpp):
+/// instance construction, markdown table printing and the `BENCH_<id>.json`
+/// artifact writer. Each bench prints one paper-shaped table; the README's
+/// "Benches" section describes the set and the artifact schema.
 
 #include <cstdio>
 #include <cstdlib>

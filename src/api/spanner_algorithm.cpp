@@ -268,6 +268,8 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
       res.spanner.n() > 0 ? static_cast<double>(res.spanner.m()) / res.spanner.n() : 0.0;
   res.metrics.max_degree = res.spanner.max_degree();
   if (measure) {
+    static const obs::MetricId measure_span = obs::span_id("api.measure");
+    const obs::Span span(measure_span);
     // The stretch pass dominates measurement; run it on the same worker
     // count the construction was asked for (only meaningful for algorithms
     // whose schema declares a `threads` option — the value is 0 otherwise,

@@ -5,6 +5,7 @@
 
 #include "graph/components.hpp"
 #include "graph/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace localspan::core {
 
@@ -20,7 +21,7 @@ std::string VerificationReport::summary() const {
 }
 
 VerificationReport verify_spanner(const ubg::UbgInstance& inst, const graph::Graph& topo,
-                                  double t, const VerifyCaps& caps) {
+                                  double t, const VerifyCaps& caps, int threads) {
   VerificationReport rep;
   rep.stretch_bound = t;
   if (topo.n() != inst.g.n()) return rep;  // everything false
@@ -35,7 +36,11 @@ VerificationReport verify_spanner(const ubg::UbgInstance& inst, const graph::Gra
     if (std::abs(inst.g.edge_weight(e.u, e.v) - e.w) > 1e-9) rep.weights_match = false;
   }
 
-  rep.measured_stretch = graph::max_edge_stretch(inst.g, topo);
+  {
+    static const obs::MetricId stretch_span = obs::span_id("verify.stretch");
+    const obs::Span span(stretch_span);
+    rep.measured_stretch = graph::max_edge_stretch(inst.g, topo, 64.0, threads);
+  }
   rep.stretch_ok = rep.measured_stretch <= t * (1.0 + 1e-9);
 
   rep.connectivity_ok = graph::connected_components(inst.g).count ==

@@ -43,9 +43,11 @@ struct VerificationReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Certify `topo` as a t-spanner topology for the instance.
+/// Certify `topo` as a t-spanner topology for the instance. `threads`
+/// splits the stretch pass as in graph::max_edge_stretch (<= 0: the process
+/// default); the report is identical at every thread count.
 [[nodiscard]] VerificationReport verify_spanner(const ubg::UbgInstance& inst,
                                                 const graph::Graph& topo, double t,
-                                                const VerifyCaps& caps = {});
+                                                const VerifyCaps& caps = {}, int threads = 0);
 
 }  // namespace localspan::core

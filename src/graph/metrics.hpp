@@ -20,9 +20,23 @@ namespace localspan::graph {
 
 /// Max over edges {u,v} of g of sp_sub(u,v)/w(u,v), with per-edge ratios
 /// clamped at `cap` (a ratio reported as `cap` means "at least cap", which is
-/// all a bounded-stretch validation needs and keeps the measurement cheap).
-/// For subgraphs of g this equals the classical spanner stretch factor:
-/// sp_sub(u,v) <= t·sp_g(u,v) for all pairs iff it holds for all edges of g.
+/// all a bounded-stretch validation needs). For subgraphs of g this equals
+/// the classical spanner stretch factor: sp_sub(u,v) <= t·sp_g(u,v) for all
+/// pairs iff it holds for all edges of g.
+///
+/// Two radii per vertex u, with w_max(u) its heaviest incident edge in g:
+/// a first bounded search in `sub` to 2·w_max(u), and a wide one to
+/// cap·w_max(u) only when some edge {u,v}, v > u, has v unsettled by the
+/// first. The result is exact, bit for bit the value of the wide search
+/// alone: a settled distance is final and the same double at any radius
+/// that contains it, and the first search settles every vertex at distance
+/// <= its radius. An unsettled endpoint has ratio > 2, so the widening runs
+/// only where an edge stretches past 2. Spanners with t <= 2 never widen,
+/// so the pass costs O(|B| log |B|) per vertex u, B = ball_sub(u, 2·w_max(u)),
+/// instead of the near all-pairs cost of cap·w_max balls; other
+/// subgraphs (MSFs, faulted graphs) pay at most one extra short search per
+/// vertex. The obs counters `stretch.vertices` and `stretch.widened` count
+/// the vertices measured and those that needed the wide search.
 ///
 /// `threads` > 1 splits the per-vertex searches over a worker pool (each
 /// vertex's worst ratio is independent; max over doubles is exact under any

@@ -2,8 +2,12 @@
 /// \file mis.hpp
 /// Maximal independent sets. Both MIS consumers in the paper (cluster-cover
 /// centers §3.2.1, redundant-edge thinning §2.2.5/§3.2.5) only need *some*
-/// MIS; the sequential driver uses the deterministic greedy MIS below, the
-/// distributed driver runs Luby's algorithm on the simulator (luby.hpp).
+/// MIS. Both constructions use Luby's algorithm (luby.hpp): the sequential
+/// relaxed greedy runs `luby_mis_parallel` with a fixed seed on its worker
+/// pool; the distributed one runs the same protocol with a per-phase seed,
+/// through `luby_mis_parallel` under net=sync and `luby_mis_on` under
+/// net=async. The greedy MIS below is the deterministic reference the tests
+/// drive the cluster and redundancy passes with.
 
 #include <vector>
 

@@ -51,6 +51,19 @@ endforeach()
 # verify: exit 0 means the spanner passed verification.
 run_cli(0 verify_out verify --in tiny.lsi --eps 0.5)
 
+# verify --threads: the stretch pass runs on a pool and prints the same
+# report. The flag is accepted for a serial construction too (mst, whose
+# stretch check takes the wide search).
+run_cli(0 verify_t4_out verify --in tiny.lsi --eps 0.5 --threads 4)
+if(NOT verify_t4_out STREQUAL verify_out)
+  message(FATAL_ERROR "verify --threads 4 changed the report:\n${verify_out}\n${verify_t4_out}")
+endif()
+run_cli(0 mst_verify_out verify --in tiny.lsi --eps 64 --algo mst)
+run_cli(0 mst_verify_t4_out verify --in tiny.lsi --eps 64 --algo mst --threads 4)
+if(NOT mst_verify_t4_out STREQUAL mst_verify_out)
+  message(FATAL_ERROR "verify --algo mst --threads 4 changed the report:\n${mst_verify_out}\n${mst_verify_t4_out}")
+endif()
+
 # verify a transformed-metric algorithm: must compare against the reweighted
 # reference (not Euclidean weights) and still pass.
 run_cli(0 energy_verify_out verify --in tiny.lsi --eps 0.5 --algo energy)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,23 @@ TEST(Registry, ObsPhaseBreakdownMatchesDeclaredSchema) {
                                    [&](const api::PhaseCost& pc) { return pc.name == phase; });
     EXPECT_TRUE(fired) << "declared phase '" << phase << "' never fired";
   }
+}
+
+TEST(Registry, MeasurePassIsTraced) {
+  const ObsEnabledScope obs_scope;
+  const UbgInstance inst = testinfra::Scenario{}.make();
+  const api::BuildRequest req{inst, practical(inst.config.alpha), {}};
+  const auto measure_spans = [] {
+    for (const obs::SpanStat& s : obs::span_totals()) {
+      if (s.name == "api.measure") return s.count;
+    }
+    return std::int64_t{0};
+  };
+  const std::int64_t before = measure_spans();
+  (void)api::registry().build("relaxed", req, /*measure=*/false);
+  EXPECT_EQ(measure_spans(), before);
+  (void)api::registry().build("relaxed", req, /*measure=*/true);
+  EXPECT_EQ(measure_spans(), before + 1);
 }
 
 TEST(Registry, EnergyMeasuresAgainstTheReweightedMetric) {

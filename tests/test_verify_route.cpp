@@ -1,6 +1,14 @@
-// Tests for the spanner verifier, geometric routing, the message-level
+// Tests for the spanner verifier and its stretch measurement (bit-identical
+// to the single-radius reference), geometric routing, the message-level
 // k-hop gather protocol, and the theta-graph / vertex-FT additions.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/yao.hpp"
 #include "core/relaxed_greedy.hpp"
@@ -10,14 +18,18 @@
 #include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
+#include "graph/sp_workspace.hpp"
+#include "obs/obs.hpp"
 #include "route/routing.hpp"
 #include "runtime/gather.hpp"
+#include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
 
 namespace core = localspan::core;
 namespace ext = localspan::ext;
 namespace gr = localspan::graph;
+namespace obs = localspan::obs;
 namespace rt = localspan::runtime;
 namespace route = localspan::route;
 namespace ti = localspan::testinfra;
@@ -252,4 +264,168 @@ TEST(VertexFT, KZeroMatchesEdgeVariant) {
   const auto inst = instance(17, 70);
   EXPECT_EQ(ext::fault_tolerant_greedy_vertex(inst.g, 1.5, 0),
             ext::fault_tolerant_greedy(inst.g, 1.5, 0));
+}
+
+// ---------------------------------------------------------------------------
+// max_edge_stretch: the probe-then-widen search against the single-radius
+// pass it replaced.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The single-radius stretch pass: every vertex searches `sub` to
+/// cap·w_max(u) at once. Kept as the reference the two-radius production
+/// pass must match bit for bit.
+double single_radius_stretch(const gr::Graph& g, const gr::Graph& sub, double cap) {
+  if (g.m() == 0) return 1.0;
+  const gr::CsrView sub_csr(sub);
+  gr::DijkstraWorkspace ws(g.n());
+  double worst = 1.0;
+  for (int u = 0; u < g.n(); ++u) {
+    double max_w = 0.0;
+    for (const gr::Neighbor& nb : g.neighbors(u)) max_w = std::max(max_w, nb.w);
+    if (max_w == 0.0) continue;
+    const gr::SpView sp = ws.bounded(sub_csr, u, cap * max_w);
+    for (const gr::Neighbor& nb : g.neighbors(u)) {
+      if (nb.to < u) continue;
+      const double d = sp.dist(nb.to);
+      worst = std::max(worst, d == gr::kInf ? cap : std::min(cap, d / nb.w));
+    }
+  }
+  return worst;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Run max_edge_stretch with obs on and return the (vertices, widened)
+/// counter deltas of that one call.
+std::pair<std::int64_t, std::int64_t> stretch_counters(const gr::Graph& g, const gr::Graph& sub,
+                                                       double cap = 64.0) {
+  obs::reset();
+  obs::set_enabled(true);
+  (void)gr::max_edge_stretch(g, sub, cap, 1);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+  std::pair<std::int64_t, std::int64_t> out{-1, -1};
+  for (const auto& [name, value] : snap.counters) {
+    if (name == "stretch.vertices") out.first = value;
+    if (name == "stretch.widened") out.second = value;
+  }
+  return out;
+}
+
+/// Path 0-1-...-hops in `sub`, plus the chord {0,hops} of weight 1 in g:
+/// the chord's only detour has ratio `hops`.
+std::pair<gr::Graph, gr::Graph> detour(int hops) {
+  gr::Graph g(hops + 1);
+  gr::Graph sub(hops + 1);
+  for (int v = 0; v < hops; ++v) {
+    g.add_edge(v, v + 1, 1.0);
+    sub.add_edge(v, v + 1, 1.0);
+  }
+  g.add_edge(0, hops, 1.0);
+  return {g, sub};
+}
+
+}  // namespace
+
+class StretchBitIdentity : public ::testing::TestWithParam<ti::Scenario> {};
+
+TEST_P(StretchBitIdentity, TwoRadiiMatchTheSingleRadiusPass) {
+  const ti::Scenario& sc = GetParam();
+  const auto inst = sc.make();
+  const gr::Graph spanner =
+      core::relaxed_greedy(inst, core::Params::practical_params(0.5, sc.alpha)).spanner;
+  gr::Graph thinned(inst.g.n());
+  const std::vector<gr::Edge> edges = spanner.edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i % 7 != 6) thinned.add_edge(edges[i].u, edges[i].v, edges[i].w);
+  }
+  std::vector<std::pair<std::string, gr::Graph>> subs{
+      {"relaxed", spanner},
+      {"msf", gr::minimum_spanning_forest(inst.g)},
+      {"empty", gr::Graph(inst.g.n())},
+      {"thinned", thinned},
+  };
+  if (sc.dim == 2) subs.emplace_back("theta6", localspan::baseline::theta_graph(inst, 6));
+  rt::WorkerPool pool(4);
+  for (const auto& [name, sub] : subs) {
+    for (const double cap : {1.5, 2.0, 4.0, 64.0}) {
+      const std::uint64_t want = bits(single_radius_stretch(inst.g, sub, cap));
+      const std::string where = sc.name() + " " + name + " cap=" + std::to_string(cap);
+      EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, 1)), want) << where;
+      EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, 4)), want) << where;
+      EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, 0, &pool)), want) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, StretchBitIdentity,
+                         ::testing::ValuesIn(ti::standard_matrix()), ti::ScenarioName{});
+
+TEST(StretchTwoRadii, RatioTwoSettlesAtTheProbeRadius) {
+  // The detour sits exactly at 2·w_max: the first search must settle it.
+  const auto [g, sub] = detour(2);
+  EXPECT_EQ(gr::max_edge_stretch(g, sub), 2.0);
+  EXPECT_EQ(single_radius_stretch(g, sub, 64.0), 2.0);
+  EXPECT_EQ(stretch_counters(g, sub), (std::pair<std::int64_t, std::int64_t>{3, 0}));
+}
+
+TEST(StretchTwoRadii, RatioThreeNeedsTheWideSearch) {
+  const auto [g, sub] = detour(3);
+  EXPECT_EQ(gr::max_edge_stretch(g, sub), 3.0);
+  EXPECT_EQ(gr::max_edge_stretch(g, sub, 64.0, 4), 3.0);
+  // Only vertex 0 owns an edge ({0,3}) whose endpoint lies past 2·w_max.
+  EXPECT_EQ(stretch_counters(g, sub), (std::pair<std::int64_t, std::int64_t>{4, 1}));
+}
+
+TEST(StretchTwoRadii, RatioAboveCapReturnsCap) {
+  const auto [g3, sub3] = detour(3);
+  EXPECT_EQ(gr::max_edge_stretch(g3, sub3, 2.5), 2.5);
+  EXPECT_EQ(single_radius_stretch(g3, sub3, 2.5), 2.5);
+  // cap below the probe radius: the one search is the cap search.
+  const auto [g2, sub2] = detour(2);
+  EXPECT_EQ(gr::max_edge_stretch(g2, sub2, 1.5), 1.5);
+  EXPECT_EQ(stretch_counters(g2, sub2, 1.5).second, 0);
+}
+
+TEST(StretchTwoRadii, WidenedCounterSeparatesSpannersFromTrees) {
+  const auto inst = instance(18, 200);
+  const gr::Graph spanner =
+      core::relaxed_greedy(inst, core::Params::practical_params(0.5, 0.75)).spanner;
+  const auto [spanner_vertices, spanner_widened] = stretch_counters(inst.g, spanner);
+  EXPECT_EQ(spanner_vertices, inst.g.n());
+  EXPECT_EQ(spanner_widened, 0);
+  const auto [msf_vertices, msf_widened] =
+      stretch_counters(inst.g, gr::minimum_spanning_forest(inst.g));
+  EXPECT_EQ(msf_vertices, inst.g.n());
+  EXPECT_GT(msf_widened, 0);
+}
+
+TEST(Verify, StretchPassIsTraced) {
+  const auto inst = instance(20, 100);
+  obs::reset();
+  obs::set_enabled(true);
+  (void)core::verify_spanner(inst, inst.g, 1.5);
+  const std::vector<obs::SpanStat> spans = obs::span_totals();
+  obs::set_enabled(false);
+  obs::reset();
+  const auto it = std::find_if(spans.begin(), spans.end(),
+                               [](const obs::SpanStat& s) { return s.name == "verify.stretch"; });
+  ASSERT_NE(it, spans.end());
+  EXPECT_EQ(it->count, 1);
+}
+
+TEST(Verify, ThreadsLeaveTheReportUnchanged) {
+  const auto inst = instance(19, 200);
+  const core::Params params = core::Params::practical_params(0.5, 0.75);
+  const gr::Graph spanner = core::relaxed_greedy(inst, params).spanner;
+  const gr::Graph forest = gr::minimum_spanning_forest(inst.g);
+  for (const gr::Graph* topo : {&spanner, &forest}) {
+    const core::VerificationReport serial = core::verify_spanner(inst, *topo, params.t, {}, 1);
+    const core::VerificationReport pooled = core::verify_spanner(inst, *topo, params.t, {}, 4);
+    EXPECT_EQ(bits(pooled.measured_stretch), bits(serial.measured_stretch));
+    EXPECT_EQ(pooled.summary(), serial.summary());
+  }
 }

@@ -224,8 +224,8 @@ void print_algorithm_list() {
 /// `command_uses_seed` is set by commands that consume --seed themselves
 /// (route seeds its trials), so the flag is only a no-op — and rejected —
 /// when neither the command nor the algorithm reads it; `command_uses_threads`
-/// likewise for commands with their own query-side pool (route's trial
-/// evaluation), where --threads is meaningful even if the construction
+/// likewise for commands with their own pool (route's trial evaluation,
+/// verify's stretch pass), where --threads is meaningful even if the construction
 /// algorithm is serial. Commands that discard the quality metrics (verify,
 /// route) pass measure=false to skip the superlinear measurement pass.
 api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
@@ -432,8 +432,8 @@ int cmd_verify(const Args& args) {
   }
   obs_enable_if_requested(args);
   const ubg::UbgInstance inst = load(args);
-  const api::BuildResult result =
-      build_topology(inst, args, /*command_uses_seed=*/false, /*measure=*/false);
+  const api::BuildResult result = build_topology(inst, args, /*command_uses_seed=*/false,
+                                                 /*measure=*/false, /*command_uses_threads=*/true);
   const double eps = args.get_double("eps", 0.5);
   // Transformed-metric algorithms (energy) must be verified against the same
   // reweighted reference graph their guarantees and metrics are stated in.
@@ -445,7 +445,8 @@ int cmd_verify(const Args& args) {
     std::printf("verifying in the algorithm's transformed metric (reweighted reference)\n");
   }
   const core::VerificationReport rep =
-      core::verify_spanner(*verify_against, result.spanner, 1.0 + eps);
+      core::verify_spanner(*verify_against, result.spanner, 1.0 + eps, {},
+                           args.get_int("threads", 0));
   std::printf("%s\n", rep.summary().c_str());
   obs_write_outputs(args);
   return rep.ok() ? 0 : 1;
