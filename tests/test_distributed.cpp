@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <type_traits>
 
 #include "core/distributed.hpp"
 #include "core/verify.hpp"
@@ -164,3 +168,155 @@ TEST(Distributed, SmallAndSparseInstances) {
   const auto result = core::distributed_relaxed_greedy(inst, params, {}, 1);
   EXPECT_EQ(result.base.spanner.m(), inst.g.m());  // nothing to prune at n=2
 }
+
+// ---------------------------------------------------------------------------
+// Golden pin: a 64-bit digest of everything a relaxed-dist run reports, per
+// cell of the standard scenario matrix, under the synchronous transport and
+// under a lossy/duplicating/reordering async adversary. The digests were
+// recorded from the original stand-alone distributed phase loop; the shared
+// §2 phase driver must reproduce every bit of them.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// FNV-1a over the raw bytes of every value fed in.
+class Digest {
+ public:
+  template <class T>
+  void add(T v) {
+    static_assert(std::is_arithmetic_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (unsigned char b : bytes) {
+      h_ ^= b;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string& s) {
+    for (char c : s) add(c);
+    add(static_cast<std::uint64_t>(s.size()));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest_of(const core::DistributedResult& r) {
+  Digest d;
+  d.add(r.base.spanner.n());
+  for (const gr::Edge& e : r.base.spanner.edges()) {
+    d.add(e.u);
+    d.add(e.v);
+    d.add(e.w);
+  }
+  d.add(r.base.phase0_components);
+  d.add(r.base.nonempty_bins);
+  d.add(r.base.total_bins);
+  for (const core::PhaseStats& st : r.base.phases) {
+    for (int v : {st.bin, st.edges_in_bin, st.already_in_spanner, st.covered, st.candidates,
+                  st.queries, st.added, st.removed, st.clusters, st.max_query_edges_per_cluster,
+                  st.max_inter_degree, st.max_query_hops}) {
+      d.add(v);
+    }
+    for (double v : {st.w_lo, st.w_hi, st.max_inter_weight}) d.add(v);
+  }
+  for (const core::PhaseRounds& pr : r.net.per_phase) {
+    d.add(pr.bin);
+    for (long long v : {pr.cover, pr.select, pr.cluster_graph, pr.query, pr.redundancy,
+                        pr.mis_rounds_measured, pr.mis_rounds_kmw_model}) {
+      d.add(v);
+    }
+  }
+  for (long long v : {r.net.rounds_measured, r.net.rounds_kmw_model, r.net.messages}) d.add(v);
+  d.add(r.net.mis_invocations);
+  d.add(r.net.max_luby_iterations);
+  const localspan::runtime::AsyncStats& ph = r.net.async.physical;
+  for (long long v : {ph.posted, ph.delivered, ph.dropped, ph.partition_dropped, ph.duplicated,
+                      ph.reordered, ph.straggled, ph.timers}) {
+    d.add(v);
+  }
+  const localspan::runtime::ReliableStats& pc = r.net.async.protocol;
+  for (long long v : {pc.data_sent, pc.retransmits, pc.timeouts, pc.acks_sent, pc.acks_received,
+                      pc.stale_acks, pc.dup_suppressed}) {
+    d.add(v);
+  }
+  d.add(r.net.async.convergence_time);
+  d.add(r.net.async.invocations);
+  d.add(r.ledger.rounds());
+  d.add(r.ledger.messages());
+  for (const auto& [section, rounds] : r.ledger.rounds_by_section()) {
+    d.add(section);
+    d.add(rounds);
+  }
+  return d.value();
+}
+
+struct GoldenDigest {
+  const char* scenario;
+  std::uint64_t sync;
+  std::uint64_t async;
+};
+
+constexpr GoldenDigest kGolden[] = {
+    {"d2_uniform_a060_n64_s1", 0x7330f491cbb4473fULL, 0x3b9ebd1cac373b42ULL},
+    {"d2_uniform_a060_n128_s1", 0x6dada4c343c42227ULL, 0x58c4bad4c501bd47ULL},
+    {"d2_uniform_a075_n64_s1", 0xddb34458e3cfaf98ULL, 0xdbca180a14237b48ULL},
+    {"d2_uniform_a075_n128_s1", 0x348345b1feaa3072ULL, 0xb9c3343c1160b0daULL},
+    {"d2_uniform_a100_n64_s1", 0x965a87517f8d0654ULL, 0xb332815ebc682faULL},
+    {"d2_uniform_a100_n128_s1", 0xfeaeac08f57922e7ULL, 0x22203ac607b3863fULL},
+    {"d2_clustered_a060_n64_s1", 0xf8586599b608d7aULL, 0xa862f46c94b6653aULL},
+    {"d2_clustered_a060_n128_s1", 0xe0a762b4d645f1bdULL, 0x239821dee407bc35ULL},
+    {"d2_clustered_a075_n64_s1", 0xf843ce1b1145fa43ULL, 0xd936afa3acf204bfULL},
+    {"d2_clustered_a075_n128_s1", 0x7744cfa5ff0104efULL, 0x18b0404a150b0e60ULL},
+    {"d2_clustered_a100_n64_s1", 0x111c702ccf216f40ULL, 0xb95c1c1661afb59ULL},
+    {"d2_clustered_a100_n128_s1", 0x2d807129cc583e7ULL, 0x741348c67f39230eULL},
+    {"d3_uniform_a060_n64_s1", 0xff2310c9c61c8b52ULL, 0x2b9cef6ac8142cb0ULL},
+    {"d3_uniform_a060_n128_s1", 0xd927d88c25c115e0ULL, 0xa77b0d47b602ac58ULL},
+    {"d3_uniform_a075_n64_s1", 0xefbee77afdf02e4fULL, 0xd4de9b86f9e334b7ULL},
+    {"d3_uniform_a075_n128_s1", 0x62f05ad48632eacULL, 0x64eade08e5fce1a5ULL},
+    {"d3_uniform_a100_n64_s1", 0x1e0550f6278ee900ULL, 0x3f1a8b959fa640fbULL},
+    {"d3_uniform_a100_n128_s1", 0xc3bd32480de290cbULL, 0xf95c746a8412be56ULL},
+    {"d3_clustered_a060_n64_s1", 0xaf5c12926e5c06c2ULL, 0x72dd19162793f29eULL},
+    {"d3_clustered_a060_n128_s1", 0xca94dc844d23b54ULL, 0xfeaaf7fb002880e8ULL},
+    {"d3_clustered_a075_n64_s1", 0xed03ca790a6a76aaULL, 0x3fdbe55e7e901352ULL},
+    {"d3_clustered_a075_n128_s1", 0x3caf7fdf58e4af51ULL, 0x7a55349de12a8559ULL},
+    {"d3_clustered_a100_n64_s1", 0x971d7294e3a3d1b4ULL, 0x846104de5f2dd5b2ULL},
+    {"d3_clustered_a100_n128_s1", 0xdc66d478d43ee22cULL, 0xd93f2a3841fd73a6ULL},
+};
+
+const GoldenDigest* golden_for(const std::string& name) {
+  for (const GoldenDigest& g : kGolden) {
+    if (name == g.scenario) return &g;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+class DistributedGolden : public ::testing::TestWithParam<ti::Scenario> {};
+
+TEST_P(DistributedGolden, DigestMatchesPinnedRun) {
+  const ti::Scenario& sc = GetParam();
+  const auto inst = sc.make();
+  const core::Params params = core::Params::practical_params(0.5, sc.alpha);
+  const GoldenDigest* golden = golden_for(sc.name());
+  ASSERT_NE(golden, nullptr) << sc.name();
+
+  const auto sync_r = core::distributed_relaxed_greedy(inst, params, {}, sc.seed);
+  EXPECT_EQ(digest_of(sync_r), golden->sync)
+      << sc.name() << " sync digest 0x" << std::hex << digest_of(sync_r);
+
+  core::NetOptions net;
+  net.mode = core::NetMode::kAsync;
+  net.adversary.drop_prob = 0.1;
+  net.adversary.dup_prob = 0.05;
+  net.adversary.reorder_prob = 0.1;
+  const auto async_r = core::distributed_relaxed_greedy(inst, params, {}, sc.seed, net);
+  EXPECT_GT(async_r.net.async.invocations, 0) << sc.name();
+  EXPECT_EQ(digest_of(async_r), golden->async)
+      << sc.name() << " async digest 0x" << std::hex << digest_of(async_r);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, DistributedGolden, ::testing::ValuesIn(ti::standard_matrix()),
+                         ti::ScenarioName{});
