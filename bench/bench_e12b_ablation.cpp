@@ -1,5 +1,4 @@
-/// Experiment E12 (part 2) — ablations of the design choices DESIGN.md
-/// calls out:
+/// Experiment E12 (part 2) — ablations of the algorithm's design choices:
 ///   * strict vs practical parameter presets (bin ratio r, hence phase count),
 ///   * redundancy removal on/off (§2.2.5; the weight proof needs it on),
 ///   * covered-edge filtering effect (visible through the query counts).

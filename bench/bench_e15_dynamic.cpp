@@ -3,16 +3,15 @@
 ///
 /// For each (n, trace model) cell the same event trace is applied twice to
 /// the same seed instance: once through the DynamicSpanner's dirty-ball
-/// repair (with the per-event local certification on, as deployed), once
-/// with the pre-spatial-hash Ω(n) neighbor-discovery scan (the DynamicGrid
-/// before/after comparison), and once through the rebuild-from-scratch
-/// baseline. Reported: per-event wall time for all modes, the speedups,
+/// repair (with the per-event local certification on, as deployed), and once
+/// through the rebuild-from-scratch baseline. Reported: per-event wall time
+/// for both modes, the speedup,
 /// mean dirty-ball and certify-scope sizes (the locality the paper
 /// promises), and fallback count (0 = the locality argument held on every
 /// event).
 ///
 /// The n=100000 row is the scale smoke leg for the epoch-stamped workspace:
-/// incremental repair only (scan and rebuild baselines are pointless at that
+/// incremental repair only (a rebuild baseline is pointless at that
 /// size), proving per-event cost stays ball-sized when the network is 50x
 /// larger than the balls.
 ///
@@ -94,8 +93,7 @@ namespace {
 struct CellResult {
   std::size_t events = 0;
   std::size_t baseline_timed = 0;
-  double inc_ms_per_event = 0.0;   ///< spatial-hash discovery (deployed).
-  double scan_ms_per_event = 0.0;  ///< pre-spatial-hash Ω(n) scan baseline.
+  double inc_ms_per_event = 0.0;
   double full_ms_per_event = 0.0;
   double mean_ball = 0.0;
   double mean_scope = 0.0;  ///< mean certify touched-set size.
@@ -164,19 +162,6 @@ CellResult run_cell(const ubg::UbgInstance& inst, const core::Params& params,
     res.mean_scope = static_cast<double>(scopes) / count;
   }
   if (incremental_only) return res;
-
-  // Incremental with the pre-spatial-hash Ω(n) neighbor-discovery scan — the
-  // before/after comparison for the DynamicGrid optimization (same repair
-  // path and certification; only discovery differs).
-  {
-    dynamic::DynamicOptions opts;
-    opts.linear_scan_discovery = true;
-    dynamic::DynamicSpanner engine(inst, params, opts);
-    double seconds = 0.0;
-    for (const dynamic::RepairStats& st : engine.apply_all(trace)) seconds += st.seconds;
-    res.scan_ms_per_event =
-        1e3 * seconds / static_cast<double>(std::max<std::size_t>(1, res.events));
-  }
 
   // Full-recompute baseline on a prefix of the same trace.
   {
@@ -343,19 +328,15 @@ int main() {
     report.set_obs(ov.obs_json);
   }
 
-  bu::Table table({"n", "model", "threads", "events", "inc ev/s", "inc ms/ev", "scan ms/ev",
-                   "disc speedup", "full ms/ev", "speedup", "mean |B|", "max |B|", "mean scope",
-                   "ball frac", "timed", "fallbacks"});
+  bu::Table table({"n", "model", "threads", "events", "inc ev/s", "inc ms/ev", "full ms/ev",
+                   "speedup", "mean |B|", "max |B|", "mean scope", "ball frac", "timed",
+                   "fallbacks"});
   const auto add_row = [&](int n, const char* model, const CellResult& res) {
     const std::string na = "n/a";
     table.add_row({bu::fmt_int(n), model, bu::fmt_int(runtime::default_threads()),
                    bu::fmt_int(static_cast<long long>(res.events)),
                    bu::fmt(1e3 / std::max(res.inc_ms_per_event, 1e-9), 1),
                    bu::fmt(res.inc_ms_per_event),
-                   res.baselines_ran ? bu::fmt(res.scan_ms_per_event) : na,
-                   res.baselines_ran
-                       ? bu::fmt(res.scan_ms_per_event / std::max(res.inc_ms_per_event, 1e-9), 2)
-                       : na,
                    res.baselines_ran ? bu::fmt(res.full_ms_per_event) : na,
                    res.baselines_ran
                        ? bu::fmt(res.full_ms_per_event / std::max(res.inc_ms_per_event, 1e-9), 2)

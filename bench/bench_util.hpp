@@ -11,9 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "io/json.hpp"
 #include "ubg/generator.hpp"
 
 namespace localspan::benchutil {
+
+using io::json_escape;
 
 inline std::string fmt(double v, int prec = 3) {
   char buf[64];
@@ -58,30 +61,6 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// JSON string escaping per RFC 8259 (the cells we emit are plain ASCII, but
-/// titles may contain quotes or backslashes).
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Emit a table cell as a JSON number when the whole string parses as one
 /// (so "0.75" and "512" become numbers, "yes" and "relaxed (strict)" stay

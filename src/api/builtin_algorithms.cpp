@@ -68,9 +68,8 @@ const std::vector<OptionSpec> kRelaxedOptionSchema{
     {"covered-filter", OptionType::kBool, "true", "run the §2.2.2 θ-cone covered-edge filter"},
 };
 
-/// Phase schema of core::relaxed_greedy (the obs span names its per-bin
-/// pipeline emits). Declared by every adapter that calls it directly;
-/// the distributed simulator runs its own pipeline and stays opaque.
+/// Phase schema of the relaxed-greedy phase loop (the obs span names its
+/// per-bin pipeline emits), shared by the sequential and distributed drivers.
 const std::vector<std::string> kRelaxedPhaseSchema{
     "construct", "rg.bins",          "rg.phase0",  "rg.cover",      "rg.filter",
     "rg.select", "rg.cluster_graph", "rg.queries", "rg.redundancy"};
@@ -183,7 +182,7 @@ class DistributedAlgorithm final : public SpannerAlgorithm {
         }(),
         {.dim2_only = false, .needs_k = false, .uses_params = true, .randomized = true,
          .distributed = true},
-        {}};
+        kRelaxedPhaseSchema};
     return kInfo;
   }
 

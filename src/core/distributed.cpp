@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <stdexcept>
 
-#include "core/greedy.hpp"
-#include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
-#include "graph/soa_points.hpp"
 #include "mis/luby.hpp"
-#include "runtime/parallel.hpp"
 
 namespace localspan::core {
 
 namespace {
-
-using detail::PhaseEdge;
 
 /// Hops needed in G to explore a Euclidean-scale radius L: on any shortest
 /// path, vertices two hops apart are > α apart (else the direct edge would
@@ -25,9 +16,33 @@ long long hops_for(double length, double alpha) {
   return std::max<long long>(1, static_cast<long long>(std::ceil(2.0 * length / alpha)));
 }
 
-std::function<double(double)> make_transform(const RelaxedGreedyOptions& opts) {
-  if (opts.weight_transform) return opts.weight_transform;
-  return [](double len) { return len; };
+/// Fold one async MIS invocation's transport and protocol counters into the
+/// run summary.
+void add_async_run(AsyncNetSummary& async, const runtime::AsyncNetwork& anet,
+                   const runtime::ReliableNetwork& rnet, bool record_transcript) {
+  const runtime::AsyncStats& ps = anet.stats();
+  async.physical.posted += ps.posted;
+  async.physical.delivered += ps.delivered;
+  async.physical.dropped += ps.dropped;
+  async.physical.partition_dropped += ps.partition_dropped;
+  async.physical.duplicated += ps.duplicated;
+  async.physical.reordered += ps.reordered;
+  async.physical.straggled += ps.straggled;
+  async.physical.timers += ps.timers;
+  const runtime::ReliableStats& rs = rnet.stats();
+  async.protocol.data_sent += rs.data_sent;
+  async.protocol.retransmits += rs.retransmits;
+  async.protocol.timeouts += rs.timeouts;
+  async.protocol.acks_sent += rs.acks_sent;
+  async.protocol.acks_received += rs.acks_received;
+  async.protocol.stale_acks += rs.stale_acks;
+  async.protocol.dup_suppressed += rs.dup_suppressed;
+  async.convergence_time += anet.now();
+  ++async.invocations;
+  if (record_transcript) {
+    async.transcript.insert(async.transcript.end(), anet.transcript().begin(),
+                            anet.transcript().end());
+  }
 }
 
 }  // namespace
@@ -35,76 +50,15 @@ std::function<double(double)> make_transform(const RelaxedGreedyOptions& opts) {
 DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
                                              const RelaxedGreedyOptions& opts, std::uint64_t seed,
                                              const NetOptions& net_opts) {
-  params.validate();
   if (net_opts.mode == NetMode::kAsync) {
     net_opts.adversary.validate();
     net_opts.reliable.validate();
   }
-  if (std::abs(params.alpha - inst.config.alpha) > 1e-12) {
-    throw std::invalid_argument("distributed_relaxed_greedy: params.alpha != instance alpha");
-  }
   const int n = inst.g.n();
   const long long m_edges = inst.g.m();
-  const auto transform = make_transform(opts);
   const int lstar = log_star(static_cast<double>(std::max(2, n)));
-
-  DistributedResult result{{graph::Graph(n), params, {}, 0, 0, 0}, {}, {}};
-  graph::Graph& spanner = result.base.spanner;
-  runtime::RoundLedger& ledger = result.ledger;
-
-  // Worker team for the simulator's compute spine (binning, MIS, query
-  // selection/answering, redundancy balls). The round/message accounting is
-  // analytic, so parallel execution changes wall-clock only — every result,
-  // including the charged ledger, is bit-identical across thread counts.
-  std::optional<runtime::WorkerPool> run_pool;
-  runtime::WorkerPool* pool = opts.worker_pool;
-  if (pool == nullptr) {
-    const int threads = runtime::resolve_threads(opts.threads);
-    if (threads > 1) pool = &run_pool.emplace(threads);
-  }
-  graph::DijkstraWorkspace run_ws;
-  graph::DijkstraWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : run_ws;
-  const graph::SoaPoints pts(inst.points);
-
-  const std::vector<graph::Edge> ge = inst.g.edges();
-  std::vector<graph::Edge> weighted;
-  std::vector<double> lens;
-  for (const graph::Edge& e : ge) {
-    weighted.push_back({e.u, e.v, transform(e.w)});
-    lens.push_back(e.w);
-  }
-  const BinSchema schema(params.alpha, params.r, n);
-  const auto bins = group_edges_by_bin(weighted, schema, lens, pool);
-  result.base.total_bins = static_cast<int>(bins.size());
-
-  // ---- Phase 0 (§3.1): every node learns its closed neighborhood topology
-  // in 2 rounds (adjacency exchange), locally determines its G_0 component
-  // (a clique, Lemma 1), runs SEQ-GREEDY on it deterministically, and
-  // announces its incident spanner edges in 1 round. We compute the same
-  // spanner centrally and charge those 3 rounds.
-  {
-    PhaseStats st;
-    st.bin = 0;
-    st.w_hi = params.alpha / n;
-    st.edges_in_bin = static_cast<int>(bins[0].size());
-    graph::Graph g0(n);
-    for (const graph::Edge& e : bins[0]) g0.add_edge(e.u, e.v, e.w);
-    const graph::Components comps = graph::connected_components(g0);
-    const auto weight = [&](int u, int v) {
-      return transform(std::max(pts.distance(u, v), 1e-12));
-    };
-    for (const std::vector<int>& members : comps.groups()) {
-      if (members.size() < 2) continue;
-      ++result.base.phase0_components;
-      for (const graph::Edge& e : seq_greedy_clique(members, weight, params.t)) {
-        if (spanner.add_edge(e.u, e.v, e.w)) ++st.added;
-      }
-    }
-    ledger.charge("phase0", 3, 3 * 2 * m_edges);
-    result.base.phases.push_back(st);
-  }
-
-  std::uint64_t phase_seed = seed;
+  DistributedStats net;
+  runtime::RoundLedger ledger;
 
   // MIS transport: sync (the pool-parallel harvester, which reproduces the
   // SyncNetwork's round/message accounting analytically and bit-identically
@@ -113,182 +67,102 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // network over its derived graph J and its own adversary seed (hashed
   // from the base seed and the invocation index), so a whole run replays
   // deterministically while invocations stay decorrelated.
+  std::uint64_t mis_seed = seed;
   int async_invocation = 0;
-  AsyncNetSummary& async = result.net.async;
-  const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby, const char* section) {
-    if (net_opts.mode == NetMode::kSync) {
-      return mis::luby_mis_parallel(j, ++phase_seed, luby, pool, nullptr, section);
-    }
+  const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby,
+                           runtime::WorkerPool* pool) {
+    if (net_opts.mode == NetMode::kSync) return mis::luby_mis_parallel(j, ++mis_seed, luby, pool);
     runtime::AdversaryConfig adv = net_opts.adversary;
     adv.seed = adv.seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(++async_invocation);
     runtime::AsyncNetwork anet(j, adv);
     anet.set_record_transcript(net_opts.record_transcript);
-    runtime::ReliableNetwork rnet(anet, net_opts.reliable, nullptr, section);
-    std::vector<int> out = mis::luby_mis_on(rnet, j, ++phase_seed, luby);
-
-    const runtime::AsyncStats& ps = anet.stats();
-    async.physical.posted += ps.posted;
-    async.physical.delivered += ps.delivered;
-    async.physical.dropped += ps.dropped;
-    async.physical.partition_dropped += ps.partition_dropped;
-    async.physical.duplicated += ps.duplicated;
-    async.physical.reordered += ps.reordered;
-    async.physical.straggled += ps.straggled;
-    async.physical.timers += ps.timers;
-    const runtime::ReliableStats& rs = rnet.stats();
-    async.protocol.data_sent += rs.data_sent;
-    async.protocol.retransmits += rs.retransmits;
-    async.protocol.timeouts += rs.timeouts;
-    async.protocol.acks_sent += rs.acks_sent;
-    async.protocol.acks_received += rs.acks_received;
-    async.protocol.stale_acks += rs.stale_acks;
-    async.protocol.dup_suppressed += rs.dup_suppressed;
-    async.convergence_time += anet.now();
-    ++async.invocations;
-    if (net_opts.record_transcript) {
-      async.transcript.insert(async.transcript.end(), anet.transcript().begin(),
-                              anet.transcript().end());
-    }
+    runtime::ReliableNetwork rnet(anet, net_opts.reliable, nullptr, "mis");
+    std::vector<int> out = mis::luby_mis_on(rnet, j, ++mis_seed, luby);
+    add_async_run(net.async, anet, rnet, net_opts.record_transcript);
     return out;
   };
 
-  for (int i = 1; i < static_cast<int>(bins.size()); ++i) {
-    const auto& bin = bins[static_cast<std::size_t>(i)];
-    if (bin.empty()) continue;
-    ++result.base.nonempty_bins;
+  // (i) cluster cover (§3.2.1): every node gathers its δW ball, a Luby MIS
+  // on the proximity graph J picks the centers, the rest attach.
+  mis::LubyStats cover_luby;
+  const auto cover = [&](const graph::Graph& gp, const graph::CsrView&, double radius,
+                         graph::DijkstraWorkspace&, runtime::WorkerPool* pool) {
+    return cluster::mis_cover(gp, radius, [&](const graph::Graph& j) {
+      return run_mis(j, &cover_luby, pool);
+    });
+  };
+  // (v) redundancy removal (§3.2.5): a Luby MIS on the conflict graph J.
+  mis::LubyStats redundancy_luby;
+  const auto redundancy_mis = [&](const graph::Graph& j, runtime::WorkerPool* pool) {
+    return run_mis(j, &redundancy_luby, pool);
+  };
 
-    PhaseStats st;
-    st.bin = i;
-    st.w_lo = schema.W(i - 1);
-    st.w_hi = schema.W(i);
-    st.edges_in_bin = static_cast<int>(bin.size());
-
+  // Round accounting of a finished phase. Every step other than the MIS
+  // runs is a constant-hop gather whose rounds follow from the phase's
+  // Euclidean scale W_{i-1}; the ledger only sums, so charging the whole
+  // phase at its end gives the same ledger as charging step by step.
+  const auto charge_phase = [&](const PhaseStats& st) {
+    const double w_eucl = st.w_lo;
     PhaseRounds pr;
-    pr.bin = i;
+    pr.bin = st.bin;
 
-    const double w_eucl = schema.W(i - 1);  // Euclidean-scale W_{i-1}
-    const double w_prev = transform(w_eucl);
-    const double radius = params.delta * w_prev;
-
-    // ---- (i) cluster cover (§3.2.1): gather + Luby MIS on J + attach.
+    // cover: learn the δW ball of G'_{i-1}, each J-round costs k_ball
+    // G-rounds, 1 round to attach to a center.
     const long long k_ball = hops_for(params.delta * w_eucl, params.alpha);
-    mis::LubyStats luby1;
-    const auto mis_fn = [&](const graph::Graph& j) { return run_mis(j, &luby1, "cover-mis"); };
-    const cluster::ClusterCover cover = cluster::mis_cover(spanner, radius, mis_fn);
-    st.clusters = static_cast<int>(cover.centers.size());
-
-    pr.cover = k_ball                       // learn the δW ball of G'_{i-1}
-               + luby1.network_rounds * k_ball  // each J-round = k_ball G-rounds
-               + 1;                             // attach to a center
-    pr.mis_rounds_measured += luby1.network_rounds * k_ball;
+    pr.cover = k_ball + cover_luby.network_rounds * k_ball + 1;
+    pr.mis_rounds_measured += cover_luby.network_rounds * k_ball;
     pr.mis_rounds_kmw_model += static_cast<long long>(lstar) * k_ball;
-    ledger.charge("cover", pr.cover,
-                  k_ball * 2 * m_edges + luby1.messages * k_ball + n);
-    result.net.mis_invocations += 1;
-    result.net.max_luby_iterations = std::max(result.net.max_luby_iterations, luby1.iterations);
+    ledger.charge("cover", pr.cover, k_ball * 2 * m_edges + cover_luby.messages * k_ball + n);
+    net.mis_invocations += 1;
+    net.max_luby_iterations = std::max(net.max_luby_iterations, cover_luby.iterations);
 
-    // ---- (ii) query edge selection (§3.2.2): heads gather 1 + 2δW/α hops.
-    // The θ-cone tests are pure per-edge functions of (pts, G'_{i-1}), so
-    // they harvest in parallel; candidates commit in bin order.
-    std::vector<PhaseEdge> candidates;
-    {
-      enum : char { kAlready, kCovered, kCandidate };
-      std::vector<char> status(bin.size(), kCandidate);
-      std::vector<double> elen(bin.size(), 0.0);
-      const auto classify = [&](int k) {
-        const graph::Edge& e = bin[static_cast<std::size_t>(k)];
-        if (spanner.has_edge(e.u, e.v)) {
-          status[static_cast<std::size_t>(k)] = kAlready;
-          return;
-        }
-        const double len = pts.distance(e.u, e.v);
-        elen[static_cast<std::size_t>(k)] = len;
-        if (opts.covered_edge_filter &&
-            detail::is_covered_edge(pts, inst.config.alpha, spanner, {e.u, e.v, len, e.w},
-                                    params.theta)) {
-          status[static_cast<std::size_t>(k)] = kCovered;
-        }
-      };
-      if (pool != nullptr && pool->threads() > 1) {
-        pool->for_each(0, static_cast<int>(bin.size()), [&](int, int k) { classify(k); });
-      } else {
-        for (int k = 0; k < static_cast<int>(bin.size()); ++k) classify(k);
-      }
-      for (std::size_t k = 0; k < bin.size(); ++k) {
-        const graph::Edge& e = bin[k];
-        if (status[k] == kAlready) {
-          ++st.already_in_spanner;
-        } else if (status[k] == kCovered) {
-          ++st.covered;
-        } else {
-          candidates.push_back({e.u, e.v, elen[k], e.w});
-        }
-      }
-    }
-    st.candidates = static_cast<int>(candidates.size());
-    const std::vector<PhaseEdge> queries = detail::select_query_edges(
-        candidates, cover, params.t, &st.max_query_edges_per_cluster, pool);
-    st.queries = static_cast<int>(queries.size());
+    // select (§3.2.2): cluster heads gather 1 + 2δW/α hops.
     pr.select = k_ball + 1;
     ledger.charge("select", pr.select, (k_ball + 1) * 2 * m_edges);
 
-    // ---- (iii) cluster graph (§3.2.3): gather 2(2δ+1)W/α hops.
-    const cluster::ClusterGraph cg = cluster::build_cluster_graph(spanner, cover, w_prev);
-    st.max_inter_degree = cg.max_inter_degree;
-    st.max_inter_weight = cg.max_inter_weight;
-    const long long k_h = hops_for((2.0 * params.delta + 1.0) * w_eucl, params.alpha);
-    pr.cluster_graph = k_h;
-    ledger.charge("clustergraph", k_h, k_h * 2 * m_edges);
+    // clustergraph (§3.2.3): gather 2(2δ+1)W/α hops.
+    pr.cluster_graph = hops_for((2.0 * params.delta + 1.0) * w_eucl, params.alpha);
+    ledger.charge("clustergraph", pr.cluster_graph, pr.cluster_graph * 2 * m_edges);
 
-    // ---- (iv) query answering (§3.2.4): Theorem 9 constant-hop search.
-    const std::vector<PhaseEdge> to_add =
-        detail::answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
-    for (const PhaseEdge& e : to_add) spanner.add_edge(e.u, e.v, e.w);
-    st.added = static_cast<int>(to_add.size());
-    const long long k_q = hops_for(2.0 * params.delta + 1.0, params.alpha);
-    pr.query = k_q;
-    ledger.charge("query", k_q, k_q * 2 * m_edges);
+    // query (§3.2.4): Theorem 9 constant-hop search.
+    pr.query = hops_for(2.0 * params.delta + 1.0, params.alpha);
+    ledger.charge("query", pr.query, pr.query * 2 * m_edges);
 
-    // ---- (v) redundant edge removal (§3.2.5): constant-hop exchange +
-    // Luby MIS on the conflict graph (J-edges span ≤ 2 t1 r W/α G-hops).
-    if (opts.redundancy_removal && to_add.size() >= 2) {
-      mis::LubyStats luby2;
-      const auto mis_fn2 = [&](const graph::Graph& j) {
-        return run_mis(j, &luby2, "redundancy-mis");
-      };
-      const std::vector<int> removal =
-          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn2, pool);
-      for (int idx : removal) {
-        const PhaseEdge& e = to_add[static_cast<std::size_t>(idx)];
-        spanner.remove_edge(e.u, e.v);
-      }
-      st.removed = static_cast<int>(removal.size());
+    // redundancy (§3.2.5): constant-hop exchange + Luby MIS on J (J-edges
+    // span <= 2 t1 r W/α G-hops).
+    if (opts.redundancy_removal && st.added >= 2) {
       const long long k_red =
           hops_for(params.t1 * params.r * std::min(w_eucl, 1.0) * params.r, params.alpha);
-      pr.redundancy = k_red + luby2.network_rounds * k_red;
-      pr.mis_rounds_measured += luby2.network_rounds * k_red;
+      pr.redundancy = k_red + redundancy_luby.network_rounds * k_red;
+      pr.mis_rounds_measured += redundancy_luby.network_rounds * k_red;
       pr.mis_rounds_kmw_model += static_cast<long long>(lstar) * k_red;
       ledger.charge("redundancy", pr.redundancy,
-                    k_red * 2 * m_edges + luby2.messages * k_red);
-      result.net.mis_invocations += 1;
-      result.net.max_luby_iterations = std::max(result.net.max_luby_iterations, luby2.iterations);
+                    k_red * 2 * m_edges + redundancy_luby.messages * k_red);
+      net.mis_invocations += 1;
+      net.max_luby_iterations = std::max(net.max_luby_iterations, redundancy_luby.iterations);
     }
+    net.per_phase.push_back(pr);
+    cover_luby = {};
+    redundancy_luby = {};
+  };
 
-    // KMW model total for this phase: deterministic steps unchanged, MIS
-    // rounds replaced by the log*(n) model.
-    result.net.per_phase.push_back(pr);
-    result.base.phases.push_back(st);
-  }
+  // Phase 0 (§3.1): every node learns its closed neighborhood topology in 2
+  // rounds, spans its G_0 component (a clique, Lemma 1) locally and
+  // announces its incident spanner edges in 1 round.
+  ledger.charge("phase0", 3, 3 * 2 * m_edges);
+  RelaxedGreedyResult base = detail::run_relaxed_phases(
+      inst, params, opts, {.cover = cover, .mis = redundancy_mis, .after_phase = charge_phase});
 
-  result.net.rounds_measured = ledger.rounds();
-  result.net.messages = ledger.messages();
-  long long kmw = 0;
-  for (const PhaseRounds& pr : result.net.per_phase) {
+  net.rounds_measured = ledger.rounds();
+  net.messages = ledger.messages();
+  // KMW model: deterministic steps unchanged, MIS rounds replaced by the
+  // log*(n) model.
+  long long kmw = 3;  // phase 0
+  for (const PhaseRounds& pr : net.per_phase) {
     kmw += pr.total_measured() - pr.mis_rounds_measured + pr.mis_rounds_kmw_model;
   }
-  kmw += 3;  // phase 0
-  result.net.rounds_kmw_model = kmw;
-  return result;
+  net.rounds_kmw_model = kmw;
+  return {std::move(base), std::move(net), std::move(ledger)};
 }
 
 }  // namespace localspan::core

@@ -3,7 +3,10 @@
 /// The distributed relaxed greedy algorithm (paper §3), executed on the
 /// synchronous message-passing simulator with full round/message accounting.
 ///
-/// Per phase (Theorems 16-21):
+/// It runs the §2 phase loop of relaxed_greedy (detail::run_relaxed_phases)
+/// with two substitutions: the cluster cover is the MIS-based one of
+/// §3.2.1, and both MIS steps run Luby over the chosen transport. Each phase
+/// is then charged its rounds (Theorems 16-21):
 ///   cover      — ball gather (⌈2δW/α⌉ hops) + MIS on the proximity graph J
 ///                (Luby on the simulator; J-edges span ≤ ⌈2δW/α⌉ G-hops so
 ///                each J-round costs that many G-rounds) + 1 attach round;
@@ -17,7 +20,7 @@
 /// Alongside the measured rounds (Luby MIS: O(log n) w.h.p.) the driver
 /// reports the KMW-model rounds where each MIS invocation is charged
 /// log*(n) iterations instead — the paper's O(log n · log* n) bound refers
-/// to that model (see DESIGN.md substitutions).
+/// to that model (mis/luby.hpp explains the substitution).
 
 #include <cstdint>
 

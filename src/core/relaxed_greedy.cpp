@@ -10,7 +10,6 @@
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
 #include "mis/luby.hpp"
-#include "mis/mis.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -18,31 +17,10 @@ namespace localspan::core {
 
 namespace detail {
 
-bool is_covered_edge(const ubg::UbgInstance& inst, const graph::Graph& gp, const PhaseEdge& e,
-                     double theta) {
-  const double alpha = inst.config.alpha;
-  const auto test_side = [&](int u, int v) {
-    // Looking for z with {u,z} in G'_{i-1}, |vz| <= alpha, angle vuz <= theta.
-    const geom::Point& pu = inst.points[static_cast<std::size_t>(u)];
-    const geom::Point& pv = inst.points[static_cast<std::size_t>(v)];
-    for (const graph::Neighbor& nb : gp.neighbors(u)) {
-      const int z = nb.to;
-      if (z == v) continue;
-      const geom::Point& pz = inst.points[static_cast<std::size_t>(z)];
-      if (geom::distance(pv, pz) > alpha) continue;
-      const double duz = geom::distance(pu, pz);
-      if (duz == 0.0) continue;                          // degenerate ray
-      if (duz > geom::distance(pu, pv)) continue;        // Lemma 3 needs |uz| <= |uv|
-      if (geom::angle_at(pu, pv, pz) <= theta) return true;
-    }
-    return false;
-  };
-  return test_side(e.u, e.v) || test_side(e.v, e.u);
-}
-
 bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::Graph& gp,
                      const PhaseEdge& e, double theta) {
   const auto test_side = [&](int u, int v) {
+    // Looking for z with {u,z} in G'_{i-1}, |vz| <= alpha, angle vuz <= theta.
     for (const graph::Neighbor& nb : gp.neighbors(u)) {
       const int z = nb.to;
       if (z == v) continue;
@@ -119,12 +97,6 @@ std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidat
   return selected;
 }
 
-std::vector<PhaseEdge> answer_queries(const graph::Graph& h, const std::vector<PhaseEdge>& queries,
-                                      double t, int* max_hops) {
-  graph::DijkstraWorkspace ws(h.n());
-  return answer_queries(ws, h, queries, t, max_hops);
-}
-
 std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph::Graph& h,
                                       const std::vector<PhaseEdge>& queries, double t,
                                       int* max_hops, runtime::WorkerPool* pool) {
@@ -166,12 +138,6 @@ std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph:
   }
   if (max_hops != nullptr) *max_hops = worst_hops;
   return to_add;
-}
-
-graph::Graph redundancy_conflict_graph(const graph::Graph& h, const std::vector<PhaseEdge>& added,
-                                       double t1) {
-  graph::DijkstraWorkspace ws(h.n());
-  return redundancy_conflict_graph(ws, h, added, t1);
 }
 
 graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph::Graph& h,
@@ -265,17 +231,10 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
   return j;
 }
 
-std::vector<int> redundant_edge_removal(
-    const graph::Graph& h, const std::vector<PhaseEdge>& added, double t1,
-    const std::function<std::vector<int>(const graph::Graph&)>& mis) {
-  graph::DijkstraWorkspace ws(h.n());
-  return redundant_edge_removal(ws, h, added, t1, mis);
-}
-
-std::vector<int> redundant_edge_removal(
-    graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
-    double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis,
-    runtime::WorkerPool* pool) {
+std::vector<int> redundant_edge_removal(graph::DijkstraWorkspace& ws, const graph::Graph& h,
+                                        const std::vector<PhaseEdge>& added, double t1,
+                                        FnRef<std::vector<int>(const graph::Graph&)> mis,
+                                        runtime::WorkerPool* pool) {
   const graph::Graph j = redundancy_conflict_graph(ws, h, added, t1, pool);
   if (j.m() == 0) return {};
   const std::vector<int> keep = mis(j);
@@ -406,11 +365,13 @@ PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoi
 
 }  // namespace
 
-RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
-                                   const RelaxedGreedyOptions& opts) {
+namespace detail {
+
+RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Params& params,
+                                       const RelaxedGreedyOptions& opts, PhaseSteps steps) {
   params.validate();
   if (std::abs(params.alpha - inst.config.alpha) > 1e-12) {
-    throw std::invalid_argument("relaxed_greedy: params.alpha != instance alpha");
+    throw std::invalid_argument("relaxed greedy: params.alpha != instance alpha");
   }
   const int n = inst.g.n();
   const auto transform = make_transform(opts);
@@ -466,15 +427,7 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     obs::counter_add(rg_metrics().edges_added, result.phases.back().added);
   }
 
-  // §2.2.5 symmetry breaking: the deterministic pool-parallel Luby MIS, so
-  // the redundancy pass — the last serial residue of the pipeline — runs on
-  // the same worker team as everything else. The seed is a fixed constant:
-  // the sequential algorithm is a deterministic function of the instance,
-  // and any MIS of the conflict graph preserves the §2.2.5 guarantees.
-  constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
-  const auto mis_fn = [&](const graph::Graph& j) {
-    return mis::luby_mis_parallel(j, kMisSeed, nullptr, pool);
-  };
+  const auto mis_fn = [&](const graph::Graph& j) { return steps.mis(j, pool); };
 
   // Phases i >= 1, skipping empty bins (recomputation is from G' alone, so
   // skipping is a pure optimization).
@@ -492,11 +445,12 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     const double w_prev = transform(schema.W(i - 1));
     const double radius = params.delta * w_prev;
 
-    // (i) cluster cover of G'_{i-1}, on a frozen CSR snapshot of it.
+    // (i) cluster cover of G'_{i-1} (the injected step), given a frozen CSR
+    // snapshot of G'_{i-1} that the cluster graph reuses.
     csr.assign(result.spanner);
     const cluster::ClusterCover cover = [&] {
       const obs::Span span(rg_metrics().cover_span);
-      return cluster::sequential_cover(csr, radius, ws, pool);
+      return steps.cover(result.spanner, csr, radius, ws, pool);
     }();
     st.clusters = static_cast<int>(cover.centers.size());
 
@@ -589,9 +543,32 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
       flush_heap_ops(ws, pool);
     }
 
+    steps.after_phase(st);
     result.phases.push_back(st);
   }
   return result;
+}
+
+}  // namespace detail
+
+RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
+                                   const RelaxedGreedyOptions& opts) {
+  // §2.2.5 symmetry breaking: the deterministic pool-parallel Luby MIS, so
+  // the redundancy pass — the last serial residue of the pipeline — runs on
+  // the same worker team as everything else. The seed is a fixed constant:
+  // the sequential algorithm is a deterministic function of the instance,
+  // and any MIS of the conflict graph preserves the §2.2.5 guarantees.
+  constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
+  return detail::run_relaxed_phases(
+      inst, params, opts,
+      {.cover = [](const graph::Graph&, const graph::CsrView& csr, double radius,
+                   graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
+         return cluster::sequential_cover(csr, radius, ws, pool);
+       },
+       .mis = [](const graph::Graph& j, runtime::WorkerPool* pool) {
+         return mis::luby_mis_parallel(j, kMisSeed, nullptr, pool);
+       },
+       .after_phase = [](const PhaseStats&) {}});
 }
 
 }  // namespace localspan::core

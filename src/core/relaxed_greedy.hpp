@@ -15,7 +15,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_graph.hpp"
@@ -118,8 +121,31 @@ struct RelaxedGreedyResult {
 
 namespace detail {
 
-/// Shared per-phase machinery, exposed so the distributed driver (§3) and
-/// white-box tests can exercise each §2.2 step in isolation.
+/// A non-owning reference to a callable: two pointers, never allocates.
+/// The referenced callable must outlive every call made through the ref.
+template <class Sig>
+class FnRef;
+
+template <class R, class... Args>
+class FnRef<R(Args...)> {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FnRef>)
+  FnRef(F&& f)  // NOLINT(google-explicit-constructor): binds like a reference
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
+
+/// Per-phase machinery of the shared phase loop, exposed so white-box tests
+/// can exercise each §2.2 step in isolation.
 
 /// A bin edge annotated with its active weight.
 struct PhaseEdge {
@@ -130,14 +156,8 @@ struct PhaseEdge {
 
 /// §2.2.2 part 1: the θ-cone covered test for one edge (Lemma 3 / Fig 1).
 /// True iff some z with {u,z} in gp, |vz| <= α and ∠vuz <= θ exists (or the
-/// symmetric condition at v).
-[[nodiscard]] bool is_covered_edge(const ubg::UbgInstance& inst, const graph::Graph& gp,
-                                   const PhaseEdge& e, double theta);
-
-/// SoA overload of the θ-cone test for the hot filter loops: identical
-/// decisions (the SoaPoints kernels are bit-identical to geom::*), but the
-/// geometry streams from the flat coordinate lanes instead of one 72-byte
-/// Point per probe. `alpha` is the instance's UBG radius.
+/// symmetric condition at v). The geometry streams from the flat SoA
+/// coordinate lanes; `alpha` is the instance's UBG radius.
 [[nodiscard]] bool is_covered_edge(const graph::SoaPoints& pts, double alpha,
                                    const graph::Graph& gp, const PhaseEdge& e, double theta);
 
@@ -157,14 +177,9 @@ struct PhaseEdge {
 
 /// §2.2.4: answer all queries on H; returns the edges to add (those with
 /// sp_H(x,y) > t·w(x,y)). Updates `max_hops` with the Lemma 8 quantity.
-[[nodiscard]] std::vector<PhaseEdge> answer_queries(const graph::Graph& h,
-                                                    const std::vector<PhaseEdge>& queries,
-                                                    double t, int* max_hops);
-
-/// Workspace-backed overload: one early-exit bounded search per query, no
-/// per-query allocation once the workspace is warm. With a pool the
-/// per-query searches run in parallel (results committed in query order —
-/// bit-identical to serial).
+/// One early-exit bounded search per query, no per-query allocation once
+/// the workspace is warm. With a pool the per-query searches run in
+/// parallel (results committed in query order — bit-identical to serial).
 [[nodiscard]] std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws,
                                                     const graph::Graph& h,
                                                     const std::vector<PhaseEdge>& queries,
@@ -175,28 +190,44 @@ struct PhaseEdge {
 /// graph J (one node per edge participating in >= 1 pair), run `mis` on it
 /// and return the indices (into `added`) of edges to REMOVE (non-MIS nodes).
 [[nodiscard]] std::vector<int> redundant_edge_removal(
-    const graph::Graph& h, const std::vector<PhaseEdge>& added, double t1,
-    const std::function<std::vector<int>(const graph::Graph&)>& mis);
-
-[[nodiscard]] std::vector<int> redundant_edge_removal(
     graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
-    double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis,
+    double t1, FnRef<std::vector<int>(const graph::Graph&)> mis,
     runtime::WorkerPool* pool = nullptr);
 
-/// The conflict graph J of §2.2.5 alone (for Lemma 20 doubling-dimension
-/// experiments): node k = added[k]; edges connect mutually redundant pairs.
-[[nodiscard]] graph::Graph redundancy_conflict_graph(const graph::Graph& h,
-                                                     const std::vector<PhaseEdge>& added,
-                                                     double t1);
-
-/// With a pool the §2.2.5 endpoint-ball harvests (one bounded search per
-/// distinct endpoint — the dominant cost) run on the workers; the pair sweep
-/// and J construction stay sequential, so J is bit-identical to serial.
+/// The conflict graph J of §2.2.5 alone: node k = added[k]; edges connect
+/// mutually redundant pairs. With a pool the endpoint-ball harvests (one
+/// bounded search per distinct endpoint — the dominant cost) run on the
+/// workers; the pair sweep and J construction stay sequential, so J is
+/// bit-identical to serial.
 [[nodiscard]] graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws,
                                                      const graph::Graph& h,
                                                      const std::vector<PhaseEdge>& added,
                                                      double t1,
                                                      runtime::WorkerPool* pool = nullptr);
+
+/// The three steps in which the sequential (§2) and distributed (§3)
+/// drivers differ; everything else is one phase loop.
+struct PhaseSteps {
+  /// §2.2.1 / §3.2.1: a radius-`radius` cluster cover of G'_{i-1}, given
+  /// both live (`gp`) and as the phase's frozen CSR snapshot (`csr`).
+  FnRef<cluster::ClusterCover(const graph::Graph& gp, const graph::CsrView& csr, double radius,
+                              graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool)>
+      cover;
+  /// The MIS of the §2.2.5 conflict graph J.
+  FnRef<std::vector<int>(const graph::Graph& j, runtime::WorkerPool* pool)> mis;
+  /// Runs once per processed bin i >= 1 with its completed row, before the
+  /// next phase starts (the distributed driver charges its rounds here).
+  FnRef<void(const PhaseStats& st)> after_phase;
+};
+
+/// The §2 phase loop: binning, phase 0, then per nonempty bin the cover,
+/// covered-edge filter, query selection, cluster graph, queries and
+/// redundancy removal. relaxed_greedy and distributed_relaxed_greedy are
+/// this loop with their own `steps`.
+[[nodiscard]] RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst,
+                                                     const Params& params,
+                                                     const RelaxedGreedyOptions& opts,
+                                                     PhaseSteps steps);
 
 }  // namespace detail
 

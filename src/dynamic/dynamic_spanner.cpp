@@ -196,21 +196,6 @@ void DynamicSpanner::ensure_slot(int v) {
 }
 
 void DynamicSpanner::connect_neighbors(int node, std::vector<int>* touched) {
-  if (opts_.linear_scan_discovery) {
-    // Same squared-distance comparison as DynamicGrid::for_neighbors_within,
-    // so the two discovery paths agree bit-for-bit on boundary pairs.
-    const double r2 = opts_.connect_radius * opts_.connect_radius;
-    const geom::Point& at = inst_.points[static_cast<std::size_t>(node)];
-    for (int u = 0; u < inst_.g.n(); ++u) {
-      if (u == node || !active_[static_cast<std::size_t>(u)]) continue;
-      const double d2 = geom::sq_distance(at, inst_.points[static_cast<std::size_t>(u)]);
-      if (d2 <= r2) {
-        inst_.g.add_edge(node, u, std::max(std::sqrt(d2), 1e-12));
-        touched->push_back(u);
-      }
-    }
-    return;
-  }
   grid_.for_neighbors_within(inst_.points[static_cast<std::size_t>(node)], opts_.connect_radius,
                              [&](int u, double d) {
                                if (u == node) return;

@@ -91,12 +91,6 @@ struct DynamicOptions {
   /// instead of repairing locally (what the E15 bench races against).
   bool always_full_recompute = false;
 
-  /// Discover event-incident neighbors with the pre-spatial-hash Ω(n)
-  /// all-slot scan instead of the maintained DynamicGrid. Kept as the
-  /// before/after baseline for E15 and the equivalence test; the two paths
-  /// produce identical topologies.
-  bool linear_scan_discovery = false;
-
   /// Degree/lightness caps enforced by the checker (lightness at kFull only).
   core::VerifyCaps caps;
 
@@ -284,7 +278,7 @@ class DynamicSpanner {
 
   /// Add UBG edges between `node` (live, position set) and every live node
   /// within connect_radius, appending the connected partners to `touched`.
-  /// Uses the maintained spatial hash unless linear_scan_discovery is set.
+  /// Discovery walks the maintained spatial hash.
   void connect_neighbors(int node, std::vector<int>* touched);
 
   /// Mutate the UBG (and drop departed spanner edges); returns the touched

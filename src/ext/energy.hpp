@@ -7,8 +7,9 @@
 /// states its algorithm still yields all three properties when edge weights
 /// are c·|uv|^γ; we realize that by passing `energy_transform` as the
 /// RelaxedGreedyOptions::weight_transform hook (bins stay on Euclidean
-/// lengths; every weight and threshold is transformed consistently —
-/// see DESIGN.md). The power cost of §1.6 is in graph/metrics.hpp.
+/// lengths; every weight and threshold is transformed consistently — see
+/// RelaxedGreedyOptions::weight_transform). The power cost of §1.6 is in
+/// graph/metrics.hpp.
 
 #include <functional>
 

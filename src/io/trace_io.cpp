@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "io/json.hpp"
+
 namespace localspan::io {
 
 namespace {
@@ -36,28 +38,6 @@ std::string fmt_double(double v) {
 // -------------------------------------------------------------------------
 // JSON writing.
 // -------------------------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // -------------------------------------------------------------------------
 // JSON reading: a strict little RFC-8259 parser producing a generic value

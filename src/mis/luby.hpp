@@ -5,10 +5,10 @@
 ///
 /// The paper invokes the Kuhn–Moscibroda–Wattenhofer O(log* n) MIS [11] on
 /// its derived bounded-growth graphs. KMW is a substantial algorithm in its
-/// own right; as documented in DESIGN.md we run the *actual distributed*
-/// Luby algorithm (correct MIS, O(log n) rounds w.h.p.) and additionally
-/// report the KMW-model round charge (log* n per invocation) so experiment
-/// E4 can plot both the measured and the paper-claimed round shapes.
+/// own right; in its place we run the *actual distributed* Luby algorithm
+/// (correct MIS, O(log n) rounds w.h.p.) and additionally report the
+/// KMW-model round charge (log* n per invocation) so experiment E4 can plot
+/// both the measured and the paper-claimed round shapes.
 
 #include <cstdint>
 

@@ -24,6 +24,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "io/json.hpp"
+
 namespace localspan::obs {
 
 namespace {
@@ -244,21 +246,6 @@ bool env_default() noexcept {
   return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
 }
 
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -451,7 +438,7 @@ std::string to_json(const Snapshot& snap) {
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    append_json_escaped(out, snap.counters[i].first);
+    io::append_json_escaped(out, snap.counters[i].first);
     out += "\": " + std::to_string(snap.counters[i].second);
   }
   out += snap.counters.empty() ? "}" : "\n  }";
@@ -459,7 +446,7 @@ std::string to_json(const Snapshot& snap) {
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    append_json_escaped(out, snap.gauges[i].first);
+    io::append_json_escaped(out, snap.gauges[i].first);
     out += "\": " + std::to_string(snap.gauges[i].second);
   }
   out += snap.gauges.empty() ? "}" : "\n  }";
@@ -468,7 +455,7 @@ std::string to_json(const Snapshot& snap) {
     const HistogramSummary& h = snap.histograms[i].second;
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    append_json_escaped(out, snap.histograms[i].first);
+    io::append_json_escaped(out, snap.histograms[i].first);
     out += "\": {\"count\": " + std::to_string(h.count);
     out += ", \"sum\": " + std::to_string(h.sum);
     out += ", \"max\": " + std::to_string(h.max);
@@ -488,7 +475,7 @@ std::string to_json(const Snapshot& snap) {
     const SpanStat& s = snap.spans[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    \"";
-    append_json_escaped(out, s.name);
+    io::append_json_escaped(out, s.name);
     out += "\": {\"count\": " + std::to_string(s.count);
     out += ", \"total_ns\": " + std::to_string(s.total_ns) + "}";
   }
@@ -538,7 +525,7 @@ std::string trace_json() {
     first = false;
     out += R"({"name": "thread_name", "ph": "M", "pid": 1, "tid": )" + std::to_string(t.tid) +
            R"(, "args": {"name": ")";
-    append_json_escaped(out, t.label.empty() ? "thread " + std::to_string(t.tid) : t.label);
+    io::append_json_escaped(out, t.label.empty() ? "thread " + std::to_string(t.tid) : t.label);
     out += "\"}}";
   }
   for (const Ev& ev : events) {
@@ -546,7 +533,7 @@ std::string trace_json() {
     first = false;
     out += "{\"name\": \"";
     const auto id = static_cast<std::size_t>(ev.e.span);
-    append_json_escaped(out, id < span_names.size() ? span_names[id] : "span?");
+    io::append_json_escaped(out, id < span_names.size() ? span_names[id] : "span?");
     out += R"(", "ph": "X", "pid": 1, "tid": )" + std::to_string(ev.tid) + ", \"ts\": ";
     append_us(out, ev.e.start_ns);
     out += ", \"dur\": ";

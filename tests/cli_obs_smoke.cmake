@@ -5,7 +5,8 @@
 # validates the exported artifacts with CMake's JSON parser: the Chrome
 # trace must carry events on at least two distinct thread tracks (main +
 # pool workers), and the metrics snapshot must carry the dyn.* counters the
-# batch path is instrumented with.
+# batch path is instrumented with. A relaxed-dist span run must report the
+# relaxed-greedy phase spans (it drives the same phase loop).
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<localspan_cli> -DWORK_DIR=<dir> -P cli_obs_smoke.cmake")
@@ -113,5 +114,35 @@ string(JSON batch_count GET "${stats}" "spans" "dyn.apply_batch" "count")
 if(batch_count LESS 1)
   message(FATAL_ERROR "obs_stats.json has no dyn.apply_batch span")
 endif()
+
+# --- relaxed-dist: the distributed driver emits the phase-loop spans -------
+execute_process(
+  COMMAND "${CLI}" gen --n 160 --alpha 0.75 --dim 2 --seed 3 --out dist.lsi
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "localspan_cli gen exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+execute_process(
+  COMMAND "${CLI}" span --in dist.lsi --eps 0.5 --algo relaxed-dist --obs-json dist_stats.json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "span --algo relaxed-dist exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+file(READ "${WORK_DIR}/dist_stats.json" dist_stats)
+foreach(span rg.cover rg.queries)
+  string(JSON span_count ERROR_VARIABLE s_err GET "${dist_stats}" "spans" "${span}" "count")
+  if(NOT s_err STREQUAL "NOTFOUND")
+    message(FATAL_ERROR "relaxed-dist obs_stats lacks span '${span}'")
+  endif()
+  if(span_count LESS 1)
+    message(FATAL_ERROR "relaxed-dist span ${span} has count ${span_count}, expected >= 1")
+  endif()
+endforeach()
 
 message(STATUS "cli_obs_smoke: trace has ${x_events} events on ${n_tracks} tracks; all checks passed")

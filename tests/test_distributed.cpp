@@ -156,6 +156,43 @@ TEST(Distributed, RejectsAlphaMismatch) {
                std::invalid_argument);
 }
 
+TEST(Distributed, Phase0HonoursCliqueCap) {
+  // relaxed-dist shares relaxed's phase 0, so phase0_clique_cap applies to
+  // it too. The d2 clustered n=64 cell has a 7-member G_0 component, well
+  // over a cap of 2, so phase 0 takes the capped SEQ-GREEDY path.
+  const ti::Scenario sc{2, ub::Placement::kClustered, 0.75, 64, 1};
+  const auto inst = sc.make();
+  const core::Params params = core::Params::practical_params(0.5, sc.alpha);
+  constexpr int kCap = 2;
+  core::RelaxedGreedyOptions opts;
+  opts.phase0_clique_cap = kCap;
+  const core::RelaxedGreedyResult seq = core::relaxed_greedy(inst, params, opts);
+  const core::DistributedResult dist = core::distributed_relaxed_greedy(inst, params, opts, 1);
+  // A component of at most kCap members adds at most kCap(kCap-1)/2 edges,
+  // so more phase-0 edges than that per component means one exceeds the cap.
+  ASSERT_GT(seq.phases[0].added, seq.phase0_components * kCap * (kCap - 1) / 2)
+      << "no G_0 component exceeds the cap";
+  EXPECT_EQ(dist.base.phase0_components, seq.phase0_components);
+  const core::PhaseStats& a = dist.base.phases[0];
+  const core::PhaseStats& b = seq.phases[0];
+  EXPECT_EQ(a.bin, b.bin);
+  EXPECT_EQ(a.w_lo, b.w_lo);
+  EXPECT_EQ(a.w_hi, b.w_hi);
+  EXPECT_EQ(a.edges_in_bin, b.edges_in_bin);
+  EXPECT_EQ(a.already_in_spanner, b.already_in_spanner);
+  EXPECT_EQ(a.covered, b.covered);
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.queries, b.queries);
+  EXPECT_EQ(a.added, b.added);
+  EXPECT_EQ(a.removed, b.removed);
+  EXPECT_EQ(a.clusters, b.clusters);
+  EXPECT_EQ(a.max_query_edges_per_cluster, b.max_query_edges_per_cluster);
+  EXPECT_EQ(a.max_inter_degree, b.max_inter_degree);
+  EXPECT_EQ(a.max_inter_weight, b.max_inter_weight);
+  EXPECT_EQ(a.max_query_hops, b.max_query_hops);
+  EXPECT_TRUE(core::verify_spanner(inst, dist.base.spanner, params.t).ok());
+}
+
 TEST(Distributed, SmallAndSparseInstances) {
   // n=2 with a single edge; phase 0 or a single bin, must not crash.
   ub::UbgConfig cfg;

@@ -270,22 +270,32 @@ TEST(DynamicSpanner, BaselineFullRecomputeMatchesStaticPipeline) {
 }
 
 TEST(DynamicSpanner, GridDiscoveryMatchesLinearScan) {
-  // The maintained spatial hash must be a pure optimization: the grid and
-  // the Ω(n) all-slot scan discover identical neighbor sets, so the UBG and
-  // the repaired spanner come out bit-identical over a whole mixed trace.
+  // The maintained spatial hash must be a pure optimization: after every
+  // join or move, the node's UBG neighbors (and their edge weights) are
+  // exactly what an all-pairs scan over the live points finds with the same
+  // squared-distance test, over a whole mixed trace.
   const ub::UbgInstance seed_inst = small_instance(72);
   const dy::ChurnTrace trace = dy::poisson_churn(seed_inst, {48, 4.0, 0.5, 23});
   dy::DynamicSpanner hashed(seed_inst, practical(seed_inst));
-  dy::DynamicOptions scan_opts;
-  scan_opts.linear_scan_discovery = true;
-  dy::DynamicSpanner scanned(seed_inst, practical(seed_inst), scan_opts);
+  const double r2 = dy::DynamicOptions{}.connect_radius * dy::DynamicOptions{}.connect_radius;
+  int discoveries = 0;
   for (const dy::ChurnEvent& ev : trace.events) {
     hashed.apply(ev);
-    scanned.apply(ev);
-    ASSERT_EQ(hashed.instance().g, scanned.instance().g) << "UBG diverged at t=" << ev.time;
+    if (ev.kind == dy::EventKind::kLeave) continue;
+    const ub::UbgInstance& inst = hashed.instance();
+    std::map<int, double> scanned;
+    for (int u = 0; u < inst.g.n(); ++u) {
+      if (u == ev.node || !hashed.is_active(u)) continue;
+      const double d2 = localspan::geom::sq_distance(inst.points[static_cast<std::size_t>(ev.node)],
+                                                     inst.points[static_cast<std::size_t>(u)]);
+      if (d2 <= r2) scanned[u] = std::max(std::sqrt(d2), 1e-12);
+    }
+    std::map<int, double> discovered;
+    for (const gr::Neighbor& nb : inst.g.neighbors(ev.node)) discovered[nb.to] = nb.w;
+    ASSERT_EQ(discovered, scanned) << "neighbor sets diverged at t=" << ev.time;
+    ++discoveries;
   }
-  EXPECT_EQ(hashed.spanner(), scanned.spanner());
-  EXPECT_EQ(hashed.active_count(), scanned.active_count());
+  EXPECT_GT(discoveries, 0);
 }
 
 TEST(DynamicSpanner, GridDiscoveryHonorsConnectRadius) {

@@ -336,6 +336,16 @@ TEST(RelaxedGreedy, Phase0CliqueCapFallbackPath) {
 // ---------------------------------------------------------------------------
 // White-box tests of the §2.2 phase steps.
 
+namespace {
+
+bool covered(const ub::UbgInstance& inst, const gr::Graph& gp, const core::detail::PhaseEdge& e,
+             double theta) {
+  return core::detail::is_covered_edge(gr::SoaPoints(inst.points), inst.config.alpha, gp, e,
+                                       theta);
+}
+
+}  // namespace
+
 TEST(CoveredEdge, DetectsTextbookConfiguration) {
   // z in the θ-cone of u->v, {u,z} already in the spanner, |vz| <= alpha.
   ub::UbgInstance inst;
@@ -350,10 +360,9 @@ TEST(CoveredEdge, DetectsTextbookConfiguration) {
   gr::Graph gp(3);
   gp.add_edge(0, 2, inst.dist(0, 2));  // {u,z} in G'_{i-1}
   const core::detail::PhaseEdge e{0, 1, inst.dist(0, 1), inst.dist(0, 1)};
-  EXPECT_TRUE(core::detail::is_covered_edge(inst, gp, e, 0.1));
+  EXPECT_TRUE(covered(inst, gp, e, 0.1));
   // Without the prior edge {u,z} it is not covered.
-  EXPECT_FALSE(core::detail::is_covered_edge(inst, gp, {0, 2, inst.dist(0, 2), inst.dist(0, 2)},
-                                             0.1));
+  EXPECT_FALSE(covered(inst, gp, {0, 2, inst.dist(0, 2), inst.dist(0, 2)}, 0.1));
 }
 
 TEST(CoveredEdge, RespectsThetaAndAlphaLimits) {
@@ -366,9 +375,9 @@ TEST(CoveredEdge, RespectsThetaAndAlphaLimits) {
   gr::Graph gp(3);
   gp.add_edge(0, 2, inst.dist(0, 2));
   const core::detail::PhaseEdge e{0, 1, inst.dist(0, 1), inst.dist(0, 1)};
-  EXPECT_FALSE(core::detail::is_covered_edge(inst, gp, e, 0.1));  // |vz| = .45 > alpha
+  EXPECT_FALSE(covered(inst, gp, e, 0.1));  // |vz| = .45 > alpha
   inst.config.alpha = 0.75;
-  EXPECT_FALSE(core::detail::is_covered_edge(inst, gp, e, 0.001));  // cone too narrow
+  EXPECT_FALSE(covered(inst, gp, e, 0.001));  // cone too narrow
 }
 
 TEST(CoveredEdge, SymmetricSideWorks) {
@@ -382,7 +391,7 @@ TEST(CoveredEdge, SymmetricSideWorks) {
   gr::Graph gp(3);
   gp.add_edge(1, 2, inst.dist(1, 2));  // edge at v
   const core::detail::PhaseEdge e{0, 1, inst.dist(0, 1), inst.dist(0, 1)};
-  EXPECT_TRUE(core::detail::is_covered_edge(inst, gp, e, 0.1));
+  EXPECT_TRUE(covered(inst, gp, e, 0.1));
 }
 
 TEST(QuerySelection, OneEdgePerClusterPair) {
@@ -422,7 +431,8 @@ TEST(AnswerQueries, AddsExactlyTheUnreachable) {
   // Query {0,3}: no H-path -> added.
   std::vector<core::detail::PhaseEdge> queries{{0, 2, 1.5, 1.5}, {0, 3, 1.5, 1.5}};
   int hops = 0;
-  const auto to_add = core::detail::answer_queries(h, queries, 1.5, &hops);
+  gr::DijkstraWorkspace ws;
+  const auto to_add = core::detail::answer_queries(ws, h, queries, 1.5, &hops);
   ASSERT_EQ(to_add.size(), 1u);
   EXPECT_EQ(to_add[0].v, 3);
   EXPECT_EQ(hops, 2);
@@ -436,20 +446,22 @@ TEST(Redundancy, ParallelCloseEdgesConflict) {
   h.add_edge(1, 3, 0.01);  // v ~ v'
   std::vector<core::detail::PhaseEdge> added{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
   const double t1 = 1.25;
-  const gr::Graph j = core::detail::redundancy_conflict_graph(h, added, t1);
+  gr::DijkstraWorkspace ws;
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, t1);
   EXPECT_EQ(j.m(), 1);
   const auto removal = core::detail::redundant_edge_removal(
-      h, added, t1, [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
+      ws, h, added, t1, [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
   EXPECT_EQ(removal.size(), 1u);
 }
 
 TEST(Redundancy, FarEdgesDoNotConflict) {
   gr::Graph h(4);  // no H connectivity between the pairs
   std::vector<core::detail::PhaseEdge> added{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
-  const gr::Graph j = core::detail::redundancy_conflict_graph(h, added, 1.25);
+  gr::DijkstraWorkspace ws;
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, 1.25);
   EXPECT_EQ(j.m(), 0);
   const auto removal = core::detail::redundant_edge_removal(
-      h, added, 1.25, [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
+      ws, h, added, 1.25, [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
   EXPECT_TRUE(removal.empty());
 }
 
@@ -459,7 +471,8 @@ TEST(Redundancy, SwappedPairingIsDetected) {
   h.add_edge(0, 3, 0.01);  // u ~ v'
   h.add_edge(1, 2, 0.01);  // v ~ u'
   std::vector<core::detail::PhaseEdge> added{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
-  const gr::Graph j = core::detail::redundancy_conflict_graph(h, added, 1.25);
+  gr::DijkstraWorkspace ws;
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, 1.25);
   EXPECT_EQ(j.m(), 1);
 }
 

@@ -171,7 +171,7 @@ int usage() {
                "          [--movers M] [--speed V] [--dt T] [--duration T]      (waypoint)\n"
                "          [--radius R] [--fail-time T] [--no-rejoin]            (failure)\n"
                "  dynamic [--in FILE] [--churn FILE] --eps E [--strict] [--check off|local|full]\n"
-               "          [--baseline-full] [--linear-scan] [--batch [N]] [--threads N] [--quiet]\n"
+               "          [--baseline-full] [--batch [N]] [--threads N] [--quiet]\n"
                "          [--n N] [--events K] [--seed S] [--out-json FILE]\n"
                "          (--batch ingests N-event windows via apply_batch, N defaults to 64;\n"
                "          --threads T repairs disjoint regions of a window in parallel; with no\n"
@@ -546,7 +546,7 @@ int cmd_trace(const Args& args) {
 
 int cmd_dynamic(const Args& args) {
   args.require_known("dynamic", {"in", "churn", "eps", "strict", "check", "baseline-full",
-                                 "quiet", "out-json", "linear-scan", "batch", "threads",
+                                 "quiet", "out-json", "batch", "threads",
                                  "obs-json", "trace", "n", "events", "seed"});
   obs_enable_if_requested(args);
 
@@ -593,7 +593,6 @@ int cmd_dynamic(const Args& args) {
   else if (check == "local") opts.check = dynamic::CheckLevel::kLocal;
   else throw std::runtime_error("dynamic: --check must be off|local|full");
   opts.always_full_recompute = args.has("baseline-full");
-  opts.linear_scan_discovery = args.has("linear-scan");
   opts.threads = args.get_int("threads", 0);
   const bool quiet = args.has("quiet");
   // `--batch` alone (no value) means "windowed, default width": the parser
