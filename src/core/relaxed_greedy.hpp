@@ -131,7 +131,7 @@ class FnRef<R(Args...)> {
  public:
   template <class F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, FnRef>)
-  FnRef(F&& f)  // NOLINT(google-explicit-constructor): binds like a reference
+  FnRef(F&& f)  // implicit, so a callable binds like a reference
       : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
         call_([](void* obj, Args... args) -> R {
           return (*static_cast<std::remove_reference_t<F>*>(obj))(std::forward<Args>(args)...);
