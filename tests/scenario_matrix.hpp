@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dynamic/churn.hpp"
@@ -175,6 +177,30 @@ struct ChurnScenarioName {
   std::string operator()(const ::testing::TestParamInfo<ChurnScenario>& info) const {
     return info.param.name();
   }
+};
+
+/// FNV-1a over the raw bytes of every value fed in: the 64-bit digest the
+/// golden-pin suites record a whole run with.
+class Digest {
+ public:
+  template <class T>
+  void add(T v) {
+    static_assert(std::is_arithmetic_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (unsigned char b : bytes) {
+      h_ ^= b;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string& s) {
+    for (char c : s) add(c);
+    add(static_cast<std::uint64_t>(s.size()));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
 }  // namespace localspan::testinfra

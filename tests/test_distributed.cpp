@@ -4,9 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <type_traits>
 
 #include "core/distributed.hpp"
 #include "core/verify.hpp"
@@ -216,31 +214,8 @@ TEST(Distributed, SmallAndSparseInstances) {
 
 namespace {
 
-/// FNV-1a over the raw bytes of every value fed in.
-class Digest {
- public:
-  template <class T>
-  void add(T v) {
-    static_assert(std::is_arithmetic_v<T>);
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &v, sizeof(T));
-    for (unsigned char b : bytes) {
-      h_ ^= b;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(const std::string& s) {
-    for (char c : s) add(c);
-    add(static_cast<std::uint64_t>(s.size()));
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 std::uint64_t digest_of(const core::DistributedResult& r) {
-  Digest d;
+  ti::Digest d;
   d.add(r.base.spanner.n());
   for (const gr::Edge& e : r.base.spanner.edges()) {
     d.add(e.u);

@@ -379,6 +379,77 @@ TEST_P(DynamicChurnMatrix, IncrementalRepairStaysCertified) {
   EXPECT_EQ(fallbacks, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Golden pin: one 64-bit digest per churn-matrix cell over the whole
+// per-event apply() sequence — the spanner's edges with their weight bits
+// after every event, plus every deterministic RepairStats field. Recorded
+// from the stand-alone per-event repair path before apply() became a
+// one-event window of the batch pipeline, which must reproduce every bit,
+// serial and at 4 threads alike.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct GoldenChurnDigest {
+  const char* scenario;
+  std::uint64_t digest;
+};
+
+constexpr GoldenChurnDigest kChurnGolden[] = {
+    {"d2_uniform_a075_n96_s1_poisson_e48", 0x86070514f014b8daULL},
+    {"d2_uniform_a075_n96_s1_waypoint_e48", 0xd73f74647221824aULL},
+    {"d2_uniform_a075_n96_s1_regional_e48", 0xbfa2367144b50a04ULL},
+    {"d2_clustered_a075_n96_s1_poisson_e48", 0xc2635e8be78898f8ULL},
+    {"d2_clustered_a075_n96_s1_waypoint_e48", 0x7078745ba92418c7ULL},
+    {"d2_clustered_a075_n96_s1_regional_e48", 0xa9477bacae58d530ULL},
+    {"d3_uniform_a060_n64_s1_poisson_e48", 0x450baa24d7d02875ULL},
+    {"d3_uniform_a060_n64_s1_waypoint_e48", 0x79421c06b996c44fULL},
+    {"d3_uniform_a060_n64_s1_regional_e48", 0xbddbb105c0478f38ULL},
+};
+
+std::uint64_t per_event_digest(const ti::ChurnScenario& sc, int threads) {
+  const ub::UbgInstance inst = sc.base.make();
+  const dy::ChurnTrace trace = sc.make_trace(inst);
+  dy::DynamicOptions opts;
+  opts.threads = threads;
+  dy::DynamicSpanner engine(inst, practical(inst), opts);
+  ti::Digest d;
+  for (const dy::ChurnEvent& ev : trace.events) {
+    const dy::RepairStats st = engine.apply(ev);
+    d.add(static_cast<int>(st.kind));
+    d.add(st.node);
+    d.add(st.time);
+    for (int v : {st.ball_size, st.sub_edges, st.spanner_edges_removed, st.spanner_edges_added,
+                  st.certify_scope}) {
+      d.add(v);
+    }
+    for (bool b : {st.check_ran, st.check_passed, st.fell_back}) d.add(b);
+    d.add(engine.spanner().n());
+    for (const gr::Edge& e : engine.spanner().edges()) {
+      d.add(e.u);
+      d.add(e.v);
+      d.add(e.w);
+    }
+  }
+  return d.value();
+}
+
+}  // namespace
+
+TEST_P(DynamicChurnMatrix, PerEventDigestMatchesPinnedRun) {
+  const ti::ChurnScenario& sc = GetParam();
+  const GoldenChurnDigest* golden = nullptr;
+  for (const GoldenChurnDigest& g : kChurnGolden) {
+    if (sc.name() == g.scenario) golden = &g;
+  }
+  ASSERT_NE(golden, nullptr) << sc.name();
+  for (int threads : {1, 4}) {
+    const std::uint64_t digest = per_event_digest(sc, threads);
+    EXPECT_EQ(digest, golden->digest)
+        << sc.name() << " threads=" << threads << " digest 0x" << std::hex << digest;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Churn, DynamicChurnMatrix,
                          ::testing::ValuesIn(localspan::testinfra::churn_matrix()),
                          ti::ChurnScenarioName());
