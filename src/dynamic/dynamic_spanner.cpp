@@ -23,8 +23,8 @@ void sort_unique(std::vector<int>& v) {
 /// Engine-level metrics. dyn.ball_size / dyn.regions / dyn.region_ball /
 /// dyn.region_events and every counter are deterministic at any thread
 /// count; the *_us/_ns series are wall-clock. dyn.region_harvest_us is the
-/// per-region harvest cost the flat BatchStats sums away (satellite fix:
-/// the batch CLI surfaces its p50/p99).
+/// per-region harvest cost the flat BatchStats sums away (the batch CLI
+/// surfaces its p50/p99).
 struct DynMetrics {
   obs::MetricId events = obs::counter_id("dyn.events");
   obs::MetricId batches = obs::counter_id("dyn.batches");
@@ -43,7 +43,6 @@ struct DynMetrics {
   obs::MetricId apply_span = obs::span_id("dyn.apply");
   obs::MetricId batch_span = obs::span_id("dyn.apply_batch");
   obs::MetricId ball_span = obs::span_id("dyn.ball");
-  obs::MetricId rerun_span = obs::span_id("dyn.rerun");
   obs::MetricId splice_span = obs::span_id("dyn.splice");
   obs::MetricId certify_span = obs::span_id("dyn.certify");
   obs::MetricId region_span = obs::span_id("dyn.region_harvest");
@@ -222,14 +221,8 @@ void DynamicSpanner::full_recompute() {
   spanner_ = core::relaxed_greedy(inst_, params_, opts_.greedy).spanner;
 }
 
-std::vector<int> DynamicSpanner::update_ubg(const ChurnEvent& ev, RepairStats* st) {
-  std::vector<int> touched;
-  update_ubg_into(ev, &st->spanner_edges_removed, &touched);
-  return touched;
-}
-
-void DynamicSpanner::update_ubg_into(const ChurnEvent& ev, int* spanner_removed,
-                                     std::vector<int>* touched) {
+void DynamicSpanner::ingest_event(const ChurnEvent& ev, int* spanner_removed,
+                                  std::vector<int>* touched) {
   std::vector<int>& old_nbrs = scratch_old_nbrs_;
   old_nbrs.clear();
   switch (ev.kind) {
@@ -283,108 +276,6 @@ void DynamicSpanner::update_ubg_into(const ChurnEvent& ev, int* spanner_removed,
   sort_unique(*touched);
   // Only live vertices seed the dirty ball (a departed node is isolated).
   std::erase_if(*touched, [this](int v) { return !is_active(v); });
-}
-
-void DynamicSpanner::repair(const std::vector<int>& touched, RepairStats* st,
-                            std::vector<int>* modified) {
-  const std::function<double(double)>& tf = opts_.greedy.weight_transform;
-  const graph::SpView sp = [&] {
-    const obs::Span span(dyn_metrics().ball_span);
-    return tf ? ws_.multi_bounded(inst_.g, touched, ball_radius_, TransformRef{&tf})
-              : ws_.multi_bounded(inst_.g, touched, ball_radius_);
-  }();
-
-  // Scratch reuse: local_id/in_core are event-clean members (-1/0 outside
-  // the previous ball, reset below before returning). The ball is exactly
-  // the search's touched list — every settled vertex is within the radius —
-  // sorted so local ids (and with them the local rerun) stay deterministic.
-  std::vector<int>& ball = scratch_ball_;
-  ball.assign(sp.touched().begin(), sp.touched().end());
-  std::sort(ball.begin(), ball.end());
-  std::vector<int>& local_id = scratch_local_id_;
-  std::vector<char>& in_core = scratch_in_core_;
-  for (std::size_t i = 0; i < ball.size(); ++i) {
-    const int v = ball[i];
-    local_id[static_cast<std::size_t>(v)] = static_cast<int>(i);
-    if (sp.dist(v) <= core_radius_) {
-      in_core[static_cast<std::size_t>(v)] = 1;
-      ++st->core_size;
-    }
-  }
-  st->ball_size = static_cast<int>(ball.size());
-  obs::histogram_record(dyn_metrics().ball_size, st->ball_size);
-  flush_heap_ops(ws_, nullptr);
-
-  // The α-UBG induced on B is itself a valid α-UBG over the ball's points,
-  // so the whole static pipeline applies to it unchanged.
-  ubg::UbgInstance sub{inst_.config, {}, graph::Graph(static_cast<int>(ball.size()))};
-  sub.config.n = static_cast<int>(ball.size());
-  sub.points.reserve(ball.size());
-  for (int v : ball) sub.points.push_back(inst_.points[static_cast<std::size_t>(v)]);
-  for (int v : ball) {
-    for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-      if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) {
-        sub.g.add_edge(local_id[static_cast<std::size_t>(v)],
-                       local_id[static_cast<std::size_t>(nb.to)], nb.w);
-        ++st->sub_edges;
-      }
-    }
-  }
-
-  graph::Graph local(0);
-  if (sub.g.n() > 0) {
-    const obs::Span span(dyn_metrics().rerun_span);
-    local = core::relaxed_greedy(sub, params_, opts_.greedy).spanner;
-  }
-
-  // Splice. Drop standing edges with both endpoints in the core (the local
-  // result replaces them); keep everything crossing the boundary so distant
-  // witnesses survive; insert every locally chosen edge. Two-phase: the
-  // per-member drop lists only read the frozen pre-splice spanner (every
-  // core-internal edge {v, u}, v < u, is harvested at v, so removals at
-  // other members never change what a harvest would see), then the
-  // removals commit in ball order — bit-identical to the interleaved
-  // serial loop at every thread count, on the same engine team the local
-  // rerun used.
-  {
-    const obs::Span span(dyn_metrics().splice_span);
-    if (scratch_drop_.size() < ball.size()) scratch_drop_.resize(ball.size());
-    runtime::scatter_commit(
-        team(), ws_, static_cast<int>(ball.size()),
-        [&](graph::DijkstraWorkspace&, int, int i) {
-          const int v = ball[static_cast<std::size_t>(i)];
-          std::vector<int>& drop = scratch_drop_[static_cast<std::size_t>(i)];
-          drop.clear();
-          if (!in_core[static_cast<std::size_t>(v)]) return;
-          for (const graph::Neighbor& nb : spanner_.neighbors(v)) {
-            if (v < nb.to && in_core[static_cast<std::size_t>(nb.to)]) drop.push_back(nb.to);
-          }
-        },
-        [&](int i) {
-          const int v = ball[static_cast<std::size_t>(i)];
-          for (int u : scratch_drop_[static_cast<std::size_t>(i)]) {
-            spanner_.remove_edge(v, u);
-            ++st->spanner_edges_removed;
-            modified->push_back(v);
-            modified->push_back(u);
-          }
-        });
-    for (const graph::Edge& e : local.edges()) {
-      const int gu = ball[static_cast<std::size_t>(e.u)];
-      const int gv = ball[static_cast<std::size_t>(e.v)];
-      if (spanner_.add_edge(gu, gv, e.w)) {
-        ++st->spanner_edges_added;
-        modified->push_back(gu);
-        modified->push_back(gv);
-      }
-    }
-  }
-
-  // Restore the event-clean scratch invariant in O(|ball|).
-  for (int v : ball) {
-    local_id[static_cast<std::size_t>(v)] = -1;
-    in_core[static_cast<std::size_t>(v)] = 0;
-  }
 }
 
 bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_out) const {
@@ -448,8 +339,7 @@ bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_o
   bool all_ok = true;
   const int scope_count = full_scope ? inst_.g.n() : static_cast<int>(scratch_scoped_.size());
   obs::histogram_record(dyn_metrics().certify_scope, scope_count);
-  runtime::WorkerPool* const pool =
-      pool_.has_value() ? &*pool_ : opts_.greedy.worker_pool;  // caller-owned pools count too
+  runtime::WorkerPool* const pool = team();
   if (pool != nullptr && pool->threads() > 1) {
     // Per-vertex checks are independent reads of the frozen spanner/UBG;
     // each worker uses its own workspace and the reduction is a boolean
@@ -476,44 +366,19 @@ bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_o
 RepairStats DynamicSpanner::apply(const ChurnEvent& ev) {
   const CommitNotifier notify(*this);
   const obs::Span span(dyn_metrics().apply_span);
-  const auto t0 = std::chrono::steady_clock::now();
-  RepairStats st;
-  st.kind = ev.kind;
-  st.node = ev.node;
-  st.time = ev.time;
-
-  std::vector<int> modified = update_ubg(ev, &st);
-  if (opts_.always_full_recompute) {
-    full_recompute();
-  } else if (!modified.empty()) {
-    std::vector<int> touched = modified;  // D: seeds of the dirty ball
-    repair(touched, &st, &modified);
-    sort_unique(modified);
-
-    if (opts_.check != CheckLevel::kOff) {
-      st.check_ran = true;
-      bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st.certify_scope)
-                                                 : certify(modified, &st.certify_scope);
-      if (ok && opts_.check == CheckLevel::kFull) {
-        ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
-      }
-      st.check_passed = ok;
-      if (!ok && opts_.allow_fallback) {
-        full_recompute();
-        st.fell_back = true;
-      }
-    }
-  }
-
-  st.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if (obs::enabled()) {
-    const DynMetrics& m = dyn_metrics();
-    obs::counter_add(m.events, 1);
-    obs::counter_add(m.edges_added, st.spanner_edges_added);
-    obs::counter_add(m.edges_removed, st.spanner_edges_removed);
-    if (st.fell_back) obs::counter_add(m.fallbacks, 1);
-  }
-  return st;
+  const BatchStats w = run_window(std::span<const ChurnEvent>(&ev, 1));
+  return {.kind = ev.kind,
+          .node = ev.node,
+          .time = ev.time,
+          .ball_size = w.ball_union,
+          .sub_edges = w.sub_edges,
+          .spanner_edges_removed = w.spanner_edges_removed,
+          .spanner_edges_added = w.spanner_edges_added,
+          .certify_scope = w.certify_scope,
+          .check_ran = w.check_ran,
+          .check_passed = w.check_passed,
+          .fell_back = w.fell_back,
+          .seconds = w.seconds};
 }
 
 std::vector<RepairStats> DynamicSpanner::apply_all(const ChurnTrace& trace) {
@@ -530,275 +395,301 @@ std::vector<RepairStats> DynamicSpanner::apply_all(const ChurnTrace& trace) {
 }
 
 BatchStats DynamicSpanner::apply_batch(std::span<const ChurnEvent> events) {
-  const obs::Span batch_span(dyn_metrics().batch_span);
+  const obs::Span span(dyn_metrics().batch_span);
+  if (events.empty()) {
+    region_of_event_.clear();
+    return {};  // no mutation happened: the commit hook intentionally stays silent
+  }
+  const CommitNotifier notify(*this);
+  const BatchStats st = run_window(events);
+  obs::counter_add(dyn_metrics().batches, 1);
+  return st;
+}
+
+BatchStats DynamicSpanner::run_window(std::span<const ChurnEvent> events) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
   BatchStats st;
   st.events = static_cast<int>(events.size());
   region_of_event_.assign(events.size(), -1);
-  if (events.empty()) {
-    st.seconds = elapsed();
-    return st;  // no mutation happened: the commit hook intentionally stays silent
-  }
-  const CommitNotifier notify(*this);
-  const int count = static_cast<int>(events.size());
   if (batch_touched_.size() < events.size()) batch_touched_.resize(events.size());
 
+  int ingested = 0;  // events whose mutations are applied
   try {
     // Phase 1: serial mutation replay in event order. The UBG and the
     // standing spanner receive exactly the mutation sequence a sequential
-    // replay would apply — only the repairs are deferred — so the per-event
-    // validity rules are identical to apply()'s.
-    for (int i = 0; i < count; ++i) {
-      std::vector<int>& touched = batch_touched_[static_cast<std::size_t>(i)];
+    // replay would apply — only the repairs are deferred.
+    for (; ingested < st.events; ++ingested) {
+      std::vector<int>& touched = batch_touched_[static_cast<std::size_t>(ingested)];
       touched.clear();
-      update_ubg_into(events[static_cast<std::size_t>(i)], &st.spanner_edges_removed, &touched);
+      ingest_event(events[static_cast<std::size_t>(ingested)], &st.spanner_edges_removed, &touched);
     }
-
     if (opts_.always_full_recompute) {
       full_recompute();
-      st.seconds = elapsed();
-      return st;
+    } else {
+      repair_window(&st);
     }
+  } catch (...) {
+    // Events are validated before they mutate anything, so repairs are
+    // pending only if some events were ingested (an event invalid for the
+    // evolved topology, above all, fails later in the window); rebuilding
+    // restores a certified spanner before the error propagates. The window
+    // is not rolled back. A window that failed on its first event changed
+    // nothing and keeps its spanner.
+    if (ingested > 0) full_recompute();
+    throw;
+  }
 
-    // Seeds a later event deactivated are dropped: balls grow from the
-    // *final* topology, where a departed vertex is isolated and parked and
-    // its ex-neighbors (touched by its leave) carry the disturbance.
-    for (int i = 0; i < count; ++i) {
-      std::erase_if(batch_touched_[static_cast<std::size_t>(i)],
-                    [this](int v) { return !is_active(v); });
-    }
+  st.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (obs::enabled()) {
+    const DynMetrics& m = dyn_metrics();
+    obs::counter_add(m.events, st.events);
+    obs::counter_add(m.merged_events, st.merged_events);
+    obs::counter_add(m.edges_added, st.spanner_edges_added);
+    obs::counter_add(m.edges_removed, st.spanner_edges_removed);
+    if (st.fell_back) obs::counter_add(m.fallbacks, 1);
+  }
+  return st;
+}
 
-    // Phase 2: the union dirty ball. At a fixed radius, ball(∪ D_i) =
-    // ∪ ball(D_i), so ONE multi-source bounded search from every live seed
-    // of the window covers every per-event ball — this is the coalescing
-    // payoff: a burst of k overlapping events costs one |U|-sized search
-    // instead of k of them. The per-event balls are never materialized.
-    runtime::WorkerPool* const tm = team();
-    const std::function<double(double)>& tf = opts_.greedy.weight_transform;
-    // The merged modified set doubles as the deduplicated seed list; the
-    // commit below appends the splice endpoints (like apply()).
-    batch_modified_.clear();
-    for (int i = 0; i < count; ++i) {
-      const std::vector<int>& seeds = batch_touched_[static_cast<std::size_t>(i)];
-      batch_modified_.insert(batch_modified_.end(), seeds.begin(), seeds.end());
-    }
-    sort_unique(batch_modified_);
-    batch_union_.clear();
-    int nregions = 0;
-    if (!batch_modified_.empty()) {
-      const graph::SpView sp = [&] {
-        const obs::Span span(dyn_metrics().ball_span);
-        return tf ? ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_, TransformRef{&tf})
-                  : ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_);
-      }();
-      batch_union_.assign(sp.touched().begin(), sp.touched().end());
-      std::sort(batch_union_.begin(), batch_union_.end());
-      obs::histogram_record(dyn_metrics().ball_size,
-                            static_cast<std::int64_t>(batch_union_.size()));
-      flush_heap_ops(ws_, nullptr);
+void DynamicSpanner::repair_window(BatchStats* st) {
+  const int count = st->events;
+  // Seeds a later event deactivated are dropped: balls grow from the
+  // *final* topology, where a departed vertex is isolated and parked and
+  // its ex-neighbors (touched by its leave) carry the disturbance.
+  for (int i = 0; i < count; ++i) {
+    std::erase_if(batch_touched_[static_cast<std::size_t>(i)],
+                  [this](int v) { return !is_active(v); });
+  }
 
-      // Phase 3: deterministic region partition. Label U's connected
-      // components (BFS in ascending node order over the U-induced
-      // subgraph), then union-find events sharing a component, in event
-      // order. Two overlapping per-event balls always share a component, so
-      // this merges at least as much as ball-overlap would — regions stay
-      // vertex-disjoint and every event ball stays inside its region, which
-      // is all the witness-locality argument needs. The partition is a pure
-      // function of the window (no parallel phase feeds it).
-      comp_event_.clear();
-      for (int u : batch_union_) {
-        if (batch_owner_[static_cast<std::size_t>(u)] >= 0) continue;
-        const int comp = static_cast<int>(comp_event_.size());
-        comp_event_.push_back(-1);
-        batch_queue_.clear();
-        batch_queue_.push_back(u);
-        batch_owner_[static_cast<std::size_t>(u)] = comp;
-        while (!batch_queue_.empty()) {
-          const int v = batch_queue_.back();
-          batch_queue_.pop_back();
-          for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-            if (!sp.reached(nb.to)) continue;  // outside U
-            int& owner = batch_owner_[static_cast<std::size_t>(nb.to)];
-            if (owner < 0) {
-              owner = comp;
-              batch_queue_.push_back(nb.to);
-            }
+  // Phase 2: the union dirty ball. At a fixed radius, ball(∪ D_i) =
+  // ∪ ball(D_i), so ONE multi-source bounded search from every live seed
+  // of the window covers every per-event ball — this is the coalescing
+  // payoff: a burst of k overlapping events costs one |U|-sized search
+  // instead of k of them. The per-event balls are never materialized.
+  runtime::WorkerPool* const tm = team();
+  const std::function<double(double)>& tf = opts_.greedy.weight_transform;
+  // The merged modified set doubles as the deduplicated seed list; the
+  // commit below appends the splice endpoints.
+  batch_modified_.clear();
+  for (int i = 0; i < count; ++i) {
+    const std::vector<int>& seeds = batch_touched_[static_cast<std::size_t>(i)];
+    batch_modified_.insert(batch_modified_.end(), seeds.begin(), seeds.end());
+  }
+  sort_unique(batch_modified_);
+  batch_union_.clear();
+  int nregions = 0;
+  if (!batch_modified_.empty()) {
+    const graph::SpView sp = [&] {
+      const obs::Span span(dyn_metrics().ball_span);
+      return tf ? ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_, TransformRef{&tf})
+                : ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_);
+    }();
+    batch_union_.assign(sp.touched().begin(), sp.touched().end());
+    std::sort(batch_union_.begin(), batch_union_.end());
+    obs::histogram_record(dyn_metrics().ball_size,
+                          static_cast<std::int64_t>(batch_union_.size()));
+    flush_heap_ops(ws_, nullptr);
+
+    // Phase 3: deterministic region partition. Label U's connected
+    // components (BFS in ascending node order over the U-induced
+    // subgraph), then union-find events sharing a component, in event
+    // order. Two overlapping per-event balls always share a component, so
+    // this merges at least as much as ball-overlap would — regions stay
+    // vertex-disjoint and every event ball stays inside its region, which
+    // is all the witness-locality argument needs. The partition is a pure
+    // function of the window (no parallel phase feeds it).
+    comp_event_.clear();
+    for (int u : batch_union_) {
+      if (batch_owner_[static_cast<std::size_t>(u)] >= 0) continue;
+      const int comp = static_cast<int>(comp_event_.size());
+      comp_event_.push_back(-1);
+      batch_queue_.clear();
+      batch_queue_.push_back(u);
+      batch_owner_[static_cast<std::size_t>(u)] = comp;
+      while (!batch_queue_.empty()) {
+        const int v = batch_queue_.back();
+        batch_queue_.pop_back();
+        for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
+          if (!sp.reached(nb.to)) continue;  // outside U
+          int& owner = batch_owner_[static_cast<std::size_t>(nb.to)];
+          if (owner < 0) {
+            owner = comp;
+            batch_queue_.push_back(nb.to);
           }
         }
       }
+    }
 
-      if (batch_uf_.size() < events.size()) {
-        batch_uf_.resize(events.size());
-        batch_root_region_.resize(events.size());
+    if (batch_uf_.size() < static_cast<std::size_t>(count)) {
+      batch_uf_.resize(static_cast<std::size_t>(count));
+      batch_root_region_.resize(static_cast<std::size_t>(count));
+    }
+    for (int i = 0; i < count; ++i) {
+      batch_uf_[static_cast<std::size_t>(i)] = i;
+      batch_root_region_[static_cast<std::size_t>(i)] = -1;
+    }
+    const auto find_root = [this](int a) {
+      while (batch_uf_[static_cast<std::size_t>(a)] != a) {
+        batch_uf_[static_cast<std::size_t>(a)] =
+            batch_uf_[static_cast<std::size_t>(batch_uf_[static_cast<std::size_t>(a)])];
+        a = batch_uf_[static_cast<std::size_t>(a)];
       }
-      for (int i = 0; i < count; ++i) {
-        batch_uf_[static_cast<std::size_t>(i)] = i;
-        batch_root_region_[static_cast<std::size_t>(i)] = -1;
-      }
-      const auto find_root = [this](int a) {
-        while (batch_uf_[static_cast<std::size_t>(a)] != a) {
-          batch_uf_[static_cast<std::size_t>(a)] =
-              batch_uf_[static_cast<std::size_t>(batch_uf_[static_cast<std::size_t>(a)])];
-          a = batch_uf_[static_cast<std::size_t>(a)];
+      return a;
+    };
+    for (int i = 0; i < count; ++i) {
+      for (int s : batch_touched_[static_cast<std::size_t>(i)]) {
+        // Seeds are sources of the union search, so they are in U and
+        // labeled. The first event touching a component anchors it; later
+        // ones union into the anchor.
+        int& first = comp_event_[static_cast<std::size_t>(batch_owner_[static_cast<std::size_t>(s)])];
+        if (first < 0) {
+          first = i;
+        } else {
+          const int ra = find_root(first);
+          const int rb = find_root(i);
+          // The smaller root wins, so every class is rooted at its first
+          // member event.
+          if (ra != rb) batch_uf_[static_cast<std::size_t>(std::max(ra, rb))] = std::min(ra, rb);
         }
-        return a;
-      };
-      for (int i = 0; i < count; ++i) {
-        for (int s : batch_touched_[static_cast<std::size_t>(i)]) {
-          // Seeds are sources of the union search, so they are in U and
-          // labeled. The first event touching a component anchors it; later
-          // ones union into the anchor.
-          int& first = comp_event_[static_cast<std::size_t>(batch_owner_[static_cast<std::size_t>(s)])];
-          if (first < 0) {
-            first = i;
-          } else {
-            const int ra = find_root(first);
-            const int rb = find_root(i);
-            // The smaller root wins, so every class is rooted at its first
-            // member event.
-            if (ra != rb) batch_uf_[static_cast<std::size_t>(std::max(ra, rb))] = std::min(ra, rb);
-          }
-        }
-      }
-
-      int balled_events = 0;
-      for (int i = 0; i < count; ++i) {
-        if (batch_touched_[static_cast<std::size_t>(i)].empty()) continue;
-        ++balled_events;
-        int& region = batch_root_region_[static_cast<std::size_t>(find_root(i))];
-        if (region < 0) region = nregions++;
-        region_of_event_[static_cast<std::size_t>(i)] = region;
-      }
-      st.regions = nregions;
-      st.merged_events = balled_events - nregions;
-      obs::histogram_record(dyn_metrics().regions, nregions);
-
-      if (batch_regions_.size() < static_cast<std::size_t>(nregions)) {
-        batch_regions_.resize(static_cast<std::size_t>(nregions));
-      }
-      for (int r = 0; r < nregions; ++r) {
-        RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
-        rg.events.clear();
-        rg.ball.clear();
-        rg.core.clear();
-        rg.sub_edges = 0;
-        rg.drops.clear();
-        rg.adds.clear();
-      }
-      for (int i = 0; i < count; ++i) {
-        const int r = region_of_event_[static_cast<std::size_t>(i)];
-        if (r < 0) continue;
-        batch_regions_[static_cast<std::size_t>(r)].events.push_back(i);
-      }
-      // Component -> region, then one ascending pass over U fills every
-      // region's ball (already sorted) and core (dist is the union search's
-      // min-over-seeds; the minimizing seed lies in the same component, so
-      // the per-region core is exact).
-      comp_region_.assign(comp_event_.size(), -1);
-      for (std::size_t c = 0; c < comp_event_.size(); ++c) {
-        if (comp_event_[c] >= 0) {
-          comp_region_[c] = region_of_event_[static_cast<std::size_t>(comp_event_[c])];
-        }
-      }
-      for (int v : batch_union_) {
-        const int comp = batch_owner_[static_cast<std::size_t>(v)];
-        batch_owner_[static_cast<std::size_t>(v)] = -1;  // stamp reset, same pass
-        const int r = comp_region_[static_cast<std::size_t>(comp)];
-        if (r < 0) continue;
-        RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
-        rg.ball.push_back(v);
-        if (sp.dist(v) <= core_radius_) rg.core.push_back(v);
-      }
-      for (int r = 0; r < nregions; ++r) {
-        RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
-        st.ball_union += static_cast<int>(rg.ball.size());
-        st.max_region_ball = std::max(st.max_region_ball, static_cast<int>(rg.ball.size()));
       }
     }
 
-    // Phases 4+5, one scatter/commit: harvest every region's splice in
-    // parallel, then commit serially in region order. Regions are
-    // vertex-disjoint and all reads (final UBG, pre-commit spanner) are
-    // frozen until the commit phase, so the harvested drops/adds are
-    // schedule-independent; with the serial in-order commit the result is
-    // bit-identical at every thread count.
-    // Per-region harvest times (satellite fix: the flat BatchStats sums them
-    // away). Enabled-mode only — the disabled path stays alloc-free.
-    const bool obs_on = obs::enabled();
-    std::vector<std::int64_t> harvest_us;
-    if (obs_on) harvest_us.assign(static_cast<std::size_t>(nregions), 0);
-    const auto harvest_region = [&](int r, std::vector<int>& local_id, std::vector<char>& in_core,
-                                    const core::RelaxedGreedyOptions& gopts) {
-      const obs::Span span(dyn_metrics().region_span);
-      const auto h0 = std::chrono::steady_clock::now();
+    int balled_events = 0;
+    for (int i = 0; i < count; ++i) {
+      if (batch_touched_[static_cast<std::size_t>(i)].empty()) continue;
+      ++balled_events;
+      int& region = batch_root_region_[static_cast<std::size_t>(find_root(i))];
+      if (region < 0) region = nregions++;
+      region_of_event_[static_cast<std::size_t>(i)] = region;
+    }
+    st->regions = nregions;
+    st->merged_events = balled_events - nregions;
+    obs::histogram_record(dyn_metrics().regions, nregions);
+
+    if (batch_regions_.size() < static_cast<std::size_t>(nregions)) {
+      batch_regions_.resize(static_cast<std::size_t>(nregions));
+    }
+    for (int r = 0; r < nregions; ++r) {
       RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
-      const auto n = static_cast<std::size_t>(inst_.g.n());
-      if (local_id.size() < n) local_id.resize(n, -1);
-      if (in_core.size() < n) in_core.resize(n, 0);
-      for (std::size_t j = 0; j < rg.ball.size(); ++j) {
-        local_id[static_cast<std::size_t>(rg.ball[j])] = static_cast<int>(j);
+      rg.events.clear();
+      rg.ball.clear();
+      rg.core.clear();
+      rg.sub_edges = 0;
+      rg.drops.clear();
+      rg.adds.clear();
+    }
+    for (int i = 0; i < count; ++i) {
+      const int r = region_of_event_[static_cast<std::size_t>(i)];
+      if (r < 0) continue;
+      batch_regions_[static_cast<std::size_t>(r)].events.push_back(i);
+    }
+    // Component -> region, then one ascending pass over U fills every
+    // region's ball (already sorted) and core (dist is the union search's
+    // min-over-seeds; the minimizing seed lies in the same component, so
+    // the per-region core is exact).
+    comp_region_.assign(comp_event_.size(), -1);
+    for (std::size_t c = 0; c < comp_event_.size(); ++c) {
+      if (comp_event_[c] >= 0) {
+        comp_region_[c] = region_of_event_[static_cast<std::size_t>(comp_event_[c])];
       }
-      for (int v : rg.core) in_core[static_cast<std::size_t>(v)] = 1;
-      int sub_edges = 0;
+    }
+    for (int v : batch_union_) {
+      const int comp = batch_owner_[static_cast<std::size_t>(v)];
+      batch_owner_[static_cast<std::size_t>(v)] = -1;  // stamp reset, same pass
+      const int r = comp_region_[static_cast<std::size_t>(comp)];
+      if (r < 0) continue;
+      RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
+      rg.ball.push_back(v);
+      if (sp.dist(v) <= core_radius_) rg.core.push_back(v);
+    }
+    for (int r = 0; r < nregions; ++r) {
+      RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
+      st->ball_union += static_cast<int>(rg.ball.size());
+      st->max_region_ball = std::max(st->max_region_ball, static_cast<int>(rg.ball.size()));
+    }
+  }
+
+  // Phases 4+5, one scatter/commit: harvest every region's splice in
+  // parallel, then commit serially in region order. Regions are
+  // vertex-disjoint and all reads (final UBG, pre-commit spanner) are
+  // frozen until the commit phase, so the harvested drops/adds are
+  // schedule-independent; with the serial in-order commit the result is
+  // bit-identical at every thread count.
+  // Per-region harvest times (the flat BatchStats sums them away).
+  // Enabled-mode only — the disabled path stays alloc-free.
+  const bool obs_on = obs::enabled();
+  std::vector<std::int64_t> harvest_us;
+  if (obs_on) harvest_us.assign(static_cast<std::size_t>(nregions), 0);
+  const auto harvest_region = [&](int r, std::vector<int>& local_id, std::vector<char>& in_core,
+                                  const core::RelaxedGreedyOptions& gopts) {
+    const obs::Span span(dyn_metrics().region_span);
+    const auto h0 = std::chrono::steady_clock::now();
+    RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
+    for (std::size_t j = 0; j < rg.ball.size(); ++j) {
+      local_id[static_cast<std::size_t>(rg.ball[j])] = static_cast<int>(j);
+    }
+    for (int v : rg.core) in_core[static_cast<std::size_t>(v)] = 1;
+    int sub_edges = 0;
+    for (int v : rg.ball) {
+      for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
+        if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) ++sub_edges;
+      }
+    }
+    rg.sub_edges = sub_edges;
+    // An edgeless sub-instance repairs to an edgeless spanner, and the
+    // standing spanner (a subgraph of the UBG) then has no core-internal
+    // edges either — the splice is a no-op and the rerun is skipped. The
+    // skip also keys the alloc-free steady state: relaxed_greedy
+    // allocates its result graph, this path does not.
+    if (sub_edges > 0) {
+      // The α-UBG induced on the ball is itself a valid α-UBG over the
+      // ball's points, so the whole static pipeline applies unchanged.
+      ubg::UbgInstance sub{inst_.config, {}, graph::Graph(static_cast<int>(rg.ball.size()))};
+      sub.config.n = static_cast<int>(rg.ball.size());
+      sub.points.reserve(rg.ball.size());
+      for (int v : rg.ball) sub.points.push_back(inst_.points[static_cast<std::size_t>(v)]);
       for (int v : rg.ball) {
         for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-          if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) ++sub_edges;
-        }
-      }
-      rg.sub_edges = sub_edges;
-      // An edgeless sub-instance repairs to an edgeless spanner, and the
-      // standing spanner (a subgraph of the UBG) then has no core-internal
-      // edges either — the splice is a no-op and the rerun is skipped. The
-      // skip also keys the alloc-free steady state: relaxed_greedy
-      // allocates its result graph, this path does not.
-      if (sub_edges > 0) {
-        ubg::UbgInstance sub{inst_.config, {}, graph::Graph(static_cast<int>(rg.ball.size()))};
-        sub.config.n = static_cast<int>(rg.ball.size());
-        sub.points.reserve(rg.ball.size());
-        for (int v : rg.ball) sub.points.push_back(inst_.points[static_cast<std::size_t>(v)]);
-        for (int v : rg.ball) {
-          for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-            if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) {
-              sub.g.add_edge(local_id[static_cast<std::size_t>(v)],
-                             local_id[static_cast<std::size_t>(nb.to)], nb.w);
-            }
+          if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) {
+            sub.g.add_edge(local_id[static_cast<std::size_t>(v)],
+                           local_id[static_cast<std::size_t>(nb.to)], nb.w);
           }
         }
-        const graph::Graph local = core::relaxed_greedy(sub, params_, gopts).spanner;
-        for (int v : rg.ball) {
-          if (!in_core[static_cast<std::size_t>(v)]) continue;
-          for (const graph::Neighbor& nb : spanner_.neighbors(v)) {
-            if (v < nb.to && in_core[static_cast<std::size_t>(nb.to)]) {
-              rg.drops.emplace_back(v, nb.to);
-            }
+      }
+      const graph::Graph local = core::relaxed_greedy(sub, params_, gopts).spanner;
+      // The local result replaces the core-internal standing edges; edges
+      // crossing the core boundary stay so distant witnesses survive.
+      for (int v : rg.ball) {
+        if (!in_core[static_cast<std::size_t>(v)]) continue;
+        for (const graph::Neighbor& nb : spanner_.neighbors(v)) {
+          if (v < nb.to && in_core[static_cast<std::size_t>(nb.to)]) {
+            rg.drops.emplace_back(v, nb.to);
           }
         }
-        for (const graph::Edge& e : local.edges()) {
-          rg.adds.push_back({rg.ball[static_cast<std::size_t>(e.u)],
-                             rg.ball[static_cast<std::size_t>(e.v)], e.w});
-        }
       }
-      for (int v : rg.ball) local_id[static_cast<std::size_t>(v)] = -1;
-      for (int v : rg.core) in_core[static_cast<std::size_t>(v)] = 0;
-      if (obs_on) {
-        harvest_us[static_cast<std::size_t>(r)] = std::chrono::duration_cast<std::chrono::microseconds>(
-                                                      std::chrono::steady_clock::now() - h0)
-                                                      .count();
+      for (const graph::Edge& e : local.edges()) {
+        rg.adds.push_back({rg.ball[static_cast<std::size_t>(e.u)],
+                           rg.ball[static_cast<std::size_t>(e.v)], e.w});
       }
-    };
+    }
+    for (int v : rg.ball) local_id[static_cast<std::size_t>(v)] = -1;
+    for (int v : rg.core) in_core[static_cast<std::size_t>(v)] = 0;
+    if (obs_on) {
+      harvest_us[static_cast<std::size_t>(r)] = std::chrono::duration_cast<std::chrono::microseconds>(
+                                                    std::chrono::steady_clock::now() - h0)
+                                                    .count();
+    }
+  };
 
-    // Region sizes are skewed (one merged burst region next to many
-    // singletons), so the harvest is scheduled dynamically; each worker
-    // reruns serially with its own workspace — no nested dispatch. With a
-    // serial engine, or a single region, the harvest runs on the caller
-    // with the engine-level greedy options instead (pool-parallel *inside*
-    // the one rerun when a team exists); relaxed_greedy is bit-identical at
-    // every thread count, so nothing observable changes.
-    const bool parallel_regions = tm != nullptr && tm->threads() > 1 && nregions > 1;
-    {
+  // Region sizes are skewed (one merged burst region next to many
+  // singletons), so the harvest is scheduled dynamically; each worker
+  // reruns serially with its own workspace — no nested dispatch. With a
+  // serial engine, or a single region, the harvest runs on the caller
+  // with the engine-level greedy options instead (pool-parallel *inside*
+  // the one rerun when a team exists); relaxed_greedy is bit-identical at
+  // every thread count, so nothing observable changes.
+  const bool parallel_regions = tm != nullptr && tm->threads() > 1 && nregions > 1;
+  {
     const obs::Span splice_span(dyn_metrics().splice_span);
     runtime::scatter_commit(
         parallel_regions ? tm : nullptr, ws_, nregions,
@@ -819,59 +710,39 @@ BatchStats DynamicSpanner::apply_batch(std::span<const ChurnEvent> events) {
             obs::histogram_record(m.region_events, static_cast<std::int64_t>(rg.events.size()));
             obs::histogram_record(m.region_harvest_us, harvest_us[static_cast<std::size_t>(r)]);
           }
-          st.sub_edges += rg.sub_edges;
+          st->sub_edges += rg.sub_edges;
           for (const auto& [u, v] : rg.drops) {
             spanner_.remove_edge(u, v);
-            ++st.spanner_edges_removed;
+            ++st->spanner_edges_removed;
             batch_modified_.push_back(u);
             batch_modified_.push_back(v);
           }
           for (const graph::Edge& e : rg.adds) {
             if (spanner_.add_edge(e.u, e.v, e.w)) {
-              ++st.spanner_edges_added;
+              ++st->spanner_edges_added;
               batch_modified_.push_back(e.u);
               batch_modified_.push_back(e.v);
             }
           }
         });
-    }
-    sort_unique(batch_modified_);
-
-    // Phase 6: one merged-scope certification replaces the per-event
-    // passes; on failure the engine falls back exactly like apply().
-    if (!batch_modified_.empty() && opts_.check != CheckLevel::kOff) {
-      st.check_ran = true;
-      bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st.certify_scope)
-                                                 : certify(batch_modified_, &st.certify_scope);
-      if (ok && opts_.check == CheckLevel::kFull) {
-        ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
-      }
-      st.check_passed = ok;
-      if (!ok && opts_.allow_fallback) {
-        full_recompute();
-        st.fell_back = true;
-      }
-    }
-  } catch (...) {
-    // A mid-window failure (an event invalid for the evolved topology,
-    // above all) leaves already-ingested mutations with their repairs
-    // pending; rebuilding restores a certified spanner before the error
-    // propagates. The window is not rolled back.
-    full_recompute();
-    throw;
   }
+  sort_unique(batch_modified_);
 
-  st.seconds = elapsed();
-  if (obs::enabled()) {
-    const DynMetrics& m = dyn_metrics();
-    obs::counter_add(m.batches, 1);
-    obs::counter_add(m.events, st.events);
-    obs::counter_add(m.merged_events, st.merged_events);
-    obs::counter_add(m.edges_added, st.spanner_edges_added);
-    obs::counter_add(m.edges_removed, st.spanner_edges_removed);
-    if (st.fell_back) obs::counter_add(m.fallbacks, 1);
+  // Phase 6: one merged-scope certification replaces the per-event
+  // passes; on failure the engine falls back to a full recompute.
+  if (!batch_modified_.empty() && opts_.check != CheckLevel::kOff) {
+    st->check_ran = true;
+    bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st->certify_scope)
+                                               : certify(batch_modified_, &st->certify_scope);
+    if (ok && opts_.check == CheckLevel::kFull) {
+      ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
+    }
+    st->check_passed = ok;
+    if (!ok && opts_.allow_fallback) {
+      full_recompute();
+      st->fell_back = true;
+    }
   }
-  return st;
 }
 
 }  // namespace localspan::dynamic

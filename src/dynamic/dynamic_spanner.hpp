@@ -6,15 +6,18 @@
 /// The paper's algorithm is local: every decision about an edge {u,v} is a
 /// function of an O(1)-radius neighborhood (cluster covers reach δW_{i-1},
 /// witness paths reach t·|uv| <= t, and all edge lengths are <= 1). The
-/// engine exploits exactly that locality. After an event changes the UBG at
-/// a touched vertex set D it
+/// engine exploits exactly that locality. After a window of events — one
+/// for apply(), any number for apply_batch() — changes the UBG at a touched
+/// vertex set D it
 ///
 ///   1. computes the *dirty ball* B = { v : d(v, D) <= R } and its core
 ///      C = { v : d(v, D) <= K } (weighted distances in the active weight,
-///      i.e. through the §1.6 transform when one is configured),
-///   2. re-runs the full relaxed-greedy machinery on the α-UBG induced on B,
+///      i.e. through the §1.6 transform when one is configured), split into
+///      vertex-disjoint repair regions,
+///   2. re-runs the full relaxed-greedy machinery on the α-UBG induced on
+///      each region's ball,
 ///   3. splices: drops standing spanner edges with both endpoints in C and
-///      inserts every edge of the local result,
+///      inserts every edge of the local results,
 ///   4. re-certifies the invariants (stretch <= t against every UBG edge
 ///      whose witness could have been disturbed, degree cap) and falls back
 ///      to a full recompute if certification fails.
@@ -104,14 +107,14 @@ struct DynamicOptions {
   int threads = 0;
 };
 
-/// Per-event repair telemetry (the E15 bench aggregates these).
+/// Per-event repair telemetry (the E15 bench aggregates these): apply()'s
+/// one-event window BatchStats, mapped field for field.
 struct RepairStats {
   EventKind kind = EventKind::kJoin;
   int node = 0;
   double time = 0.0;
 
   int ball_size = 0;             ///< |B|.
-  int core_size = 0;             ///< |C|.
   int sub_edges = 0;             ///< UBG edges induced on B (local rerun size).
   int spanner_edges_removed = 0; ///< dropped: UBG-departed + core replacement.
   int spanner_edges_added = 0;   ///< inserted from the local rerun.
@@ -121,7 +124,7 @@ struct RepairStats {
   bool check_passed = true;
   bool fell_back = false;
 
-  double seconds = 0.0;  ///< wall time of the whole apply() call.
+  double seconds = 0.0;  ///< wall time of the event's window.
 };
 
 /// Whole-window repair telemetry for apply_batch (the E15 batch sweep
@@ -166,10 +169,10 @@ class DynamicSpanner {
   DynamicSpanner(DynamicSpanner&&) = delete;
   DynamicSpanner& operator=(DynamicSpanner&&) = delete;
 
-  /// Apply one event: update the UBG, repair the spanner locally, certify.
+  /// Apply one event: the apply_batch() pipeline on a one-event window.
   /// \throws std::invalid_argument on an event invalid for the current
   /// topology (join of a live node, leave/move of a dead one, position
-  /// outside the deployment quadrant, dimension mismatch).
+  /// outside the deployment quadrant, dimension mismatch), engine untouched.
   RepairStats apply(const ChurnEvent& ev);
 
   /// Apply a whole trace in order. \throws std::invalid_argument when the
@@ -191,14 +194,14 @@ class DynamicSpanner {
   /// argument at the top of this file), splices are committed serially in
   /// deterministic region order, and ONE merged-scope certification pass
   /// replaces the per-event passes. The resulting spanner is bit-identical
-  /// at every thread count, and a one-event batch is bit-identical to
-  /// apply().
+  /// at every thread count; apply() is the one-event window.
   ///
   /// \throws std::invalid_argument on the first event invalid for the
   /// topology at its position in the window (same per-event rules as
   /// apply()). Events before it are already ingested at that point, so the
   /// engine restores a certified state with a full recompute before
-  /// rethrowing; the batch is not rolled back.
+  /// rethrowing; the batch is not rolled back. An invalid first event
+  /// leaves the engine untouched.
   BatchStats apply_batch(std::span<const ChurnEvent> events);
 
   /// Rebuild the spanner from scratch with the static pipeline (also the
@@ -206,10 +209,10 @@ class DynamicSpanner {
   void full_recompute();
 
   /// Install a post-commit hook, invoked after every *completed* top-level
-  /// mutation — apply() (so once per event under apply_all), apply_batch()
-  /// (once per window), or a direct full_recompute() — with the engine in a
-  /// consistent state. The serve layer's QueryEngine uses this to republish
-  /// an immutable topology snapshot on window commit. The hook runs on the
+  /// mutation — apply() (so once per event under apply_all), a non-empty
+  /// apply_batch() (once per window), or a direct full_recompute() — with
+  /// the engine in a consistent state. The serve layer's QueryEngine uses
+  /// this to republish an immutable topology snapshot on window commit. The hook runs on the
   /// mutating thread with the engine borrowed const; it must not mutate the
   /// engine and must not throw. It is NOT invoked when a mutation exits by
   /// exception (even though apply_batch restores a certified state before
@@ -239,11 +242,11 @@ class DynamicSpanner {
   [[nodiscard]] bool certify(const std::vector<int>& modified,
                              int* scope_size_out = nullptr) const;
 
-  /// Region index per event of the most recent apply_batch() window, in
-  /// event order (-1: the event touched no live vertex and joined no
-  /// region). Region indices number the disjoint repair regions in their
-  /// deterministic commit order (ascending first-member-event). Exposed for
-  /// the partition-determinism tests; invalidated by the next apply_batch.
+  /// Region index per event of the most recent window (apply() runs a
+  /// one-event window), in event order (-1: the event touched no live
+  /// vertex and joined no region). Region indices number the disjoint
+  /// repair regions in their deterministic commit order (ascending
+  /// first-member-event). Exposed for the partition-determinism tests.
   [[nodiscard]] const std::vector<int>& last_region_of_event() const noexcept {
     return region_of_event_;
   }
@@ -251,7 +254,7 @@ class DynamicSpanner {
  private:
   /// Depth-counted RAII around every mutating entry point: the hook fires
   /// exactly once, when the *outermost* mutation completes normally (the
-  /// certify-failure path reaches full_recompute() from inside apply() /
+  /// window body reaches full_recompute() from inside apply() /
   /// apply_batch(), which must not double-fire), and never during stack
   /// unwinding (a hook must not run — let alone throw — mid-propagation).
   struct CommitNotifier {
@@ -281,17 +284,16 @@ class DynamicSpanner {
   /// Discovery walks the maintained spatial hash.
   void connect_neighbors(int node, std::vector<int>* touched);
 
-  /// Mutate the UBG (and drop departed spanner edges); returns the touched
-  /// live vertex set D, deduplicated.
-  std::vector<int> update_ubg(const ChurnEvent& ev, RepairStats* st);
+  /// Mutate the UBG for one event (validated first, so an invalid event
+  /// throws before any change): appends the touched live vertex set D into
+  /// `*touched` (empty on entry) and counts dropped standing-spanner edges
+  /// into `*spanner_removed`. Allocation-free once the scratch is warm.
+  void ingest_event(const ChurnEvent& ev, int* spanner_removed, std::vector<int>* touched);
 
-  /// The mutation core shared by apply() and apply_batch(): appends the
-  /// touched live vertex set D into `*touched` (which must be empty on
-  /// entry) and counts dropped standing-spanner edges into
-  /// `*spanner_removed`. Allocation-free once the scratch is warm.
-  void update_ubg_into(const ChurnEvent& ev, int* spanner_removed, std::vector<int>* touched);
-
-  void repair(const std::vector<int>& touched, RepairStats* st, std::vector<int>* modified);
+  /// The window body apply() and apply_batch() share (`events` non-empty).
+  BatchStats run_window(std::span<const ChurnEvent> events);
+  /// Its repair phases: union ball, regions, harvest/commit, certify.
+  void repair_window(BatchStats* st);
 
   /// The engaged worker team: the engine-owned pool when there is one, else
   /// a caller-supplied pool threaded through the greedy options.
@@ -311,24 +313,18 @@ class DynamicSpanner {
   double core_radius_ = 0;    ///< K.
   double ball_radius_ = 0;    ///< R = K + W (unless overridden).
 
-  // Repair/certify scratch, reused across events (ROADMAP open item: no
-  // O(n) allocation or initialization per event). Entries touched by one
-  // event are reset before the next; the certify buffers are mutable
-  // because certify() is logically const.
-  std::vector<int> scratch_local_id_;          ///< -1 outside the current ball.
-  std::vector<char> scratch_in_core_;          ///< 0 outside the current core.
-  std::vector<int> scratch_ball_;              ///< current ball members (sorted).
+  // Repair/certify scratch, reused across windows (no O(n) allocation or
+  // initialization per event). Entries touched by one window are reset
+  // before the next; the certify buffers are mutable because certify() is
+  // logically const.
+  std::vector<int> scratch_local_id_;          ///< -1 outside the current region ball.
+  std::vector<char> scratch_in_core_;          ///< 0 outside the current region core.
   mutable std::vector<char> scratch_in_scope_; ///< 0 outside the current scope.
   mutable std::vector<int> scratch_scoped_;    ///< scope members (reset list).
-  std::vector<int> scratch_old_nbrs_;          ///< update_ubg neighbor snapshot.
-  /// Per-ball-member drop lists for the two-phase per-event splice: slot i
-  /// holds the core-internal standing edges at ball[i], harvested in
-  /// parallel against the frozen spanner and committed in ball order. Outer
-  /// vector and inner capacities are reused across events (high-water mark).
-  std::vector<std::vector<int>> scratch_drop_;
+  std::vector<int> scratch_old_nbrs_;          ///< ingest_event neighbor snapshot.
 
-  // ---- Batch ingestion scratch (apply_batch), reused across windows so a
-  // warmed steady-state batch allocates nothing. Indexed per event / per
+  // ---- Window scratch (apply and apply_batch), reused across windows so a
+  // warmed steady-state window allocates nothing. Indexed per event / per
   // region / per worker; cleared or stamp-reset between windows.
   std::vector<std::vector<int>> batch_touched_;  ///< per-event seed sets D_i.
   std::vector<int> batch_union_;        ///< union dirty ball U (ascending node ids).
@@ -352,8 +348,8 @@ class DynamicSpanner {
   std::vector<RegionScratch> batch_regions_;
   std::vector<int> batch_modified_;  ///< merged modified set for the one certify.
   /// Per-worker region-extraction scratch for the parallel harvest (the
-  /// serial path reuses scratch_local_id_/scratch_in_core_ instead). Grown
-  /// lazily to n inside the harvest, stamp-reset after each region.
+  /// serial path reuses scratch_local_id_/scratch_in_core_ instead). Sized
+  /// to n like them, stamp-reset after each region.
   std::vector<std::vector<int>> worker_local_id_;
   std::vector<std::vector<char>> worker_in_core_;
   /// Per-worker relaxed-greedy options for concurrent region reruns: each

@@ -5,8 +5,9 @@
 # validates the exported artifacts with CMake's JSON parser: the Chrome
 # trace must carry events on at least two distinct thread tracks (main +
 # pool workers), and the metrics snapshot must carry the dyn.* counters the
-# batch path is instrumented with. A relaxed-dist span run must report the
-# relaxed-greedy phase spans (it drives the same phase loop).
+# batch path is instrumented with. A per-event run must count each event
+# exactly once. A relaxed-dist span run must report the relaxed-greedy phase
+# spans (it drives the same phase loop).
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<localspan_cli> -DWORK_DIR=<dir> -P cli_obs_smoke.cmake")
@@ -113,6 +114,32 @@ endforeach()
 string(JSON batch_count GET "${stats}" "spans" "dyn.apply_batch" "count")
 if(batch_count LESS 1)
   message(FATAL_ERROR "obs_stats.json has no dyn.apply_batch span")
+endif()
+
+# --- Per-event dynamic run: apply() runs the one-event window body, so ----
+# each event counts once in dyn.events and once as a dyn.apply span, and no
+# dyn.batches window is charged.
+execute_process(
+  COMMAND "${CLI}" dynamic --n 256 --events 32 --quiet --obs-json per_event_stats.json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "localspan_cli dynamic (per-event) exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+file(READ "${WORK_DIR}/per_event_stats.json" per_event)
+string(JSON ev_count GET "${per_event}" "counters" "dyn.events")
+if(NOT ev_count EQUAL 32)
+  message(FATAL_ERROR "per-event dynamic run counted dyn.events=${ev_count}, expected 32")
+endif()
+string(JSON batches ERROR_VARIABLE b_err GET "${per_event}" "counters" "dyn.batches")
+if(b_err STREQUAL "NOTFOUND" AND NOT batches EQUAL 0)
+  message(FATAL_ERROR "per-event dynamic run counted dyn.batches=${batches}, expected 0")
+endif()
+string(JSON apply_count GET "${per_event}" "spans" "dyn.apply" "count")
+if(NOT apply_count EQUAL 32)
+  message(FATAL_ERROR "per-event dynamic run recorded ${apply_count} dyn.apply spans, expected 32")
 endif()
 
 # --- relaxed-dist: the distributed driver emits the phase-loop spans -------

@@ -193,7 +193,8 @@ TEST(BatchDynamic, PartitionIsDeterministicUnderSeed) {
   EXPECT_EQ(a.spanner(), b.spanner());
 }
 
-// A one-event window is the sequential path, bit for bit.
+// apply() is a one-event window: the same spanner bit for bit, and its
+// RepairStats carry the window's BatchStats field for field.
 TEST(BatchDynamic, SingleEventBatchMatchesApply) {
   const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 96, 3}.make();
   dy::PoissonChurnConfig pc;
@@ -208,8 +209,14 @@ TEST(BatchDynamic, SingleEventBatchMatchesApply) {
     const dy::RepairStats rs = seq.apply(ev);
     const dy::BatchStats bs = one.apply_batch(std::span<const dy::ChurnEvent>(&ev, 1));
     ASSERT_EQ(one.spanner(), seq.spanner()) << "diverged at event t=" << ev.time;
+    EXPECT_EQ(one.last_region_of_event(), seq.last_region_of_event());
+    EXPECT_EQ(bs.ball_union, rs.ball_size);
+    EXPECT_EQ(bs.sub_edges, rs.sub_edges);
     EXPECT_EQ(bs.spanner_edges_added, rs.spanner_edges_added);
     EXPECT_EQ(bs.spanner_edges_removed, rs.spanner_edges_removed);
+    EXPECT_EQ(bs.certify_scope, rs.certify_scope);
+    EXPECT_EQ(bs.check_ran, rs.check_ran);
+    EXPECT_EQ(bs.check_passed, rs.check_passed);
     EXPECT_EQ(bs.fell_back, rs.fell_back);
   }
 }
@@ -397,6 +404,91 @@ TEST(BatchDynamic, EmptyWindowIsANoop) {
   EXPECT_EQ(st.regions, 0);
   EXPECT_EQ(engine.spanner(), before);
   EXPECT_TRUE(engine.last_region_of_event().empty());
+}
+
+// An invalid first event means nothing was ingested, so neither entry point
+// may touch the standing topology: no rebuild (which would replace the
+// incrementally maintained spanner) and no commit notification.
+TEST(BatchDynamic, InvalidFirstEventLeavesStateUnchanged) {
+  const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 256, 1}.make();
+  const co::Params params = practical(inst);
+  dy::DynamicSpanner engine(inst, params);
+  dy::PoissonChurnConfig pc;
+  pc.events = 64;
+  pc.seed = 1;
+  static_cast<void>(engine.apply_all(dy::poisson_churn(inst, pc)));
+  // Precondition: churn left a spanner a rebuild would not reproduce, so a
+  // stray full recompute is observable.
+  ASSERT_NE(engine.spanner(), co::relaxed_greedy(engine.instance(), params).spanner);
+
+  int commits = 0;
+  engine.set_commit_hook([&commits](const dy::DynamicSpanner&) { ++commits; });
+  const gr::Graph spanner = engine.spanner();
+  const gr::Graph ubg = engine.instance().g;
+  int live = 0;
+  while (!engine.is_active(live)) ++live;
+  const dy::ChurnEvent invalid{0.0, dy::EventKind::kJoin, live, ge::Point(2)};
+
+  EXPECT_THROW(static_cast<void>(engine.apply(invalid)), std::invalid_argument);
+  EXPECT_EQ(engine.spanner(), spanner);
+  EXPECT_EQ(engine.instance().g, ubg);
+
+  const int fresh = engine.instance().g.n();
+  const std::vector<dy::ChurnEvent> window{invalid, {0.1, dy::EventKind::kJoin, fresh, ge::Point(2)}};
+  EXPECT_THROW(static_cast<void>(engine.apply_batch(window)), std::invalid_argument);
+  EXPECT_EQ(engine.spanner(), spanner);
+  EXPECT_EQ(engine.instance().g, ubg);
+  EXPECT_FALSE(engine.is_active(fresh));
+  EXPECT_EQ(commits, 0);
+}
+
+// The commit hook fires once per completed top-level mutation — apply()
+// (whose window body nests inside it), a non-empty apply_batch(), a direct
+// full_recompute(), and a mutation whose certify failure falls back to a
+// nested rebuild — and never for an empty window or a throw.
+TEST(BatchDynamic, CommitHookFiresOncePerCompletedMutation) {
+  const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 64, 5}.make();
+  const co::Params params = practical(inst);
+  dy::PoissonChurnConfig pc;
+  pc.events = 12;
+  pc.seed = 4;
+  const dy::ChurnTrace trace = dy::poisson_churn(inst, pc);
+
+  dy::DynamicOptions strict;
+  strict.caps.max_degree = 1;  // unsatisfiable: every certify falls back
+  for (const dy::DynamicOptions& opts : {dy::DynamicOptions{}, strict}) {
+    dy::DynamicSpanner engine(inst, params, opts);
+    int commits = 0;
+    std::size_t edges_at_commit = 0;
+    engine.set_commit_hook([&](const dy::DynamicSpanner& e) {
+      ++commits;
+      edges_at_commit = e.spanner().edges().size();
+    });
+
+    for (std::size_t i = 0; i < 6; ++i) {
+      static_cast<void>(engine.apply(trace.events[i]));
+      EXPECT_EQ(commits, static_cast<int>(i) + 1);
+      EXPECT_EQ(edges_at_commit, engine.spanner().edges().size());
+    }
+    static_cast<void>(engine.apply_batch(
+        std::span<const dy::ChurnEvent>(trace.events.data() + 6, trace.events.size() - 6)));
+    EXPECT_EQ(commits, 7);
+    engine.full_recompute();
+    EXPECT_EQ(commits, 8);
+
+    static_cast<void>(engine.apply_batch({}));
+    EXPECT_EQ(commits, 8);
+    const dy::ChurnEvent invalid{9.0, dy::EventKind::kLeave, engine.instance().g.n() + 5,
+                                 ge::Point(2)};
+    EXPECT_THROW(static_cast<void>(engine.apply(invalid)), std::invalid_argument);
+    EXPECT_EQ(commits, 8);
+    // A mid-window throw rebuilds inside the window yet still commits nothing.
+    const int fresh = engine.instance().g.n();
+    const std::vector<dy::ChurnEvent> window{{9.1, dy::EventKind::kJoin, fresh, ge::Point(2)},
+                                             invalid};
+    EXPECT_THROW(static_cast<void>(engine.apply_batch(window)), std::invalid_argument);
+    EXPECT_EQ(commits, 8);
+  }
 }
 
 // Disjoint far-apart events must form one region each; stats reflect it.

@@ -438,9 +438,9 @@ TEST(ParallelDynamic, ChurnMaintenanceIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.instance().g, parallel.instance().g);
 }
 
-/// Per-event repair equivalence across the full churn matrix: with the
-/// splice drop-phase now a harvest/commit pass on the engine pool, every
-/// single-event repair must still produce the serial spanner bit for bit.
+/// Per-event repair equivalence across the full churn matrix: every
+/// single-event window, whose rerun runs pool-parallel inside relaxed
+/// greedy, must still produce the serial spanner bit for bit.
 class ParallelChurnMatrixTest
     : public ::testing::TestWithParam<localspan::testinfra::ChurnScenario> {};
 
