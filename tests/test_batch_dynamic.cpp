@@ -459,16 +459,16 @@ TEST(BatchDynamic, CommitHookFiresOncePerCompletedMutation) {
   for (const dy::DynamicOptions& opts : {dy::DynamicOptions{}, strict}) {
     dy::DynamicSpanner engine(inst, params, opts);
     int commits = 0;
-    std::size_t edges_at_commit = 0;
+    int edges_at_commit = 0;
     engine.set_commit_hook([&](const dy::DynamicSpanner& e) {
       ++commits;
-      edges_at_commit = e.spanner().edges().size();
+      edges_at_commit = e.spanner().m();
     });
 
     for (std::size_t i = 0; i < 6; ++i) {
       static_cast<void>(engine.apply(trace.events[i]));
       EXPECT_EQ(commits, static_cast<int>(i) + 1);
-      EXPECT_EQ(edges_at_commit, engine.spanner().edges().size());
+      EXPECT_EQ(edges_at_commit, engine.spanner().m());
     }
     static_cast<void>(engine.apply_batch(
         std::span<const dy::ChurnEvent>(trace.events.data() + 6, trace.events.size() - 6)));
