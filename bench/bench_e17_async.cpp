@@ -11,7 +11,16 @@
 /// the protocol reached quiescence in every round, identical = the emitted
 /// spanner is bit-identical to the synchronous build.
 ///
-/// LOCALSPAN_BENCH_QUICK=1 trims the size sweep for CI smoke runs.
+/// Full mode also measures memory (ROADMAP 4a): `relaxed` and then the
+/// synchronous `relaxed-dist` build the same n=16384 instance first, and the
+/// process peak RSS after each lands in meta (`relaxed_peak_rss_mb`,
+/// `peak_rss_mb`); tools/collect_bench.cmake gates the second at <= 3x the
+/// first. The n=16384 run is also the last row of the E17b sync table.
+///
+/// LOCALSPAN_BENCH_QUICK=1 trims the size sweep and skips the memory run for
+/// CI smoke runs.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,6 +28,7 @@
 
 #include "bench_util.hpp"
 #include "core/distributed.hpp"
+#include "core/relaxed_greedy.hpp"
 #include "runtime/async_network.hpp"
 #include "runtime/parallel.hpp"
 
@@ -72,6 +82,13 @@ std::vector<Preset> presets() {
   return out;
 }
 
+/// The process's peak resident set so far (ru_maxrss is in KiB on Linux).
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 }  // namespace
 
 int main() {
@@ -87,6 +104,29 @@ int main() {
   report.meta("nproc", static_cast<long long>(runtime::hardware_threads()));
 
   const std::vector<int> sizes = quick ? std::vector<int>{256} : std::vector<int>{512, 2048};
+
+  const auto sync_row = [](int n, const core::DistributedResult& r) {
+    return std::vector<std::string>{fmt_int(n), fmt_int(r.net.rounds_measured),
+                                    fmt_int(r.net.rounds_kmw_model), fmt_int(r.net.messages)};
+  };
+
+  // Memory run first, while the process peak is still its own: ru_maxrss
+  // only ever grows, so relaxed's peak is read before relaxed-dist runs.
+  constexpr int kMemoryN = 16384;
+  std::vector<std::string> memory_row;
+  if (!quick) {
+    const auto inst = benchutil::standard_instance(kMemoryN, 0.75, 11);
+    static_cast<void>(core::relaxed_greedy(inst, params));
+    const double relaxed_mb = peak_rss_mb();
+    const auto r = core::distributed_relaxed_greedy(inst, params, {}, 11);
+    const double dist_mb = peak_rss_mb();
+    report.meta("memory_n", static_cast<long long>(kMemoryN));
+    report.meta("relaxed_peak_rss_mb", relaxed_mb);
+    report.meta("peak_rss_mb", dist_mb);
+    std::printf("memory at n=%d: relaxed peak %.1f MB, relaxed-dist peak %.1f MB\n", kMemoryN,
+                relaxed_mb, dist_mb);
+    memory_row = sync_row(kMemoryN, r);
+  }
 
   benchutil::Table table({"n", "adversary", "rounds", "app msgs", "transmissions", "overhead",
                           "retransmits", "drops", "dups", "acks", "convergence vtime",
@@ -138,10 +178,9 @@ int main() {
   benchutil::Table sync_table({"n", "rounds (Luby)", "rounds (KMW model)", "messages"});
   for (int n : sizes) {
     const auto inst = benchutil::standard_instance(n, 0.75, 11);
-    const auto r = core::distributed_relaxed_greedy(inst, params, {}, 11);
-    sync_table.add_row({fmt_int(n), fmt_int(r.net.rounds_measured),
-                        fmt_int(r.net.rounds_kmw_model), fmt_int(r.net.messages)});
+    sync_table.add_row(sync_row(n, core::distributed_relaxed_greedy(inst, params, {}, 11)));
   }
+  if (!memory_row.empty()) sync_table.add_row(memory_row);
   report.print("E17b: synchronous reference (E4 shape, same instances)", sync_table);
   return report.write() ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "cluster/cover.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -180,24 +181,42 @@ CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, dou
   return hier;
 }
 
-ClusterCover mis_cover(const graph::Graph& gp, double radius,
-                       const std::function<std::vector<int>(const graph::Graph&)>& mis) {
+namespace {
+
+/// The proximity graph J of §3.2.1: {x,y} iff sp_gp(x,y) <= radius, distinct
+/// vertices at distance 0 included. Each vertex learns its J-neighbourhood
+/// from its own bounded ball (distributed step 1); the balls are pure
+/// functions of (gp, u, radius), so they are harvested in parallel into
+/// sorted rows of lower-id members and committed serially in (u, v)
+/// ascending order — the insertion order of an all-pairs v < u scan, so J's
+/// adjacency lists are the same at every thread count.
+graph::Graph proximity_graph(const graph::CsrView& gp, double radius,
+                             graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
+  const int n = gp.n();
+  std::vector<std::vector<int>> lower(static_cast<std::size_t>(n));
+  runtime::for_each_with_workspace(pool, ws, 0, n, [&](graph::DijkstraWorkspace& wws, int u) {
+    const graph::SpView sp = wws.bounded(gp, u, radius);
+    std::vector<int>& row = lower[static_cast<std::size_t>(u)];
+    for (int v : sp.touched()) {
+      if (v < u) row.push_back(v);
+    }
+    std::sort(row.begin(), row.end());
+  });
+  graph::Graph j(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v : lower[static_cast<std::size_t>(u)]) j.add_edge(u, v, 1.0);
+  }
+  return j;
+}
+
+}  // namespace
+
+ClusterCover mis_cover(const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws,
+                       const std::function<std::vector<int>(const graph::Graph&)>& mis,
+                       runtime::WorkerPool* pool) {
   if (radius < 0.0) throw std::invalid_argument("mis_cover: negative radius");
   const int n = gp.n();
-
-  // Proximity graph J: {x,y} iff 0 < sp_gp(x,y) <= radius. Each node learns
-  // its J-neighborhood from its local ball (distributed step 1, §3.2.1).
-  graph::Graph j(n);
-  std::vector<graph::ShortestPaths> balls;
-  balls.reserve(static_cast<std::size_t>(n));
-  for (int u = 0; u < n; ++u) {
-    balls.push_back(graph::dijkstra_bounded(gp, u, radius));
-    for (int v = 0; v < u; ++v) {
-      if (balls[static_cast<std::size_t>(u)].dist[static_cast<std::size_t>(v)] <= radius) {
-        j.add_edge(u, v, 1.0);
-      }
-    }
-  }
+  const graph::Graph j = proximity_graph(gp, radius, ws, pool);
 
   const std::vector<int> independent = mis(j);
   std::vector<char> in_mis(static_cast<std::size_t>(n), 0);
@@ -207,10 +226,7 @@ ClusterCover mis_cover(const graph::Graph& gp, double radius,
   cover.radius = radius;
   cover.center_of.assign(static_cast<std::size_t>(n), -1);
   cover.dist_to_center.assign(static_cast<std::size_t>(n), graph::kInf);
-  for (int c : independent) {
-    cover.center_of[static_cast<std::size_t>(c)] = c;
-    cover.dist_to_center[static_cast<std::size_t>(c)] = 0.0;
-  }
+  for (int c : independent) cover.center_of[static_cast<std::size_t>(c)] = c;
   for (int v = 0; v < n; ++v) {
     if (in_mis[static_cast<std::size_t>(v)]) continue;
     // Attach to the highest-id MIS neighbor in J (paper's tie-break).
@@ -223,11 +239,27 @@ ClusterCover mis_cover(const graph::Graph& gp, double radius,
       throw std::logic_error("mis_cover: vertex with no MIS neighbor (MIS not maximal?)");
     }
     cover.center_of[static_cast<std::size_t>(v)] = best;
-    cover.dist_to_center[static_cast<std::size_t>(v)] =
-        balls[static_cast<std::size_t>(best)].dist[static_cast<std::size_t>(v)];
   }
   cover.centers = independent;
   std::sort(cover.centers.begin(), cover.centers.end());
+
+  // dist_to_center is sp measured from the center: one bounded search per
+  // center, each writing only its own members (disjoint slots, so the
+  // searches run on the pool as they are).
+  obs::counter_add(cover_metrics().centers, static_cast<std::int64_t>(cover.centers.size()));
+  runtime::for_each_with_workspace(
+      pool, ws, 0, static_cast<int>(cover.centers.size()),
+      [&](graph::DijkstraWorkspace& wws, int i) {
+        const int c = cover.centers[static_cast<std::size_t>(i)];
+        const graph::SpView sp = wws.bounded(gp, c, radius);
+        obs::histogram_record(cover_metrics().ball_size,
+                              static_cast<std::int64_t>(sp.touched().size()));
+        for (int v : sp.touched()) {
+          if (cover.center_of[static_cast<std::size_t>(v)] == c) {
+            cover.dist_to_center[static_cast<std::size_t>(v)] = sp.dist(v);
+          }
+        }
+      });
   return cover;
 }
 

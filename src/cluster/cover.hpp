@@ -86,14 +86,27 @@ struct CoverHierarchy {
                                              graph::DijkstraWorkspace& ws,
                                              runtime::WorkerPool* pool = nullptr);
 
-/// MIS-based construction (§3.2.1): build the proximity graph J on V with
-/// {x,y} ∈ J iff sp_gp(x,y) <= radius; an MIS of J (computed by `mis`, which
+/// MIS-based construction (§3.2.1) on a frozen CSR snapshot: build the
+/// proximity graph J on V with {x,y} ∈ J iff sp_gp(x,y) <= radius (distinct
+/// vertices at distance 0 included); an MIS of J (computed by `mis`, which
 /// receives J) gives the centers; every other vertex attaches to its
 /// highest-id MIS neighbor in J. This is the distributed algorithm's cover;
 /// with a deterministic `mis` it is reproducible.
+///
+/// Local like the protocol it simulates: J comes from one workspace-bounded
+/// ball per vertex and dist_to_center from one per center, so the cost is
+/// O(Σ|ball| log |ball|) time and O(n + |E(J)|) memory — nothing is O(n) per
+/// vertex. With a non-null `pool` the balls are searched on the workers and
+/// committed in vertex order, so J (its adjacency order included), the MIS
+/// input and the cover are bit-identical at every thread count, and to an
+/// all-pairs scan of dense bounded Dijkstra rows.
+///
+/// \throws std::logic_error when `mis` returns a set that leaves a vertex
+/// with no MIS neighbor in J.
 [[nodiscard]] ClusterCover mis_cover(
-    const graph::Graph& gp, double radius,
-    const std::function<std::vector<int>(const graph::Graph&)>& mis);
+    const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws,
+    const std::function<std::vector<int>(const graph::Graph&)>& mis,
+    runtime::WorkerPool* pool = nullptr);
 
 /// Validation for tests: coverage, radius bound, center separation
 /// (sp between any two centers > radius), and partition consistency.

@@ -85,11 +85,11 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // (i) cluster cover (§3.2.1): every node gathers its δW ball, a Luby MIS
   // on the proximity graph J picks the centers, the rest attach.
   mis::LubyStats cover_luby;
-  const auto cover = [&](const graph::Graph& gp, const graph::CsrView&, double radius,
-                         graph::DijkstraWorkspace&, runtime::WorkerPool* pool) {
-    return cluster::mis_cover(gp, radius, [&](const graph::Graph& j) {
-      return run_mis(j, &cover_luby, pool);
-    });
+  const auto cover = [&](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws,
+                         runtime::WorkerPool* pool) {
+    return cluster::mis_cover(
+        csr, radius, ws, [&](const graph::Graph& j) { return run_mis(j, &cover_luby, pool); },
+        pool);
   };
   // (v) redundancy removal (§3.2.5): a Luby MIS on the conflict graph J.
   mis::LubyStats redundancy_luby;

@@ -450,7 +450,7 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     csr.assign(result.spanner);
     const cluster::ClusterCover cover = [&] {
       const obs::Span span(rg_metrics().cover_span);
-      return steps.cover(result.spanner, csr, radius, ws, pool);
+      return steps.cover(csr, radius, ws, pool);
     }();
     st.clusters = static_cast<int>(cover.centers.size());
 
@@ -561,8 +561,8 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
   constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
   return detail::run_relaxed_phases(
       inst, params, opts,
-      {.cover = [](const graph::Graph&, const graph::CsrView& csr, double radius,
-                   graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
+      {.cover = [](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws,
+                   runtime::WorkerPool* pool) {
          return cluster::sequential_cover(csr, radius, ws, pool);
        },
        .mis = [](const graph::Graph& j, runtime::WorkerPool* pool) {

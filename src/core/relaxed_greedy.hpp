@@ -209,8 +209,8 @@ struct PhaseEdge {
 /// drivers differ; everything else is one phase loop.
 struct PhaseSteps {
   /// §2.2.1 / §3.2.1: a radius-`radius` cluster cover of G'_{i-1}, given
-  /// both live (`gp`) and as the phase's frozen CSR snapshot (`csr`).
-  FnRef<cluster::ClusterCover(const graph::Graph& gp, const graph::CsrView& csr, double radius,
+  /// as the phase's frozen CSR snapshot (`csr`).
+  FnRef<cluster::ClusterCover(const graph::CsrView& csr, double radius,
                               graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool)>
       cover;
   /// The MIS of the §2.2.5 conflict graph J.

@@ -2,18 +2,66 @@
 // Das-Narasimhan cluster graph with its Lemma 5/6/7/8 guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <span>
+#include <vector>
 
 #include "cluster/cluster_graph.hpp"
 #include "cluster/cover.hpp"
 #include "core/greedy.hpp"
+#include "core/relaxed_greedy.hpp"
 #include "graph/dijkstra.hpp"
 #include "mis/mis.hpp"
+#include "runtime/parallel.hpp"
+#include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
 
 namespace cl = localspan::cluster;
 namespace gr = localspan::graph;
+namespace rt = localspan::runtime;
+namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
+
+// ---------------------------------------------------------------------------
+// Byte-counting allocator: every operator-new in this binary adds its request
+// size to the counter. The linear-memory test snapshots it around one call.
+// ---------------------------------------------------------------------------
+namespace {
+std::atomic<long long> g_alloc_bytes{0};
+}  // namespace
+
+// The replacement operator new allocates with std::malloc, so operator
+// delete frees with std::free — GCC's new/delete-pair analysis cannot see
+// through the replacement and flags the (correct) pairing.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -39,12 +87,220 @@ TEST_P(CoverRadius, SequentialCoverIsValid) {
 
 TEST_P(CoverRadius, MisCoverIsValid) {
   const gr::Graph gp = partial_spanner(6);
+  gr::DijkstraWorkspace ws;
   const cl::ClusterCover cover =
-      cl::mis_cover(gp, GetParam(), [](const gr::Graph& j) { return localspan::mis::greedy_mis(j); });
+      cl::mis_cover(gr::CsrView(gp), GetParam(), ws,
+                    [](const gr::Graph& j) { return localspan::mis::greedy_mis(j); });
   EXPECT_TRUE(cl::is_valid_cover(gp, cover));
 }
 
 INSTANTIATE_TEST_SUITE_P(RadiusSweep, CoverRadius, ::testing::Values(0.02, 0.1, 0.3, 1.0));
+
+namespace {
+
+/// One MIS cover together with the proximity graph J its MIS ran on.
+struct MisCoverRun {
+  gr::Graph j;
+  cl::ClusterCover cover;
+};
+
+/// The all-pairs MIS cover the workspace version replaces: one dense
+/// bounded Dijkstra row per vertex, J built by scanning every v < u, and
+/// dist_to_center read from the center's row. Kept here as the reference
+/// the output-sensitive mis_cover must reproduce bit for bit.
+MisCoverRun dense_mis_cover(const gr::Graph& gp, double radius) {
+  const int n = gp.n();
+  MisCoverRun out{gr::Graph(n), {}};
+  std::vector<gr::ShortestPaths> balls;
+  for (int u = 0; u < n; ++u) {
+    balls.push_back(gr::dijkstra_bounded(gp, u, radius));
+    for (int v = 0; v < u; ++v) {
+      if (balls[static_cast<std::size_t>(u)].dist[static_cast<std::size_t>(v)] <= radius) {
+        out.j.add_edge(u, v, 1.0);
+      }
+    }
+  }
+  const std::vector<int> independent = localspan::mis::greedy_mis(out.j);
+  std::vector<char> in_mis(static_cast<std::size_t>(n), 0);
+  for (int c : independent) in_mis[static_cast<std::size_t>(c)] = 1;
+  cl::ClusterCover& cover = out.cover;
+  cover.radius = radius;
+  cover.center_of.assign(static_cast<std::size_t>(n), -1);
+  cover.dist_to_center.assign(static_cast<std::size_t>(n), gr::kInf);
+  for (int c : independent) {
+    cover.center_of[static_cast<std::size_t>(c)] = c;
+    cover.dist_to_center[static_cast<std::size_t>(c)] = 0.0;
+  }
+  for (int v = 0; v < n; ++v) {
+    if (in_mis[static_cast<std::size_t>(v)]) continue;
+    int best = -1;
+    for (const gr::Neighbor& nb : out.j.neighbors(v)) {
+      if (in_mis[static_cast<std::size_t>(nb.to)] && nb.to > best) best = nb.to;
+    }
+    cover.center_of[static_cast<std::size_t>(v)] = best;
+    cover.dist_to_center[static_cast<std::size_t>(v)] =
+        balls[static_cast<std::size_t>(best)].dist[static_cast<std::size_t>(v)];
+  }
+  cover.centers = independent;
+  std::sort(cover.centers.begin(), cover.centers.end());
+  return out;
+}
+
+/// mis_cover with greedy_mis, also returning the J it handed to the MIS.
+MisCoverRun workspace_mis_cover(const gr::CsrView& gp, double radius, gr::DijkstraWorkspace& ws,
+                                  rt::WorkerPool* pool) {
+  MisCoverRun out{gr::Graph(0), {}};
+  out.cover = cl::mis_cover(
+      gp, radius, ws,
+      [&](const gr::Graph& j) {
+        out.j = j;
+        return localspan::mis::greedy_mis(j);
+      },
+      pool);
+  return out;
+}
+
+/// Same vertices, same edges, and every adjacency list in the same order
+/// (the order J's edges were inserted in).
+void expect_same_adjacency(const gr::Graph& want, const gr::Graph& got) {
+  ASSERT_EQ(want.n(), got.n());
+  ASSERT_EQ(want.m(), got.m());
+  for (int v = 0; v < want.n(); ++v) {
+    const std::span<const gr::Neighbor> a = want.neighbors(v);
+    const std::span<const gr::Neighbor> b = got.neighbors(v);
+    ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].to, b[k].to) << "vertex " << v << " slot " << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[k].w), std::bit_cast<std::uint64_t>(b[k].w));
+    }
+  }
+}
+
+void expect_same_cover(const cl::ClusterCover& want, const cl::ClusterCover& got) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.radius), std::bit_cast<std::uint64_t>(got.radius));
+  EXPECT_EQ(want.center_of, got.center_of);
+  EXPECT_EQ(want.centers, got.centers);
+  ASSERT_EQ(want.dist_to_center.size(), got.dist_to_center.size());
+  for (std::size_t v = 0; v < want.dist_to_center.size(); ++v) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want.dist_to_center[v]),
+              std::bit_cast<std::uint64_t>(got.dist_to_center[v]))
+        << "vertex " << v;
+  }
+}
+
+}  // namespace
+
+class MisCoverMatrix : public ::testing::TestWithParam<ti::Scenario> {};
+
+TEST_P(MisCoverMatrix, MatchesDenseAllPairsReference) {
+  const ti::Scenario& sc = GetParam();
+  const gr::Graph gp = localspan::core::seq_greedy(sc.make().g, 1.5);
+  const gr::CsrView csr(gp);
+  gr::DijkstraWorkspace ws;
+  rt::WorkerPool pool4(4);
+  for (double radius : {0.0, 0.02, 0.1, 0.3, 1.0}) {
+    const MisCoverRun want = dense_mis_cover(gp, radius);
+    for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &pool4}) {
+      SCOPED_TRACE(::testing::Message() << "radius " << radius << " threads "
+                                        << (pool == nullptr ? 1 : pool->threads()));
+      const MisCoverRun got = workspace_mis_cover(csr, radius, ws, pool);
+      expect_same_adjacency(want.j, got.j);
+      expect_same_cover(want.cover, got.cover);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Standard, MisCoverMatrix, ::testing::ValuesIn(ti::standard_matrix()),
+                         ti::ScenarioName{});
+
+namespace {
+
+/// A fixed adjacency list for CsrView. Unlike graph::Graph it accepts
+/// zero-weight edges, which is how two distinct vertices end up at
+/// shortest-path distance 0.
+struct FixedGraph {
+  std::vector<std::vector<gr::Neighbor>> adj;
+  int edges = 0;
+
+  explicit FixedGraph(int n) : adj(static_cast<std::size_t>(n)) {}
+  void add(int u, int v, double w) {
+    adj[static_cast<std::size_t>(u)].push_back({v, w});
+    adj[static_cast<std::size_t>(v)].push_back({u, w});
+    ++edges;
+  }
+  [[nodiscard]] int n() const { return static_cast<int>(adj.size()); }
+  [[nodiscard]] int m() const { return edges; }
+  [[nodiscard]] std::span<const gr::Neighbor> neighbors(int u) const {
+    return adj[static_cast<std::size_t>(u)];
+  }
+};
+
+}  // namespace
+
+TEST(MisCover, ZeroDistancePairsAreJNeighbours) {
+  // 0 =0= 1 -0.5- 2 =0= 3: {0,1} and {2,3} sit at distance 0.
+  FixedGraph g(4);
+  g.add(0, 1, 0.0);
+  g.add(1, 2, 0.5);
+  g.add(2, 3, 0.0);
+  const gr::CsrView csr(g);
+  gr::DijkstraWorkspace ws;
+  rt::WorkerPool pool4(4);
+  for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &pool4}) {
+    // Radius 0: J is exactly the two zero-distance pairs, inserted (1,0)
+    // then (3,2); greedy MIS {0, 2}; members sit at distance 0.
+    const MisCoverRun r0 = workspace_mis_cover(csr, 0.0, ws, pool);
+    gr::Graph want0(4);
+    want0.add_edge(1, 0, 1.0);
+    want0.add_edge(3, 2, 1.0);
+    expect_same_adjacency(want0, r0.j);
+    EXPECT_EQ(r0.cover.centers, (std::vector<int>{0, 2}));
+    EXPECT_EQ(r0.cover.center_of, (std::vector<int>{0, 0, 2, 2}));
+    EXPECT_EQ(r0.cover.dist_to_center, (std::vector<double>{0.0, 0.0, 0.0, 0.0}));
+
+    // Radius 0.5: every pair is within 0.5, so J is K4 in (u, v) ascending
+    // insertion order; greedy MIS {0}; everyone attaches to 0.
+    const MisCoverRun r5 = workspace_mis_cover(csr, 0.5, ws, pool);
+    gr::Graph want5(4);
+    for (int u = 1; u < 4; ++u) {
+      for (int v = 0; v < u; ++v) want5.add_edge(u, v, 1.0);
+    }
+    expect_same_adjacency(want5, r5.j);
+    EXPECT_EQ(r5.cover.centers, (std::vector<int>{0}));
+    EXPECT_EQ(r5.cover.center_of, (std::vector<int>{0, 0, 0, 0}));
+    EXPECT_EQ(r5.cover.dist_to_center, (std::vector<double>{0.0, 0.0, 0.5, 0.5}));
+  }
+}
+
+TEST(MisCover, MemoryIsLinearInVerticesPlusJEdges) {
+  // The all-pairs version holds one dense n-length row (8-byte dist +
+  // 4-byte parent) per vertex: >= 12·n² bytes, ~201 MB at n=4096. The
+  // workspace version may request only O(n + |E(J)|).
+  constexpr long long kBytesPerItem = 128;
+  ub::UbgConfig cfg;
+  cfg.n = 4096;
+  cfg.alpha = 0.75;
+  cfg.seed = 21;
+  const ub::UbgInstance inst = ub::make_ubg(cfg);
+  const localspan::core::Params params = localspan::core::Params::practical_params(0.5, 0.75);
+  const gr::CsrView csr(localspan::core::relaxed_greedy(inst, params).spanner);
+  const double radius = 0.5;  // |E(J)| ~ 2n here, so both terms of the bound matter
+  gr::DijkstraWorkspace ws(csr.n());
+  long long j_edges = 0;
+  const auto mis = [&](const gr::Graph& j) {
+    j_edges = j.m();
+    return localspan::mis::greedy_mis(j);
+  };
+  static_cast<void>(cl::mis_cover(csr, radius, ws, mis));  // warm the workspace
+
+  const long long before = g_alloc_bytes.load();
+  const cl::ClusterCover cover = cl::mis_cover(csr, radius, ws, mis);
+  const long long bytes = g_alloc_bytes.load() - before;
+  ASSERT_EQ(cover.center_of.size(), static_cast<std::size_t>(csr.n()));
+  ASSERT_GT(j_edges, 0);
+  EXPECT_LE(bytes, kBytesPerItem * (csr.n() + j_edges))
+      << "n=" << csr.n() << " |E(J)|=" << j_edges;
+}
 
 TEST(Cover, ZeroRadiusMakesEveryVertexACenter) {
   const gr::Graph gp = partial_spanner(7, 60);

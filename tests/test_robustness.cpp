@@ -142,9 +142,10 @@ TEST(FailureInjection, BrokenMisIsDetected) {
   // mis_cover must reject a "MIS" that is not maximal (a vertex left with no
   // dominating center cannot be attached).
   const auto inst = instance(3, 60);
-  const gr::Graph gp = core::seq_greedy(inst.g, 1.5);
+  const gr::CsrView gp(core::seq_greedy(inst.g, 1.5));
+  gr::DijkstraWorkspace ws;
   const auto empty_mis = [](const gr::Graph&) { return std::vector<int>{}; };
-  EXPECT_THROW(static_cast<void>(cl::mis_cover(gp, 0.2, empty_mis)), std::logic_error);
+  EXPECT_THROW(static_cast<void>(cl::mis_cover(gp, 0.2, ws, empty_mis)), std::logic_error);
 }
 
 TEST(FailureInjection, VerifierCatchesSabotagedSpanner) {

@@ -10,7 +10,7 @@
 #                 "verdict": "passed"}, ... ],
 #     "benches": [ <BENCH_E1.json payload>, ... ] }   # sorted by filename
 #
-# Every speedup gate records a machine-readable verdict in "gates":
+# Every gate records a machine-readable verdict in "gates":
 # "passed", or the reason it could not run — "skipped_1core" (fewer than 4
 # cores at bench time), "skipped_quick" (quick-mode problem sizes),
 # "skipped_no_nproc" (artifact predates nproc recording). A skip still
@@ -575,6 +575,33 @@ foreach(artifact IN LISTS artifacts)
       endif()
     endforeach()
     message(STATUS "collect_bench: E17 robustness verdicts hold on all ${e17_rows} rows")
+    # Memory gate (ROADMAP 4a): relaxed-dist at meta.memory_n must peak at
+    # <= 3x the RSS of relaxed on the same instance. Quick-mode artifacts
+    # carry no memory run and skip, loudly.
+    string(JSON e17_quick GET "${payload}" "meta" "quick")
+    if(e17_quick STREQUAL "yes")
+      record_gate("E17" "relaxed_dist_peak_rss" "skipped_quick")
+      message(WARNING "collect_bench: E17 is a quick-mode artifact (no n=16384 memory run) — "
+        "skipping the relaxed-dist peak RSS gate (verdict skipped_quick)")
+    else()
+      foreach(e17_key peak_rss_mb relaxed_peak_rss_mb)
+        string(JSON e17_${e17_key} ERROR_VARIABLE e17_key_err GET "${payload}" "meta" "${e17_key}")
+        if(NOT e17_key_err STREQUAL "NOTFOUND")
+          message(FATAL_ERROR "collect_bench: E17 meta lacks ${e17_key}")
+        endif()
+      endforeach()
+      to_micro(e17_peak_us "${e17_peak_rss_mb}")
+      to_micro(e17_relaxed_us "${e17_relaxed_peak_rss_mb}")
+      math(EXPR e17_rss_limit "3 * ${e17_relaxed_us}")
+      if(e17_peak_us GREATER e17_rss_limit)
+        message(FATAL_ERROR "collect_bench: E17 relaxed-dist peaks at ${e17_peak_rss_mb} MB, over "
+          "3x relaxed's ${e17_relaxed_peak_rss_mb} MB — the distributed cover is no longer "
+          "linear-memory")
+      endif()
+      record_gate("E17" "relaxed_dist_peak_rss" "passed")
+      message(STATUS "collect_bench: E17 relaxed-dist peak RSS ${e17_peak_rss_mb} MB <= 3x "
+        "relaxed's ${e17_relaxed_peak_rss_mb} MB")
+    endif()
   endif()
   string(STRIP "${payload}" payload)
   if(count GREATER 0)
@@ -608,7 +635,7 @@ if(n_gates GREATER 0)
     endif()
   endforeach()
 endif()
-message(STATUS "collect_bench: recorded ${n_gates} speedup-gate verdict(s)")
+message(STATUS "collect_bench: recorded ${n_gates} gate verdict(s)")
 
 list(JOIN ids ", " id_list)
 message(STATUS "collect_bench: wrote ${OUT} (${count} benches: ${id_list})")
