@@ -10,17 +10,13 @@
 #include <stdexcept>
 
 #include "geom/grid.hpp"
-#include "graph/components.hpp"
 #include "graph/metrics.hpp"
 #include "obs/obs.hpp"
+#include "runtime/parallel.hpp"
 
 namespace localspan::api {
 
 namespace {
-
-/// Verification tolerance shared with the dynamic certifier: measured
-/// quantities are sums of O(1/wmin) doubles re-derived independently.
-constexpr double kSlack = 1.0 + 1e-9;
 
 [[nodiscard]] std::string join_keys(const std::vector<OptionSpec>& schema) {
   if (schema.empty()) return "(none)";
@@ -243,7 +239,7 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
 
   BuildResult res{std::move(c.spanner), seconds,       {},
                   guarantees,           std::move(c.phases), std::move(metric_reference),
-                  {}};
+                  {},                   {}};
   if (obs_on) {
     const std::vector<obs::SpanStat> spans_after = obs::span_totals();
     const auto totals_of = [](const std::vector<obs::SpanStat>& stats, const std::string& name) {
@@ -270,20 +266,23 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
   if (measure) {
     static const obs::MetricId measure_span = obs::span_id("api.measure");
     const obs::Span span(measure_span);
-    // The stretch pass dominates measurement; run it on the same worker
-    // count the construction was asked for (only meaningful for algorithms
-    // whose schema declares a `threads` option — the value is 0 otherwise,
-    // which defers to the LOCALSPAN_THREADS default). Bit-identical at
-    // every thread count.
-    int measure_threads = 0;
-    for (const OptionSpec& spec : info.options) {
-      if (spec.key == "threads") {
-        measure_threads = req.options.get_int("threads", 0);
-        break;
-      }
+    // The stretch pass dominates measurement; run it on the worker count
+    // the construction was asked for. Options were validated against the
+    // schema, so an algorithm without a `threads` option reads 0, the
+    // LOCALSPAN_THREADS default. Bit-identical at every thread count.
+    std::optional<runtime::WorkerPool> pool;
+    if (const int n = runtime::resolve_threads(req.options.get_int("threads", 0)); n > 1) {
+      pool.emplace(n);
     }
-    res.metrics.stretch = graph::max_edge_stretch(ref, res.spanner, 64.0, measure_threads);
-    res.metrics.lightness = graph::lightness(ref, res.spanner);
+    // Undeclared bounds are unbounded, so the certificate flags only what
+    // the algorithm promised.
+    const Guarantees& g = guarantees;
+    res.certificate = core::certify(
+        ref, res.spanner, {}, g.stretch > 0.0 ? g.stretch : graph::kInf,
+        {g.max_degree > 0 ? g.max_degree : INT_MAX, g.lightness > 0.0 ? g.lightness : graph::kInf},
+        {}, pool ? &*pool : nullptr);
+    res.metrics.stretch = res.certificate.measured_stretch;
+    res.metrics.lightness = res.certificate.measured_lightness;
     const double ref_power = graph::power_cost(ref);
     res.metrics.power_ratio = ref_power > 0.0 ? graph::power_cost(res.spanner) / ref_power : 0.0;
   }
@@ -305,41 +304,19 @@ const AlgorithmRegistry& registry() {
 // Guarantee checking (shared by tests and the CLI)
 // ---------------------------------------------------------------------------
 
-std::string check_guarantees(const ubg::UbgInstance& inst, const BuildResult& result) {
+std::string check_guarantees(const ubg::UbgInstance&, const BuildResult& result) {
   const Guarantees& g = result.guarantees;
-  char buf[160];
-  if (g.subgraph) {
-    for (const graph::Edge& e : result.spanner.edges()) {
-      if (!inst.g.has_edge(e.u, e.v)) {
-        std::snprintf(buf, sizeof(buf), "declared subgraph, but edge {%d,%d} is not in G", e.u,
-                      e.v);
-        return buf;
-      }
-    }
-  }
-  if (g.connectivity) {
-    const int want = graph::connected_components(inst.g).count;
-    const int got = graph::connected_components(result.spanner).count;
-    if (want != got) {
-      std::snprintf(buf, sizeof(buf),
-                    "declared connectivity, but components differ (G: %d, output: %d)", want, got);
-      return buf;
-    }
-  }
-  if (g.stretch > 0.0 && result.metrics.stretch > g.stretch * kSlack) {
-    std::snprintf(buf, sizeof(buf), "declared stretch <= %.4f, measured %.4f", g.stretch,
-                  result.metrics.stretch);
-    return buf;
-  }
-  if (g.max_degree > 0 && result.metrics.max_degree > g.max_degree) {
-    std::snprintf(buf, sizeof(buf), "declared max degree <= %d, measured %d", g.max_degree,
-                  result.metrics.max_degree);
-    return buf;
-  }
-  if (g.lightness > 0.0 && result.metrics.lightness > g.lightness * kSlack) {
-    std::snprintf(buf, sizeof(buf), "declared lightness <= %.2f, measured %.4f", g.lightness,
-                  result.metrics.lightness);
-    return buf;
+  const core::VerificationReport& rep = result.certificate;
+  const struct {
+    bool declared, holds;
+    const char* what;
+  } checks[] = {{g.subgraph, rep.is_subgraph && rep.weights_match, "subgraph"},
+                {g.connectivity, rep.connectivity_ok, "connectivity"},
+                {g.stretch > 0.0, rep.stretch_ok, "stretch"},
+                {g.max_degree > 0, rep.degree_ok, "max degree"},
+                {g.lightness > 0.0, rep.lightness_ok, "lightness"}};
+  for (const auto& c : checks) {
+    if (c.declared && !c.holds) return std::string("declared ") + c.what + ", but " + rep.summary();
   }
   return {};
 }

@@ -25,6 +25,7 @@
 
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
+#include "core/verify.hpp"
 #include "graph/graph.hpp"
 #include "ubg/generator.hpp"
 
@@ -180,6 +181,10 @@ struct BuildResult {
   /// (transformed-metric constructions) — consumers verifying the result
   /// independently must compare against this same reference.
   std::optional<graph::Graph> metric_reference;
+  /// The full core::certify of the spanner against the metric reference,
+  /// bounded by the declared guarantees; `metrics` and check_guarantees
+  /// read it. All false when the build ran with measure=false.
+  core::VerificationReport certificate;
   /// Per-phase wall costs in AlgorithmInfo::phases order, populated only
   /// when obs::enabled(): the registry diffs obs::span_totals() around the
   /// construct() call and filters to the declared schema, so every
@@ -260,9 +265,10 @@ class AlgorithmRegistry {
 /// build private registries).
 void register_builtin_algorithms(AlgorithmRegistry& reg);
 
-/// Check `result`'s declared guarantees against independent measurements on
-/// `inst`. Returns an empty string when every declared guarantee holds, else
-/// a description of the first violation. Shared by tests and the CLI.
+/// Check `result`'s declared guarantees (a subgraph's edge weights
+/// included) against the certificate the registry measured on `inst`.
+/// Returns an empty string when every declared guarantee holds, else a
+/// description of the first violation. Shared by tests and the CLI.
 [[nodiscard]] std::string check_guarantees(const ubg::UbgInstance& inst, const BuildResult& result);
 
 /// True iff every node pair at distance <= 1 is a G-edge (the instance is a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "graph/dijkstra.hpp"
 #include "obs/obs.hpp"
@@ -13,15 +12,9 @@ namespace localspan::cluster {
 
 namespace {
 
-/// cover.centers / cover.ball_size are deterministic at every thread count
-/// (committed balls mirror the serial sweep); cover.wave_size and
-/// cover.speculation_waste depend on the adaptive wave schedule and are
-/// parallel-path diagnostics only.
 struct CoverMetrics {
   obs::MetricId centers = obs::counter_id("cover.centers");
-  obs::MetricId waste = obs::counter_id("cover.speculation_waste");
   obs::MetricId ball_size = obs::histogram_id("cover.ball_size");
-  obs::MetricId wave_size = obs::histogram_id("cover.wave_size");
 };
 
 const CoverMetrics& cover_metrics() {
@@ -45,7 +38,7 @@ ClusterCover sequential_cover(const graph::Graph& gp, double radius) {
 }
 
 ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
-                              graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
+                              graph::DijkstraWorkspace& ws) {
   if (radius < 0.0) throw std::invalid_argument("sequential_cover: negative radius");
   const int n = gp.n();
   ClusterCover cover;
@@ -53,74 +46,20 @@ ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
   cover.center_of.assign(static_cast<std::size_t>(n), -1);
   cover.dist_to_center.assign(static_cast<std::size_t>(n), graph::kInf);
 
-  if (pool == nullptr || pool->threads() == 1) {
-    for (int u = 0; u < n; ++u) {
-      if (cover.center_of[static_cast<std::size_t>(u)] != -1) continue;
-      const graph::SpView sp = ws.bounded(gp, u, radius);
-      cover.centers.push_back(u);
-      obs::counter_add(cover_metrics().centers, 1);
-      obs::histogram_record(cover_metrics().ball_size,
-                            static_cast<std::int64_t>(sp.touched().size()));
-      // Every settled vertex is within `radius`; absorb the still-uncovered
-      // ones. Walking the touched list keeps the sweep O(|ball|), not O(n).
-      for (int v : sp.touched()) {
-        if (cover.center_of[static_cast<std::size_t>(v)] != -1) continue;
-        cover.center_of[static_cast<std::size_t>(v)] = u;
-        cover.dist_to_center[static_cast<std::size_t>(v)] = sp.dist(v);
-      }
+  for (int u = 0; u < n; ++u) {
+    if (cover.center_of[static_cast<std::size_t>(u)] != -1) continue;
+    const graph::SpView sp = ws.bounded(gp, u, radius);
+    cover.centers.push_back(u);
+    obs::counter_add(cover_metrics().centers, 1);
+    obs::histogram_record(cover_metrics().ball_size,
+                          static_cast<std::int64_t>(sp.touched().size()));
+    // Every settled vertex is within `radius`; absorb the still-uncovered
+    // ones. Walking the touched list keeps the sweep O(|ball|), not O(n).
+    for (int v : sp.touched()) {
+      if (cover.center_of[static_cast<std::size_t>(v)] != -1) continue;
+      cover.center_of[static_cast<std::size_t>(v)] = u;
+      cover.dist_to_center[static_cast<std::size_t>(v)] = sp.dist(v);
     }
-    return cover;
-  }
-
-  // Parallel path: speculative wave ball computation, sequential commit.
-  // A candidate's ball depends only on (gp, candidate, radius) — never on
-  // the cover state — so harvesting it in parallel and replaying commits in
-  // vertex-id order reproduces the serial sweep bit-for-bit. A candidate
-  // covered by an earlier commit in the same wave is discarded (its ball is
-  // the speculation cost, bounded by the adaptive wave size).
-  const int threads = pool->threads();
-  int wave_cap = threads;
-  const int wave_max = 8 * threads;
-  std::vector<int> candidates;
-  std::vector<std::vector<std::pair<int, double>>> balls;  // (vertex, dist) in settle order
-  int next = 0;
-  while (next < n) {
-    candidates.clear();
-    for (int u = next; u < n && static_cast<int>(candidates.size()) < wave_cap; ++u) {
-      if (cover.center_of[static_cast<std::size_t>(u)] == -1) candidates.push_back(u);
-    }
-    if (candidates.empty()) break;
-    const int wave = static_cast<int>(candidates.size());
-    if (static_cast<int>(balls.size()) < wave) balls.resize(static_cast<std::size_t>(wave));
-    runtime::for_each_with_workspace(
-        pool, ws, 0, wave, [&](graph::DijkstraWorkspace& wws, int i) {
-          const graph::SpView sp = wws.bounded(gp, candidates[static_cast<std::size_t>(i)], radius);
-          std::vector<std::pair<int, double>>& ball = balls[static_cast<std::size_t>(i)];
-          ball.clear();
-          for (int v : sp.touched()) ball.push_back({v, sp.dist(v)});
-        });
-    obs::histogram_record(cover_metrics().wave_size, wave);
-    int committed = 0;
-    for (int i = 0; i < wave; ++i) {
-      const int u = candidates[static_cast<std::size_t>(i)];
-      if (cover.center_of[static_cast<std::size_t>(u)] != -1) continue;  // absorbed this wave
-      cover.centers.push_back(u);
-      ++committed;
-      obs::counter_add(cover_metrics().centers, 1);
-      obs::histogram_record(cover_metrics().ball_size,
-                            static_cast<std::int64_t>(balls[static_cast<std::size_t>(i)].size()));
-      for (const auto& [v, d] : balls[static_cast<std::size_t>(i)]) {
-        if (cover.center_of[static_cast<std::size_t>(v)] != -1) continue;
-        cover.center_of[static_cast<std::size_t>(v)] = u;
-        cover.dist_to_center[static_cast<std::size_t>(v)] = d;
-      }
-    }
-    obs::counter_add(cover_metrics().waste, wave - committed);
-    next = candidates[static_cast<std::size_t>(wave - 1)] + 1;
-    // Adaptive waste control: disjoint waves (everything committed) widen the
-    // window; overlapping waves shrink it back toward one chunk per worker.
-    wave_cap = committed == wave ? std::min(wave_cap * 2, wave_max)
-                                 : std::max(threads, wave_cap / 2);
   }
   return cover;
 }
@@ -156,8 +95,7 @@ int csr_component_count(const graph::CsrView& gp) {
 }  // namespace
 
 CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, double ratio,
-                               int max_levels, graph::DijkstraWorkspace& ws,
-                               runtime::WorkerPool* pool) {
+                               int max_levels, graph::DijkstraWorkspace& ws) {
   if (base_radius <= 0.0) throw std::invalid_argument("cover_hierarchy: base_radius must be > 0");
   if (ratio <= 1.0) throw std::invalid_argument("cover_hierarchy: ratio must be > 1");
   if (max_levels < 1) throw std::invalid_argument("cover_hierarchy: max_levels must be >= 1");
@@ -171,7 +109,7 @@ CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, dou
   double radius = base_radius;
   for (int level = 0; level < max_levels; ++level) {
     hier.radii.push_back(radius);
-    hier.levels.push_back(sequential_cover(gp, radius, ws, pool));
+    hier.levels.push_back(sequential_cover(gp, radius, ws));
     if (static_cast<int>(hier.levels.back().centers.size()) == components) {
       hier.complete = true;
       break;

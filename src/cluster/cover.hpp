@@ -47,15 +47,8 @@ struct ClusterCover {
 /// search settled (O(Σ|ball| log |ball|) total instead of O(n · centers)),
 /// and the workspace is reused across centers (and phases) so the steady
 /// state allocates nothing. Produces the identical cover.
-///
-/// With a non-null `pool`, candidate-center balls are computed speculatively
-/// in parallel waves (each ball is a pure function of (gp, u, radius)) and
-/// committed sequentially in vertex-id order, so the cover is bit-identical
-/// to the serial sweep at every thread count; candidates absorbed by an
-/// earlier center in the same wave are discarded at commit.
 [[nodiscard]] ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
-                                            graph::DijkstraWorkspace& ws,
-                                            runtime::WorkerPool* pool = nullptr);
+                                            graph::DijkstraWorkspace& ws);
 
 /// A geometric stack of cluster covers of one frozen graph: level ℓ is a
 /// sequential_cover at radius base_radius · ratio^ℓ. This is the structure
@@ -75,16 +68,13 @@ struct CoverHierarchy {
 
 /// Build the cover stack bottom-up, stopping early once a level has one
 /// center per connected component (further doublings cannot coarsen it).
-/// Each level is an independent sequential_cover of the same frozen gp, so
-/// the per-level sweep parallelizes through `pool` with the bit-identical
-/// commit discipline sequential_cover already provides.
+/// Each level is an independent sequential_cover of the same frozen gp.
 ///
 /// \throws std::invalid_argument for base_radius <= 0, ratio <= 1, or
 /// max_levels < 1.
 [[nodiscard]] CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius,
                                              double ratio, int max_levels,
-                                             graph::DijkstraWorkspace& ws,
-                                             runtime::WorkerPool* pool = nullptr);
+                                             graph::DijkstraWorkspace& ws);
 
 /// MIS-based construction (§3.2.1) on a frozen CSR snapshot: build the
 /// proximity graph J on V with {x,y} ∈ J iff sp_gp(x,y) <= radius (distinct

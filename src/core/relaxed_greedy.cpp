@@ -562,9 +562,7 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
   return detail::run_relaxed_phases(
       inst, params, opts,
       {.cover = [](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws,
-                   runtime::WorkerPool* pool) {
-         return cluster::sequential_cover(csr, radius, ws, pool);
-       },
+                   runtime::WorkerPool*) { return cluster::sequential_cover(csr, radius, ws); },
        .mis = [](const graph::Graph& j, runtime::WorkerPool* pool) {
          return mis::luby_mis_parallel(j, kMisSeed, nullptr, pool);
        },

@@ -1,16 +1,18 @@
 #pragma once
 /// \file verify.hpp
-/// Independent certification of a topology-control output.
-///
-/// Downstream users should not have to trust the construction: this module
-/// re-checks, from scratch and with no shared state with the algorithms,
-/// that a proposed topology satisfies the contract of the paper — subgraph
-/// of the network, (1+ε)-stretch on every link, connectivity preservation,
-/// and (against configurable caps) degree and lightness.
+/// Independent certification of a topology-control output: one certifier,
+/// two scopes. `certify` re-checks, sharing no state with the algorithms,
+/// the contract of the paper. At full scope: subgraph with matching edge
+/// weights, stretch on every link (Theorem 10), connectivity, and the
+/// degree (Theorem 11) and lightness (Theorem 13) caps. At local scope:
+/// stretch and degree where a disturbed witness could serve, the dynamic
+/// engine's per-window check. verify_spanner, the registry measure behind
+/// api::check_guarantees and DynamicSpanner::certify all call it.
 
+#include <functional>
 #include <string>
 
-#include "graph/graph.hpp"
+#include "graph/metrics.hpp"
 #include "ubg/generator.hpp"
 
 namespace localspan::core {
@@ -43,7 +45,24 @@ struct VerificationReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Certify `topo` as a t-spanner topology for the instance. `threads`
+/// Certify `sub` against the network `g` with stretch bound t. A `weight`
+/// transform maps g's edge weights into the units of `sub`; the full
+/// certificate then checks the reweighted g, so weights, stretch and
+/// lightness (w(sub) / w(MSF)) share those units. Its stretch is
+/// graph::max_edge_stretch's at cap 64. At local scope each vertex searches
+/// to t·w_max(u)·(1+1e-9) once, an endpoint past it measures kInf, and the
+/// unchecked fields read true. Stretch and lightness pass within a relative
+/// 1e-9. `pool` (may be null) splits the stretch pass, bit-identically;
+/// `ws` is the serial workspace (null: one per call), so a warmed local
+/// certify allocates nothing.
+[[nodiscard]] VerificationReport certify(const graph::Graph& g, const graph::Graph& sub,
+                                         const graph::WitnessScope& scope, double t,
+                                         const VerifyCaps& caps,
+                                         const std::function<double(double)>& weight = {},
+                                         runtime::WorkerPool* pool = nullptr,
+                                         graph::DijkstraWorkspace* ws = nullptr);
+
+/// Full-scope certify of `topo` against the instance's network. `threads`
 /// splits the stretch pass as in graph::max_edge_stretch (<= 0: the process
 /// default); the report is identical at every thread count.
 [[nodiscard]] VerificationReport verify_spanner(const ubg::UbgInstance& inst,

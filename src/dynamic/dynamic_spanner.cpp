@@ -1,13 +1,10 @@
 #include "dynamic/dynamic_spanner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/dijkstra.hpp"
-#include "graph/metrics.hpp"
 #include "obs/obs.hpp"
 
 namespace localspan::dynamic {
@@ -70,15 +67,6 @@ void flush_heap_ops(graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
   obs::counter_add(dyn_metrics().heap_pushes, pushes);
   obs::counter_add(dyn_metrics().heap_pops, pops);
 }
-
-/// Adapts the (optional) user-supplied std::function weight transform to the
-/// workspace's template parameter. Only constructed when a transform is
-/// actually configured, so the identity path keeps a direct-load relaxation
-/// loop with no per-edge indirect call.
-struct TransformRef {
-  const std::function<double(double)>* fn;
-  double operator()(double w) const { return (*fn)(w); }
-};
 
 }  // namespace
 
@@ -281,86 +269,30 @@ void DynamicSpanner::ingest_event(const ChurnEvent& ev, int* spanner_removed,
 bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_out) const {
   const obs::Span span(dyn_metrics().certify_span);
   const std::function<double(double)>& tf = opts_.greedy.weight_transform;
-  const double scope_radius = witness_bound_ + wmax_;
-  // Scratch reuse: in_scope is an event-clean member (all-0 between calls);
-  // scoped_ records the entries to reset. An empty `modified` means "certify
-  // everything" without materializing the flag array. The disturbed scope
-  // is the workspace search's touched list — the per-event cost is
-  // O(|scope|), never an all-n walk — and every buffer below is reused, so
-  // a warmed-up local certify allocates nothing.
-  const bool full_scope = modified.empty();
-  std::vector<char>& in_scope = scratch_in_scope_;
+  // The scope is the touched list of one search from `modified`. in_scope
+  // is all-0 between calls and scoped_ lists the entries to reset, so a
+  // local certify costs O(|scope|) and a warmed one allocates nothing.
   scratch_scoped_.clear();
-  if (!full_scope) {
+  if (!modified.empty()) {
+    const double scope_radius = witness_bound_ + wmax_;
     const graph::SpView sp =
-        tf ? ws_.multi_bounded(inst_.g, modified, scope_radius, TransformRef{&tf})
+        tf ? ws_.multi_bounded(inst_.g, modified, scope_radius, graph::TransformRef{&tf})
            : ws_.multi_bounded(inst_.g, modified, scope_radius);
     for (int v : sp.touched()) {
-      in_scope[static_cast<std::size_t>(v)] = 1;
+      scratch_in_scope_[static_cast<std::size_t>(v)] = 1;
       scratch_scoped_.push_back(v);
     }
   }
-  if (scope_size_out != nullptr) {
-    *scope_size_out = full_scope ? inst_.g.n() : static_cast<int>(scratch_scoped_.size());
-  }
-  const auto scoped = [&](int v) {
-    return full_scope || in_scope[static_cast<std::size_t>(v)] != 0;
-  };
-  const auto reset_scope = [this] {
-    for (int v : scratch_scoped_) scratch_in_scope_[static_cast<std::size_t>(v)] = 0;
-  };
-  // Re-derivation tolerance: witness weights are sums of O(1/wmin) doubles.
-  const double slack = 1.0 + 1e-9;
-  const auto vertex_ok = [&](graph::DijkstraWorkspace& vws, int u) {
-    if (spanner_.degree(u) > opts_.caps.max_degree) return false;
-    // One bounded witness search per vertex answers all of its edge checks
-    // (batching: the single t·wmax(u) ball costs less than one ball per
-    // incident edge, and each edge's own bound is still enforced below).
-    double wmax_u = 0.0;
-    for (const graph::Neighbor& nb : inst_.g.neighbors(u)) {
-      // Each scoped edge once: via its smaller endpoint when both are
-      // scoped, else via the scoped one.
-      if (scoped(nb.to) && nb.to < u) continue;
-      wmax_u = std::max(wmax_u, active_weight(nb.w));
-    }
-    if (wmax_u == 0.0) return true;
-    const graph::SpView sp = vws.bounded(spanner_, u, params_.t * wmax_u * slack);
-    for (const graph::Neighbor& nb : inst_.g.neighbors(u)) {
-      if (scoped(nb.to) && nb.to < u) continue;
-      // spanner_ edge weights are already in active (transformed) units —
-      // relaxed_greedy stores transform(len) on every edge it emits — so
-      // the witness-path sum below is directly comparable to this bound.
-      const double w = active_weight(nb.w);
-      const double bound = params_.t * w * slack;
-      if (sp.dist(nb.to) > bound) return false;
-    }
-    return true;
-  };
-  bool all_ok = true;
-  const int scope_count = full_scope ? inst_.g.n() : static_cast<int>(scratch_scoped_.size());
+  const int scope_count = modified.empty() ? inst_.g.n() : static_cast<int>(scratch_scoped_.size());
+  if (scope_size_out != nullptr) *scope_size_out = scope_count;
   obs::histogram_record(dyn_metrics().certify_scope, scope_count);
   runtime::WorkerPool* const pool = team();
-  if (pool != nullptr && pool->threads() > 1) {
-    // Per-vertex checks are independent reads of the frozen spanner/UBG;
-    // each worker uses its own workspace and the reduction is a boolean
-    // AND, so the verdict matches the serial sweep exactly. The relaxed
-    // flag only short-circuits remaining work after a failure.
-    std::atomic<bool> ok{true};
-    pool->for_each(0, scope_count, [&](int worker, int i) {
-      if (!ok.load(std::memory_order_relaxed)) return;
-      const int u = full_scope ? i : scratch_scoped_[static_cast<std::size_t>(i)];
-      if (!vertex_ok(pool->workspace(worker), u)) ok.store(false, std::memory_order_relaxed);
-    });
-    all_ok = ok.load(std::memory_order_relaxed);
-  } else {
-    for (int i = 0; i < scope_count && all_ok; ++i) {
-      const int u = full_scope ? i : scratch_scoped_[static_cast<std::size_t>(i)];
-      all_ok = vertex_ok(ws_, u);
-    }
-  }
-  reset_scope();
+  const bool ok = core::certify(inst_.g, spanner_, {scratch_scoped_, scratch_in_scope_}, params_.t,
+                                opts_.caps, tf, pool, &ws_)
+                      .ok();
+  for (int v : scratch_scoped_) scratch_in_scope_[static_cast<std::size_t>(v)] = 0;
   flush_heap_ops(ws_, pool);
-  return all_ok;
+  return ok;
 }
 
 RepairStats DynamicSpanner::apply(const ChurnEvent& ev) {
@@ -481,7 +413,8 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   if (!batch_modified_.empty()) {
     const graph::SpView sp = [&] {
       const obs::Span span(dyn_metrics().ball_span);
-      return tf ? ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_, TransformRef{&tf})
+      return tf ? ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_,
+                                    graph::TransformRef{&tf})
                 : ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_);
     }();
     batch_union_.assign(sp.touched().begin(), sp.touched().end());
@@ -732,13 +665,10 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   // passes; on failure the engine falls back to a full recompute.
   if (!batch_modified_.empty() && opts_.check != CheckLevel::kOff) {
     st->check_ran = true;
-    bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st->certify_scope)
-                                               : certify(batch_modified_, &st->certify_scope);
-    if (ok && opts_.check == CheckLevel::kFull) {
-      ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
-    }
-    st->check_passed = ok;
-    if (!ok && opts_.allow_fallback) {
+    st->check_passed = opts_.check == CheckLevel::kFull
+                           ? certify({}, &st->certify_scope)
+                           : certify(batch_modified_, &st->certify_scope);
+    if (!st->check_passed && opts_.allow_fallback) {
       full_recompute();
       st->fell_back = true;
     }

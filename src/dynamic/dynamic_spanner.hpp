@@ -18,9 +18,9 @@
 ///      each region's ball,
 ///   3. splices: drops standing spanner edges with both endpoints in C and
 ///      inserts every edge of the local results,
-///   4. re-certifies the invariants (stretch <= t against every UBG edge
-///      whose witness could have been disturbed, degree cap) and falls back
-///      to a full recompute if certification fails.
+///   4. re-certifies with core::certify (locally: stretch <= t on every UBG
+///      edge whose witness could have been disturbed, and the degree cap)
+///      and falls back to a full recompute if certification fails.
 ///
 /// With wmax = transform(1) (the heaviest possible edge), witness paths
 /// weigh at most W = t·wmax, and the radii K = (t+1)·wmax, R = K + W make
@@ -59,8 +59,8 @@ namespace localspan::dynamic {
 /// How much re-certification runs after each event.
 enum class CheckLevel {
   kOff,    ///< trust the locality argument; no per-event certification.
-  kLocal,  ///< certify stretch on every edge a disturbed witness could serve.
-  kFull,   ///< certify stretch on all UBG edges plus the lightness cap.
+  kLocal,  ///< certify stretch and degree where a disturbed witness could serve.
+  kFull,   ///< the full certificate: every guarantee, lightness included.
 };
 
 struct DynamicOptions {
@@ -94,7 +94,8 @@ struct DynamicOptions {
   /// instead of repairing locally (what the E15 bench races against).
   bool always_full_recompute = false;
 
-  /// Degree/lightness caps enforced by the checker (lightness at kFull only).
+  /// Degree/lightness caps enforced by the checker (lightness at kFull
+  /// only, in transformed units: w(spanner) / w(MSF(reweighted UBG))).
   core::VerifyCaps caps;
 
   /// Worker threads for the parallel passes: the local reruns / full
@@ -232,13 +233,16 @@ class DynamicSpanner {
   [[nodiscard]] double ball_radius() const noexcept { return ball_radius_; }
   [[nodiscard]] double core_radius() const noexcept { return core_radius_; }
 
-  /// The certification pass alone, scoped to witnesses that can reach
-  /// `modified` (empty => certify everything, as CheckLevel::kFull does).
-  /// The disturbed scope is enumerated from the workspace search's touched
-  /// list, so a local certify costs O(|scope|) — it never walks all n
-  /// vertices. If `scope_size_out` is non-null it receives the number of
-  /// vertices visited. Exposed for tests and the CLI's final audit.
-  /// Allocation-free once the engine's scratch is warm.
+  /// The certification pass alone: core::certify of the standing spanner,
+  /// on the engine's pool, in the units of the configured weight transform.
+  /// A non-empty `modified` gives the local certificate (stretch and
+  /// degree) over the vertices within t·wmax + wmax of it, enumerated from
+  /// one search's touched list, so it costs O(|scope|) and never walks all
+  /// n vertices. An empty `modified` gives the full certificate that
+  /// CheckLevel::kFull runs: every guarantee, lightness included. If
+  /// `scope_size_out` is non-null it receives the number of vertices in
+  /// scope. Exposed for tests and benches. A warmed local certify
+  /// allocates nothing.
   [[nodiscard]] bool certify(const std::vector<int>& modified,
                              int* scope_size_out = nullptr) const;
 
@@ -369,9 +373,7 @@ class DynamicSpanner {
   /// Long-lived worker team (engaged when the resolved thread count > 1):
   /// handed to relaxed_greedy via opts_.greedy.worker_pool and used by the
   /// certify sweep, so repeated events reuse the same threads and per-worker
-  /// workspaces. Mutable because certify() is logically const. Vertex
-  /// results are combined with a single boolean AND, so certification is
-  /// deterministic at every thread count.
+  /// workspaces. Mutable because certify() is logically const.
   mutable std::optional<runtime::WorkerPool> pool_;
 
   /// Post-commit notification (see set_commit_hook / CommitNotifier).

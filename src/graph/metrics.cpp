@@ -9,21 +9,14 @@
 
 #include "graph/dijkstra.hpp"
 #include "graph/mst.hpp"
-#include "graph/sp_workspace.hpp"
 #include "obs/obs.hpp"
-#include "runtime/parallel.hpp"
 
 namespace localspan::graph {
 
-namespace {
-
-/// Probe radius of the first search, in units of the vertex's heaviest
-/// incident edge. Every spanner the registry emits has edge ratios <= t <= 2
-/// (ε <= 1), so a 2·w_max(u) ball settles every endpoint of u's edges and
-/// the wide cap·w_max(u) search never runs on that traffic.
+/// Probe radius of the first search, in units of w_max(u). Every spanner
+/// the registry emits has edge ratios <= t <= 2 (ε <= 1), so the wide
+/// cap·w_max(u) search never runs on that traffic.
 constexpr double kProbe = 2.0;
-
-}  // namespace
 
 double max_edge_stretch(const Graph& g, const Graph& sub, double cap, int threads,
                         runtime::WorkerPool* pool) {
@@ -31,67 +24,17 @@ double max_edge_stretch(const Graph& g, const Graph& sub, double cap, int thread
   if (g.m() == 0) return 1.0;
   static const obs::MetricId vertices_id = obs::counter_id("stretch.vertices");
   static const obs::MetricId widened_id = obs::counter_id("stretch.widened");
-  // One bounded Dijkstra per vertex answers all incident-edge queries; the
-  // workspace + CSR snapshot keep each one O(|ball|) in time AND memory
-  // traffic. The per-vertex passes are independent; the parallel reduction
-  // is max over doubles, which is exact under any order, so every thread
-  // count returns the identical value.
-  //
-  // Each vertex first searches to kProbe·w_max(u). A settled distance is the
-  // same double at any radius that contains it, so when every edge endpoint
-  // v > u is settled the ratios equal those of the cap·w_max(u) search. Only
-  // a vertex with an unsettled endpoint (ratio > kProbe) runs the wide
-  // search. With cap <= kProbe the first search already is the wide one.
-  const CsrView sub_csr(sub);
-  const double probe = std::min(kProbe, cap);
-  const auto vertex_worst = [&](DijkstraWorkspace& ws, int u, std::int64_t& widened) {
-    double max_w = 0.0;
-    for (const Neighbor& nb : g.neighbors(u)) max_w = std::max(max_w, nb.w);
-    if (max_w == 0.0) return 1.0;
-    // (worst clamped ratio, whether some endpoint v > u went unsettled).
-    const auto worst_within = [&](double radius) {
-      const SpView sp = ws.bounded(sub_csr, u, radius * max_w);
-      double worst = 1.0;
-      bool missed = false;
-      for (const Neighbor& nb : g.neighbors(u)) {
-        if (nb.to < u) continue;  // each edge once
-        const double d = sp.dist(nb.to);
-        if (d == kInf) missed = true;
-        const double ratio = d == kInf ? cap : std::min(cap, d / nb.w);
-        worst = std::max(worst, ratio);
-      }
-      return std::pair{worst, missed};
-    };
-    const auto [worst, missed] = worst_within(probe);
-    if (!missed || probe == cap) return worst;
-    ++widened;
-    return worst_within(cap).first;
-  };
   std::optional<runtime::WorkerPool> local_pool;
   if (pool == nullptr) {
     const int nthreads = runtime::resolve_threads(threads);
     if (nthreads > 1) pool = &local_pool.emplace(nthreads);
   }
-  double worst = 1.0;
-  std::int64_t widened = 0;
-  if (pool == nullptr || pool->threads() == 1) {
-    DijkstraWorkspace ws(g.n());
-    for (int u = 0; u < g.n(); ++u) worst = std::max(worst, vertex_worst(ws, u, widened));
-  } else {
-    const auto workers = static_cast<std::size_t>(pool->threads());
-    std::vector<double> per_worker(workers, 1.0);
-    std::vector<std::int64_t> widened_per_worker(workers, 0);
-    pool->for_each(0, g.n(), [&](int worker, int u) {
-      const auto i = static_cast<std::size_t>(worker);
-      per_worker[i] = std::max(per_worker[i],
-                               vertex_worst(pool->workspace(worker), u, widened_per_worker[i]));
-    });
-    for (double w : per_worker) worst = std::max(worst, w);
-    for (std::int64_t c : widened_per_worker) widened += c;
-  }
+  DijkstraWorkspace ws(g.n());
+  const WitnessPass pass =
+      witness_stretch(g, CsrView(sub), {}, std::min(kProbe, cap), cap, ws, pool);
   obs::counter_add(vertices_id, g.n());
-  obs::counter_add(widened_id, widened);
-  return worst;
+  obs::counter_add(widened_id, pass.widened);
+  return std::min(cap, pass.worst);
 }
 
 double sampled_pair_stretch(const Graph& g, const Graph& sub, std::int64_t samples,

@@ -6,17 +6,87 @@
 /// weight proof, and a doubling-dimension estimator for the derived graphs
 /// of Lemmas 15 and 20.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-
-namespace localspan::runtime {
-class WorkerPool;
-}  // namespace localspan::runtime
+#include "graph/sp_workspace.hpp"
+#include "runtime/parallel.hpp"
 
 namespace localspan::graph {
+
+/// The vertices a witness pass covers: every vertex when `vertices` is
+/// empty, else the edges with an endpoint in `vertices`. `member` is the
+/// caller's flag array over all vertex ids, nonzero exactly on `vertices`,
+/// so the per-edge scope test is O(1) and allocates nothing.
+struct WitnessScope {
+  std::span<const int> vertices;
+  std::span<const char> member;
+
+  [[nodiscard]] bool full() const noexcept { return vertices.empty(); }
+  [[nodiscard]] bool contains(int v) const {
+    return full() || member[static_cast<std::size_t>(v)] != 0;
+  }
+};
+
+struct WitnessPass {
+  /// Max over the checked edges of sp_sub(u,v) / weight(w(u,v)), at least
+  /// 1; kInf when an endpoint lies past the final search radius.
+  double worst = 1.0;
+  std::int64_t widened = 0;  ///< vertices whose probe missed an endpoint.
+};
+
+/// The one per-edge witness stretch search; max_edge_stretch and
+/// core::certify run it. Checks each edge of `g` in `scope` once: via its
+/// smaller endpoint when both ends are scoped, else via the scoped one.
+/// Vertex u searches `sub` to probe·w_max(u), w_max(u) its heaviest checked
+/// edge, and only when that misses an endpoint and cap > probe, again to
+/// cap·w_max(u). A settled distance is the same double at any radius that
+/// contains it, so the ratios are those of the cap search alone. `weight`
+/// maps g's edge weights into the units of `sub` (a Graph or a CsrView).
+///
+/// The vertices run on `pool`'s workers when it has several, else on `ws`.
+/// Max and sum are exact in any order, so the pass is bit-identical at
+/// every thread count; it allocates nothing once the workspaces are warm.
+template <class Sub, class Weight = IdentityWeight>
+[[nodiscard]] WitnessPass witness_stretch(const Graph& g, const Sub& sub,
+                                          const WitnessScope& scope, double probe, double cap,
+                                          DijkstraWorkspace& ws, runtime::WorkerPool* pool,
+                                          Weight weight = {}) {
+  std::atomic<double> worst{1.0};
+  std::atomic<std::int64_t> widened{0};
+  const int count = scope.full() ? g.n() : static_cast<int>(scope.vertices.size());
+  runtime::for_each_with_workspace(pool, ws, 0, count, [&](DijkstraWorkspace& vws, int i) {
+    const int u = scope.full() ? i : scope.vertices[static_cast<std::size_t>(i)];
+    const auto checked = [&](int v) { return v > u || !scope.contains(v); };
+    double w_max = 0.0;
+    for (const Neighbor& nb : g.neighbors(u)) {
+      if (checked(nb.to)) w_max = std::max(w_max, weight(nb.w));
+    }
+    if (w_max == 0.0) return;
+    const auto worst_within = [&](double radius) {
+      const SpView sp = vws.bounded(sub, u, radius * w_max);
+      double r = 1.0;
+      for (const Neighbor& nb : g.neighbors(u)) {
+        if (checked(nb.to)) r = std::max(r, sp.dist(nb.to) / weight(nb.w));
+      }
+      return r;
+    };
+    double r = worst_within(probe);
+    if (r == kInf && cap > probe) {
+      widened.fetch_add(1, std::memory_order_relaxed);
+      r = worst_within(cap);
+    }
+    double seen = worst.load(std::memory_order_relaxed);
+    while (r > seen && !worst.compare_exchange_weak(seen, r, std::memory_order_relaxed)) {
+    }
+  });
+  return {worst.load(std::memory_order_relaxed), widened.load(std::memory_order_relaxed)};
+}
 
 /// Max over edges {u,v} of g of sp_sub(u,v)/w(u,v), with per-edge ratios
 /// clamped at `cap` (a ratio reported as `cap` means "at least cap", which is
@@ -24,26 +94,17 @@ namespace localspan::graph {
 /// the classical spanner stretch factor: sp_sub(u,v) <= t·sp_g(u,v) for all
 /// pairs iff it holds for all edges of g.
 ///
-/// Two radii per vertex u, with w_max(u) its heaviest incident edge in g:
-/// a first bounded search in `sub` to 2·w_max(u), and a wide one to
-/// cap·w_max(u) only when some edge {u,v}, v > u, has v unsettled by the
-/// first. The result is exact, bit for bit the value of the wide search
-/// alone: a settled distance is final and the same double at any radius
-/// that contains it, and the first search settles every vertex at distance
-/// <= its radius. An unsettled endpoint has ratio > 2, so the widening runs
-/// only where an edge stretches past 2. Spanners with t <= 2 never widen,
-/// so the pass costs O(|B| log |B|) per vertex u, B = ball_sub(u, 2·w_max(u)),
-/// instead of the near all-pairs cost of cap·w_max balls; other
-/// subgraphs (MSFs, faulted graphs) pay at most one extra short search per
-/// vertex. The obs counters `stretch.vertices` and `stretch.widened` count
-/// the vertices measured and those that needed the wide search.
+/// witness_stretch over every vertex u, probing to 2·w_max(u) and widening
+/// to cap·w_max(u). An unsettled endpoint has ratio > 2, so spanners with
+/// t <= 2 never widen and vertex u costs O(|B| log |B|), B = ball_sub(u,
+/// 2·w_max(u)), not a near all-pairs cap·w_max ball. The obs counters
+/// `stretch.vertices` and `stretch.widened` count the vertices measured
+/// and those that widened.
 ///
-/// `threads` > 1 splits the per-vertex searches over a worker pool (each
-/// vertex's worst ratio is independent; max over doubles is exact under any
-/// reduction order, so the result is bit-identical to the serial pass);
+/// `threads` > 1 splits the vertices over a worker pool, bit-identically;
 /// <= 0 uses the process default (LOCALSPAN_THREADS, else 1). A non-null
-/// caller-owned `pool` overrides `threads` — repeated-measurement loops
-/// reuse one pool instead of spawning threads per call.
+/// caller-owned `pool` overrides `threads`, so repeated measurements reuse
+/// one pool.
 [[nodiscard]] double max_edge_stretch(const Graph& g, const Graph& sub, double cap = 64.0,
                                       int threads = 0, runtime::WorkerPool* pool = nullptr);
 

@@ -40,6 +40,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -107,6 +108,14 @@ class CsrView {
 /// per-edge empty-std::function branch.
 struct IdentityWeight {
   double operator()(double w) const noexcept { return w; }
+};
+
+/// Adapts a user-supplied std::function weight transform to the same
+/// template parameter. Construct it only when a transform is configured, so
+/// the identity path keeps its direct-load loop.
+struct TransformRef {
+  const std::function<double(double)>* fn;
+  double operator()(double w) const { return (*fn)(w); }
 };
 
 namespace detail {

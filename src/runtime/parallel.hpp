@@ -3,7 +3,7 @@
 /// A small deterministic task runtime for the embarrassingly parallel hot
 /// loops of the construction pipeline.
 ///
-/// The paper's algorithm is *local* by design: per-center cover sweeps,
+/// The paper's algorithm is *local* by design: per-vertex proximity balls,
 /// per-edge redundancy ball harvests and per-vertex certification are
 /// independent computations (the structure incremental/asynchronous
 /// topology-control work exploits — Kluge et al., Koyuncu–Jafarkhani). The

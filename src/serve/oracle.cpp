@@ -56,7 +56,7 @@ void RoutingOracle::build(const graph::CsrView& csr, const OracleConfig& cfg,
   if (n_ == 0) return;
 
   const cluster::CoverHierarchy hier =
-      cluster::cover_hierarchy(csr, r0, cfg.level_ratio, cfg.max_levels, ws, pool);
+      cluster::cover_hierarchy(csr, r0, cfg.level_ratio, cfg.max_levels, ws);
   truncated_ = !hier.complete;
   radii_ = hier.radii;
   labels_.resize(radii_.size());

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,33 @@ TEST(Registry, EnergyMeasuresAgainstTheReweightedMetric) {
   // reweighted reference): declared and satisfied.
   EXPECT_GT(res.guarantees.stretch, 0.0);
   EXPECT_LE(res.metrics.stretch, res.guarantees.stretch * (1.0 + 1e-9));
+}
+
+TEST(CheckGuarantees, DeclaredSubgraphCoversEdgeWeights) {
+  // A construction that emits a G edge with the wrong weight is not a
+  // subgraph of G: span's guarantee check must say so, as verify does.
+  class PerturbedWeight final : public api::SpannerAlgorithm {
+   public:
+    const api::AlgorithmInfo& info() const override {
+      static const api::AlgorithmInfo kInfo{
+          "perturbed", "one G edge at 1.5x its weight", "test", {}, {}, {}};
+      return kInfo;
+    }
+    api::Guarantees guarantees(const api::BuildRequest&) const override { return {}; }
+    api::Construction construct(const api::BuildRequest& req) const override {
+      localspan::graph::Graph out(req.inst.g.n());
+      const localspan::graph::Edge e = req.inst.g.edges().front();
+      out.add_edge(e.u, e.v, 1.5 * e.w);
+      return {std::move(out), {}};
+    }
+  };
+  api::AlgorithmRegistry reg;
+  reg.add(std::make_unique<PerturbedWeight>());
+  const UbgInstance inst = testinfra::Scenario{}.make();
+  const api::BuildResult res =
+      reg.build("perturbed", api::BuildRequest{inst, practical(inst.config.alpha), {}});
+  ASSERT_TRUE(res.guarantees.subgraph);
+  EXPECT_NE(api::check_guarantees(inst, res).find("weights=NO"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

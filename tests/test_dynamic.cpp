@@ -9,12 +9,14 @@
 #include "core/verify.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
+#include "ext/energy.hpp"
 #include "graph/metrics.hpp"
 #include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
 
 namespace co = localspan::core;
 namespace dy = localspan::dynamic;
+namespace ext = localspan::ext;
 namespace gr = localspan::graph;
 namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
@@ -238,6 +240,27 @@ TEST(DynamicSpanner, FallbackPathTriggersOnImpossibleCaps) {
   EXPECT_TRUE(rep.stretch_ok) << rep.summary();
 }
 
+TEST(DynamicSpanner, FullCheckMeasuresLightnessInTransformedUnits) {
+  // Under a weight transform the spanner carries transformed weights, so its
+  // lightness is only meaningful against the MSF of the reweighted UBG. A
+  // cap just below that ratio, yet above the mixed-unit one (transformed
+  // spanner over the raw-length MSF), must fail the full certificate.
+  const ub::UbgInstance seed_inst = small_instance(48);
+  dy::DynamicOptions opts;
+  opts.greedy.weight_transform = ext::energy_transform(1.0, 2.0);
+  const dy::DynamicSpanner probe(seed_inst, practical(seed_inst), opts);
+  const gr::Graph reweighted = ext::energy_reweight(seed_inst, seed_inst.g, 1.0, 2.0);
+  opts.check = dy::CheckLevel::kFull;
+  opts.caps.lightness = 0.99 * gr::lightness(reweighted, probe.spanner());
+  ASSERT_LT(gr::lightness(seed_inst.g, probe.spanner()), opts.caps.lightness);
+  dy::DynamicSpanner engine(seed_inst, practical(seed_inst), opts);
+  const dy::ChurnTrace trace = dy::poisson_churn(seed_inst, {1, 4.0, 0.5, 21});
+  const dy::RepairStats st = engine.apply(trace.events.front());
+  ASSERT_TRUE(st.check_ran);
+  EXPECT_FALSE(st.check_passed);
+  EXPECT_TRUE(st.fell_back);
+}
+
 TEST(DynamicSpanner, TinyBallOverrideStillEndsCertified) {
   // Shrinking the dirty ball below the provable radius may break witnesses,
   // but the checker + fallback must keep the standing spanner certified.
@@ -377,6 +400,32 @@ TEST_P(DynamicChurnMatrix, IncrementalRepairStaysCertified) {
   // With the provable radius the per-event checker should never have to
   // bail out to a full recompute.
   EXPECT_EQ(fallbacks, 0);
+}
+
+TEST_P(DynamicChurnMatrix, FullCheckCertifiesEveryRepair) {
+  // CheckLevel::kFull runs the full certificate after every window; with
+  // the provable radius no repair may fail it, and the engine's full
+  // certify must agree with the stand-alone verify_spanner audit.
+  const ti::ChurnScenario& sc = GetParam();
+  const ub::UbgInstance inst = sc.base.make();
+  const dy::ChurnTrace trace = sc.make_trace(inst);
+  const co::Params params = practical(inst);
+  dy::DynamicOptions opts;
+  opts.check = dy::CheckLevel::kFull;
+  dy::DynamicSpanner engine(inst, params, opts);
+  std::size_t checked = 0;
+  for (const dy::ChurnEvent& ev : trace.events) {
+    const dy::RepairStats st = engine.apply(ev);
+    // Only the leave of an isolated vertex touches no live vertex; such an
+    // event changes nothing and has nothing to certify.
+    EXPECT_EQ(st.check_ran, st.ball_size > 0) << "event at t=" << ev.time;
+    EXPECT_TRUE(st.check_passed && !st.fell_back) << "event at t=" << ev.time;
+    if (st.check_ran) ++checked;
+    EXPECT_EQ(engine.certify({}),
+              co::verify_spanner(engine.instance(), engine.spanner(), params.t).ok())
+        << "event at t=" << ev.time;
+  }
+  EXPECT_GT(checked, trace.events.size() / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,15 +85,6 @@ std::vector<int> determinism_thread_counts() {
   return counts;
 }
 
-void expect_same_cover(const cl::ClusterCover& a, const cl::ClusterCover& b) {
-  EXPECT_EQ(a.centers, b.centers);
-  EXPECT_EQ(a.center_of, b.center_of);
-  ASSERT_EQ(a.dist_to_center.size(), b.dist_to_center.size());
-  for (std::size_t i = 0; i < a.dist_to_center.size(); ++i) {
-    EXPECT_EQ(a.dist_to_center[i], b.dist_to_center[i]) << "vertex " << i;  // bitwise
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -200,21 +191,6 @@ TEST(ThreadPool, WarmForEachAllocatesNothing) {
 // ---------------------------------------------------------------------------
 
 class ParallelMatrixTest : public ::testing::TestWithParam<Scenario> {};
-
-TEST_P(ParallelMatrixTest, CoverMatchesSerialBitForBit) {
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const gr::CsrView csr(inst.g);
-  gr::DijkstraWorkspace ws;
-  for (const double radius : {0.15, 0.5, 2.0}) {
-    const cl::ClusterCover serial = cl::sequential_cover(csr, radius, ws);
-    for (int threads : determinism_thread_counts()) {
-      if (threads == 1) continue;
-      rt::WorkerPool pool(threads);
-      const cl::ClusterCover parallel = cl::sequential_cover(csr, radius, ws, &pool);
-      expect_same_cover(serial, parallel);
-    }
-  }
-}
 
 TEST_P(ParallelMatrixTest, ClusterGraphMatchesSerialBitForBit) {
   const localspan::ubg::UbgInstance inst = GetParam().make();
