@@ -9,7 +9,7 @@
 /// in bench_e12b_ablation.
 ///
 /// Emits the localspan BENCH_E12.json artifact (schema_version 1) so
-/// tools/collect_bench.cmake can validate the threads/speedup columns.
+/// tools/collect_bench.cpp can validate the threads/speedup columns.
 /// LOCALSPAN_BENCH_QUICK=1 trims sizes for CI smoke runs.
 #include <algorithm>
 #include <chrono>

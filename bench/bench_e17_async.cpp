@@ -14,7 +14,7 @@
 /// Full mode also measures memory (ROADMAP 4a): `relaxed` and then the
 /// synchronous `relaxed-dist` build the same n=16384 instance first, and the
 /// process peak RSS after each lands in meta (`relaxed_peak_rss_mb`,
-/// `peak_rss_mb`); tools/collect_bench.cmake gates the second at <= 3x the
+/// `peak_rss_mb`); tools/collect_bench.cpp gates the second at <= 3x the
 /// first. The n=16384 run is also the last row of the E17b sync table.
 ///
 /// LOCALSPAN_BENCH_QUICK=1 trims the size sweep and skips the memory run for

@@ -9,7 +9,7 @@
 /// paper's algorithm under the theorem-faithful strict preset.
 ///
 /// LOCALSPAN_BENCH_QUICK=1 trims n for CI smoke runs; the record shape is
-/// identical (tools/collect_bench.cmake validates it when aggregating).
+/// identical (tools/collect_bench.cpp validates it when aggregating).
 #include <cstdio>
 #include <cstdlib>
 

@@ -116,7 +116,7 @@ class JsonReport {
   }
 
   /// Attach an observability block (obs::to_json(obs::snapshot())) — emitted
-  /// verbatim as the top-level "obs" member. collect_bench.cmake validates
+  /// verbatim as the top-level "obs" member. collect_bench validates
   /// its shape when present.
   void set_obs(std::string obs_json) {
     while (!obs_json.empty() && (obs_json.back() == '\n' || obs_json.back() == ' ')) {

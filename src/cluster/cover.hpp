@@ -29,10 +29,6 @@ struct ClusterCover {
   std::vector<double> dist_to_center;  ///< sp_{G'}(center_of[v], v), 0 at centers.
   std::vector<int> centers;          ///< sorted list of distinct centers.
 
-  [[nodiscard]] bool is_center(int v) const {
-    return center_of[static_cast<std::size_t>(v)] == v;
-  }
-
   /// Members of each center, keyed by center id (only centers present).
   [[nodiscard]] std::vector<std::vector<int>> members() const;
 };

@@ -86,15 +86,12 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
   if (opts_.connect_radius < inst_.config.alpha - 1e-12 || opts_.connect_radius > 1.0 + 1e-12) {
     throw std::invalid_argument("DynamicSpanner: connect_radius must be in [alpha, 1]");
   }
-  if (opts_.radius_scale < 1.0) {
-    throw std::invalid_argument("DynamicSpanner: radius_scale must be >= 1");
-  }
   wmax_ = active_weight(1.0);
   if (!(wmax_ > 0.0) || !std::isfinite(wmax_)) {
     throw std::invalid_argument("DynamicSpanner: weight transform must map 1 to a positive weight");
   }
   witness_bound_ = params_.t * wmax_;
-  core_radius_ = opts_.radius_scale * (params_.t + 1.0) * wmax_;
+  core_radius_ = (params_.t + 1.0) * wmax_;
   ball_radius_ = core_radius_ + witness_bound_;
   if (opts_.ball_radius_override > 0.0) {
     ball_radius_ = opts_.ball_radius_override;
@@ -668,7 +665,7 @@ void DynamicSpanner::repair_window(BatchStats* st) {
     st->check_passed = opts_.check == CheckLevel::kFull
                            ? certify({}, &st->certify_scope)
                            : certify(batch_modified_, &st->certify_scope);
-    if (!st->check_passed && opts_.allow_fallback) {
+    if (!st->check_passed) {
       full_recompute();
       st->fell_back = true;
     }

@@ -74,21 +74,14 @@ struct DynamicOptions {
   /// has never seen; the engine's rule takes over at the churn boundary.)
   double connect_radius = 1.0;
 
-  /// Scales the core radius K (ball radius follows as R = K + t·wmax).
-  /// 1.0 is the provably safe minimum; larger trades repair cost for less
-  /// splice-boundary drift.
-  double radius_scale = 1.0;
-
   /// Overrides the dirty-ball radius R outright when > 0 — for experiments
   /// on the locality/correctness trade-off and for exercising the fallback
   /// path in tests. The core shrinks to K = max(0, R - t·wmax).
   double ball_radius_override = 0.0;
 
+  /// What each repair certifies; a failed certificate always falls back to
+  /// a full recompute.
   CheckLevel check = CheckLevel::kLocal;
-
-  /// Fall back to a full recompute when certification fails. When false the
-  /// failure is only recorded in RepairStats (experiment mode).
-  bool allow_fallback = true;
 
   /// Baseline mode: rebuild the spanner from scratch after every event
   /// instead of repairing locally (what the E15 bench races against).

@@ -7,9 +7,8 @@
 /// 72 bytes per node even in 2-D, so a filter pass that streams `points[u]`
 /// touches 9x the useful data and evicts most of each cache line unread.
 /// `SoaPoints` repacks the coordinates into one flat dim-strided `double`
-/// buffer (16 bytes per 2-D node, 4 nodes per cache line) plus a separate
-/// contiguous active-flag lane, so geometric sweeps and liveness checks each
-/// stream only the bytes they need.
+/// buffer (16 bytes per 2-D node, 4 nodes per cache line), so geometric
+/// sweeps stream only the bytes they need.
 ///
 /// The distance/angle kernels replicate the exact accumulation order of
 /// geom::point.cpp, so every value they produce is **bit-identical** to the
@@ -22,7 +21,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -35,8 +33,8 @@ class SoaPoints {
   SoaPoints() = default;
   explicit SoaPoints(const std::vector<geom::Point>& pts) { assign(pts); }
 
-  /// Re-snapshot from a Point array; every node starts active. Buffers are
-  /// reused (no allocation once capacity has grown to the high-water mark).
+  /// Re-snapshot from a Point array. Buffers are reused (no allocation
+  /// once capacity has grown to the high-water mark).
   /// \throws std::invalid_argument on mixed dimensions.
   void assign(const std::vector<geom::Point>& pts) {
     n_ = static_cast<int>(pts.size());
@@ -47,7 +45,6 @@ class SoaPoints {
       if (p.dim() != dim_) throw std::invalid_argument("SoaPoints: mixed dimensions");
       for (int k = 0; k < dim_; ++k) coords_.push_back(p[k]);
     }
-    active_.assign(static_cast<std::size_t>(n_), 1);
   }
 
   [[nodiscard]] int n() const noexcept { return n_; }
@@ -58,13 +55,6 @@ class SoaPoints {
     if (p.dim() != dim_) throw std::invalid_argument("SoaPoints::set: dimension mismatch");
     double* r = row(v);
     for (int k = 0; k < dim_; ++k) r[k] = p[k];
-  }
-
-  [[nodiscard]] bool active(int v) const noexcept {
-    return active_[static_cast<std::size_t>(v)] != 0;
-  }
-  void set_active(int v, bool a) noexcept {
-    active_[static_cast<std::size_t>(v)] = a ? 1 : 0;
   }
 
   /// Squared Euclidean distance |uv|^2 — same accumulation order as
@@ -116,8 +106,7 @@ class SoaPoints {
     return coords_.data() + static_cast<std::size_t>(v) * static_cast<std::size_t>(dim_);
   }
 
-  std::vector<double> coords_;        ///< dim-strided coordinate lanes.
-  std::vector<std::uint8_t> active_;  ///< separate liveness lane (1 = active).
+  std::vector<double> coords_;  ///< dim-strided coordinate lanes.
   int n_ = 0;
   int dim_ = 0;
 };

@@ -11,8 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "io/json.hpp"
 
@@ -34,223 +32,6 @@ std::string fmt_double(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
-
-// -------------------------------------------------------------------------
-// JSON writing.
-// -------------------------------------------------------------------------
-
-// -------------------------------------------------------------------------
-// JSON reading: a strict little RFC-8259 parser producing a generic value
-// tree, which the schema layer below interprets.
-// -------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing data after JSON document");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of JSON input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "' in JSON input");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::strlen(lit);
-    if (text_.compare(pos_, len, lit) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.type = JsonValue::Type::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.type = JsonValue::Type::kBool;
-        v.boolean = (c == 't');
-        if (!consume_literal(c == 't' ? "true" : "false")) fail("bad literal");
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) fail("bad literal");
-        return {};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      if (peek() != '"') fail("object key must be a string");
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      const char next = peek();
-      ++pos_;
-      if (next == '}') return v;
-      if (next != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      const char next = peek();
-      ++pos_;
-      if (next == ']') return v;
-      if (next != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          // The trace schema is pure ASCII; anything else is out of scope.
-          if (code >= 0x80) fail("non-ASCII \\u escape unsupported in traces");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape in string");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    skip_ws();
-    // Enforce the RFC 8259 number grammar before converting: strtod alone
-    // would also accept hex floats, leading '+', '.5', '1.' and "inf".
-    const std::size_t start = pos_;
-    std::size_t p = pos_;
-    const auto digits = [&]() {
-      const std::size_t from = p;
-      while (p < text_.size() && text_[p] >= '0' && text_[p] <= '9') ++p;
-      return p > from;
-    };
-    if (p < text_.size() && text_[p] == '-') ++p;
-    if (p < text_.size() && text_[p] == '0') {
-      ++p;  // a leading zero stands alone
-    } else if (!digits()) {
-      fail("malformed JSON value");
-    }
-    if (p < text_.size() && text_[p] == '.') {
-      ++p;
-      if (!digits()) fail("malformed number: digits required after '.'");
-    }
-    if (p < text_.size() && (text_[p] == 'e' || text_[p] == 'E')) {
-      ++p;
-      if (p < text_.size() && (text_[p] == '+' || text_[p] == '-')) ++p;
-      if (!digits()) fail("malformed number: digits required in exponent");
-    }
-    // Convert exactly the validated token (strtod on the full tail could
-    // consume more, e.g. "0x10" after the grammar stopped at "0").
-    const std::string token = text_.substr(start, p - start);
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed JSON value");
-    if (!std::isfinite(d)) fail("number out of double range");
-    pos_ = p;
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    v.number = d;
-    return v;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
 
 double get_number(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
@@ -286,8 +67,8 @@ T take(std::istream& is) {
 }
 
 // -------------------------------------------------------------------------
-// Structural validation shared by both readers. The parsers above enforce
-// the *syntax* (grammar, field types, arity); this enforces the *semantics*
+// Structural validation shared by both readers. The readers enforce the
+// *syntax* (grammar, field types, arity); this enforces the *semantics*
 // a replayer relies on: header ranges, finite monotone timestamps, node ids,
 // in-box coordinates, and trace-local node liveness (a node the trace itself
 // made live cannot join again; one it departed cannot leave or move). The
@@ -365,7 +146,12 @@ void write_trace_json(std::ostream& os, const dynamic::ChurnTrace& trace) {
 dynamic::ChurnTrace read_trace_json(std::istream& is) {
   std::ostringstream buf;
   buf << is.rdbuf();
-  const JsonValue root = JsonParser(buf.str()).parse();
+  JsonValue root;
+  try {
+    root = JsonParser(buf.str()).parse();
+  } catch (const std::runtime_error& e) {
+    fail(e.what());
+  }
   if (root.type != JsonValue::Type::kObject) fail("top-level JSON value must be an object");
   const JsonValue* format = root.find("format");
   if (format == nullptr || format->type != JsonValue::Type::kString || format->string != kFormat) {

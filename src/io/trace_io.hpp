@@ -3,9 +3,8 @@
 /// Serialization for churn traces (dynamic/churn.hpp), in two formats:
 ///
 ///  * JSON — human-readable interchange. Doubles are printed with 17
-///    significant digits so replays are bit-exact; the reader is a small
-///    strict RFC-8259 parser (objects/arrays/strings/numbers/bools/null)
-///    specialized to the trace schema:
+///    significant digits so replays are bit-exact; the reader runs the strict
+///    RFC-8259 parser of io/json.hpp and checks the trace schema:
 ///
 ///      { "format": "localspan-churn-trace", "version": 1,
 ///        "dim": 2, "alpha": 0.75, "side": 6.73,

@@ -1,8 +1,8 @@
 # CTest script: run one bench binary and validate its BENCH_<id>.json
 # artifact (exists, parses as JSON, has the stable schema fields). When
-# -DCOLLECT=<tools/collect_bench.cmake> is given, additionally aggregate the
+# -DCOLLECT=<collect_bench executable> is given, additionally aggregate the
 # work dir into BENCH_SUMMARY.json and validate the summary.
-#   cmake -DBENCH=<binary> -DBENCH_ID=<id> -DWORK_DIR=<dir> [-DCOLLECT=<script>]
+#   cmake -DBENCH=<binary> -DBENCH_ID=<id> -DWORK_DIR=<dir> [-DCOLLECT=<exe>]
 #         -P bench_json_smoke.cmake
 
 if(NOT DEFINED BENCH OR NOT DEFINED BENCH_ID OR NOT DEFINED WORK_DIR)
@@ -90,7 +90,7 @@ endif()
 
 if(DEFINED COLLECT)
   execute_process(
-    COMMAND "${CMAKE_COMMAND}" "-DDIR=${WORK_DIR}" -P "${COLLECT}"
+    COMMAND "${COLLECT}" "${WORK_DIR}"
     RESULT_VARIABLE crc
     OUTPUT_VARIABLE cout
     ERROR_VARIABLE cerr)

@@ -544,56 +544,70 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-int cmd_dynamic(const Args& args) {
-  args.require_known("dynamic", {"in", "churn", "eps", "strict", "check", "baseline-full",
-                                 "quiet", "out-json", "batch", "threads",
-                                 "obs-json", "trace", "n", "events", "seed"});
-  obs_enable_if_requested(args);
-
-  // Demo mode: with no --in, generate an instance in place (and with no
-  // --churn, a poisson trace over it) so the full batch/obs pipeline runs
-  // with zero input files.
+/// What `dynamic` and `serve` share before they build the engine.
+struct DynamicSetup {
   ubg::UbgInstance inst;
+  dynamic::ChurnTrace trace;
+  core::Params params;
+  dynamic::DynamicOptions opts;  ///< --check and --threads applied.
+  std::string check;
+};
+
+/// Enable obs if asked, then load the instance and churn trace. Demo mode:
+/// with no --in, generate an instance in place (and with no --churn, a
+/// poisson trace over it) so the whole pipeline runs with zero input files.
+/// Returns nullopt after printing "<cmd>: invalid trace: ..." when the trace
+/// does not replay on the instance.
+std::optional<DynamicSetup> dynamic_setup(const Args& args, const char* cmd) {
+  obs_enable_if_requested(args);
+  DynamicSetup s;
   if (args.has("in")) {
-    inst = load(args);
+    s.inst = load(args);
   } else {
     ubg::UbgConfig cfg;
     cfg.n = args.get_int("n", 2048);
     cfg.alpha = 0.75;
     cfg.dim = 2;
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    inst = ubg::make_ubg(cfg, *ubg::always_connect());
-    std::printf("demo instance: n=%d, m=%d (no --in given)\n", inst.g.n(), inst.g.m());
+    s.inst = ubg::make_ubg(cfg, *ubg::always_connect());
+    std::printf("demo instance: n=%d, m=%d (no --in given)\n", s.inst.g.n(), s.inst.g.m());
   }
-  dynamic::ChurnTrace trace;
   const std::string churn_path = args.get("churn", "");
   if (!churn_path.empty()) {
-    trace = io::load_trace(churn_path);
+    s.trace = io::load_trace(churn_path);
   } else {
     dynamic::PoissonChurnConfig cfg;
     cfg.events = args.get_int("events", 256);
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    trace = dynamic::poisson_churn(inst, cfg);
-    std::printf("demo churn: %zu poisson events (no --churn given)\n", trace.events.size());
+    s.trace = dynamic::poisson_churn(s.inst, cfg);
+    std::printf("demo churn: %zu poisson events (no --churn given)\n", s.trace.events.size());
   }
-  const std::string invalid = dynamic::validate_trace(trace, inst);
+  const std::string invalid = dynamic::validate_trace(s.trace, s.inst);
   if (!invalid.empty()) {
-    std::fprintf(stderr, "dynamic: invalid trace: %s\n", invalid.c_str());
-    return 1;
+    std::fprintf(stderr, "%s: invalid trace: %s\n", cmd, invalid.c_str());
+    return std::nullopt;
   }
-
   const double eps = args.get_double("eps", 0.5);
-  const double alpha = inst.config.alpha;
-  const core::Params params = args.has("strict") ? core::Params::strict_params(eps, alpha)
-                                                 : core::Params::practical_params(eps, alpha);
-  dynamic::DynamicOptions opts;
-  const std::string check = args.get("check", "local");
-  if (check == "off") opts.check = dynamic::CheckLevel::kOff;
-  else if (check == "full") opts.check = dynamic::CheckLevel::kFull;
-  else if (check == "local") opts.check = dynamic::CheckLevel::kLocal;
-  else throw std::runtime_error("dynamic: --check must be off|local|full");
+  const double alpha = s.inst.config.alpha;
+  s.params = args.has("strict") ? core::Params::strict_params(eps, alpha)
+                                : core::Params::practical_params(eps, alpha);
+  s.check = args.get("check", "local");
+  if (s.check == "off") s.opts.check = dynamic::CheckLevel::kOff;
+  else if (s.check == "full") s.opts.check = dynamic::CheckLevel::kFull;
+  else if (s.check == "local") s.opts.check = dynamic::CheckLevel::kLocal;
+  else throw std::runtime_error(std::string(cmd) + ": --check must be off|local|full");
+  s.opts.threads = args.get_int("threads", 0);
+  return s;
+}
+
+int cmd_dynamic(const Args& args) {
+  args.require_known("dynamic", {"in", "churn", "eps", "strict", "check", "baseline-full",
+                                 "quiet", "out-json", "batch", "threads",
+                                 "obs-json", "trace", "n", "events", "seed"});
+  std::optional<DynamicSetup> setup = dynamic_setup(args, "dynamic");
+  if (!setup) return 1;
+  auto& [inst, trace, params, opts, check] = *setup;
   opts.always_full_recompute = args.has("baseline-full");
-  opts.threads = args.get_int("threads", 0);
   const bool quiet = args.has("quiet");
   // `--batch` alone (no value) means "windowed, default width": the parser
   // stores "1" for valueless flags, and a 1-event window is the per-event
@@ -739,50 +753,9 @@ int cmd_serve(const Args& args) {
   args.require_known("serve", {"in", "churn", "eps", "strict", "check", "n", "events", "seed",
                                "batch", "readers", "queries", "threads", "quiet", "obs-json",
                                "trace"});
-  obs_enable_if_requested(args);
-
-  // Demo mode mirrors `dynamic`: no --in generates an instance, no --churn a
-  // poisson trace, so `localspan_cli serve` runs the whole pipeline bare.
-  ubg::UbgInstance inst;
-  if (args.has("in")) {
-    inst = load(args);
-  } else {
-    ubg::UbgConfig cfg;
-    cfg.n = args.get_int("n", 2048);
-    cfg.alpha = 0.75;
-    cfg.dim = 2;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    inst = ubg::make_ubg(cfg, *ubg::always_connect());
-    std::printf("demo instance: n=%d, m=%d (no --in given)\n", inst.g.n(), inst.g.m());
-  }
-  dynamic::ChurnTrace trace;
-  const std::string churn_path = args.get("churn", "");
-  if (!churn_path.empty()) {
-    trace = io::load_trace(churn_path);
-  } else {
-    dynamic::PoissonChurnConfig cfg;
-    cfg.events = args.get_int("events", 256);
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    trace = dynamic::poisson_churn(inst, cfg);
-    std::printf("demo churn: %zu poisson events (no --churn given)\n", trace.events.size());
-  }
-  const std::string invalid = dynamic::validate_trace(trace, inst);
-  if (!invalid.empty()) {
-    std::fprintf(stderr, "serve: invalid trace: %s\n", invalid.c_str());
-    return 1;
-  }
-
-  const double eps = args.get_double("eps", 0.5);
-  const double alpha = inst.config.alpha;
-  const core::Params params = args.has("strict") ? core::Params::strict_params(eps, alpha)
-                                                 : core::Params::practical_params(eps, alpha);
-  dynamic::DynamicOptions dopts;
-  const std::string check = args.get("check", "local");
-  if (check == "off") dopts.check = dynamic::CheckLevel::kOff;
-  else if (check == "full") dopts.check = dynamic::CheckLevel::kFull;
-  else if (check == "local") dopts.check = dynamic::CheckLevel::kLocal;
-  else throw std::runtime_error("serve: --check must be off|local|full");
-  dopts.threads = args.get_int("threads", 0);
+  std::optional<DynamicSetup> setup = dynamic_setup(args, "serve");
+  if (!setup) return 1;
+  auto& [inst, trace, params, dopts, check] = *setup;
   int batch = args.get_int("batch", 64);
   if (batch < 1) throw std::runtime_error("serve: --batch must be >= 1");
   const int readers = args.get_int("readers", 2);
