@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/dijkstra.hpp"
 #include "graph/sp_workspace.hpp"
 
 namespace localspan::core {

@@ -8,7 +8,6 @@
 
 #include "core/greedy.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "mis/luby.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
@@ -284,22 +283,6 @@ const RgMetrics& rg_metrics() {
   return m;
 }
 
-/// Drain the plain heap tallies of the run workspace (and each per-worker
-/// workspace) into the rg.heap_* counters at a phase boundary.
-void flush_heap_ops(graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
-  if (!obs::enabled()) return;
-  auto [pushes, pops] = ws.take_heap_ops();
-  if (pool != nullptr) {
-    for (int w = 0; w < pool->threads(); ++w) {
-      const auto [a, b] = pool->workspace(w).take_heap_ops();
-      pushes += a;
-      pops += b;
-    }
-  }
-  obs::counter_add(rg_metrics().heap_pushes, pushes);
-  obs::counter_add(rg_metrics().heap_pops, pops);
-}
-
 std::function<double(double)> make_transform(const RelaxedGreedyOptions& opts) {
   if (opts.weight_transform) return opts.weight_transform;
   return [](double len) { return len; };
@@ -540,7 +523,9 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
       obs::counter_add(m.queries, st.queries);
       obs::counter_add(m.edges_added, st.added);
       obs::counter_add(m.edges_removed, st.removed);
-      flush_heap_ops(ws, pool);
+      const auto [pushes, pops] = runtime::take_heap_ops(ws, pool);
+      obs::counter_add(m.heap_pushes, pushes);
+      obs::counter_add(m.heap_pops, pops);
     }
 
     steps.after_phase(st);

@@ -55,15 +55,7 @@ const DynMetrics& dyn_metrics() {
 /// certify sweeps) into dyn.heap_*; the nested relaxed_greedy runs flush
 /// their own workspaces into rg.heap_* at phase boundaries.
 void flush_heap_ops(graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
-  if (!obs::enabled()) return;
-  auto [pushes, pops] = ws.take_heap_ops();
-  if (pool != nullptr) {
-    for (int w = 0; w < pool->threads(); ++w) {
-      const auto [a, b] = pool->workspace(w).take_heap_ops();
-      pushes += a;
-      pops += b;
-    }
-  }
+  const auto [pushes, pops] = runtime::take_heap_ops(ws, pool);
   obs::counter_add(dyn_metrics().heap_pushes, pushes);
   obs::counter_add(dyn_metrics().heap_pops, pops);
 }

@@ -4,7 +4,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "graph/dijkstra.hpp"
 #include "graph/sp_workspace.hpp"
 #include "runtime/parallel.hpp"
 

@@ -10,29 +10,6 @@ std::vector<std::vector<int>> Components::groups() const {
   return out;
 }
 
-Components connected_components(const Graph& g) {
-  Components c;
-  c.label.assign(static_cast<std::size_t>(g.n()), -1);
-  std::vector<int> stack;
-  for (int s = 0; s < g.n(); ++s) {
-    if (c.label[static_cast<std::size_t>(s)] != -1) continue;
-    const int id = c.count++;
-    stack.push_back(s);
-    c.label[static_cast<std::size_t>(s)] = id;
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (const Neighbor& nb : g.neighbors(v)) {
-        if (c.label[static_cast<std::size_t>(nb.to)] == -1) {
-          c.label[static_cast<std::size_t>(nb.to)] = id;
-          stack.push_back(nb.to);
-        }
-      }
-    }
-  }
-  return c;
-}
-
 bool connected(const Graph& g, int u, int v) {
   const Components c = connected_components(g);
   return c.label[static_cast<std::size_t>(u)] == c.label[static_cast<std::size_t>(v)];

@@ -18,16 +18,12 @@
 /// the convenient form for one-shot callers off the hot path.
 
 #include <functional>
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace localspan::graph {
-
-/// Distance value meaning "unreachable (within the bound)".
-inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Result of a (possibly bounded) single-source run.
 struct ShortestPaths {

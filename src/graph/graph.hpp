@@ -8,10 +8,14 @@
 /// positive doubles (Euclidean lengths by default; the §1.6 energy extension
 /// uses c·|uv|^γ). Parallel edges are rejected, self-loops are illegal.
 
+#include <limits>
 #include <span>
 #include <vector>
 
 namespace localspan::graph {
+
+/// Distance value meaning "unreachable (within the bound)".
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One directed half of an undirected edge as stored in adjacency lists.
 struct Neighbor {

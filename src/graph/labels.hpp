@@ -21,7 +21,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
+#include "graph/graph.hpp"
 
 namespace localspan::graph {
 

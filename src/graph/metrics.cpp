@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "graph/dijkstra.hpp"
 #include "graph/mst.hpp"
 #include "obs/obs.hpp"
 

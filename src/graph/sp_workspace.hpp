@@ -3,7 +3,7 @@
 /// Output-sensitive shortest-path machinery: an epoch-stamped Dijkstra
 /// workspace plus frozen CSR adjacency snapshots.
 ///
-/// Every shortest-path question in the paper is *radius-bounded* — cluster
+/// Most shortest-path questions in the paper are *radius-bounded* — cluster
 /// covers explore to δW_{i-1}, queries to t·|xy|, dynamic repair to the
 /// dirty-ball radius R — so the ball a search settles is usually tiny
 /// compared to n. The dense `dijkstra*` functions still pay O(n) to
@@ -14,6 +14,15 @@
 /// (bump the epoch), and the heap/touched buffers are reused so a warmed-up
 /// workspace performs **zero allocations** per search. A bounded search
 /// therefore costs O(|ball| log |ball|), independent of n.
+///
+/// The one exception is routing's point-to-point sp(s, d), whose ball is
+/// the whole disk of radius sp(s, d). `distance(g, u, v, bound, potential)`
+/// answers it goal-directed: heap keys are g(x) + h(x) with the admissible
+/// potential h(x) = ρ·|xv| of `EuclideanPotential`, so the search settles
+/// roughly an ellipse around the segment instead of the disk. It stops only
+/// when the smallest key exceeds g(v)·(1 + 1e-9), which makes the answer
+/// bit-for-bit the plain search's (the argument is at `run`). Every other
+/// search uses `ZeroPotential`, which compiles to the plain loop.
 ///
 /// Searches return a sparse `SpView` (touched-vertex list + O(1) stamped
 /// lookup) instead of a dense `ShortestPaths`; the dense functions in
@@ -44,11 +53,12 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
+#include "graph/soa_points.hpp"
 
 namespace localspan::graph {
 
@@ -79,6 +89,7 @@ class CsrView {
     offsets_.clear();
     nbrs_.clear();
     offsets_.reserve(static_cast<std::size_t>(n) + 1);
+    nbrs_.reserve(2 * static_cast<std::size_t>(m_before));
     offsets_.push_back(0);
     for (int u = 0; u < n; ++u) {
       const std::span<const Neighbor> row = g.neighbors(u);
@@ -117,6 +128,37 @@ struct TransformRef {
   const std::function<double(double)>* fn;
   double operator()(double w) const { return (*fn)(w); }
 };
+
+/// The default search potential: h ≡ 0, i.e. plain Dijkstra. A distinct
+/// type, like `IdentityWeight`, so `run` compiles the plain loop for it.
+struct ZeroPotential {
+  double operator()(int /*v*/, int /*goal*/) const noexcept { return 0.0; }
+};
+
+/// h(x) = ρ·|x goal| for goal-directed `distance`. With ρ ≤ w/|uv| on every
+/// edge, the triangle inequality makes h a lower bound on sp(x, goal) for any
+/// edge weights, Euclidean or not. Build it with `euclidean_potential`.
+struct EuclideanPotential {
+  const SoaPoints* pts;
+  double rho;
+  double operator()(int v, int goal) const noexcept { return rho * pts->distance(v, goal); }
+};
+
+/// ρ = min over g's edges of w/|uv| (zero-length edges skipped; none usable
+/// gives ρ = 0), shaved by 1e-12 so rounding cannot lift h above sp.
+/// \throws std::invalid_argument when `pts` does not have one row per vertex.
+template <class G>
+EuclideanPotential euclidean_potential(const G& g, const SoaPoints& pts) {
+  if (pts.n() != g.n()) throw std::invalid_argument("euclidean_potential: size mismatch");
+  double rho = kInf;
+  for (int u = 0; u < g.n(); ++u) {
+    for (const Neighbor& nb : g.neighbors(u)) {
+      const double len = nb.to > u ? pts.distance(u, nb.to) : 0.0;  // each edge once
+      if (len > 0.0) rho = std::min(rho, nb.w / len);
+    }
+  }
+  return {&pts, rho == kInf ? 0.0 : rho * (1.0 - 1e-12)};
+}
 
 namespace detail {
 
@@ -251,13 +293,17 @@ class BasicDijkstraWorkspace {
   /// sp(u, v), or kInf if it exceeds `bound`. Early-exits once v is settled
   /// or the frontier minimum passes the bound. Semantics match
   /// graph::sp_distance; cost is O(|ball| log |ball|) with no allocation
-  /// once warm.
-  template <class G>
-  double distance(const G& g, int u, int v, double bound = kInf) {
+  /// once warm. Under an admissible `potential` (see `run`) the search is
+  /// goal-directed and returns the same value bit for bit; a `bound` at or
+  /// above sp(u, v), such as the weight of a known u–v path, then also
+  /// shrinks it.
+  template <class G, class Potential = ZeroPotential>
+  double distance(const G& g, int u, int v, double bound = kInf,
+                  const Potential& potential = {}) {
     if (v < 0 || v >= g.n()) throw std::invalid_argument("sp_distance: target out of range");
     if (u == v) return 0.0;
     const int srcs[1] = {u};
-    const SpView view = run(g, srcs, bound, v, IdentityWeight{});
+    const SpView view = run(g, srcs, bound, v, IdentityWeight{}, potential);
     const double d = view.dist(v);
     return d <= bound ? d : kInf;
   }
@@ -387,41 +433,84 @@ class BasicDijkstraWorkspace {
     return top;
   }
 
-  template <class G, class WeightFn>
+  /// The one search loop. Heap keys are g(x) + h(x). With `ZeroPotential`
+  /// that is plain Dijkstra: settle in key order, stop at `target` or past
+  /// `radius`.
+  ///
+  /// Any other potential must be admissible (h(x) ≤ sp(x, target), up to
+  /// relative rounding far below 1e-9); the search then returns exactly the
+  /// plain value of g(target). Let stop = min(best, radius)·(1 + 1e-9),
+  /// with best = g(target) so far. Relaxations with g ≥ best are pruned, an
+  /// entry is queued only while its key ≤ stop, a vertex whose g improves is
+  /// re-queued, and the loop runs until the smallest key exceeds stop. A
+  /// caller that knows an s–target path passes its weight as `radius`, so
+  /// the search never queues the frontier beyond that path. Why this is
+  /// exact: the plain value F is the least left-to-right floating sum
+  /// over all s–target paths (rounded addition is monotone, so Dijkstra
+  /// finds that minimum whatever its tie order). Suppose best > F at the
+  /// stop, and let P realize F with prefix sums p_j ≤ F < best. Its first
+  /// vertex x_j not yet expanded with g ≤ p_j has been relaxed to g ≤ p_j
+  /// by x_{j-1} with key ≤ p_j + h(x_j) ≤ F·(1 + O(hops·2^-52)) ≤ stop (the
+  /// slack covers paths of up to ~10^6 hops). No prune fires, as
+  /// p_j ≤ F ≤ radius, so it sits in the heap and the loop cannot have
+  /// stopped. (x_j = target would give best ≤ F.) The slack only absorbs
+  /// rounding in p_j, F and h; it never admits a longer path, because best
+  /// only ever holds a real path's sum.
+  template <class G, class WeightFn, class Potential = ZeroPotential>
   SpView run(const G& g, std::span<const int> sources, double radius, int target,
-             WeightFn&& weight) {
+             WeightFn&& weight, const Potential& h = {}) {
+    constexpr bool kGoal = !std::is_same_v<Potential, ZeroPotential>;
     const InUseGuard guard(in_use_);
     begin(g.n());
+    if (kGoal && h_.size() < st_.dist_.size()) h_.resize(st_.dist_.size());
+    // key(x) = g(x) + h(x); h(x) is computed once, when x is first stamped.
+    const auto key = [&](double gx, std::size_t x) { return kGoal ? gx + h_[x] : gx; };
+    double best = kInf;  // goal-directed form: g(target) so far.
+    double stop = kGoal ? radius * kGoalSlack : radius;
+    // An entry whose key already exceeds stop would never be expanded.
+    const auto push = [&](double gx, std::size_t i, int x) {
+      const double kx = key(gx, i);
+      if (!kGoal || kx <= stop) heap_push(kx, x);
+    };
+    const auto stamp = [&](int x, double gx, int parent) {
+      const auto i = static_cast<std::size_t>(x);
+      st_.stamp_[i] = st_.epoch_now_;
+      st_.dist_[i] = gx;
+      if constexpr (kGoal) {
+        h_[i] = h(x, target);  // distance() reads only the target's g
+      } else {
+        st_.parent_[i] = parent;
+        st_.touched_.push_back(x);
+      }
+      push(gx, i, x);
+    };
     for (int s : sources) {
       if (s < 0 || s >= st_.n_) throw std::invalid_argument("dijkstra: source out of range");
-      if (!st_.stamped(s)) {
-        const auto i = static_cast<std::size_t>(s);
-        st_.stamp_[i] = st_.epoch_now_;
-        st_.dist_[i] = 0.0;
-        st_.parent_[i] = -1;
-        st_.touched_.push_back(s);
-        heap_push(0.0, s);
-      }
+      if (!st_.stamped(s)) stamp(s, 0.0, -1);
     }
     while (!heap_.empty()) {
-      const auto [d, v] = heap_pop();
-      if (d > st_.dist_[static_cast<std::size_t>(v)]) continue;  // stale entry
-      if (d > radius) break;
-      if (v == target) break;
+      const auto [k, v] = heap_pop();
+      const double d = st_.dist_[static_cast<std::size_t>(v)];
+      if (k > key(d, static_cast<std::size_t>(v))) continue;  // stale entry
+      if (k > stop) break;
+      if (v == target && !kGoal) break;
+      if (v == target) continue;  // nothing past the target can improve best
       for (const Neighbor& nb : g.neighbors(v)) {
         const double nd = d + weight(nb.w);
-        if (nd > radius) continue;
+        if (nd > radius || (kGoal && nd >= best)) continue;
         const auto to = static_cast<std::size_t>(nb.to);
         if (st_.stamp_[to] != st_.epoch_now_) {
-          st_.stamp_[to] = st_.epoch_now_;
-          st_.dist_[to] = nd;
-          st_.parent_[to] = v;
-          st_.touched_.push_back(nb.to);
-          heap_push(nd, nb.to);
+          stamp(nb.to, nd, v);
         } else if (nd < st_.dist_[to]) {
           st_.dist_[to] = nd;
-          st_.parent_[to] = v;
-          heap_push(nd, nb.to);
+          if constexpr (!kGoal) st_.parent_[to] = v;
+          push(nd, to, nb.to);
+        } else {
+          continue;
+        }
+        if (kGoal && nb.to == target) {
+          best = nd;
+          stop = std::min(best, radius) * kGoalSlack;
         }
       }
     }
@@ -429,7 +518,10 @@ class BasicDijkstraWorkspace {
     return SpView(&st_, st_.token_);
   }
 
+  static constexpr double kGoalSlack = 1.0 + 1e-9;
+
   detail::SpState st_;
+  std::vector<double> h_;  ///< potential lane, valid where st_ is stamped.
   std::vector<HeapItem> heap_;
   long long heap_pushes_ = 0;  ///< since the last take_heap_ops().
   long long heap_pops_ = 0;

@@ -5,7 +5,8 @@
 #include <stdexcept>
 
 #include "geom/point.hpp"
-#include "graph/dijkstra.hpp"
+#include "graph/components.hpp"
+#include "graph/soa_points.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -17,6 +18,7 @@ struct RouteMetrics {
   obs::MetricId evaluate = obs::span_id("route.evaluate");
   obs::MetricId pairs = obs::counter_id("route.pairs");
   obs::MetricId delivered = obs::counter_id("route.delivered");
+  obs::MetricId heap_pops = obs::counter_id("route.heap_pops");
   obs::MetricId hops = obs::histogram_id("route.hops");
 };
 
@@ -30,6 +32,9 @@ const RouteMetrics& route_metrics() {
 template <class G>
 RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s, int d,
                               Forwarding rule, int max_hops) {
+  if (static_cast<std::size_t>(topo.n()) != inst.points.size()) {
+    throw std::invalid_argument("route_packet: topology and instance sizes differ");
+  }
   if (s < 0 || s >= topo.n() || d < 0 || d >= topo.n()) {
     throw std::invalid_argument("route_packet: endpoint out of range");
   }
@@ -40,9 +45,11 @@ RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s
     const double here = inst.dist(cur, d);
     int best = -1;
     double best_key = 0.0;
+    double best_w = 0.0;
     for (const graph::Neighbor& nb : topo.neighbors(cur)) {
       if (nb.to == d) {
         best = d;
+        best_w = nb.w;
         break;
       }
       double key = 0.0;
@@ -60,10 +67,12 @@ RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s
       if (best == -1 || key < best_key) {
         best = nb.to;
         best_key = key;
+        best_w = nb.w;
       }
     }
     if (best == -1) return res;  // local minimum: undeliverable by this rule
     res.length += inst.dist(cur, best);
+    res.weight += best_w;
     cur = best;
     res.path.push_back(cur);
     ++res.hops;
@@ -88,62 +97,61 @@ RoutingStats evaluate_routing(const ubg::UbgInstance& inst, const graph::CsrView
                               Forwarding rule, int trials, std::uint64_t seed,
                               graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
   if (trials <= 0) throw std::invalid_argument("evaluate_routing: trials must be positive");
+  if (topo.n() == 0 || static_cast<std::size_t>(topo.n()) != inst.points.size()) {
+    throw std::invalid_argument("evaluate_routing: topology must span the instance's points");
+  }
   const obs::Span span(route_metrics().evaluate);
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<int> pick(0, topo.n() - 1);
-  RoutingStats st;
-  double hops_sum = 0.0;
-  double stretch_sum = 0.0;
+  static_cast<void>(runtime::take_heap_ops(ws, pool));  // drop earlier searches' tallies
 
-  // Candidate pairs are drawn serially from the seed and *accepted* (s != d,
-  // connected) in draw order, exactly like the classic one-at-a-time loop;
-  // only the per-pair work (one early-exit Dijkstra + the forwarding walk,
-  // both pure functions of the frozen snapshot) runs on the pool. Chunks may
-  // overshoot the trial budget — surplus results are discarded, which wastes
-  // a little speculative work but never changes the accepted prefix.
+  // Pairs are drawn serially from the seed and accepted (s != d, one
+  // component) in draw order, so a disconnected draw never starts a search.
+  // The safety valve ends the draws on a topology with (nearly) no connected
+  // pairs; st.trials then reports what was found.
+  const std::vector<int> comp = graph::connected_components(topo).label;
   struct Trial {
     int s = 0;
     int d = 0;
     double sp = 0.0;
     RouteResult route;
   };
-  std::vector<Trial> chunk;
-  // Safety valve so a topology with (nearly) no connected pairs terminates
-  // instead of spinning forever; st.trials then reports what was found.
+  std::vector<Trial> batch;
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> pick(0, topo.n() - 1);
   const long long max_draws = 1000LL * trials + 1000;
-  long long draws = 0;
-  while (st.trials < trials && draws < max_draws) {
-    chunk.clear();
-    const int want = std::max(32, trials - st.trials);
-    while (static_cast<int>(chunk.size()) < want && draws < max_draws) {
-      ++draws;
-      const int s = pick(rng);
-      const int d = pick(rng);
-      if (s == d) continue;
-      chunk.push_back(Trial{s, d, 0.0, {}});
-    }
-    if (chunk.empty()) break;
-    const int count = static_cast<int>(chunk.size());
-    runtime::for_each_with_workspace(
-        pool, ws, 0, count, [&](graph::DijkstraWorkspace& wws, int i) {
-          Trial& t = chunk[static_cast<std::size_t>(i)];
-          t.sp = wws.distance(topo, t.s, t.d);
-          t.route = t.sp == graph::kInf ? RouteResult{}
-                                        : route_packet_impl(inst, topo, t.s, t.d, rule, 10000);
-        });
-    for (int i = 0; i < count && st.trials < trials; ++i) {
-      const Trial& t = chunk[static_cast<std::size_t>(i)];
-      if (t.sp == graph::kInf) continue;  // different components
-      ++st.trials;
-      if (!t.route.delivered) continue;
-      ++st.delivered;
-      hops_sum += t.route.hops;
-      obs::histogram_record(route_metrics().hops, t.route.hops);
-      const double ratio = t.route.length / t.sp;
-      stretch_sum += ratio;
-      st.worst_route_stretch = std::max(st.worst_route_stretch, ratio);
+  for (long long draws = 0; static_cast<int>(batch.size()) < trials && draws < max_draws;
+       ++draws) {
+    const int s = pick(rng);
+    const int d = pick(rng);
+    if (s != d && comp[static_cast<std::size_t>(s)] == comp[static_cast<std::size_t>(d)]) {
+      batch.push_back(Trial{s, d, 0.0, {}});
     }
   }
+
+  // Per pair: the forwarding walk, then the exact goal-directed sp(s, d)
+  // that prices a delivered route, bounded by the route's own weight. Both
+  // are pure functions of the frozen snapshot, so the pool cannot change them.
+  const graph::SoaPoints pts(inst.points);
+  const graph::EuclideanPotential h = graph::euclidean_potential(topo, pts);
+  runtime::for_each_with_workspace(
+      pool, ws, 0, static_cast<int>(batch.size()), [&](graph::DijkstraWorkspace& wws, int i) {
+        Trial& t = batch[static_cast<std::size_t>(i)];
+        t.route = route_packet_impl(inst, topo, t.s, t.d, rule, 10000);
+        if (t.route.delivered) t.sp = wws.distance(topo, t.s, t.d, t.route.weight, h);
+      });
+  RoutingStats st;
+  st.trials = static_cast<int>(batch.size());
+  double hops_sum = 0.0;
+  double stretch_sum = 0.0;
+  for (const Trial& t : batch) {
+    if (!t.route.delivered) continue;
+    ++st.delivered;
+    hops_sum += t.route.hops;
+    obs::histogram_record(route_metrics().hops, t.route.hops);
+    const double ratio = t.route.length / t.sp;
+    stretch_sum += ratio;
+    st.worst_route_stretch = std::max(st.worst_route_stretch, ratio);
+  }
+  obs::counter_add(route_metrics().heap_pops, runtime::take_heap_ops(ws, pool).second);
   obs::counter_add(route_metrics().pairs, st.trials);
   obs::counter_add(route_metrics().delivered, st.delivered);
   st.delivery_rate = st.trials > 0 ? static_cast<double>(st.delivered) / st.trials : 0.0;

@@ -33,12 +33,15 @@ struct RouteResult {
   bool delivered = false;
   int hops = 0;
   double length = 0.0;       ///< total Euclidean length of the traversed path.
+  double weight = 0.0;       ///< total edge weight of the path in `topo`.
   std::vector<int> path;     ///< visited vertices, starting at the source.
 };
 
 /// Route one packet from s to d over `topo` using the given rule. The packet
 /// fails (delivered=false) at a local minimum — a node with no neighbor
 /// making progress — or after `max_hops`.
+/// \throws std::invalid_argument on an endpoint out of range or when `topo`
+/// and `inst.points` differ in size.
 [[nodiscard]] RouteResult route_packet(const ubg::UbgInstance& inst, const graph::Graph& topo,
                                        int s, int d, Forwarding rule, int max_hops = 10000);
 
@@ -61,10 +64,14 @@ struct RoutingStats {
 /// Warmed evaluation: the caller owns the frozen snapshot and the
 /// epoch-stamped workspace, so repeated evaluations (several rules, several
 /// topologies, the CLI's spanner-vs-UBG comparison) share buffers and the
-/// steady state allocates only per-trial route paths. With a non-null
-/// `pool`, candidate pairs are drawn serially from the seed, evaluated in
-/// parallel on per-worker workspaces and accepted in draw order — so the
-/// stats are bit-identical to the serial sweep at every thread count.
+/// steady state allocates only per-trial route paths. Pairs are drawn
+/// serially from the seed and accepted in draw order when their endpoints
+/// share a component. A delivered route is priced against the exact
+/// goal-directed sp(s, d). With a non-null `pool` the pairs run on
+/// per-worker workspaces, and the stats are bit-identical at every thread
+/// count. Reports route.pairs, route.delivered and route.heap_pops.
+/// \throws std::invalid_argument when trials <= 0, or when `topo` is empty
+/// or its size differs from the instance's point count.
 [[nodiscard]] RoutingStats evaluate_routing(const ubg::UbgInstance& inst,
                                             const graph::CsrView& topo, Forwarding rule,
                                             int trials, std::uint64_t seed,

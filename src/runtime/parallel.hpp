@@ -39,6 +39,7 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/sp_workspace.hpp"
@@ -201,6 +202,21 @@ void for_each_with_workspace(WorkerPool* pool, graph::DijkstraWorkspace& serial_
     pool->for_each(begin, end,
                    [&](int worker, int i) { fn(pool->workspace(worker), i); });
   }
+}
+
+/// Drain the heap push/pop tallies (`DijkstraWorkspace::take_heap_ops`) of
+/// `serial_ws` and of every worker workspace of `pool`. A search's tally does
+/// not depend on which workspace ran it, so the totals read the same at
+/// every thread count.
+inline std::pair<long long, long long> take_heap_ops(graph::DijkstraWorkspace& serial_ws,
+                                                     WorkerPool* pool) {
+  auto [pushes, pops] = serial_ws.take_heap_ops();
+  for (int w = 0; pool != nullptr && w < pool->threads(); ++w) {
+    const auto [a, b] = pool->workspace(w).take_heap_ops();
+    pushes += a;
+    pops += b;
+  }
+  return {pushes, pops};
 }
 
 /// Scatter/commit for variable-size item work (the batched-churn region

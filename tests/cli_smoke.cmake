@@ -77,6 +77,21 @@ if(NOT route_out MATCHES "spanner +greedy routing: delivery [0-9.]+%")
   message(FATAL_ERROR "route output shape mismatch:\n${route_out}")
 endif()
 
+# route on a corridor, whose draws hit other components: one thread and a
+# 3-thread pool print the same lines, pinned to the plain-search harness's.
+run_cli(0 corridor_gen_out gen --n 300 --alpha 0.75 --dim 2 --seed 5 --placement corridor
+        --target-degree 5 --out corridor.lsi)
+set(corridor_route_expected
+    "max power  greedy routing: delivery 83.3%, mean stretch 1.025, mean hops 3.9\n"
+    "spanner    greedy routing: delivery 83.3%, mean stretch 1.053, mean hops 5.3\n")
+string(CONCAT corridor_route_expected ${corridor_route_expected})
+foreach(threads 1 3)
+  run_cli(0 corridor_route_out route --in corridor.lsi --eps 0.5 --trials 60 --threads ${threads})
+  if(NOT corridor_route_out STREQUAL corridor_route_expected)
+    message(FATAL_ERROR "route --threads ${threads} on the corridor changed its lines:\n${corridor_route_out}")
+  endif()
+endforeach()
+
 # missing input file -> error exit.
 run_cli(1 missing_out span --in does_not_exist.lsi --eps 0.5)
 

@@ -1,22 +1,30 @@
 /// Tests for the epoch-stamped shortest-path workspace and CSR snapshots
 /// (graph/sp_workspace.hpp): equivalence against the retained dense
-/// reference implementation across the scenario matrix, the
-/// epoch-wraparound rebase, the stale-view / reuse-across-graphs error
-/// paths, and the zero-allocation steady state (counting allocator).
+/// reference implementation across the scenario matrix, the goal-directed
+/// distance against the plain search, the epoch-wraparound rebase, the
+/// stale-view / reuse-across-graphs error paths, and the zero-allocation
+/// steady state (counting allocator).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/params.hpp"
+#include "core/relaxed_greedy.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/soa_points.hpp"
 #include "graph/sp_workspace.hpp"
 #include "scenario_matrix.hpp"
 
@@ -201,6 +209,82 @@ TEST_P(SpWorkspaceMatrixTest, HeapArityDoesNotChangeResults) {
 INSTANTIATE_TEST_SUITE_P(Matrix, SpWorkspaceMatrixTest,
                          ::testing::ValuesIn(localspan::testinfra::standard_matrix()),
                          ScenarioName());
+
+// ---------------------------------------------------------------------------
+// Goal-directed distance: bit-for-bit the plain search's value, with and
+// without a bound, whatever the placement, dimension or weights.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Plain vs goal-directed sp(s, d) over a spread of pairs; each bound is a
+/// fraction of the plain distance, so the search meets the target's value
+/// just inside, at and just outside the bound.
+void expect_goal_directed_exact(const gr::Graph& g, const std::vector<localspan::geom::Point>& pts,
+                                const char* what) {
+  const gr::CsrView csr(g);
+  const gr::SoaPoints soa(pts);
+  const gr::EuclideanPotential h = gr::euclidean_potential(csr, soa);
+  gr::DijkstraWorkspace plain;
+  gr::DijkstraWorkspace goal;
+  const int n = g.n();
+  for (int s = 0; s < n; s += std::max(1, n / 9)) {
+    for (int d = n - 1; d >= 0; d -= std::max(1, n / 11)) {
+      const double ref = plain.distance(csr, s, d);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ref),
+                std::bit_cast<std::uint64_t>(goal.distance(csr, s, d, gr::kInf, h)))
+          << what << " " << s << "->" << d;
+      for (const double f : {0.5, 1.0, 1.5}) {
+        const double bound = ref == gr::kInf ? 1.0 : ref * f;
+        EXPECT_EQ(plain.distance(csr, s, d, bound), goal.distance(csr, s, d, bound, h))
+            << what << " " << s << "->" << d << " bound " << bound;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SpWorkspaceGoalDirected, DistanceIsBitIdenticalToPlainSearch) {
+  using localspan::ubg::Placement;
+  for (const int dim : {2, 3}) {
+    for (const Placement pl : {Placement::kUniform, Placement::kClustered, Placement::kCorridor}) {
+      const localspan::ubg::UbgInstance inst = Scenario{dim, pl, 0.75, 160, 4}.make();
+      const gr::Graph spanner =
+          localspan::core::relaxed_greedy(inst, localspan::core::Params::practical_params(0.5, 0.75))
+              .spanner;
+      // Weights pulled below Euclidean (rho ~ 0.3): h must stay admissible
+      // for loaded topologies whose weights are not the edge lengths.
+      std::mt19937_64 rng(dim * 10 + static_cast<int>(pl));
+      std::uniform_real_distribution<double> shrink(0.3, 1.0);
+      gr::Graph perturbed(inst.g.n());
+      for (const gr::Edge& e : inst.g.edges()) perturbed.add_edge(e.u, e.v, e.w * shrink(rng));
+      const std::string name = Scenario{dim, pl, 0.75, 160, 4}.name();
+      expect_goal_directed_exact(inst.g, inst.points, (name + " G").c_str());
+      expect_goal_directed_exact(spanner, inst.points, (name + " spanner").c_str());
+      expect_goal_directed_exact(perturbed, inst.points, (name + " perturbed").c_str());
+    }
+  }
+  // Tie-heavy lattice: unit steps, so many shortest paths share one length.
+  constexpr int kSide = 12;
+  gr::Graph lattice(kSide * kSide);
+  std::vector<localspan::geom::Point> grid;
+  for (int y = 0; y < kSide; ++y) {
+    for (int x = 0; x < kSide; ++x) {
+      grid.push_back(localspan::geom::Point{0.1 * x, 0.1 * y});
+      const int v = y * kSide + x;
+      if (x > 0) lattice.add_edge(v - 1, v, 0.1);
+      if (y > 0) lattice.add_edge(v - kSide, v, 0.1);
+    }
+  }
+  expect_goal_directed_exact(lattice, grid, "lattice");
+}
+
+TEST(SpWorkspaceGoalDirected, PotentialRejectsSizeMismatch) {
+  const gr::Graph g = gr::Graph(3);
+  const gr::SoaPoints pts(std::vector<localspan::geom::Point>{{0.0, 0.0}, {1.0, 0.0}});
+  EXPECT_THROW(static_cast<void>(gr::euclidean_potential(g, pts)), std::invalid_argument);
+}
 
 namespace {
 
@@ -388,6 +472,9 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   static_cast<void>(ws.multi_bounded(g, sources, 0.8));
   static_cast<void>(ws.multi_bounded(g, sources, 0.8, energy));
   static_cast<void>(ws.distance(g, 0, g.n() - 1));
+  const gr::SoaPoints pts(inst.points);
+  const gr::EuclideanPotential h = gr::euclidean_potential(g, pts);
+  static_cast<void>(ws.distance(g, 0, g.n() - 1, gr::kInf, h));
 
   long long allocs = g_allocs.load();
   static_cast<void>(ws.bounded(g, 2, gr::kInf));
@@ -408,6 +495,11 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   static_cast<void>(ws.distance(g, 0, g.n() - 1));
   allocs = g_allocs.load() - allocs;
   EXPECT_EQ(allocs, 0) << "warmed distance query allocated";
+
+  allocs = g_allocs.load();
+  static_cast<void>(ws.distance(g, 0, g.n() - 1, gr::kInf, h));
+  allocs = g_allocs.load() - allocs;
+  EXPECT_EQ(allocs, 0) << "warmed goal-directed distance query allocated";
 }
 
 TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothingAtEveryArity) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,6 +184,112 @@ TEST(Routing, RejectsBadArgs) {
   EXPECT_THROW(
       static_cast<void>(route::evaluate_routing(inst, inst.g, route::Forwarding::kGreedy, 0, 1)),
       std::invalid_argument);
+  // An empty topology has no pair to draw; a topology of another size than
+  // the instance would be walked and searched past the end of its points.
+  const ub::UbgInstance empty;
+  EXPECT_THROW(static_cast<void>(
+                   route::evaluate_routing(empty, empty.g, route::Forwarding::kGreedy, 5, 1)),
+               std::invalid_argument);
+  const gr::Graph bigger(inst.g.n() + 1);
+  EXPECT_THROW(static_cast<void>(
+                   route::evaluate_routing(inst, bigger, route::Forwarding::kGreedy, 5, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(route::route_packet(inst, bigger, 0, inst.g.n(),
+                                                     route::Forwarding::kGreedy)),
+               std::invalid_argument);
+}
+
+// RoutingStats pinned as exact doubles, recorded before the goal-directed
+// search and the component-label draw replaced the chunked plain-search
+// loop: uniform, clustered and corridor (whose draws hit other components),
+// over G and the spanner, at 1 and 4 threads.
+TEST(Routing, StatsArePinnedAtEveryThreadCount) {
+  struct Pin {
+    ub::Placement placement;
+    route::RoutingStats over_g;
+    route::RoutingStats over_spanner;
+  };
+  const Pin pins[] = {
+      {ub::Placement::kUniform,
+       {120, 117, 0x1.f333333333333p-1, 0x1.8p+2, 0x1.0ea3b3ca253e3p+0, 0x1.5c3c33c7e7cfap+0},
+       {120, 116, 0x1.eeeeeeeeeeeefp-1, 0x1.4308d3dcb08d4p+3, 0x1.158174d25c812p+0,
+        0x1.7996892d16009p+0}},
+      {ub::Placement::kClustered,
+       {120, 110, 0x1.d555555555555p-1, 0x1.17dac37dac37ep+2, 0x1.08aa04cbd1bcdp+0,
+        0x1.2fe6104ea634bp+0},
+       {120, 105, 0x1.cp-1, 0x1.409c09c09c09cp+3, 0x1.153feb44a0d5bp+0, 0x1.70d2463ac216bp+0}},
+      {ub::Placement::kCorridor,
+       {120, 101, 0x1.aeeeeeeeeeeefp-1, 0x1.33f5dc83cd4e9p+2, 0x1.04f1ebd460483p+0,
+        0x1.29793263df713p+0},
+       {120, 102, 0x1.b333333333333p-1, 0x1.abebebebebebfp+2, 0x1.09f19ba659e89p+0,
+        0x1.c6be8ff13bd21p+0}},
+  };
+  const auto expect_same = [](const route::RoutingStats& want, const route::RoutingStats& got,
+                              const std::string& what) {
+    EXPECT_EQ(want.trials, got.trials) << what;
+    EXPECT_EQ(want.delivered, got.delivered) << what;
+    EXPECT_EQ(want.delivery_rate, got.delivery_rate) << what;
+    EXPECT_EQ(want.mean_hops, got.mean_hops) << what;
+    EXPECT_EQ(want.mean_route_stretch, got.mean_route_stretch) << what;
+    EXPECT_EQ(want.worst_route_stretch, got.worst_route_stretch) << what;
+  };
+  for (const Pin& pin : pins) {
+    ub::UbgConfig cfg;
+    cfg.n = 400;
+    cfg.seed = 21;
+    cfg.placement = pin.placement;
+    cfg.target_degree = pin.placement == ub::Placement::kCorridor ? 5.0 : 10.0;
+    const auto inst = ub::make_ubg(cfg);
+    if (pin.placement == ub::Placement::kCorridor) {
+      ASSERT_GT(gr::connected_components(inst.g).count, 1);  // disconnected draws
+    }
+    const gr::Graph spanner =
+        core::relaxed_greedy(inst, core::Params::practical_params(0.5, 0.75)).spanner;
+    for (const int threads : {1, 4}) {
+      gr::DijkstraWorkspace ws;
+      std::optional<rt::WorkerPool> pool;
+      if (threads > 1) pool.emplace(threads);
+      const std::string what =
+          "placement " + std::to_string(static_cast<int>(pin.placement)) + " threads " +
+          std::to_string(threads);
+      gr::CsrView csr(inst.g);
+      expect_same(pin.over_g,
+                  route::evaluate_routing(inst, csr, route::Forwarding::kGreedy, 120, 5, ws,
+                                          pool ? &*pool : nullptr),
+                  what + " G");
+      csr.assign(spanner);
+      expect_same(pin.over_spanner,
+                  route::evaluate_routing(inst, csr, route::Forwarding::kGreedy, 120, 5, ws,
+                                          pool ? &*pool : nullptr),
+                  what + " spanner");
+    }
+  }
+}
+
+// route.heap_pops counts the evaluation's own searches exactly, so it reads
+// the same at every thread count.
+TEST(Routing, HeapPopsCounterIsThreadCountInvariant) {
+  const auto inst = instance(12, 300);
+  const gr::CsrView csr(inst.g);
+  std::vector<std::int64_t> pops;
+  for (const int threads : {1, 3}) {
+    obs::reset();
+    obs::set_enabled(true);
+    gr::DijkstraWorkspace ws;
+    std::optional<rt::WorkerPool> pool;
+    if (threads > 1) pool.emplace(threads);
+    static_cast<void>(route::evaluate_routing(inst, csr, route::Forwarding::kGreedy, 80, 3, ws,
+                                              pool ? &*pool : nullptr));
+    const obs::Snapshot snap = obs::snapshot();
+    obs::set_enabled(false);
+    obs::reset();
+    for (const auto& [name, value] : snap.counters) {
+      if (name == "route.heap_pops") pops.push_back(value);
+    }
+  }
+  ASSERT_EQ(pops.size(), 2U);
+  EXPECT_GT(pops[0], 0);
+  EXPECT_EQ(pops[0], pops[1]);
 }
 
 TEST(Gather, ViewsMatchHopBalls) {
