@@ -11,8 +11,8 @@
 #include "bench_util.hpp"
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
+#include "graph/sp_workspace.hpp"
 #include "wspd/wspd.hpp"
 
 using namespace localspan;
@@ -25,14 +25,15 @@ namespace {
 double complete_stretch(const std::vector<geom::Point>& pts, const graph::Graph& topo) {
   double worst = 1.0;
   const int n = static_cast<int>(pts.size());
+  graph::DijkstraWorkspace ws;
   for (int u = 0; u < n; u += 3) {
-    const graph::ShortestPaths sp = graph::dijkstra(topo, u);
+    const graph::SpView sp = ws.bounded(topo, u, graph::kInf);
     for (int v = 0; v < n; v += 5) {
       if (u == v) continue;
       const double direct = geom::distance(pts[static_cast<std::size_t>(u)],
                                            pts[static_cast<std::size_t>(v)]);
       if (direct == 0.0) continue;
-      worst = std::max(worst, sp.dist[static_cast<std::size_t>(v)] / direct);
+      worst = std::max(worst, sp.dist(v) / direct);
     }
   }
   return worst;

@@ -9,8 +9,8 @@
 
 #include "bench_util.hpp"
 #include "core/relaxed_greedy.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
+#include "graph/sp_workspace.hpp"
 
 using namespace localspan;
 using benchutil::fmt;
@@ -49,10 +49,12 @@ int main() {
     const auto inst = benchutil::standard_instance(n, 0.75, 9);
     const auto result = core::relaxed_greedy(inst, params);
     std::vector<std::vector<double>> dist(static_cast<std::size_t>(n));
+    graph::DijkstraWorkspace ws;
     for (int v = 0; v < n; ++v) {
-      dist[static_cast<std::size_t>(v)] = graph::dijkstra(result.spanner, v).dist;
-      for (double& d : dist[static_cast<std::size_t>(v)]) {
-        if (d == graph::kInf) d = 1e9;  // disconnected pairs: effectively far
+      const graph::SpView sp = ws.bounded(result.spanner, v, graph::kInf);
+      for (int x = 0; x < n; ++x) {
+        // Disconnected pairs: effectively far.
+        dist[static_cast<std::size_t>(v)].push_back(sp.reached(x) ? sp.dist(x) : 1e9);
       }
     }
     dd_table.add_row({fmt_int(n), fmt(graph::doubling_dimension_estimate(dist, 60, 9), 2)});

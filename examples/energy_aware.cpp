@@ -10,7 +10,6 @@
 
 #include "core/relaxed_greedy.hpp"
 #include "ext/energy.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
 #include "ubg/generator.hpp"
 

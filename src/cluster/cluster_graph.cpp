@@ -54,6 +54,10 @@ struct CenterHarvest {
                graph::DijkstraWorkspace& ws) {
     cond1.clear();
     cond2.clear();
+    // A center with no G'_{i-1} edge and no other member has a ball of {a}
+    // and no member edge to cross, so there is nothing to harvest. Early
+    // phases are mostly such singleton clusters.
+    if (gp.neighbors(a).empty() && members[static_cast<std::size_t>(a)].size() == 1) return;
     const graph::SpView sp = ws.bounded(gp, a, reach);
     for (int v : sp.touched()) {
       if (v <= a || cover.center_of[static_cast<std::size_t>(v)] != v) continue;
@@ -153,7 +157,7 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
     if (d == graph::kInf) continue;  // unreachable for a valid cover
     add_inter(r.a, r.b, d);
   }
-  cg.max_inter_degree = *std::max_element(inter_degree.begin(), inter_degree.end());
+  for (int d : inter_degree) cg.max_inter_degree = std::max(cg.max_inter_degree, d);
   if (obs::enabled()) {
     const CgMetrics& m = cg_metrics();
     obs::counter_add(m.centers, nc);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
-#include "graph/dijkstra.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -48,9 +48,20 @@ ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
 
   for (int u = 0; u < n; ++u) {
     if (cover.center_of[static_cast<std::size_t>(u)] != -1) continue;
-    const graph::SpView sp = ws.bounded(gp, u, radius);
     cover.centers.push_back(u);
     obs::counter_add(cover_metrics().centers, 1);
+    // The search relaxes only edges of weight <= radius out of u, so when u
+    // has none its ball is {u} and the search can be skipped. Early phases
+    // are mostly such vertices: G'_{i-1} is sparse and radius = δ·W_{i-1}.
+    const std::span<const graph::Neighbor> nbrs = gp.neighbors(u);
+    if (std::none_of(nbrs.begin(), nbrs.end(),
+                     [&](const graph::Neighbor& nb) { return nb.w <= radius; })) {
+      obs::histogram_record(cover_metrics().ball_size, 1);
+      cover.center_of[static_cast<std::size_t>(u)] = u;
+      cover.dist_to_center[static_cast<std::size_t>(u)] = 0.0;
+      continue;
+    }
+    const graph::SpView sp = ws.bounded(gp, u, radius);
     obs::histogram_record(cover_metrics().ball_size,
                           static_cast<std::int64_t>(sp.touched().size()));
     // Every settled vertex is within `radius`; absorb the still-uncovered
@@ -203,19 +214,20 @@ ClusterCover mis_cover(const graph::CsrView& gp, double radius, graph::DijkstraW
 
 bool is_valid_cover(const graph::Graph& gp, const ClusterCover& cover) {
   const int n = gp.n();
+  graph::DijkstraWorkspace ws(n);
   if (static_cast<int>(cover.center_of.size()) != n) return false;
   for (int v = 0; v < n; ++v) {
     const int c = cover.center_of[static_cast<std::size_t>(v)];
     if (c < 0 || c >= n) return false;                          // coverage
     if (cover.center_of[static_cast<std::size_t>(c)] != c) return false;  // centers own themselves
-    const double d = graph::sp_distance(gp, c, v, cover.radius);
+    const double d = ws.distance(gp, c, v, cover.radius);
     if (d > cover.radius) return false;  // radius bound (also validates dist_to_center)
     if (std::abs(d - cover.dist_to_center[static_cast<std::size_t>(v)]) > 1e-9) return false;
   }
   for (int a : cover.centers) {
     for (int b : cover.centers) {
       if (a >= b) continue;
-      if (graph::sp_distance(gp, a, b, cover.radius) <= cover.radius) return false;  // separation
+      if (ws.distance(gp, a, b, cover.radius) <= cover.radius) return false;  // separation
     }
   }
   return true;

@@ -1,5 +1,6 @@
 #include "core/bins.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,22 +13,29 @@ BinSchema::BinSchema(double alpha, double r, int n) : alpha_(alpha), r_(r), w0_(
   if (n < 1) throw std::invalid_argument("BinSchema: n must be >= 1");
   if (!(alpha > 0.0) || alpha > 1.0) throw std::invalid_argument("BinSchema: alpha in (0,1]");
   m_ = static_cast<int>(std::ceil(std::log(static_cast<double>(n) / alpha_) / std::log(r_)));
+  // bin_of may probe one past max_bin() when rounding leaves W(m) just
+  // below an admissible length.
+  for (int i = 0; i <= m_ + 1; ++i) w_.push_back(std::pow(r_, i) * w0_);
 }
 
 double BinSchema::W(int i) const {
   if (i < 0) throw std::invalid_argument("BinSchema::W: negative index");
-  return std::pow(r_, i) * w0_;
+  // The table holds the same expression's values, so W is bit-identical
+  // either way.
+  return i < static_cast<int>(w_.size()) ? w_[static_cast<std::size_t>(i)]
+                                          : std::pow(r_, i) * w0_;
 }
 
 int BinSchema::bin_of(double len) const {
-  if (!(len > 0.0)) throw std::invalid_argument("BinSchema::bin_of: length must be positive");
+  if (!(len > 0.0) || !std::isfinite(len)) {
+    throw std::invalid_argument("BinSchema::bin_of: length must be positive and finite");
+  }
   if (len <= w0_) return 0;
-  // Initial guess from logs, then fix up floating-point boundary cases so
-  // that the invariant W(i-1) < len <= W(i) holds exactly.
-  int i = static_cast<int>(std::ceil(std::log(len / w0_) / std::log(r_)));
-  if (i < 1) i = 1;
-  while (i > 1 && W(i - 1) >= len) --i;
-  while (W(i) < len) ++i;
+  // W is strictly increasing, so the unique i >= 1 with W(i-1) < len <= W(i)
+  // is the first i >= 1 with W(i) >= len (W(0) = w0 < len).
+  const auto it = std::lower_bound(w_.begin() + 1, w_.end(), len);
+  int i = static_cast<int>(it - w_.begin());
+  while (W(i) < len) ++i;  // past the table: lengths beyond W(m + 1)
   return i;
 }
 

@@ -26,6 +26,7 @@ class BinSchema {
 
   /// Bin index of an edge of Euclidean length `len` in (0, 1]:
   /// 0 when len <= α/n, else the unique i >= 1 with W(i-1) < len <= W(i).
+  /// \throws std::invalid_argument unless len is positive and finite.
   [[nodiscard]] int bin_of(double len) const;
 
   /// m = ⌈log_r(n/α)⌉: every admissible edge length (<= 1) falls in a bin
@@ -40,6 +41,7 @@ class BinSchema {
   double r_;
   double w0_;
   int m_;
+  std::vector<double> w_;  ///< W(0..m+1): lookups and bin_of skip pow and log.
 };
 
 /// Edges of g grouped by bin of their *Euclidean length* `len(u,v)` (the

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <numbers>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <tuple>
 
 #include "core/greedy.hpp"
 #include "graph/components.hpp"
@@ -16,18 +17,34 @@ namespace localspan::core {
 
 namespace detail {
 
+CoveredCone::CoveredCone(double angle)
+    : theta(angle),
+      cos_theta(std::cos(angle)),
+      band(angle >= 0.0 && angle <= std::numbers::pi ? 1e-12 : graph::kInf) {}
+
 bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::Graph& gp,
-                     const PhaseEdge& e, double theta) {
+                     const PhaseEdge& e, const CoveredCone& cone) {
+  // Squared lengths order like lengths, so |uz| <= |uv| needs a sqrt only
+  // when the squares say otherwise (sqrt may round them equal).
+  const double sq_uv = pts.sq_distance(e.u, e.v);
+  const double duv = std::sqrt(sq_uv);
   const auto test_side = [&](int u, int v) {
     // Looking for z with {u,z} in G'_{i-1}, |vz| <= alpha, angle vuz <= theta.
     for (const graph::Neighbor& nb : gp.neighbors(u)) {
       const int z = nb.to;
       if (z == v) continue;
+      const double sq_uz = pts.sq_distance(u, z);
+      if (sq_uz == 0.0) continue;                             // degenerate ray
+      if (sq_uz > sq_uv && std::sqrt(sq_uz) > duv) continue;  // Lemma 3 needs |uz| <= |uv|
       if (pts.distance(v, z) > alpha) continue;
-      const double duz = pts.distance(u, z);
-      if (duz == 0.0) continue;                    // degenerate ray
-      if (duz > pts.distance(u, v)) continue;      // Lemma 3 needs |uz| <= |uv|
-      if (pts.angle_at(u, v, z) <= theta) return true;
+      // acos(c) <= θ is decided by the cosine c alone when c is more than
+      // 1e-12 from cos θ: acos falls with slope at least 1 in magnitude, so
+      // the angle is then more than ~1e-12 from θ, far beyond the ulp-level
+      // error of acos and of cos θ. Only a cosine inside that band pays for
+      // acos, so the result is bit-identical to angle_at(u, v, z) <= θ.
+      const double c = pts.cos_at(u, v, z);
+      if (c > cone.cos_theta + cone.band) return true;
+      if (c >= cone.cos_theta - cone.band && std::acos(c) <= cone.theta) return true;
     }
     return false;
   };
@@ -36,63 +53,41 @@ bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::Gra
 
 std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidates,
                                           const cluster::ClusterCover& cover, double t,
-                                          int* per_cluster_max, runtime::WorkerPool* pool) {
-  struct Best {
+                                          int* per_cluster_max) {
+  // One sort by (cluster pair, objective, u, v, candidate index): the first
+  // row of each pair is the lexicographic minimum by (objective, (u, v)),
+  // ties going to the earliest candidate, and the pairs come out ascending.
+  struct Row {
+    int lo, hi;  ///< the pair's centers, lo <= hi.
     double objective;
-    PhaseEdge edge;
+    int u, v, index;
   };
-  // The winner per cluster pair is the lexicographic minimum by
-  // (objective, (u, v)) — a total order — so folding any partition of the
-  // candidates with this rule and merging with the same rule yields the
-  // same map regardless of chunk boundaries or fold order.
-  const auto fold = [&](std::map<std::pair<int, int>, Best>& acc, const PhaseEdge& e,
-                        double objective) {
-    const int ca = cover.center_of[static_cast<std::size_t>(e.u)];
-    const int cb = cover.center_of[static_cast<std::size_t>(e.v)];
-    const auto key = std::minmax(ca, cb);
-    auto it = acc.find(key);
-    if (it == acc.end()) {
-      acc.emplace(key, Best{objective, e});
-    } else if (objective < it->second.objective ||
-               (objective == it->second.objective &&
-                std::pair(e.u, e.v) < std::pair(it->second.edge.u, it->second.edge.v))) {
-      it->second = Best{objective, e};
-    }
-  };
-  const auto objective_of = [&](const PhaseEdge& e) {
-    return t * e.w - cover.dist_to_center[static_cast<std::size_t>(e.u)] -
-           cover.dist_to_center[static_cast<std::size_t>(e.v)];
-  };
-  std::map<std::pair<int, int>, Best> best_per_pair;
-  if (pool != nullptr && pool->threads() > 1 && candidates.size() > 1) {
-    // Harvest: one partial-minimum map per worker over its contiguous chunk
-    // (for_each chunks statically, so each worker folds sequentially into
-    // its own slot). Commit: merge the partials in worker order.
-    std::vector<std::map<std::pair<int, int>, Best>> partial(
-        static_cast<std::size_t>(pool->threads()));
-    pool->for_each(0, static_cast<int>(candidates.size()), [&](int worker, int i) {
-      const PhaseEdge& e = candidates[static_cast<std::size_t>(i)];
-      fold(partial[static_cast<std::size_t>(worker)], e, objective_of(e));
-    });
-    for (const auto& part : partial) {
-      for (const auto& [key, b] : part) fold(best_per_pair, b.edge, b.objective);
-    }
-  } else {
-    for (const PhaseEdge& e : candidates) fold(best_per_pair, e, objective_of(e));
+  std::vector<Row> rows;
+  rows.reserve(candidates.size());
+  for (int i = 0; i < static_cast<int>(candidates.size()); ++i) {
+    const PhaseEdge& e = candidates[static_cast<std::size_t>(i)];
+    const auto [lo, hi] = std::minmax(cover.center_of[static_cast<std::size_t>(e.u)],
+                                      cover.center_of[static_cast<std::size_t>(e.v)]);
+    rows.push_back({lo, hi,
+                    t * e.w - cover.dist_to_center[static_cast<std::size_t>(e.u)] -
+                        cover.dist_to_center[static_cast<std::size_t>(e.v)],
+                    e.u, e.v, i});
   }
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::tie(a.lo, a.hi, a.objective, a.u, a.v, a.index) <
+           std::tie(b.lo, b.hi, b.objective, b.u, b.v, b.index);
+  });
   std::vector<PhaseEdge> selected;
-  selected.reserve(best_per_pair.size());
-  std::unordered_map<int, int> incident;
-  for (const auto& [key, b] : best_per_pair) {
-    selected.push_back(b.edge);
-    ++incident[key.first];
-    if (key.second != key.first) ++incident[key.second];
+  std::vector<int> incident(cover.center_of.size(), 0);
+  int most = 0;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const Row& r = rows[k];
+    if (k > 0 && r.lo == rows[k - 1].lo && r.hi == rows[k - 1].hi) continue;
+    selected.push_back(candidates[static_cast<std::size_t>(r.index)]);
+    most = std::max(most, ++incident[static_cast<std::size_t>(r.lo)]);
+    if (r.hi != r.lo) most = std::max(most, ++incident[static_cast<std::size_t>(r.hi)]);
   }
-  if (per_cluster_max != nullptr) {
-    int mx = 0;
-    for (const auto& [c, cnt] : incident) mx = std::max(mx, cnt);
-    *per_cluster_max = mx;
-  }
+  if (per_cluster_max != nullptr) *per_cluster_max = most;
   return selected;
 }
 
@@ -147,7 +142,10 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
   if (k < 2) return j;
   double max_w = 0.0;
   for (const PhaseEdge& e : added) max_w = std::max(max_w, e.w);
+  // A conflict reads no distance past `settle`, so each ball is the t1·max_w
+  // search stopped there (the argument is in relaxed_greedy.hpp).
   const double bound = t1 * max_w;
+  const double settle = std::max(0.0, t1 - 1.0 + 1e-9) * max_w;
 
   // Index the distinct endpoints of `added` and the edges incident to each.
   std::vector<int> index_of(static_cast<std::size_t>(h.n()), -1);
@@ -169,36 +167,68 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
 
   // One bounded search per endpoint, kept *sparse*: only distances to other
   // endpoints survive (harvested from the touched list, so each row costs
-  // O(|ball|), not O(k) — and nothing is O(n)). The rows are independent
-  // pure functions of (h, endpoint, bound), so with a pool they are
-  // harvested in parallel; the pair sweep below reads them in the fixed
-  // edge order either way.
-  std::vector<std::vector<std::pair<int, double>>> rows(static_cast<std::size_t>(ne));
-  runtime::for_each_with_workspace(pool, ws, 0, ne, [&](graph::DijkstraWorkspace& wws, int r) {
-    const graph::SpView sp = wws.bounded(h, endpoints[static_cast<std::size_t>(r)], bound);
+  // O(|ball|), not O(k) — and nothing is O(n)). Entries past `settle` hold
+  // tentative distances, which are upper bounds and so fail the pairing
+  // tests, as the true ones do; those after the last entry within `settle`
+  // cannot come first for any partner (see the sweep) and are dropped. The
+  // rows are independent pure functions of (h, endpoint, bound, settle), so
+  // with a pool they are harvested in parallel; the pair sweep below reads
+  // them in the fixed edge order either way. Each worker appends its rows to
+  // one flat buffer (a vector per row would cost an allocation per
+  // endpoint), so a row is a slice of its worker's buffer.
+  using Entry = std::pair<int, double>;
+  struct Slice {
+    int worker, begin, end;
+  };
+  const int workers = pool != nullptr ? pool->threads() : 1;
+  std::vector<std::vector<Entry>> buffers(static_cast<std::size_t>(workers));
+  std::vector<Slice> slices(static_cast<std::size_t>(ne));
+  const auto harvest = [&](graph::DijkstraWorkspace& wws, int worker, int r) {
+    std::vector<Entry>& buf = buffers[static_cast<std::size_t>(worker)];
+    const graph::SpView sp = wws.bounded(h, endpoints[static_cast<std::size_t>(r)], bound, settle);
+    const std::size_t begin = buf.size();
+    std::size_t near_end = begin;
     for (int v : sp.touched()) {
       const int q = index_of[static_cast<std::size_t>(v)];
-      if (q != -1) rows[static_cast<std::size_t>(r)].push_back({q, sp.dist(v)});
+      if (q == -1) continue;
+      buf.push_back({q, sp.dist(v)});
+      if (buf.back().second <= settle) near_end = buf.size();
     }
-  });
+    buf.resize(near_end);
+    slices[static_cast<std::size_t>(r)] = {worker, static_cast<int>(begin),
+                                           static_cast<int>(near_end)};
+  };
+  if (workers > 1) {
+    pool->for_each(0, ne, [&](int worker, int r) { harvest(pool->workspace(worker), worker, r); });
+  } else {
+    for (int r = 0; r < ne; ++r) harvest(ws, 0, r);
+  }
+  const auto row_of = [&](int endpoint) {
+    const Slice& sl =
+        slices[static_cast<std::size_t>(index_of[static_cast<std::size_t>(endpoint)])];
+    return std::span<const Entry>(buffers[static_cast<std::size_t>(sl.worker)].data() + sl.begin,
+                                  static_cast<std::size_t>(sl.end - sl.begin));
+  };
 
   // Enumerate only pairs that can possibly conflict. Both §2.2.5 pairings
-  // need sp(e.u, f.u) or sp(e.u, f.v) finite within the bound, so every
-  // conflict partner of edge a = {e.u, e.v} has an endpoint in e.u's row —
-  // the all-pairs O(k^2) sweep becomes output-sensitive in the ball sizes.
+  // need sp(e.u, f.u) or sp(e.u, f.v) within `settle`, so every conflict
+  // partner of edge a = {e.u, e.v} has an endpoint in e.u's row — the
+  // all-pairs O(k^2) sweep becomes output-sensitive in the ball sizes. J
+  // gets a's partners in the order the full t1·max_w row first lists an
+  // endpoint of theirs. A row is a prefix of that full row and holds each
+  // partner's near endpoint, so the first one it lists is that one too.
   std::vector<double> du(static_cast<std::size_t>(ne)), dv(static_cast<std::size_t>(ne));
   std::vector<int> du_stamp(static_cast<std::size_t>(ne), -1);
   std::vector<int> dv_stamp(static_cast<std::size_t>(ne), -1);
   std::vector<int> seen(static_cast<std::size_t>(k), -1);
   for (int a = 0; a < k; ++a) {
     const PhaseEdge& e = added[static_cast<std::size_t>(a)];
-    const int ru = index_of[static_cast<std::size_t>(e.u)];
-    const int rv = index_of[static_cast<std::size_t>(e.v)];
-    for (const auto& [q, d] : rows[static_cast<std::size_t>(ru)]) {
+    const std::span<const Entry> row_u = row_of(e.u);
+    for (const auto& [q, d] : row_u) {
       du[static_cast<std::size_t>(q)] = d;
       du_stamp[static_cast<std::size_t>(q)] = a;
     }
-    for (const auto& [q, d] : rows[static_cast<std::size_t>(rv)]) {
+    for (const auto& [q, d] : row_of(e.v)) {
       dv[static_cast<std::size_t>(q)] = d;
       dv_stamp[static_cast<std::size_t>(q)] = a;
     }
@@ -210,7 +240,7 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
       return dv_stamp[static_cast<std::size_t>(q)] == a ? dv[static_cast<std::size_t>(q)]
                                                         : graph::kInf;
     };
-    for (const auto& [q, dq] : rows[static_cast<std::size_t>(ru)]) {
+    for (const auto& [q, dq] : row_u) {
       for (int b : edges_of[static_cast<std::size_t>(q)]) {
         if (b <= a || seen[static_cast<std::size_t>(b)] == a) continue;
         seen[static_cast<std::size_t>(b)] = a;
@@ -412,6 +442,8 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
 
   const auto mis_fn = [&](const graph::Graph& j) { return steps.mis(j, pool); };
 
+  const detail::CoveredCone cone(params.theta);
+
   // Phases i >= 1, skipping empty bins (recomputation is from G' alone, so
   // skipping is a pure optimization).
   for (int i = 1; i < static_cast<int>(bins.size()); ++i) {
@@ -455,7 +487,7 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
         lens[static_cast<std::size_t>(i)] = len;
         if (opts.covered_edge_filter &&
             detail::is_covered_edge(pts, inst.config.alpha, result.spanner, {e.u, e.v, len, e.w},
-                                    params.theta)) {
+                                    cone)) {
           status[static_cast<std::size_t>(i)] = kCovered;
         }
       };
@@ -482,7 +514,7 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     const std::vector<PhaseEdge> queries = [&] {
       const obs::Span span(rg_metrics().select_span);
       return detail::select_query_edges(candidates, cover, params.t,
-                                        &st.max_query_edges_per_cluster, pool);
+                                        &st.max_query_edges_per_cluster);
     }();
     st.queries = static_cast<int>(queries.size());
 

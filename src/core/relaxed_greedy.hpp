@@ -154,26 +154,37 @@ struct PhaseEdge {
   double w;    ///< active weight (spanner arithmetic).
 };
 
+/// The cone half-angle θ of the covered test, with cos θ worked out once.
+/// Implicit, so a bare angle converts.
+struct CoveredCone {
+  CoveredCone(double angle);  // NOLINT(google-explicit-constructor)
+  double theta;
+  double cos_theta;
+  double band;  ///< 1e-12; everything when θ is outside [0, π] or NaN.
+};
+
 /// §2.2.2 part 1: the θ-cone covered test for one edge (Lemma 3 / Fig 1).
 /// True iff some z with {u,z} in gp, |vz| <= α and ∠vuz <= θ exists (or the
 /// symmetric condition at v). The geometry streams from the flat SoA
-/// coordinate lanes; `alpha` is the instance's UBG radius.
+/// coordinate lanes; `alpha` is the instance's UBG radius. The angle is
+/// compared through its cosine, and acos runs only for a cosine within
+/// `band` of cos θ, so the answer is bit-identical to testing the angle.
 [[nodiscard]] bool is_covered_edge(const graph::SoaPoints& pts, double alpha,
-                                   const graph::Graph& gp, const PhaseEdge& e, double theta);
+                                   const graph::Graph& gp, const PhaseEdge& e,
+                                   const CoveredCone& cone);
 
 /// §2.2.2 part 2: keep one query edge per cluster pair, minimizing
-/// t·w(x,y) − sp(a,x) − sp(b,y). Returns selected edges; if `per_cluster_max`
-/// is non-null it receives the Lemma 4 quantity.
+/// t·w(x,y) − sp(a,x) − sp(b,y). Returns selected edges in ascending
+/// cluster-pair order; if `per_cluster_max` is non-null it receives the
+/// Lemma 4 quantity.
 ///
-/// With a pool, each worker folds its contiguous candidate chunk into a
-/// private per-cluster-pair partial minimum and the chunks are merged
-/// serially. The winner per pair is the lexicographic minimum by
-/// (objective, (u, v)) — a total order — so chunk boundaries cannot change
-/// the outcome and the selection is bit-identical at every thread count.
+/// One sort of (pair, objective, u, v, index) rows: the winner per pair is
+/// the lexicographic minimum by (objective, (u, v)), full ties going to the
+/// earliest candidate, and incident pairs are counted in a flat per-vertex
+/// array.
 [[nodiscard]] std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidates,
                                                         const cluster::ClusterCover& cover,
-                                                        double t, int* per_cluster_max,
-                                                        runtime::WorkerPool* pool = nullptr);
+                                                        double t, int* per_cluster_max);
 
 /// §2.2.4: answer all queries on H; returns the edges to add (those with
 /// sp_H(x,y) > t·w(x,y)). Updates `max_hops` with the Lemma 8 quantity.
@@ -199,6 +210,19 @@ struct PhaseEdge {
 /// bounded search per distinct endpoint — the dominant cost) run on the
 /// workers; the pair sweep and J construction stay sequential, so J is
 /// bit-identical to serial.
+///
+/// The balls stop settling at (t1 − 1 + 1e-9)·max_w, not t1·max_w. Edges e
+/// and f are mutually redundant under a pairing with connection sum
+/// s = sp(e.x, f.x') + sp(e.y, f.y') when s + w(f) <= t1·w(e) and
+/// s + w(e) <= t1·w(f). Adding the two gives s <= (t1 − 1)(w(e) + w(f))/2
+/// <= (t1 − 1)·max_w, and each distance in s is at most s, so a conflict
+/// never reads a distance past that radius. The 1e-9·max_w slack is many
+/// orders of magnitude above the rounding in the pairing tests (for
+/// t1 < 10^6). A pair that needs a longer distance fails the tests either
+/// way, so J's edge set is the one the t1·max_w balls give. Each search is
+/// the t1·max_w search cut short (`bounded` with a `settle` radius), so its
+/// touched list is a prefix of the full one and J's adjacency order is the
+/// same too; that order is the message order of a distributed MIS on J.
 [[nodiscard]] graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws,
                                                      const graph::Graph& h,
                                                      const std::vector<PhaseEdge>& added,

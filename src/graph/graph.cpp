@@ -82,13 +82,14 @@ int Graph::max_degree() const noexcept {
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
   out.reserve(static_cast<std::size_t>(m_));
+  // Rows come out in u order, so sorting each row by v sorts the list.
   for (int u = 0; u < n(); ++u) {
+    const auto row = static_cast<std::ptrdiff_t>(out.size());
     for (const Neighbor& nb : adj_[static_cast<std::size_t>(u)]) {
       if (u < nb.to) out.push_back({u, nb.to, nb.w});
     }
+    std::sort(out.begin() + row, out.end(), [](const Edge& a, const Edge& b) { return a.v < b.v; });
   }
-  std::sort(out.begin(), out.end(),
-            [](const Edge& a, const Edge& b) { return a.u != b.u ? a.u < b.u : a.v < b.v; });
   return out;
 }
 

@@ -77,7 +77,11 @@ class SoaPoints {
 
   /// The angle ∠vuz at apex u, bit-identical to geom::angle_at.
   /// \throws std::invalid_argument if either ray is degenerate.
-  [[nodiscard]] double angle_at(int u, int v, int z) const {
+  [[nodiscard]] double angle_at(int u, int v, int z) const { return std::acos(cos_at(u, v, z)); }
+
+  /// cos ∠vuz clamped to [-1, 1], the value angle_at takes the acos of.
+  /// \throws std::invalid_argument if either ray is degenerate.
+  [[nodiscard]] double cos_at(int u, int v, int z) const {
     const double* pu = row(u);
     const double* pv = row(v);
     const double* pz = row(z);
@@ -94,8 +98,7 @@ class SoaPoints {
     if (nv == 0.0 || nz == 0.0) {
       throw std::invalid_argument("angle_at: degenerate ray (coincident points)");
     }
-    const double cosang = std::clamp(dot / std::sqrt(nv * nz), -1.0, 1.0);
-    return std::acos(cosang);
+    return std::clamp(dot / std::sqrt(nv * nz), -1.0, 1.0);
   }
 
  private:

@@ -6,9 +6,9 @@
 /// Most shortest-path questions in the paper are *radius-bounded* — cluster
 /// covers explore to δW_{i-1}, queries to t·|xy|, dynamic repair to the
 /// dirty-ball radius R — so the ball a search settles is usually tiny
-/// compared to n. The dense `dijkstra*` functions still pay O(n) to
-/// allocate and initialize their dist/parent arrays per call, which makes
-/// the *memory traffic* global even when the *work* is local. The
+/// compared to n. A dense Dijkstra pays O(n) to allocate and initialize
+/// its dist/parent arrays per call, which makes the *memory traffic*
+/// global even when the *work* is local. The
 /// `DijkstraWorkspace` removes that: dist/parent entries are validated by an
 /// epoch stamp, a search touches only the ball it settles, reset is O(1)
 /// (bump the epoch), and the heap/touched buffers are reused so a warmed-up
@@ -25,9 +25,8 @@
 /// search uses `ZeroPotential`, which compiles to the plain loop.
 ///
 /// Searches return a sparse `SpView` (touched-vertex list + O(1) stamped
-/// lookup) instead of a dense `ShortestPaths`; the dense functions in
-/// dijkstra.hpp survive as the reference implementation the workspace is
-/// tested against.
+/// lookup); the dense reference the workspace is tested against lives in
+/// tests/dijkstra_reference.hpp.
 ///
 /// The priority queue is a d-ary heap with a compile-time arity
 /// (`BasicDijkstraWorkspace<Arity>`; the production alias uses 4). A 4-ary
@@ -198,7 +197,8 @@ class BasicDijkstraWorkspace;
 /// search (bounded_to, distance) stops as soon as the target settles:
 /// reached/dist/touched may then include frontier vertices whose
 /// distances are still tentative upper bounds — read only the target and
-/// its tree ancestors from such a view.
+/// its tree ancestors from such a view. A `bounded` search cut at `settle`
+/// is exact within `settle` and tentative past it.
 class SpView {
  public:
   SpView() = default;
@@ -252,11 +252,18 @@ class BasicDijkstraWorkspace {
   explicit BasicDijkstraWorkspace(int n) { grow(n); }
 
   /// Single-source search bounded by `radius` (pass kInf for unbounded).
+  ///
+  /// With `settle` < radius the search is that same search cut short: it
+  /// queues exactly what the radius search queues but stops once the
+  /// smallest key exceeds `settle`. Its heap operations are a prefix of the
+  /// radius search's, so every vertex within `settle` settles in the same
+  /// order and the touched list is a prefix of that search's. Touched
+  /// vertices past `settle` keep tentative distances (upper bounds).
   template <class G>
-  SpView bounded(const G& g, int src, double radius) {
+  SpView bounded(const G& g, int src, double radius, double settle = kInf) {
     check_radius(radius);
     const int srcs[1] = {src};
-    return run(g, srcs, radius, -1, IdentityWeight{});
+    return run(g, srcs, radius, -1, IdentityWeight{}, ZeroPotential{}, settle);
   }
 
   /// Single-source search bounded by `radius` that stops as soon as `target`
@@ -458,7 +465,7 @@ class BasicDijkstraWorkspace {
   /// only ever holds a real path's sum.
   template <class G, class WeightFn, class Potential = ZeroPotential>
   SpView run(const G& g, std::span<const int> sources, double radius, int target,
-             WeightFn&& weight, const Potential& h = {}) {
+             WeightFn&& weight, const Potential& h = {}, double settle = kInf) {
     constexpr bool kGoal = !std::is_same_v<Potential, ZeroPotential>;
     const InUseGuard guard(in_use_);
     begin(g.n());
@@ -466,7 +473,7 @@ class BasicDijkstraWorkspace {
     // key(x) = g(x) + h(x); h(x) is computed once, when x is first stamped.
     const auto key = [&](double gx, std::size_t x) { return kGoal ? gx + h_[x] : gx; };
     double best = kInf;  // goal-directed form: g(target) so far.
-    double stop = kGoal ? radius * kGoalSlack : radius;
+    double stop = kGoal ? radius * kGoalSlack : std::min(radius, settle);
     // An entry whose key already exceeds stop would never be expanded.
     const auto push = [&](double gx, std::size_t i, int x) {
       const double kx = key(gx, i);

@@ -1,6 +1,7 @@
 #include "io/serialize.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <type_traits>
 
 namespace localspan::io {
 
@@ -31,7 +33,11 @@ T read_number(std::istream& is, std::string& token, const char* what) {
   const char* first = token.data();
   const char* last = token.data() + token.size();
   const std::from_chars_result res = std::from_chars(first, last, value);
-  if (res.ec != std::errc() || res.ptr != last) {
+  // from_chars also parses "inf" and "nan"; no field of an instance may be
+  // non-finite.
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
+  if (res.ec != std::errc() || res.ptr != last || !finite) {
     throw std::runtime_error(std::string("read_instance: malformed input: ") + what + " '" +
                              token + "'");
   }

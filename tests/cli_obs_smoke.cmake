@@ -7,7 +7,8 @@
 # pool workers), and the metrics snapshot must carry the dyn.* counters the
 # batch path is instrumented with. A per-event run must count each event
 # exactly once. A relaxed-dist span run must report the relaxed-greedy phase
-# spans (it drives the same phase loop).
+# spans (it drives the same phase loop). A relaxed span run on a fixed
+# instance bounds the phase loop's heap pops.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<localspan_cli> -DWORK_DIR=<dir> -P cli_obs_smoke.cmake")
@@ -171,5 +172,43 @@ foreach(span rg.cover rg.queries)
     message(FATAL_ERROR "relaxed-dist span ${span} has count ${span_count}, expected >= 1")
   endif()
 endforeach()
+
+# --- Search work of the phase loop: a timing-free guard ------------------
+# A fixed instance, one thread. rg.heap_pops counts every heap pop of the
+# relaxed-greedy searches, so it rises if a pass searches past what it
+# needs (e.g. redundancy balls back at t1·max_w: 204319 pops here). Skipped
+# singleton balls must still be counted: every cover center is a
+# cluster-graph center.
+execute_process(
+  COMMAND "${CLI}" gen --n 2048 --alpha 0.75 --dim 2 --seed 3 --out work.lsi
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "localspan_cli gen exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+execute_process(
+  COMMAND "${CLI}" span --in work.lsi --eps 0.5 --threads 1 --obs-json work_stats.json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "span (search-work guard) exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+file(READ "${WORK_DIR}/work_stats.json" work_stats)
+string(JSON heap_pops GET "${work_stats}" "counters" "rg.heap_pops")
+set(max_heap_pops 150045)
+if(heap_pops GREATER max_heap_pops)
+  message(FATAL_ERROR "rg.heap_pops is ${heap_pops} on the n=2048 seed-3 instance, "
+    "above ${max_heap_pops}: a phase searches further than before")
+endif()
+string(JSON cover_centers GET "${work_stats}" "counters" "cover.centers")
+string(JSON cg_centers GET "${work_stats}" "counters" "cg.centers")
+if(NOT cover_centers EQUAL cg_centers)
+  message(FATAL_ERROR "cover.centers=${cover_centers} but cg.centers=${cg_centers}: "
+    "some cover ball went unrecorded")
+endif()
 
 message(STATUS "cli_obs_smoke: trace has ${x_events} events on ${n_tracks} tracks; all checks passed")

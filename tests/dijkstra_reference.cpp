@@ -1,4 +1,4 @@
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 
 #include <queue>
 #include <stdexcept>

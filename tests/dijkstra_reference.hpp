@@ -1,21 +1,13 @@
 #pragma once
-/// \file dijkstra.hpp
-/// Shortest-path machinery — the dense reference implementation.
-///
-/// Every shortest-path question in the paper is *radius-bounded*: cluster
-/// covers explore to δW_{i-1} (§2.2.1), cluster-graph construction to
-/// (2δ+1)W_{i-1} (Lemma 5), queries to t·|xy| (§2.2.4). We therefore expose
-/// bounded Dijkstra variants that stop expanding past the bound — this is
-/// both the asymptotic trick of Das–Narasimhan and what keeps the phased
-/// algorithm near-linear in practice.
+/// \file dijkstra_reference.hpp
+/// Dense Dijkstra — the reference the shortest-path workspace is tested
+/// against.
 ///
 /// These functions allocate and initialize O(n) dist/parent arrays per
-/// call, which makes the memory traffic global even when the settled ball
-/// is tiny. Hot paths use graph::DijkstraWorkspace (sp_workspace.hpp)
-/// instead — epoch-stamped scratch with O(1) reset and zero steady-state
-/// allocation; the functions here survive as the reference implementation
-/// the workspace is tested against (tests/test_sp_workspace.cpp) and as
-/// the convenient form for one-shot callers off the hot path.
+/// call. The library's searches all run on graph::DijkstraWorkspace
+/// (sp_workspace.hpp), whose epoch-stamped scratch touches only the ball a
+/// search settles; the tests compare it, and the passes built on it,
+/// against these plain implementations.
 
 #include <functional>
 #include <span>

@@ -16,7 +16,7 @@
 #include "cluster/cover.hpp"
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "mis/mis.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
@@ -344,6 +344,54 @@ TEST(Cover, DisconnectedGraphsGetPerComponentClusters) {
   const auto cover = cl::sequential_cover(gp, 0.5);
   EXPECT_TRUE(cl::is_valid_cover(gp, cover));
   EXPECT_EQ(cover.centers.size(), 2u);
+}
+
+TEST(Cover, SkippedSingletonBallsMatchADenseReference) {
+  // sequential_cover skips the search for a vertex with no edge of weight
+  // <= radius. The cover must equal the plain sweep with a dense bounded
+  // Dijkstra from every uncovered vertex, distances bitwise, also when the
+  // radius equals an edge weight.
+  gr::Graph gp = partial_spanner(11, 150);
+  for (int k = 0; k < 5; ++k) gp.add_vertex();  // isolated vertices
+  const std::vector<gr::Edge> edges = gp.edges();
+  for (const double radius : {0.0, 0.02, 0.05, 0.1, 0.3, edges[7].w, edges[40].w}) {
+    const auto cover = cl::sequential_cover(gp, radius);
+    std::vector<int> center_of(static_cast<std::size_t>(gp.n()), -1);
+    std::vector<double> dist(static_cast<std::size_t>(gp.n()), gr::kInf);
+    std::vector<int> centers;
+    for (int u = 0; u < gp.n(); ++u) {
+      if (center_of[static_cast<std::size_t>(u)] != -1) continue;
+      centers.push_back(u);
+      const gr::ShortestPaths sp = gr::dijkstra_bounded(gp, u, radius);
+      for (int v = 0; v < gp.n(); ++v) {
+        if (center_of[static_cast<std::size_t>(v)] == -1 &&
+            sp.dist[static_cast<std::size_t>(v)] <= radius) {
+          center_of[static_cast<std::size_t>(v)] = u;
+          dist[static_cast<std::size_t>(v)] = sp.dist[static_cast<std::size_t>(v)];
+        }
+      }
+    }
+    EXPECT_EQ(cover.centers, centers) << "radius " << radius;
+    EXPECT_EQ(cover.center_of, center_of) << "radius " << radius;
+    EXPECT_EQ(cover.dist_to_center, dist) << "radius " << radius;
+    EXPECT_TRUE(cl::is_valid_cover(gp, cover)) << "radius " << radius;
+  }
+  // An edge of weight exactly the radius joins the ball; a longer one not.
+  gr::Graph path(3);
+  path.add_edge(0, 1, 0.5);
+  path.add_edge(1, 2, 0.7);
+  EXPECT_EQ(cl::sequential_cover(path, 0.5).center_of, (std::vector<int>{0, 0, 2}));
+  EXPECT_EQ(cl::sequential_cover(path, std::nextafter(0.5, 0.0)).center_of,
+            (std::vector<int>{0, 1, 2}));
+}
+
+TEST(ClusterGraph, EmptyGraphHasZeroInterDegree) {
+  const gr::Graph gp(0);
+  const auto cover = cl::sequential_cover(gp, 0.1);
+  const auto cg = cl::build_cluster_graph(gp, cover, 1.0);
+  EXPECT_EQ(cg.h.n(), 0);
+  EXPECT_EQ(cg.max_inter_degree, 0);
+  EXPECT_EQ(cg.inter_edges + cg.intra_edges, 0);
 }
 
 TEST(ClusterGraph, IntraEdgesMatchCoverDistances) {

@@ -9,7 +9,7 @@
 #include "ext/energy.hpp"
 #include "ext/fault_tolerant.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/metrics.hpp"
 #include "ubg/generator.hpp"
 

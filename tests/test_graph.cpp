@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
@@ -98,6 +98,33 @@ TEST(Graph, EdgesAreSortedAndUnique) {
   EXPECT_EQ(es[1].v, 4);
   EXPECT_EQ(es[2].u, 1);
   EXPECT_EQ(es[2].v, 3);
+}
+
+TEST(Graph, EdgesMatchAGloballySortedReference) {
+  // edges() sorts each row by v; rows come out in u order, so the list must
+  // equal a global (u, v) sort of the same edges, weights included.
+  std::mt19937_64 rng(11);
+  for (int n : {1, 2, 7, 60}) {
+    gr::Graph g(n);
+    std::uniform_int_distribution<int> pick(0, n - 1);
+    std::uniform_real_distribution<double> weight(0.1, 2.0);
+    for (int k = 0; k < 4 * n; ++k) {
+      const int u = pick(rng);
+      const int v = pick(rng);
+      if (u != v) g.add_edge(u, v, weight(rng));
+    }
+    if (n > 3) g.remove_edge(g.edges().front().u, g.edges().front().v);
+    std::vector<gr::Edge> want;
+    for (int u = 0; u < n; ++u) {
+      for (const gr::Neighbor& nb : g.neighbors(u)) {
+        if (u < nb.to) want.push_back({u, nb.to, nb.w});
+      }
+    }
+    std::sort(want.begin(), want.end(), [](const gr::Edge& a, const gr::Edge& b) {
+      return std::pair(a.u, a.v) < std::pair(b.u, b.v);
+    });
+    EXPECT_EQ(g.edges(), want) << "n=" << n;
+  }
 }
 
 TEST(Graph, DegreeTracking) {

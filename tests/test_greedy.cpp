@@ -6,7 +6,7 @@
 
 #include "core/greedy.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "ubg/generator.hpp"

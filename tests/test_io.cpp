@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/bins.hpp"
 #include "geom/point.hpp"
 #include "io/serialize.hpp"
 #include "ubg/generator.hpp"
@@ -129,6 +130,43 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(static_cast<void>(io::read_instance(wrong_version)), std::runtime_error);
   std::stringstream truncated("localspan-instance v1\n10 2 0.7");
   EXPECT_THROW(static_cast<void>(io::read_instance(truncated)), std::runtime_error);
+}
+
+TEST(Serialize, RejectsNonFiniteNumbers) {
+  // from_chars parses "inf" and "nan"; an instance with such a field used to
+  // load, and span/verify then printed PASS on it.
+  const std::string header = "localspan-instance v1\n2 2 0.7 4.0 10.0 0 1\n";
+  const std::string points = "0 0\n0.5 0\n";
+  for (const std::string bad : {"inf", "-inf", "nan", "INF", "infinity"}) {
+    std::stringstream weight(header + points + "1\n0 1 " + bad + "\n");
+    EXPECT_THROW(static_cast<void>(io::read_instance(weight)), std::runtime_error) << bad;
+    std::stringstream coord(header + "0 " + bad + "\n0.5 0\n0\n");
+    EXPECT_THROW(static_cast<void>(io::read_instance(coord)), std::runtime_error) << bad;
+    std::stringstream alpha("localspan-instance v1\n2 2 " + bad + " 4.0 10.0 0 1\n" + points +
+                            "0\n");
+    EXPECT_THROW(static_cast<void>(io::read_instance(alpha)), std::runtime_error) << bad;
+  }
+  try {
+    std::stringstream weight(header + points + "1\n0 1 inf\n");
+    static_cast<void>(io::read_instance(weight));
+    ADD_FAILURE() << "an edge weight of inf loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed input"), std::string::npos) << e.what();
+  }
+  std::stringstream fine(header + points + "1\n0 1 0.5\n");
+  EXPECT_EQ(io::read_instance(fine).g.m(), 1);
+}
+
+TEST(Serialize, BinOfRejectsNonFiniteLengths) {
+  // ceil(log(inf)) cast to int is undefined behaviour; bin_of must refuse.
+  const localspan::core::BinSchema schema(0.7, 1.5, 64);
+  EXPECT_THROW(static_cast<void>(schema.bin_of(std::numeric_limits<double>::infinity())),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(schema.bin_of(std::numeric_limits<double>::quiet_NaN())),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(schema.bin_of(-std::numeric_limits<double>::infinity())),
+               std::invalid_argument);
+  EXPECT_EQ(schema.bin_of(schema.W(3)), 3);
 }
 
 TEST(Serialize, FileRoundTrip) {

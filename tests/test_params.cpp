@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "core/bins.hpp"
@@ -206,6 +208,37 @@ TEST(Bins, RejectsBadInputs) {
   const core::BinSchema s(0.5, 2.0, 100);
   EXPECT_THROW(static_cast<void>(s.bin_of(0.0)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(s.W(-1)), std::invalid_argument);
+}
+
+TEST(Bins, WTableIsBitEqualToPowAndBinOfAgreesAtBoundaries) {
+  // W(i) reads a table filled with the same pow expression it used to call
+  // per lookup; bin_of must place W(i) in bin i and its successor in i + 1,
+  // exactly as the pow-based search did.
+  const auto reference_bin_of = [](double r, double w0, double len) {
+    const auto w = [&](int k) { return std::pow(r, k) * w0; };
+    if (len <= w0) return 0;
+    int i = std::max(1, static_cast<int>(std::ceil(std::log(len / w0) / std::log(r))));
+    while (i > 1 && w(i - 1) >= len) --i;
+    while (w(i) < len) ++i;
+    return i;
+  };
+  for (const double alpha : {0.5, 0.75, 1.0}) {
+    for (const double r : {1.07, 1.5, 2.0, 3.3}) {
+      for (const int n : {1, 64, 1000, 8192}) {
+        const core::BinSchema schema(alpha, r, n);
+        for (int i = 0; i <= schema.max_bin() + 3; ++i) {
+          const double wi = std::pow(r, i) * (alpha / n);
+          ASSERT_EQ(schema.W(i), wi) << alpha << " " << r << " " << n << " i=" << i;
+          for (const double len : {wi, std::nextafter(wi, 0.0),
+                                   std::nextafter(wi, std::numeric_limits<double>::infinity())}) {
+            EXPECT_EQ(schema.bin_of(len), reference_bin_of(r, alpha / n, len))
+                << alpha << " " << r << " " << n << " len=" << len;
+          }
+          EXPECT_EQ(schema.bin_of(wi), i);
+        }
+      }
+    }
+  }
 }
 
 TEST(Bins, GroupingPartitionsEdges) {

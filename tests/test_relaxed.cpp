@@ -2,11 +2,20 @@
 // (§2) — the paper's Theorems 2, 10, 11, 13 as executable properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <numbers>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "graph/components.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "mis/mis.hpp"
@@ -491,4 +500,395 @@ TEST(Redundancy, RemovedEdgesAlwaysKeepACounterpart) {
   // spanner property must nevertheless hold (checked exactly).
   EXPECT_LE(gr::max_edge_stretch(inst.g, result.spanner), params.t * (1.0 + 1e-9));
   SUCCEED() << "removed=" << removed;
+}
+
+// ---------------------------------------------------------------------------
+// Exactness of the trimmed phase steps against their untrimmed references.
+
+namespace {
+
+using core::detail::PhaseEdge;
+
+/// The pairing tests of §2.2.5 on unbounded dense Dijkstra rows: J's edge
+/// set as the conditions define it, with no search radius at all.
+std::vector<std::pair<int, int>> reference_conflicts(const gr::Graph& h,
+                                                     const std::vector<PhaseEdge>& added,
+                                                     double t1) {
+  std::vector<std::vector<double>> dist(static_cast<std::size_t>(h.n()));
+  for (const PhaseEdge& e : added) {
+    for (int p : {e.u, e.v}) {
+      auto& row = dist[static_cast<std::size_t>(p)];
+      if (row.empty()) row = gr::dijkstra(h, p).dist;
+    }
+  }
+  const auto d = [&](int x, int y) {
+    return dist[static_cast<std::size_t>(x)][static_cast<std::size_t>(y)];
+  };
+  std::vector<std::pair<int, int>> out;
+  for (int a = 0; a < static_cast<int>(added.size()); ++a) {
+    for (int b = a + 1; b < static_cast<int>(added.size()); ++b) {
+      const PhaseEdge& e = added[static_cast<std::size_t>(a)];
+      const PhaseEdge& f = added[static_cast<std::size_t>(b)];
+      const double s1 = d(e.u, f.u) + d(e.v, f.v);
+      const double s2 = d(e.u, f.v) + d(e.v, f.u);
+      const bool pairing1 = s1 + f.w <= t1 * e.w && s1 + e.w <= t1 * f.w;
+      const bool pairing2 = s2 + f.w <= t1 * e.w && s2 + e.w <= t1 * f.w;
+      if (pairing1 || pairing2) out.emplace_back(a, b);
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<int, int>> conflict_pairs(const gr::Graph& j) {
+  std::vector<std::pair<int, int>> out;
+  for (const gr::Edge& e : j.edges()) out.emplace_back(e.u, e.v);
+  return out;
+}
+
+/// J with the reference edge set, built in the order full t1·max_w balls
+/// give: for each a ascending, its partners b > a in the order the ball of
+/// e.u first touches an endpoint of b. A distributed MIS on J sends its
+/// messages in this adjacency order.
+gr::Graph ordered_reference(gr::DijkstraWorkspace& ws, const gr::Graph& h,
+                            const std::vector<PhaseEdge>& added, double t1,
+                            const std::vector<std::pair<int, int>>& conflicts) {
+  const int k = static_cast<int>(added.size());
+  double max_w = 0.0;
+  for (const PhaseEdge& e : added) max_w = std::max(max_w, e.w);
+  gr::Graph j(k);
+  for (int a = 0; a < k; ++a) {
+    std::vector<char> seen(static_cast<std::size_t>(k), 0);
+    const gr::SpView sp = ws.bounded(h, added[static_cast<std::size_t>(a)].u, t1 * max_w);
+    for (int v : sp.touched()) {
+      for (int b = a + 1; b < k; ++b) {
+        const PhaseEdge& f = added[static_cast<std::size_t>(b)];
+        if (seen[static_cast<std::size_t>(b)] || (f.u != v && f.v != v)) continue;
+        seen[static_cast<std::size_t>(b)] = 1;
+        if (std::binary_search(conflicts.begin(), conflicts.end(), std::pair(a, b))) {
+          j.add_edge(a, b, 1.0);
+        }
+      }
+    }
+  }
+  return j;
+}
+
+void expect_same_adjacency(const gr::Graph& got, const gr::Graph& want) {
+  ASSERT_EQ(got.n(), want.n());
+  for (int v = 0; v < got.n(); ++v) {
+    std::vector<int> g, w;
+    for (const gr::Neighbor& nb : got.neighbors(v)) g.push_back(nb.to);
+    for (const gr::Neighbor& nb : want.neighbors(v)) w.push_back(nb.to);
+    EXPECT_EQ(g, w) << "node " << v;
+  }
+}
+
+}  // namespace
+
+TEST(Redundancy, ConflictGraphMatchesAllPairsReference) {
+  // Random geometric H with stretched weights and added edges of mixed
+  // lengths within one bin ratio; the (t1 - 1)·max_w balls must find the
+  // same conflicts as unbounded all-pairs distances, and list them in the
+  // order the full t1·max_w balls do.
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> coord(0.0, 1.0);
+  std::uniform_real_distribution<double> stretch(1.0, 1.3);
+  gr::DijkstraWorkspace ws;
+  int conflicts = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = 70;
+    std::vector<std::array<double, 2>> p(static_cast<std::size_t>(n));
+    for (auto& q : p) q = {coord(rng), coord(rng)};
+    const auto len = [&](int x, int y) {
+      return std::hypot(p[static_cast<std::size_t>(x)][0] - p[static_cast<std::size_t>(y)][0],
+                        p[static_cast<std::size_t>(x)][1] - p[static_cast<std::size_t>(y)][1]);
+    };
+    gr::Graph h(n);
+    for (int x = 0; x < n; ++x) {
+      for (int y = x + 1; y < n; ++y) {
+        if (len(x, y) < 0.18) h.add_edge(x, y, std::max(len(x, y) * stretch(rng), 1e-15));
+      }
+    }
+    std::vector<PhaseEdge> added;
+    std::uniform_int_distribution<int> pick(0, n - 1);
+    while (added.size() < 40) {
+      const int x = pick(rng);
+      const int y = pick(rng);
+      if (x == y) continue;
+      const double w = 0.3 + 0.3 * (trial % 3 == 0 ? 0.0 : coord(rng));  // equal weights too
+      added.push_back({std::min(x, y), std::max(x, y), w, w});
+    }
+    for (const double t1 : {1.1, 1.25, 1.5, 2.0}) {
+      const auto want = reference_conflicts(h, added, t1);
+      const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, t1);
+      EXPECT_EQ(conflict_pairs(j), want) << "trial " << trial << " t1=" << t1;
+      expect_same_adjacency(j, ordered_reference(ws, h, added, t1, want));
+      conflicts += static_cast<int>(want.size());
+    }
+  }
+  EXPECT_GT(conflicts, 0);  // the sweep exercises real conflicts
+}
+
+TEST(Redundancy, ConflictAtTheRadiusAndAtCoincidentEndpoints) {
+  // s = (t1 - 1)·max_w exactly, split over one or two distances, a few ulps
+  // above it (the pairing tests round those back onto the bound), shared
+  // endpoints (distance 0) and a near-zero H edge.
+  const double t1 = 1.25;
+  gr::DijkstraWorkspace ws;
+  const auto check = [&](const gr::Graph& h, const std::vector<PhaseEdge>& added,
+                         bool conflict) {
+    const auto want = reference_conflicts(h, added, t1);
+    EXPECT_EQ(!want.empty(), conflict);
+    EXPECT_EQ(conflict_pairs(core::detail::redundancy_conflict_graph(ws, h, added, t1)), want);
+  };
+  // One distance of exactly 0.25 and a shared endpoint.
+  double w = 0.25;
+  for (int ulps = 0; ulps <= 4; ++ulps, w = std::nextafter(w, 1.0)) {
+    gr::Graph h(3);
+    h.add_edge(0, 2, w);
+    // 1 + 0.25 + k·2^-54 rounds back to 1.25 for k <= 2 (ties to even).
+    check(h, {{0, 1, 1.0, 1.0}, {1, 2, 1.0, 1.0}}, ulps <= 2);
+  }
+  {
+    gr::Graph h(3);  // clearly past the radius
+    h.add_edge(0, 2, 0.2500001);
+    check(h, {{0, 1, 1.0, 1.0}, {1, 2, 1.0, 1.0}}, false);
+  }
+  {
+    // The endpoint sits a 1e-17 hop past a vertex at exactly 0.25, while a
+    // direct 0.3 edge offers a worse path: the ball must settle that vertex.
+    gr::Graph h(4);
+    h.add_edge(0, 3, 0.25);
+    h.add_edge(3, 2, 1e-17);
+    h.add_edge(0, 2, 0.3);
+    check(h, {{0, 1, 1.0, 1.0}, {1, 2, 1.0, 1.0}}, true);
+  }
+  {
+    gr::Graph h(4);  // two distances of 0.125 each
+    h.add_edge(0, 2, 0.125);
+    h.add_edge(1, 3, 0.125);
+    check(h, {{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}}, true);
+  }
+  {
+    gr::Graph h(4);  // coincident endpoints joined by a 1e-15 edge
+    h.add_edge(0, 2, 1e-15);
+    h.add_edge(1, 3, 1e-15);
+    check(h, {{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}, {0, 3, 1.0, 1.0}}, true);
+  }
+  {
+    gr::Graph h(3);  // shorter edge: max_w = 1 but w(f) = 0.9 narrows the test
+    h.add_edge(0, 2, 0.2);
+    check(h, {{0, 1, 1.0, 1.0}, {1, 2, 0.9, 0.9}}, false);
+  }
+}
+
+TEST(Redundancy, PartnersKeepTheFullBallOrder) {
+  // From e.u = 0 the full t1·max_w ball touches y1, the far endpoint of f1,
+  // first (a direct 1.0 edge), then x2 and x1 (via m). A search that only
+  // went to (t1 - 1)·max_w would meet f2 before f1 and fill J in another
+  // order; the cut-short full search must not.
+  enum { kU, kV, kM, kX1, kY1, kX2, kY2 };
+  gr::Graph h(7);
+  h.add_edge(kU, kY1, 1.0);
+  h.add_edge(kU, kM, 0.05);
+  h.add_edge(kM, kX2, 0.05);
+  h.add_edge(kM, kX1, 0.06);
+  h.add_edge(kV, kY1, 0.05);
+  h.add_edge(kV, kY2, 0.05);
+  const std::vector<PhaseEdge> added{
+      {kU, kV, 1.0, 1.0}, {kX1, kY1, 1.0, 1.0}, {kX2, kY2, 1.0, 1.0}};
+  gr::DijkstraWorkspace ws;
+  const auto want = reference_conflicts(h, added, 1.25);
+  ASSERT_EQ(want.size(), 3u);
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, 1.25);
+  expect_same_adjacency(j, ordered_reference(ws, h, added, 1.25, want));
+  EXPECT_EQ(j.neighbors(0)[0].to, 1);
+}
+
+namespace {
+
+/// The covered test as it was: acos on every candidate witness.
+bool reference_covered(const gr::SoaPoints& pts, double alpha, const gr::Graph& gp,
+                       const PhaseEdge& e, double theta) {
+  const auto side = [&](int u, int v) {
+    for (const gr::Neighbor& nb : gp.neighbors(u)) {
+      const int z = nb.to;
+      if (z == v || pts.distance(v, z) > alpha) continue;
+      const double duz = pts.distance(u, z);
+      if (duz == 0.0 || duz > pts.distance(u, v)) continue;
+      if (pts.angle_at(u, v, z) <= theta) return true;
+    }
+    return false;
+  };
+  return side(e.u, e.v) || side(e.v, e.u);
+}
+
+}  // namespace
+
+TEST(CoveredEdge, CosineBandMatchesAcosReference) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> coord(-1.0, 1.0);
+  std::uniform_real_distribution<double> angle(0.0, std::numbers::pi);
+  for (const int dim : {2, 3}) {
+    const int n = 40;
+    std::vector<localspan::geom::Point> points;
+    for (int v = 0; v < n; ++v) {
+      localspan::geom::Point q(dim);
+      for (int k = 0; k < dim; ++k) q[k] = coord(rng);
+      points.push_back(q);
+    }
+    points[1] = points[0];  // a coincident pair: degenerate rays must be skipped
+    const gr::SoaPoints pts(points);
+    gr::Graph gp(n);
+    std::uniform_int_distribution<int> pick(0, n - 1);
+    for (int k = 0; k < 3 * n; ++k) {
+      const int u = pick(rng);
+      const int z = pick(rng);
+      if (u != z) gp.add_edge(u, z, 1.0);
+    }
+    // Random edges against random and boundary angles.
+    int agree = 0;
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        const PhaseEdge e{u, v, pts.distance(u, v), pts.distance(u, v)};
+        for (const double theta : {angle(rng), angle(rng) / 4.0, 0.0, std::numbers::pi, 4.0, -0.5,
+                                   std::numeric_limits<double>::quiet_NaN()}) {
+          for (const double alpha : {0.8, 3.0}) {
+            ASSERT_EQ(core::detail::is_covered_edge(pts, alpha, gp, e, theta),
+                      reference_covered(pts, alpha, gp, e, theta))
+                << "dim " << dim << " edge " << u << "-" << v << " theta " << theta;
+            ++agree;
+          }
+        }
+      }
+    }
+    // θ within a few ulps of each witness's own angle, where the band must
+    // hand the decision to acos.
+    for (int u = 0; u < n; ++u) {
+      for (const gr::Neighbor& nb : gp.neighbors(u)) {
+        for (int v = 0; v < n; ++v) {
+          if (v == u || v == nb.to || pts.distance(u, nb.to) == 0.0 ||
+              pts.distance(u, v) == 0.0) {
+            continue;
+          }
+          const PhaseEdge e{u, v, pts.distance(u, v), pts.distance(u, v)};
+          double theta = pts.angle_at(u, v, nb.to);
+          for (int k = 0; k < 3; ++k) theta = std::nextafter(theta, 0.0);
+          for (int k = -3; k <= 3; ++k, theta = std::nextafter(theta, 4.0)) {
+            ASSERT_EQ(core::detail::is_covered_edge(pts, 3.0, gp, e, theta),
+                      reference_covered(pts, 3.0, gp, e, theta))
+                << "dim " << dim << " edge " << u << "-" << v << " ulps " << k;
+          }
+        }
+      }
+    }
+    EXPECT_GT(agree, 0);
+  }
+}
+
+TEST(CoveredEdge, WitnessAsLongAsTheEdgeAfterRounding) {
+  // |uz| <= |uv| is tested on squares first; a witness whose square is
+  // larger but whose length rounds to |uv| must still count.
+  localspan::geom::Point u(2), v(2), z(2);
+  v[0] = 1.0;
+  bool found = false;
+  for (int k = 1; k < 10000 && !found; ++k) {
+    const double y = k * 1e-4;
+    for (double x = std::sqrt(1.0 - y * y); x < 1.0 && !found; x = std::nextafter(x, 2.0)) {
+      const double sq = x * x + y * y;
+      if (sq > 1.0 && std::sqrt(sq) == 1.0) {
+        z[0] = x;
+        z[1] = y;
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  const gr::SoaPoints pts(std::vector<localspan::geom::Point>{u, v, z});
+  ASSERT_GT(pts.sq_distance(0, 2), pts.sq_distance(0, 1));
+  ASSERT_EQ(pts.distance(0, 2), pts.distance(0, 1));
+  gr::Graph gp(3);
+  gp.add_edge(0, 2, 1.0);
+  const PhaseEdge e{0, 1, 1.0, 1.0};
+  EXPECT_TRUE(reference_covered(pts, 3.0, gp, e, 0.5));
+  EXPECT_TRUE(core::detail::is_covered_edge(pts, 3.0, gp, e, 0.5));
+}
+
+namespace {
+
+/// Query selection as it was: a std::map fold keeping, per cluster pair, the
+/// first candidate minimal by (objective, (u, v)).
+std::vector<PhaseEdge> reference_selection(const std::vector<PhaseEdge>& candidates,
+                                           const localspan::cluster::ClusterCover& cover,
+                                           double t, int* per_cluster_max) {
+  std::map<std::pair<int, int>, std::pair<double, PhaseEdge>> best;
+  for (const PhaseEdge& e : candidates) {
+    const auto key = std::minmax(cover.center_of[static_cast<std::size_t>(e.u)],
+                                 cover.center_of[static_cast<std::size_t>(e.v)]);
+    const double objective = t * e.w - cover.dist_to_center[static_cast<std::size_t>(e.u)] -
+                             cover.dist_to_center[static_cast<std::size_t>(e.v)];
+    const auto it = best.find(key);
+    if (it == best.end()) {
+      best.emplace(key, std::pair(objective, e));
+    } else if (objective < it->second.first ||
+               (objective == it->second.first &&
+                std::pair(e.u, e.v) < std::pair(it->second.second.u, it->second.second.v))) {
+      it->second = {objective, e};
+    }
+  }
+  std::vector<PhaseEdge> out;
+  std::map<int, int> incident;
+  for (const auto& [key, b] : best) {
+    out.push_back(b.second);
+    ++incident[key.first];
+    if (key.second != key.first) ++incident[key.second];
+  }
+  *per_cluster_max = 0;
+  for (const auto& [c, count] : incident) *per_cluster_max = std::max(*per_cluster_max, count);
+  return out;
+}
+
+}  // namespace
+
+TEST(QuerySelection, SortMatchesMapFoldWithDuplicateObjectives) {
+  // A hand-made cover whose distances and weights come from tiny sets, so
+  // many candidates of one pair tie on the objective; repeated (u, v) rows
+  // with different lengths check that the earliest full tie wins.
+  std::mt19937_64 rng(19);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 30;
+    localspan::cluster::ClusterCover cover;
+    cover.center_of.resize(static_cast<std::size_t>(n));
+    cover.dist_to_center.resize(static_cast<std::size_t>(n));
+    std::uniform_int_distribution<int> center(0, 4);
+    std::uniform_int_distribution<int> level(0, 2);
+    for (int v = 0; v < n; ++v) {
+      cover.center_of[static_cast<std::size_t>(v)] = v < 5 ? v : center(rng);
+      cover.dist_to_center[static_cast<std::size_t>(v)] = v < 5 ? 0.0 : 0.25 * level(rng);
+    }
+    std::vector<PhaseEdge> candidates;
+    std::uniform_int_distribution<int> pick(0, n - 1);
+    for (int k = 0; k < 60; ++k) {
+      const int u = pick(rng);
+      const int v = pick(rng);
+      if (u == v) continue;
+      const double w = 1.0 + 0.5 * level(rng);
+      candidates.push_back({std::min(u, v), std::max(u, v), 0.01 * k, w});
+    }
+    int want_max = -1;
+    int got_max = -1;
+    const auto want = reference_selection(candidates, cover, 1.5, &want_max);
+    const auto got = core::detail::select_query_edges(candidates, cover, 1.5, &got_max);
+    EXPECT_EQ(got_max, want_max) << "trial " << trial;
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].u, want[k].u);
+      EXPECT_EQ(got[k].v, want[k].v);
+      EXPECT_EQ(got[k].len, want[k].len);  // the earliest of equal rows
+      EXPECT_EQ(got[k].w, want[k].w);
+    }
+  }
+  int none = -1;
+  EXPECT_TRUE(core::detail::select_query_edges({}, {}, 1.5, &none).empty());
+  EXPECT_EQ(none, 0);
 }

@@ -23,7 +23,7 @@
 #include "core/relaxed_greedy.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/soa_points.hpp"
 #include "graph/sp_workspace.hpp"
 #include "scenario_matrix.hpp"

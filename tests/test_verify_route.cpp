@@ -16,7 +16,7 @@
 #include "core/verify.hpp"
 #include "ext/fault_tolerant.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "graph/sp_workspace.hpp"

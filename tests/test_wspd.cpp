@@ -4,7 +4,7 @@
 
 #include <random>
 
-#include "graph/dijkstra.hpp"
+#include "dijkstra_reference.hpp"
 #include "wspd/wspd.hpp"
 
 namespace gm = localspan::geom;
