@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -43,11 +44,14 @@ struct WitnessPass {
 /// The one per-edge witness stretch search; max_edge_stretch and
 /// core::certify run it. Checks each edge of `g` in `scope` once: via its
 /// smaller endpoint when both ends are scoped, else via the scoped one.
-/// Vertex u searches `sub` to probe·w_max(u), w_max(u) its heaviest checked
-/// edge, and only when that misses an endpoint and cap > probe, again to
-/// cap·w_max(u). A settled distance is the same double at any radius that
-/// contains it, so the ratios are those of the cap search alone. `weight`
-/// maps g's edge weights into the units of `sub` (a Graph or a CsrView).
+/// Vertex u searches `sub` within probe·w_max(u), w_max(u) its heaviest
+/// checked edge, and stops as soon as the endpoints of its checked edges
+/// have settled (`bounded_to_all`). Only when one lies past that radius and
+/// cap > probe does it search again within cap·w_max(u). A settled distance
+/// is the same double at any radius that contains it and whenever the
+/// search stops, so the ratios are those of a full cap search alone.
+/// `weight` maps g's edge weights into the units of `sub` (a Graph or a
+/// CsrView).
 ///
 /// The vertices run on `pool`'s workers when it has several, else on `ws`.
 /// Max and sum are exact in any order, so the pass is bit-identical at
@@ -68,8 +72,12 @@ template <class Sub, class Weight = IdentityWeight>
       if (checked(nb.to)) w_max = std::max(w_max, weight(nb.w));
     }
     if (w_max == 0.0) return;
+    // Not const: a filter view caches its first match on begin().
+    auto targets = g.neighbors(u) |
+                   std::views::filter([&](const Neighbor& nb) { return checked(nb.to); }) |
+                   std::views::transform(&Neighbor::to);
     const auto worst_within = [&](double radius) {
-      const SpView sp = vws.bounded(sub, u, radius * w_max);
+      const SpView sp = vws.bounded_to_all(sub, u, targets, radius * w_max);
       double r = 1.0;
       for (const Neighbor& nb : g.neighbors(u)) {
         if (checked(nb.to)) r = std::max(r, sp.dist(nb.to) / weight(nb.w));
@@ -94,12 +102,14 @@ template <class Sub, class Weight = IdentityWeight>
 /// the classical spanner stretch factor: sp_sub(u,v) <= t·sp_g(u,v) for all
 /// pairs iff it holds for all edges of g.
 ///
-/// witness_stretch over every vertex u, probing to 2·w_max(u) and widening
-/// to cap·w_max(u). An unsettled endpoint has ratio > 2, so spanners with
-/// t <= 2 never widen and vertex u costs O(|B| log |B|), B = ball_sub(u,
-/// 2·w_max(u)), not a near all-pairs cap·w_max ball. The obs counters
-/// `stretch.vertices` and `stretch.widened` count the vertices measured
-/// and those that widened.
+/// witness_stretch over every vertex u, probing within 2·w_max(u) and
+/// widening to cap·w_max(u). An unsettled endpoint has ratio > 2, so
+/// spanners with t <= 2 never widen, and vertex u's search stops once its
+/// checked neighbours settle: it costs at most O(|B| log |B|), B =
+/// ball_sub(u, 2·w_max(u)), not a near all-pairs cap·w_max ball. The obs
+/// counters `stretch.vertices`, `stretch.widened` and `stretch.heap_pops`
+/// count the vertices measured, those that widened and the heap pops of
+/// the pass.
 ///
 /// `threads` > 1 splits the vertices over a worker pool, bit-identically;
 /// <= 0 uses the process default (LOCALSPAN_THREADS, else 1). A non-null
@@ -107,18 +117,6 @@ template <class Sub, class Weight = IdentityWeight>
 /// one pool.
 [[nodiscard]] double max_edge_stretch(const Graph& g, const Graph& sub, double cap = 64.0,
                                       int threads = 0, runtime::WorkerPool* pool = nullptr);
-
-/// Stretch over `samples` random vertex pairs (ratio of sp_sub to sp_g);
-/// pairs disconnected in g are skipped. Cross-validates max_edge_stretch.
-/// Samples are grouped by source vertex, so a source drawn k times costs
-/// its two unbounded searches once, not k times (the drawn pair set is
-/// identical either way). The sample count is 64-bit end-to-end: n=1e5-scale
-/// sweeps ask for sample budgets that wrapped 32-bit counters.
-/// `threads`/`pool` parallelize the per-source-group searches
-/// (bit-identical; same semantics as max_edge_stretch).
-[[nodiscard]] double sampled_pair_stretch(const Graph& g, const Graph& sub, std::int64_t samples,
-                                          std::uint64_t seed, int threads = 0,
-                                          runtime::WorkerPool* pool = nullptr);
 
 /// 0-based index of the q-quantile entry among `count` ascending-sorted
 /// samples: min(count-1, ceil(q*count)-1), never below 0. Computed in

@@ -24,6 +24,14 @@
 /// bit-for-bit the plain search's (the argument is at `run`). Every other
 /// search uses `ZeroPotential`, which compiles to the plain loop.
 ///
+/// A per-edge witness check reads only a few distances from each ball:
+/// u's checked neighbours. `bounded_to_all` marks such a target set in an
+/// epoch-stamped lane and stops once the last target settles, else drains
+/// to the radius. A settled distance does not depend on when the search
+/// stops, so every target reads the full search's value bit for bit. The
+/// set is a compile-time mode like the potential: the other searches
+/// compile to the loop without it.
+///
 /// Searches return a sparse `SpView` (touched-vertex list + O(1) stamped
 /// lookup); the dense reference the workspace is tested against lives in
 /// tests/dijkstra_reference.hpp.
@@ -50,6 +58,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -134,6 +143,10 @@ struct ZeroPotential {
   double operator()(int /*v*/, int /*goal*/) const noexcept { return 0.0; }
 };
 
+/// The default target set of `run`: none. A distinct type, like
+/// `ZeroPotential`, so `run` compiles the loop without the target lane.
+struct NoTargets {};
+
 /// h(x) = ρ·|x goal| for goal-directed `distance`. With ρ ≤ w/|uv| on every
 /// edge, the triangle inequality makes h a lower bound on sp(x, goal) for any
 /// edge weights, Euclidean or not. Build it with `euclidean_potential`.
@@ -197,8 +210,11 @@ class BasicDijkstraWorkspace;
 /// search (bounded_to, distance) stops as soon as the target settles:
 /// reached/dist/touched may then include frontier vertices whose
 /// distances are still tentative upper bounds — read only the target and
-/// its tree ancestors from such a view. A `bounded` search cut at `settle`
-/// is exact within `settle` and tentative past it.
+/// its tree ancestors from such a view. A target-set search
+/// (bounded_to_all) is the same: it holds tentative frontier distances
+/// once it stops, and only its targets (and their tree ancestors) read
+/// exact values. A `bounded` search cut at `settle` is exact within
+/// `settle` and tentative past it.
 class SpView {
  public:
   SpView() = default;
@@ -277,6 +293,19 @@ class BasicDijkstraWorkspace {
     }
     const int srcs[1] = {src};
     return run(g, srcs, radius, target, IdentityWeight{});
+  }
+
+  /// Single-source search bounded by `radius` that stops once every vertex
+  /// of `targets` (a range of vertex ids; duplicates are fine) has settled,
+  /// else drains to `radius` as `bounded` does. Each target reads the exact
+  /// distance of the `bounded` search, or kInf past `radius`; the rest of
+  /// the view may be tentative (see SpView).
+  template <class G, std::ranges::input_range Targets>
+  SpView bounded_to_all(const G& g, int src, Targets&& targets, double radius) {
+    check_radius(radius);
+    const int srcs[1] = {src};
+    return run(g, srcs, radius, -1, IdentityWeight{}, ZeroPotential{}, kInf,
+               std::forward<Targets>(targets));
   }
 
   /// Multi-source bounded search; dist(v) = min over sources of sp(s, v).
@@ -397,6 +426,7 @@ class BasicDijkstraWorkspace {
     st_.n_ = n;
     if (st_.epoch_now_ == kEpochMax) {
       std::fill(st_.stamp_.begin(), st_.stamp_.end(), 0);
+      std::fill(target_.begin(), target_.end(), 0);
       st_.epoch_now_ = 0;
     }
     ++st_.epoch_now_;
@@ -442,7 +472,10 @@ class BasicDijkstraWorkspace {
 
   /// The one search loop. Heap keys are g(x) + h(x). With `ZeroPotential`
   /// that is plain Dijkstra: settle in key order, stop at `target` or past
-  /// `radius`.
+  /// `radius`. With a target set it also stops when the last marked target
+  /// is popped: the loop ran the full search's first pops unchanged, and a
+  /// later relaxation adds a weight ≥ 0 to a distance ≥ the popped one, so
+  /// it can never lower a settled value.
   ///
   /// Any other potential must be admissible (h(x) ≤ sp(x, target), up to
   /// relative rounding far below 1e-9); the search then returns exactly the
@@ -463,13 +496,27 @@ class BasicDijkstraWorkspace {
   /// stopped. (x_j = target would give best ≤ F.) The slack only absorbs
   /// rounding in p_j, F and h; it never admits a longer path, because best
   /// only ever holds a real path's sum.
-  template <class G, class WeightFn, class Potential = ZeroPotential>
+  template <class G, class WeightFn, class Potential = ZeroPotential, class Targets = NoTargets>
   SpView run(const G& g, std::span<const int> sources, double radius, int target,
-             WeightFn&& weight, const Potential& h = {}, double settle = kInf) {
+             WeightFn&& weight, const Potential& h = {}, double settle = kInf,
+             Targets&& targets = {}) {
     constexpr bool kGoal = !std::is_same_v<Potential, ZeroPotential>;
+    constexpr bool kSet = !std::is_same_v<std::remove_cvref_t<Targets>, NoTargets>;
     const InUseGuard guard(in_use_);
     begin(g.n());
     if (kGoal && h_.size() < st_.dist_.size()) h_.resize(st_.dist_.size());
+    int pending = 0;  // target-set form: marked targets not yet popped.
+    if constexpr (kSet) {
+      if (target_.size() < st_.stamp_.size()) target_.resize(st_.stamp_.size(), 0);
+      for (const int x : targets) {
+        if (x < 0 || x >= st_.n_) throw std::invalid_argument("dijkstra: target out of range");
+        std::uint32_t& mark = target_[static_cast<std::size_t>(x)];
+        if (mark != st_.epoch_now_) {
+          mark = st_.epoch_now_;
+          ++pending;
+        }
+      }
+    }
     // key(x) = g(x) + h(x); h(x) is computed once, when x is first stamped.
     const auto key = [&](double gx, std::size_t x) { return kGoal ? gx + h_[x] : gx; };
     double best = kInf;  // goal-directed form: g(target) so far.
@@ -502,6 +549,9 @@ class BasicDijkstraWorkspace {
       if (k > stop) break;
       if (v == target && !kGoal) break;
       if (v == target) continue;  // nothing past the target can improve best
+      if constexpr (kSet) {
+        if (target_[static_cast<std::size_t>(v)] == st_.epoch_now_ && --pending == 0) break;
+      }
       for (const Neighbor& nb : g.neighbors(v)) {
         const double nd = d + weight(nb.w);
         if (nd > radius || (kGoal && nd >= best)) continue;
@@ -533,6 +583,7 @@ class BasicDijkstraWorkspace {
   long long heap_pushes_ = 0;  ///< since the last take_heap_ops().
   long long heap_pops_ = 0;
   InUseFlag in_use_;  ///< single-owner enforcement (see in_use()).
+  std::vector<std::uint32_t> target_;  ///< target_[v] == epoch_now_ => v is a target.
 };
 
 /// The production workspace: a 4-ary frontier (see the file comment).

@@ -122,7 +122,14 @@ ubg::UbgInstance read_instance(std::istream& is) {
     const int u = read_number<int>(is, token, "edge endpoint");
     const int v = read_number<int>(is, token, "edge endpoint");
     const double w = read_number<double>(is, token, "edge weight");
-    inst.g.add_edge(u, v, w);
+    const auto bad_edge = [&](const char* why) {
+      return std::runtime_error("read_instance: malformed input: edge " + std::to_string(i) +
+                                " (" + std::to_string(u) + ", " + std::to_string(v) + "): " + why);
+    };
+    if (u < 0 || u >= cfg.n || v < 0 || v >= cfg.n) throw bad_edge("endpoint out of range");
+    if (u == v) throw bad_edge("self-loop");
+    if (!(w > 0.0)) throw bad_edge("non-positive weight");
+    if (!inst.g.add_edge(u, v, w)) throw bad_edge("duplicate edge");
   }
   return inst;
 }

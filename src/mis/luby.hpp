@@ -11,9 +11,10 @@
 /// both the measured and the paper-claimed round shapes.
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
-#include "mis/mis.hpp"
 #include "runtime/ledger.hpp"
 #include "runtime/network.hpp"
 

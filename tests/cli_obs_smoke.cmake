@@ -8,7 +8,7 @@
 # batch path is instrumented with. A per-event run must count each event
 # exactly once. A relaxed-dist span run must report the relaxed-greedy phase
 # spans (it drives the same phase loop). A relaxed span run on a fixed
-# instance bounds the phase loop's heap pops.
+# instance bounds the heap pops of the phase loop and of the stretch pass.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<localspan_cli> -DWORK_DIR=<dir> -P cli_obs_smoke.cmake")
@@ -203,6 +203,14 @@ set(max_heap_pops 150045)
 if(heap_pops GREATER max_heap_pops)
   message(FATAL_ERROR "rg.heap_pops is ${heap_pops} on the n=2048 seed-3 instance, "
     "above ${max_heap_pops}: a phase searches further than before")
+endif()
+# The stretch pass's witness searches stop once the checked endpoints of
+# each vertex settle; draining every ball to 2·w_max took 104840 pops here.
+string(JSON stretch_pops GET "${work_stats}" "counters" "stretch.heap_pops")
+set(max_stretch_pops 36557)
+if(stretch_pops GREATER max_stretch_pops)
+  message(FATAL_ERROR "stretch.heap_pops is ${stretch_pops} on the n=2048 seed-3 instance, "
+    "above ${max_stretch_pops}: the witness searches run past their endpoints")
 endif()
 string(JSON cover_centers GET "${work_stats}" "counters" "cover.centers")
 string(JSON cg_centers GET "${work_stats}" "counters" "cg.centers")

@@ -1,4 +1,4 @@
-#include "runtime/gather.hpp"
+#include "gather_reference.hpp"
 
 #include <stdexcept>
 

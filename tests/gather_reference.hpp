@@ -1,6 +1,7 @@
 #pragma once
-/// \file gather.hpp
-/// Message-level k-hop topology gathering.
+/// \file gather_reference.hpp
+/// Message-level k-hop topology gathering, the reference the tests hold the
+/// distributed driver's round charge against.
 ///
 /// Every step of §3 begins with "node u gathers information from nodes at
 /// most k hops away". The distributed driver charges this at the model level
@@ -12,6 +13,7 @@
 /// (u, v, w) — O(log n) bits, so message counts are records transferred,
 /// matching the model's message-size discipline.
 
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"

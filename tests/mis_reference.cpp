@@ -1,4 +1,4 @@
-#include "mis/mis.hpp"
+#include "mis_reference.hpp"
 
 namespace localspan::mis {
 

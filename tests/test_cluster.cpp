@@ -17,7 +17,7 @@
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "dijkstra_reference.hpp"
-#include "mis/mis.hpp"
+#include "mis_reference.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"

@@ -12,6 +12,7 @@
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "graph/union_find.hpp"
+#include "stretch_reference.hpp"
 
 namespace gr = localspan::graph;
 

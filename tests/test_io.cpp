@@ -157,6 +157,40 @@ TEST(Serialize, RejectsNonFiniteNumbers) {
   EXPECT_EQ(io::read_instance(fine).g.m(), 1);
 }
 
+TEST(Serialize, RejectsBadEdgeLines) {
+  // A duplicated edge line used to load with the second line dropped, and
+  // the other three cases escaped Graph::add_edge as std::invalid_argument.
+  const std::string head = "localspan-instance v1\n3 2 0.7 4.0 10.0 0 1\n0 0\n0.5 0\n1 0\n";
+  const struct {
+    std::string edges;
+    std::string names;  // the edge the message must name
+    std::string why;
+  } cases[] = {
+      {"3\n0 1 0.5\n1 2 0.5\n1 0 0.7\n", "edge 2 (1, 0)", "duplicate edge"},
+      {"2\n0 1 0.5\n0 3 0.5\n", "edge 1 (0, 3)", "endpoint out of range"},
+      {"1\n-1 2 0.5\n", "edge 0 (-1, 2)", "endpoint out of range"},
+      {"2\n0 1 0.5\n2 2 0.5\n", "edge 1 (2, 2)", "self-loop"},
+      {"1\n0 2 0\n", "edge 0 (0, 2)", "non-positive weight"},
+      {"2\n0 1 0.5\n1 2 -0.5\n", "edge 1 (1, 2)", "non-positive weight"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream in(head + c.edges);
+    try {
+      static_cast<void>(io::read_instance(in));
+      ADD_FAILURE() << "loaded: " << c.edges;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("read_instance: malformed input"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.names), std::string::npos) << what;
+      EXPECT_NE(what.find(c.why), std::string::npos) << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a runtime_error: " << e.what() << " for " << c.edges;
+    }
+  }
+  std::stringstream fine(head + "3\n0 1 0.5\n1 2 0.5\n0 2 1\n");
+  EXPECT_EQ(io::read_instance(fine).g.m(), 3);
+}
+
 TEST(Serialize, BinOfRejectsNonFiniteLengths) {
   // ceil(log(inf)) cast to int is undefined behaviour; bin_of must refuse.
   const localspan::core::BinSchema schema(0.7, 1.5, 64);

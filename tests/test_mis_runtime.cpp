@@ -7,7 +7,7 @@
 #include <random>
 
 #include "mis/luby.hpp"
-#include "mis/mis.hpp"
+#include "mis_reference.hpp"
 #include "runtime/ledger.hpp"
 #include "runtime/network.hpp"
 #include "runtime/parallel.hpp"

@@ -29,6 +29,7 @@
 #include "mis/luby.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
+#include "stretch_reference.hpp"
 
 namespace rt = localspan::runtime;
 namespace gr = localspan::graph;

@@ -18,7 +18,7 @@
 #include "dijkstra_reference.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
-#include "mis/mis.hpp"
+#include "mis_reference.hpp"
 #include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
 

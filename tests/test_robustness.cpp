@@ -14,7 +14,7 @@
 #include "ext/energy.hpp"
 #include "graph/components.hpp"
 #include "graph/metrics.hpp"
-#include "runtime/gather.hpp"
+#include "gather_reference.hpp"
 #include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
 

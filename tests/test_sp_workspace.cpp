@@ -1,9 +1,9 @@
 /// Tests for the epoch-stamped shortest-path workspace and CSR snapshots
 /// (graph/sp_workspace.hpp): equivalence against the retained dense
 /// reference implementation across the scenario matrix, the goal-directed
-/// distance against the plain search, the epoch-wraparound rebase, the
-/// stale-view / reuse-across-graphs error paths, and the zero-allocation
-/// steady state (counting allocator).
+/// distance and the target-set search against the plain search, the
+/// epoch-wraparound rebase, the stale-view / reuse-across-graphs error
+/// paths, and the zero-allocation steady state (counting allocator).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <functional>
 #include <new>
 #include <random>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -286,6 +287,82 @@ TEST(SpWorkspaceGoalDirected, PotentialRejectsSizeMismatch) {
   EXPECT_THROW(static_cast<void>(gr::euclidean_potential(g, pts)), std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// Target-set search: every target reads the plain bounded search's distance
+// bit for bit, and the search never pops more than that search.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// For a spread of sources, the G-neighbours of the source (the witness
+/// pass's target set) and a few far vertices, at radii that cut the ball,
+/// reach about the neighbours, and drain everything.
+void expect_target_set_exact(const gr::Graph& g, const char* what) {
+  const gr::CsrView csr(g);
+  gr::DijkstraWorkspace plain;
+  gr::DijkstraWorkspace set;
+  const int n = g.n();
+  for (int s = 0; s < n; s += std::max(1, n / 13)) {
+    double w_max = 0.0;
+    std::vector<int> targets;
+    for (const gr::Neighbor& nb : g.neighbors(s)) {
+      w_max = std::max(w_max, nb.w);
+      targets.push_back(nb.to);
+    }
+    std::vector<int> with_far = targets;
+    with_far.push_back((s + n / 2) % n);
+    with_far.push_back(targets.empty() ? s : targets.front());  // a duplicate
+    for (const double radius : {0.5 * w_max, 2.0 * w_max, 4.0 * w_max, gr::kInf}) {
+      for (const std::vector<int>* ts : {&targets, &with_far}) {
+        static_cast<void>(plain.take_heap_ops());
+        static_cast<void>(set.take_heap_ops());
+        const gr::SpView ref = plain.bounded(csr, s, radius);
+        const gr::SpView got = set.bounded_to_all(csr, s, *ts, radius);
+        for (const int t : *ts) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.dist(t)),
+                    std::bit_cast<std::uint64_t>(got.dist(t)))
+              << what << " " << s << "->" << t << " radius " << radius;
+        }
+        EXPECT_LE(set.take_heap_ops().second, plain.take_heap_ops().second)
+            << what << " source " << s << " radius " << radius;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SpWorkspaceTargetSet, DistancesMatchTheBoundedSearch) {
+  using localspan::ubg::Placement;
+  for (const int dim : {2, 3}) {
+    for (const Placement pl : {Placement::kUniform, Placement::kClustered, Placement::kCorridor}) {
+      const Scenario sc{dim, pl, 0.75, 160, 4};
+      const localspan::ubg::UbgInstance inst = sc.make();
+      const gr::Graph spanner =
+          localspan::core::relaxed_greedy(inst, localspan::core::Params::practical_params(0.5, 0.75))
+              .spanner;
+      std::mt19937_64 rng(dim * 10 + static_cast<int>(pl));
+      std::uniform_real_distribution<double> shrink(0.3, 1.0);
+      gr::Graph rescaled(inst.g.n());
+      for (const gr::Edge& e : inst.g.edges()) rescaled.add_edge(e.u, e.v, e.w * shrink(rng));
+      expect_target_set_exact(inst.g, (sc.name() + " G").c_str());
+      expect_target_set_exact(spanner, (sc.name() + " spanner").c_str());
+      expect_target_set_exact(rescaled, (sc.name() + " rescaled").c_str());
+    }
+  }
+  // Tie-heavy lattice: unit steps, so many vertices share one distance.
+  constexpr int kSide = 12;
+  gr::Graph lattice(kSide * kSide);
+  for (int y = 0; y < kSide; ++y) {
+    for (int x = 0; x < kSide; ++x) {
+      const int v = y * kSide + x;
+      if (x > 0) lattice.add_edge(v - 1, v, 0.1);
+      if (y > 0) lattice.add_edge(v - kSide, v, 0.1);
+    }
+  }
+  expect_target_set_exact(lattice, "lattice");
+}
+
 namespace {
 
 /// A fixed 5-vertex path graph 0-1-2-3-4 with unit-ish weights.
@@ -330,6 +407,47 @@ TEST(SpWorkspace, EpochWraparoundRebasesStamps) {
   // And the epoch counter keeps working for subsequent searches.
   const gr::SpView sp2 = ws.bounded(g, 4, gr::kInf);
   EXPECT_DOUBLE_EQ(sp2.dist(0), 5.0);
+}
+
+TEST(SpWorkspaceTargetSet, TargetPastTheRadiusReadsInfAndDrains) {
+  const gr::Graph g = path_graph();
+  gr::DijkstraWorkspace plain;
+  gr::DijkstraWorkspace set;
+  const gr::SpView ref = plain.bounded(g, 0, 2.0);
+  const std::vector<int> targets{1, 4};
+  const gr::SpView sp = set.bounded_to_all(g, 0, targets, 2.0);
+  EXPECT_DOUBLE_EQ(sp.dist(1), 1.0);
+  EXPECT_EQ(sp.dist(4), gr::kInf);
+  EXPECT_FALSE(sp.reached(4));
+  // Vertex 4 never settles, so the search settles the whole radius-2 ball.
+  EXPECT_EQ(std::vector<int>(sp.touched().begin(), sp.touched().end()),
+            std::vector<int>(ref.touched().begin(), ref.touched().end()));
+  EXPECT_EQ(set.take_heap_ops(), plain.take_heap_ops());
+  // A reachable set stops at its last target: 0, 1 and 2 pop, 3 does not.
+  const std::vector<int> near{2, 1, 2};
+  const gr::SpView early = set.bounded_to_all(g, 0, near, gr::kInf);
+  EXPECT_DOUBLE_EQ(early.dist(2), 1.5);
+  EXPECT_EQ(set.take_heap_ops().second, 3);
+  // No targets: nothing to wait for, so the search drains like bounded.
+  static_cast<void>(set.bounded_to_all(g, 0, std::vector<int>{}, gr::kInf));
+  static_cast<void>(plain.bounded(g, 0, gr::kInf));
+  EXPECT_EQ(set.take_heap_ops(), plain.take_heap_ops());
+  EXPECT_THROW(static_cast<void>(set.bounded_to_all(g, 0, std::vector<int>{5}, gr::kInf)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(set.bounded_to_all(g, 0, std::vector<int>{-1}, gr::kInf)),
+               std::invalid_argument);
+}
+
+TEST(SpWorkspaceTargetSet, TargetLaneSurvivesEpochExhaustion) {
+  const gr::Graph g = path_graph();
+  gr::DijkstraWorkspace ws;
+  // The first search runs at epoch 1 and marks vertex 1.
+  EXPECT_DOUBLE_EQ(ws.bounded_to_all(g, 0, std::vector<int>{1}, gr::kInf).dist(1), 1.0);
+  ws.debug_exhaust_epochs();
+  // The rebase restarts at epoch 1: a stale mark on vertex 1 would count it
+  // as a target and stop the search before vertex 4 settles.
+  EXPECT_DOUBLE_EQ(ws.bounded_to_all(g, 0, std::vector<int>{4}, gr::kInf).dist(4), 5.0);
+  EXPECT_DOUBLE_EQ(ws.bounded_to_all(g, 4, std::vector<int>{0, 3}, gr::kInf).dist(0), 5.0);
 }
 
 TEST(SpWorkspace, StaleViewThrowsAfterNewSearch) {
@@ -475,6 +593,13 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   const gr::SoaPoints pts(inst.points);
   const gr::EuclideanPotential h = gr::euclidean_potential(g, pts);
   static_cast<void>(ws.distance(g, 0, g.n() - 1, gr::kInf, h));
+  // The witness pass's target set: a filtered view over a row, no buffer.
+  const auto targets = [&](int u) {
+    return g.neighbors(u) | std::views::filter([u](const gr::Neighbor& nb) { return nb.to > u; }) |
+           std::views::transform(&gr::Neighbor::to);
+  };
+  static_cast<void>(ws.bounded_to_all(g, 2, targets(2), gr::kInf));
+  static_cast<void>(ws.bounded_to_all(g, 7, targets(7), 0.8));
 
   long long allocs = g_allocs.load();
   static_cast<void>(ws.bounded(g, 2, gr::kInf));
@@ -500,6 +625,12 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   static_cast<void>(ws.distance(g, 0, g.n() - 1, gr::kInf, h));
   allocs = g_allocs.load() - allocs;
   EXPECT_EQ(allocs, 0) << "warmed goal-directed distance query allocated";
+
+  allocs = g_allocs.load();
+  static_cast<void>(ws.bounded_to_all(g, 2, targets(2), gr::kInf));
+  static_cast<void>(ws.bounded_to_all(g, 7, targets(7), 0.8));
+  allocs = g_allocs.load() - allocs;
+  EXPECT_EQ(allocs, 0) << "warmed target-set search allocated";
 }
 
 TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothingAtEveryArity) {

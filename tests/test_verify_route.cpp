@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baseline/gabriel.hpp"
 #include "baseline/yao.hpp"
+#include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "core/verify.hpp"
 #include "ext/fault_tolerant.hpp"
@@ -22,7 +25,7 @@
 #include "graph/sp_workspace.hpp"
 #include "obs/obs.hpp"
 #include "route/routing.hpp"
-#include "runtime/gather.hpp"
+#include "gather_reference.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
@@ -508,6 +511,123 @@ TEST(StretchTwoRadii, WidenedCounterSeparatesSpannersFromTrees) {
       stretch_counters(inst.g, gr::minimum_spanning_forest(inst.g));
   EXPECT_EQ(msf_vertices, inst.g.n());
   EXPECT_GT(msf_widened, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned stretch: the values the full-drain witness pass printed, recorded
+// as hex doubles, so a search that stops early must read them bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// verify_spanner's measured stretch plus the stretch.widened and
+/// stretch.heap_pops counters of that one call.
+struct MeasuredStretch {
+  double stretch = 0.0;
+  std::int64_t widened = -1;
+  std::int64_t heap_pops = -1;
+};
+
+MeasuredStretch measure(const ub::UbgInstance& inst, const gr::Graph& sub, double t, int threads) {
+  obs::reset();
+  obs::set_enabled(true);
+  MeasuredStretch out;
+  out.stretch = core::verify_spanner(inst, sub, t, {}, threads).measured_stretch;
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+  for (const auto& [name, value] : snap.counters) {
+    if (name == "stretch.widened") out.widened = value;
+    if (name == "stretch.heap_pops") out.heap_pops = value;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(StretchPins, MeasuredStretchAndWidenedArePinned) {
+  struct Pin {
+    ub::Placement placement;
+    const char* algo;
+    double stretch;
+    std::int64_t widened;
+  };
+  const Pin pins[] = {
+      {ub::Placement::kUniform, "relaxed", 0x1.7dba6f759d3dbp+0, 0},
+      {ub::Placement::kUniform, "greedy", 0x1.7f3f6784c8db7p+0, 0},
+      {ub::Placement::kUniform, "yao", 0x1.6e065db9e0d9dp+0, 0},
+      {ub::Placement::kUniform, "gabriel", 0x1.9215e0032c52ep+0, 0},
+      {ub::Placement::kUniform, "mst", 0x1.691bb8e2e3d3ep+4, 115},
+      {ub::Placement::kCorridor, "relaxed", 0x1.7d9cc02a9033cp+0, 0},
+      {ub::Placement::kCorridor, "greedy", 0x1.7f7a942f90e6ep+0, 0},
+      {ub::Placement::kCorridor, "yao", 0x1.5676e241254b2p+0, 0},
+      {ub::Placement::kCorridor, "gabriel", 0x1.d7b81b1cf6acp+0, 0},
+      {ub::Placement::kCorridor, "mst", 0x1.9cb038f865a0dp+2, 83},
+  };
+  const core::Params params = core::Params::practical_params(0.5, 0.75);
+  for (const Pin& pin : pins) {
+    ub::UbgConfig cfg;
+    cfg.n = 200;
+    cfg.alpha = 0.75;
+    cfg.placement = pin.placement;
+    cfg.seed = 7;
+    const ub::UbgInstance inst = ub::make_ubg(cfg);
+    const std::string algo = pin.algo;
+    const gr::Graph sub = algo == "relaxed"   ? core::relaxed_greedy(inst, params).spanner
+                          : algo == "greedy"  ? core::seq_greedy(inst.g, params.t)
+                          : algo == "yao"     ? localspan::baseline::yao_graph(inst, 8)
+                          : algo == "gabriel" ? localspan::baseline::gabriel_graph(inst)
+                                              : gr::minimum_spanning_forest(inst.g);
+    const MeasuredStretch serial = measure(inst, sub, params.t, 1);
+    const MeasuredStretch pooled = measure(inst, sub, params.t, 4);
+    const std::string where = algo + " placement " + std::to_string(static_cast<int>(pin.placement));
+    for (const MeasuredStretch& m : {serial, pooled}) {
+      EXPECT_EQ(bits(m.stretch), bits(pin.stretch)) << where;
+      EXPECT_EQ(m.widened, pin.widened) << where;
+    }
+    EXPECT_GT(serial.heap_pops, 0) << where;
+    EXPECT_EQ(serial.heap_pops, pooled.heap_pops) << where;
+  }
+}
+
+TEST(StretchPins, ScopedCertifyWithAWeightTransformIsPinned) {
+  // Scoped certify of a spanner in energy units (w^2) against g through the
+  // matching transform: every fifth vertex, serial and on a pool.
+  const struct {
+    ub::Placement placement;
+    double stretch;
+  } pins[] = {{ub::Placement::kUniform, 0x1.2e413f554c0a7p+0},
+              {ub::Placement::kCorridor, 0x1.2ae030ee5c662p+0}};
+  const core::Params params = core::Params::practical_params(0.5, 0.75);
+  const std::function<double(double)> energy = [](double w) { return w * w; };
+  rt::WorkerPool pool(4);
+  for (const auto& pin : pins) {
+    ub::UbgConfig cfg;
+    cfg.n = 200;
+    cfg.alpha = 0.75;
+    cfg.placement = pin.placement;
+    cfg.seed = 7;
+    const ub::UbgInstance inst = ub::make_ubg(cfg);
+    gr::Graph energy_sub(inst.g.n());
+    for (const gr::Edge& e : core::relaxed_greedy(inst, params).spanner.edges()) {
+      energy_sub.add_edge(e.u, e.v, e.w * e.w);
+    }
+    std::vector<int> scoped;
+    std::vector<char> member(static_cast<std::size_t>(inst.g.n()), 0);
+    for (int v = 0; v < inst.g.n(); v += 5) {
+      scoped.push_back(v);
+      member[static_cast<std::size_t>(v)] = 1;
+    }
+    gr::DijkstraWorkspace ws;
+    for (const double t : {1.1, 2.0}) {
+      for (rt::WorkerPool* p : {static_cast<rt::WorkerPool*>(nullptr), &pool}) {
+        const core::VerificationReport rep =
+            core::certify(inst.g, energy_sub, {scoped, member}, t, {}, energy, p, &ws);
+        EXPECT_EQ(bits(rep.measured_stretch), bits(pin.stretch)) << "t=" << t;
+        EXPECT_EQ(rep.stretch_ok, t > 1.5) << "t=" << t;
+      }
+    }
+  }
 }
 
 TEST(Verify, StretchPassIsTraced) {
