@@ -322,14 +322,13 @@ std::string check_guarantees(const ubg::UbgInstance&, const BuildResult& result)
 }
 
 bool gray_zone_closed(const ubg::UbgInstance& inst) {
-  if (inst.g.n() == 0) return true;
   // Every pair at distance <= 1 must be an edge; count pairs via the spatial
   // grid (near-linear for the evaluation densities) and compare against m.
   const geom::Grid grid(inst.points, 1.0);
   int pairs = 0;
   for (int i = 0; i < inst.g.n(); ++i) {
     bool missing = false;
-    grid.for_neighbors_within(i, 1.0, [&](int j) {
+    grid.for_neighbors_within(inst.points[static_cast<std::size_t>(i)], 1.0, [&](int j, double) {
       if (i < j) {
         ++pairs;
         if (!inst.g.has_edge(i, j)) missing = true;

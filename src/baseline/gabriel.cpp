@@ -17,8 +17,8 @@ graph::Graph gabriel_graph(const ubg::UbgInstance& inst) {
     bool blocked = false;
     // Any witness strictly inside the diameter ball lies within |uv|/2 <= 1/2
     // of the midpoint; enumerate grid candidates around the closer endpoint.
-    grid.for_neighbors_within(e.u, 1.0, [&](int w) {
-      if (blocked || w == e.v) return;
+    grid.for_neighbors_within(pu, 1.0, [&](int w, double) {
+      if (blocked || w == e.u || w == e.v) return;
       if (geom::sq_distance(mid, inst.points[static_cast<std::size_t>(w)]) < r2 * (1.0 - 1e-12)) {
         blocked = true;
       }

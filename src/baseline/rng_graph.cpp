@@ -16,8 +16,8 @@ graph::Graph relative_neighborhood_graph(const ubg::UbgInstance& inst) {
     const double duv = e.w;
     bool blocked = false;
     // A witness has |uw| < |uv| <= 1, so it is grid-reachable from u.
-    grid.for_neighbors_within(e.u, 1.0, [&](int w) {
-      if (blocked || w == e.v) return;
+    grid.for_neighbors_within(pu, 1.0, [&](int w, double) {
+      if (blocked || w == e.u || w == e.v) return;
       const geom::Point& pw = inst.points[static_cast<std::size_t>(w)];
       const double lune = std::max(geom::distance(pu, pw), geom::distance(pv, pw));
       if (lune < duv * (1.0 - 1e-12)) blocked = true;

@@ -23,16 +23,6 @@ const CgMetrics& cg_metrics() {
   return m;
 }
 
-}  // namespace
-
-ClusterGraph build_cluster_graph(const graph::Graph& gp, const ClusterCover& cover,
-                                 double w_prev) {
-  graph::DijkstraWorkspace ws(gp.n());
-  return build_cluster_graph(graph::CsrView(gp), cover, w_prev, ws);
-}
-
-namespace {
-
 /// Per-center candidate harvest for the inter-cluster conditions — a pure
 /// function of (gp, cover, center, reach), so it can run on any worker.
 /// `cond1` carries (center b, sp(a,b)) pairs already filtered to b > a,
@@ -166,11 +156,6 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
     obs::counter_add(m.retries, static_cast<std::int64_t>(retries.size()));
   }
   return cg;
-}
-
-double query_on_h(const graph::Graph& h, int x, int y, double bound, int* hops_out) {
-  graph::DijkstraWorkspace ws(h.n());
-  return query_on_h(ws, h, x, y, bound, hops_out);
 }
 
 double query_on_h(graph::DijkstraWorkspace& ws, const graph::Graph& h, int x, int y, double bound,

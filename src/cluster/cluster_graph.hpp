@@ -28,13 +28,11 @@ struct ClusterGraph {
 
 /// Build H_{i-1} from the partial spanner gp and its radius-δW cluster cover.
 /// \param w_prev  W_{i-1}, the inter-cluster connectivity threshold.
-[[nodiscard]] ClusterGraph build_cluster_graph(const graph::Graph& gp, const ClusterCover& cover,
-                                               double w_prev);
-
-/// Output-sensitive variant on a frozen CSR snapshot with a caller-owned
-/// workspace: per-center sweeps walk the settled ball (via the SpView
-/// touched list) and the precomputed member lists instead of scanning all n
-/// vertices per center. Produces the identical cluster graph.
+///
+/// Output-sensitive on a frozen CSR snapshot with a caller-owned workspace:
+/// per-center sweeps walk the settled ball (via the SpView touched list) and
+/// the precomputed member lists instead of scanning all n vertices per
+/// center.
 ///
 /// With a non-null `pool`, the per-center bounded searches (the dominant
 /// cost) run in parallel — each center's candidate harvest is a pure
@@ -48,12 +46,8 @@ struct ClusterGraph {
 /// Answer one §2.2.4 query on H: sp_H(x, y) truncated at `bound`
 /// (returns kInf if it exceeds the bound). If `hops_out` is non-null it
 /// receives the hop count of the found path (-1 when none), validating
-/// Lemma 8's O(1)-hop claim.
-[[nodiscard]] double query_on_h(const graph::Graph& h, int x, int y, double bound,
-                                int* hops_out = nullptr);
-
-/// Workspace-backed overload for hot loops (one early-exit bounded search,
-/// zero allocation once the workspace is warm).
+/// Lemma 8's O(1)-hop claim. One early-exit bounded search on the caller's
+/// workspace: zero allocation once the workspace is warm.
 [[nodiscard]] double query_on_h(graph::DijkstraWorkspace& ws, const graph::Graph& h, int x, int y,
                                 double bound, int* hops_out = nullptr);
 

@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "graph/components.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -30,11 +31,6 @@ std::vector<std::vector<int>> ClusterCover::members() const {
     out[static_cast<std::size_t>(center_of[static_cast<std::size_t>(v)])].push_back(v);
   }
   return out;
-}
-
-ClusterCover sequential_cover(const graph::Graph& gp, double radius) {
-  graph::DijkstraWorkspace ws(gp.n());
-  return sequential_cover(graph::CsrView(gp), radius, ws);
 }
 
 ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
@@ -75,36 +71,6 @@ ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
   return cover;
 }
 
-namespace {
-
-/// Connected-component count of a frozen CSR snapshot (plain BFS). Local to
-/// cover_hierarchy's stopping rule; graph/components.hpp stays Graph-based.
-int csr_component_count(const graph::CsrView& gp) {
-  const int n = gp.n();
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  std::vector<int> queue;
-  int count = 0;
-  for (int s = 0; s < n; ++s) {
-    if (seen[static_cast<std::size_t>(s)]) continue;
-    ++count;
-    seen[static_cast<std::size_t>(s)] = 1;
-    queue.clear();
-    queue.push_back(s);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const int u = queue[head];
-      for (const graph::Neighbor& nb : gp.neighbors(u)) {
-        if (!seen[static_cast<std::size_t>(nb.to)]) {
-          seen[static_cast<std::size_t>(nb.to)] = 1;
-          queue.push_back(nb.to);
-        }
-      }
-    }
-  }
-  return count;
-}
-
-}  // namespace
-
 CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, double ratio,
                                int max_levels, graph::DijkstraWorkspace& ws) {
   if (base_radius <= 0.0) throw std::invalid_argument("cover_hierarchy: base_radius must be > 0");
@@ -116,7 +82,7 @@ CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, dou
     hier.complete = true;
     return hier;
   }
-  const int components = csr_component_count(gp);
+  const int components = graph::connected_components(gp).count;
   double radius = base_radius;
   for (int level = 0; level < max_levels; ++level) {
     hier.radii.push_back(radius);

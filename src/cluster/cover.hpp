@@ -36,13 +36,12 @@ struct ClusterCover {
 /// Sequential construction (§2.2.1): sweep vertices in id order; each still
 /// uncovered vertex becomes a center and absorbs every uncovered vertex
 /// within shortest-path distance `radius` in gp (bounded Dijkstra).
-[[nodiscard]] ClusterCover sequential_cover(const graph::Graph& gp, double radius);
-
-/// Output-sensitive variant on a frozen CSR snapshot with a caller-owned
-/// workspace: each center's absorption sweep walks only the ball the bounded
-/// search settled (O(Σ|ball| log |ball|) total instead of O(n · centers)),
-/// and the workspace is reused across centers (and phases) so the steady
-/// state allocates nothing. Produces the identical cover.
+///
+/// Output-sensitive on a frozen CSR snapshot with a caller-owned workspace:
+/// each center's absorption sweep walks only the ball the bounded search
+/// settled (O(Σ|ball| log |ball|) total instead of O(n · centers)), and the
+/// workspace is reused across centers (and phases) so the steady state
+/// allocates nothing.
 [[nodiscard]] ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
                                             graph::DijkstraWorkspace& ws);
 

@@ -60,13 +60,13 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   DistributedStats net;
   runtime::RoundLedger ledger;
 
-  // MIS transport: sync (the pool-parallel harvester, which reproduces the
-  // SyncNetwork's round/message accounting analytically and bit-identically
-  // — both consume mis::luby_priority) or the adversarial async runtime
-  // behind the reliable-delivery layer. Each invocation gets a fresh
-  // network over its derived graph J and its own adversary seed (hashed
-  // from the base seed and the invocation index), so a whole run replays
-  // deterministically while invocations stay decorrelated.
+  // MIS transport: sync (the pool-parallel harvester, which reproduces a
+  // lockstep network's round/message accounting analytically and
+  // bit-identically — both consume mis::luby_priority) or the adversarial
+  // async runtime behind the reliable-delivery layer. Each invocation gets a
+  // fresh network over its derived graph J and its own adversary seed
+  // (hashed from the base seed and the invocation index), so a whole run
+  // replays deterministically while invocations stay decorrelated.
   std::uint64_t mis_seed = seed;
   int async_invocation = 0;
   const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby,
@@ -76,7 +76,7 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     adv.seed = adv.seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(++async_invocation);
     runtime::AsyncNetwork anet(j, adv);
     anet.set_record_transcript(net_opts.record_transcript);
-    runtime::ReliableNetwork rnet(anet, net_opts.reliable, nullptr, "mis");
+    runtime::ReliableNetwork rnet(anet, net_opts.reliable);
     std::vector<int> out = mis::luby_mis_on(rnet, j, ++mis_seed, luby);
     add_async_run(net.async, anet, rnet, net_opts.record_transcript);
     return out;

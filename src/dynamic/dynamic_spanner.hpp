@@ -45,7 +45,7 @@
 #include "core/relaxed_greedy.hpp"
 #include "core/verify.hpp"
 #include "dynamic/churn.hpp"
-#include "geom/dynamic_grid.hpp"
+#include "geom/grid.hpp"
 #include "graph/graph.hpp"
 #include "graph/sp_workspace.hpp"
 #include "runtime/parallel.hpp"
@@ -304,7 +304,7 @@ class DynamicSpanner {
   graph::Graph spanner_;
   std::vector<char> active_;
   int active_count_ = 0;
-  geom::DynamicGrid grid_;    ///< spatial hash over the LIVE nodes only.
+  geom::Grid grid_;           ///< spatial hash over the LIVE nodes only.
   double wmax_ = 1.0;         ///< transform(1): heaviest possible edge weight.
   double witness_bound_ = 0;  ///< W = t·wmax.
   double core_radius_ = 0;    ///< K.

@@ -1,6 +1,6 @@
 #pragma once
 /// \file grid.hpp
-/// Spatial hash grid over d-dimensional points.
+/// Mutable spatial hash grid over d-dimensional points.
 ///
 /// Building the α-UBG edge set naively costs Θ(n²) distance checks; with
 /// points bucketed into axis-aligned cells of side `cell`, all neighbors at
@@ -8,9 +8,21 @@
 /// near-linear construction for the uniform densities used throughout the
 /// evaluation. This mirrors the "cells intersecting the unit ball" device in
 /// the degree proof (Theorem 11, Fig 4).
+///
+/// The one index serves both uses: the static builders (make_ubg, the
+/// gray-zone check, the Gabriel and RNG baselines) insert points[0..n) in id
+/// order, so every bucket lists its ids ascending, and enumerate each
+/// point's neighbors; the dynamic-topology engine inserts, removes and moves
+/// points one event at a time (O(1) expected each), so a churn event's
+/// neighbor discovery costs the 3^d adjacent cells instead of an Ω(n) scan.
+///
+/// Ids are the caller's slot ids (non-negative, sparse-friendly: storage is
+/// indexed by id, so keep ids dense-ish).
 
+#include <array>
+#include <cmath>
 #include <cstdint>
-#include <functional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -18,35 +30,115 @@
 
 namespace localspan::geom {
 
-/// Immutable spatial index over a point set.
 class Grid {
  public:
-  /// \param points  the indexed points (all of equal dimension).
-  /// \param cell    cell side; queries are supported up to this radius.
-  /// \throws std::invalid_argument on empty input, mixed dimensions or
-  ///         non-positive cell size.
+  /// \param dim   point dimension (2..kMaxDim).
+  /// \param cell  cell side; queries are supported up to this radius.
+  /// \throws std::invalid_argument on bad dimension or non-positive cell.
+  Grid(int dim, double cell);
+
+  /// Index points[i] under id i, in id order, so every bucket lists its ids
+  /// ascending. The dimension is the points' own (an empty set gives an
+  /// empty 2-d grid). \throws std::invalid_argument on mixed dimensions or a
+  /// non-positive cell.
   Grid(const std::vector<Point>& points, double cell);
 
-  /// Invoke `fn(j)` for every point j != i with distance(points[i], points[j])
-  /// <= radius. Requires radius <= cell().
-  void for_neighbors_within(int i, double radius, const std::function<void(int)>& fn) const;
+  /// Index `id` at position p. \throws std::invalid_argument if `id` is
+  /// negative, already present, or p's dimension mismatches.
+  void insert(int id, const Point& p);
 
-  /// All unordered pairs {i, j}, i < j, at distance <= radius (<= cell()).
-  [[nodiscard]] std::vector<std::pair<int, int>> pairs_within(double radius) const;
+  /// Drop `id`. \throws std::invalid_argument if absent.
+  void remove(int id);
 
+  /// Re-index `id` at its new position (equivalent to remove + insert, but
+  /// skips the bucket churn when the cell is unchanged).
+  void move(int id, const Point& p);
+
+  [[nodiscard]] bool contains(int id) const;
+  [[nodiscard]] int size() const noexcept { return count_; }
   [[nodiscard]] double cell() const noexcept { return cell_; }
-  [[nodiscard]] int size() const noexcept { return static_cast<int>(points_->size()); }
+  [[nodiscard]] int dim() const noexcept { return dim_; }
+
+  /// Invoke `fn(id, dist)` for every indexed point within `radius` of p
+  /// (including an indexed point at p itself — callers filter their own id).
+  /// Cells are visited in a fixed order and each bucket in insertion order,
+  /// so the enumeration is deterministic. Requires radius <= cell().
+  /// \throws std::invalid_argument otherwise. Templated on the callback:
+  /// this is the per-event hot path, so the capture stays on the stack (no
+  /// std::function type erasure).
+  template <typename Fn>
+  void for_neighbors_within(const Point& p, double radius, Fn&& fn) const {
+    if (radius > cell_ * (1.0 + 1e-12)) {
+      throw std::invalid_argument("Grid::for_neighbors_within: radius exceeds cell size");
+    }
+    check_point(p);
+    const double r2 = radius * radius;
+    for_each_adjacent_cell(p, [&](std::uint64_t key) {
+      auto it = buckets_.find(key);
+      if (it == buckets_.end()) return;
+      for (int j : it->second) {
+        const double d2 = sq_distance(p, pos_[static_cast<std::size_t>(j)]);
+        if (d2 <= r2) fn(j, std::sqrt(d2));
+      }
+    });
+  }
 
  private:
-  using CellKey = std::uint64_t;
+  void check_point(const Point& p) const;
 
-  [[nodiscard]] CellKey key_of(const Point& p) const;
-  void neighbor_cells(const Point& p, const std::function<void(CellKey)>& fn) const;
+  // Cell keys: the d integer cell coordinates mixed into one 64-bit key.
+  // Coordinates may be negative (dynamic slots park departed nodes on the
+  // negative side of axis 0); exact collisions across distant cells are
+  // tolerable (buckets just merge, and the distance check filters), but the
+  // constants make them vanishingly rare.
+  static constexpr std::uint64_t kHashBasis = 1469598103934665603ULL;
+  static constexpr std::uint64_t kHashMix = 0x9E3779B97F4A7C15ULL;
 
-  const std::vector<Point>* points_;
-  double cell_;
+  [[nodiscard]] static std::uint64_t hash_combine(std::uint64_t h, std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v) + kHashMix + (h << 6) + (h >> 2);
+    return h;
+  }
+
+  /// Key of the cell containing p.
+  [[nodiscard]] std::uint64_t key_of(const Point& p) const;
+
+  /// Invoke `fn(key)` for each of the 3^dim cells adjacent to (and
+  /// including) p's cell — every point within distance `cell` of p lies in
+  /// one of them.
+  template <typename Fn>
+  void for_each_adjacent_cell(const Point& p, Fn&& fn) const {
+    std::array<std::int64_t, kMaxDim> base{};
+    for (int k = 0; k < dim_; ++k) {
+      base[static_cast<std::size_t>(k)] = static_cast<std::int64_t>(std::floor(p[k] / cell_));
+    }
+    std::array<int, kMaxDim> off{};
+    off.fill(-1);
+    while (true) {
+      std::uint64_t h = kHashBasis;
+      for (int k = 0; k < dim_; ++k) {
+        h = hash_combine(h, base[static_cast<std::size_t>(k)] + off[static_cast<std::size_t>(k)]);
+      }
+      fn(h);
+      int k = 0;
+      for (; k < dim_; ++k) {
+        auto& o = off[static_cast<std::size_t>(k)];
+        if (o < 1) {
+          ++o;
+          break;
+        }
+        o = -1;
+      }
+      if (k == dim_) break;
+    }
+  }
+
   int dim_;
-  std::unordered_map<CellKey, std::vector<int>> buckets_;
+  double cell_;
+  int count_ = 0;
+  std::unordered_map<std::uint64_t, std::vector<int>> buckets_;
+  std::vector<char> present_;          // by id
+  std::vector<Point> pos_;             // by id (valid while present)
+  std::vector<std::uint64_t> key_;     // by id: bucket key (valid while present)
 };
 
 }  // namespace localspan::geom

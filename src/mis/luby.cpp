@@ -16,9 +16,9 @@ constexpr int kJoin = 2;
 
 enum class State { kActive, kInMis, kOut };
 
-/// Mirror of the SyncNetwork round metrics, so the pool-parallel variant —
-/// which never stages a physical message — reports the same net.* shape the
-/// simulator would for the identical protocol run.
+/// The paper's communication measure, messages/bytes per synchronous round,
+/// recorded by the pool-parallel variant for the messages a lockstep
+/// network would deliver (it never stages one).
 struct LubyNetMetrics {
   obs::MetricId rounds = obs::counter_id("net.rounds");
   obs::MetricId messages = obs::counter_id("net.messages");
@@ -49,12 +49,6 @@ double luby_priority(std::uint64_t seed, int iteration, int node) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed, LubyStats* stats,
-                          runtime::RoundLedger* ledger, const std::string& section) {
-  runtime::SyncNetwork net(g, ledger, section);
-  return luby_mis_on(net, g, seed, stats);
 }
 
 std::vector<int> luby_mis_on(runtime::Network& net, const graph::Graph& g, std::uint64_t seed,
@@ -128,8 +122,7 @@ std::vector<int> luby_mis_on(runtime::Network& net, const graph::Graph& g, std::
 }
 
 std::vector<int> luby_mis_parallel(const graph::Graph& g, std::uint64_t seed, LubyStats* stats,
-                                   runtime::WorkerPool* pool, runtime::RoundLedger* ledger,
-                                   const std::string& section) {
+                                   runtime::WorkerPool* pool) {
   const int n = g.n();
   std::vector<State> state(static_cast<std::size_t>(n), State::kActive);
   std::vector<char> joining(static_cast<std::size_t>(n), 0);
@@ -208,10 +201,6 @@ std::vector<int> luby_mis_parallel(const graph::Graph& g, std::uint64_t seed, Lu
     messages += round1 + round2;
     record_round(round1);
     record_round(round2);
-    if (ledger != nullptr) {
-      ledger->charge(section, 1, round1);
-      ledger->charge(section, 1, round2);
-    }
   }
 
   if (stats != nullptr) {

@@ -1,7 +1,9 @@
 #pragma once
 /// \file luby.hpp
-/// Luby's randomized distributed MIS, run message-by-message on the
-/// synchronous simulator.
+/// Luby's randomized distributed MIS, once per transport: message by
+/// message over any `runtime::Network` (the library's is the reliable async
+/// transport), and pool-parallel with analytic round accounting for the
+/// synchronous one.
 ///
 /// The paper invokes the Kuhn–Moscibroda–Wattenhofer O(log* n) MIS [11] on
 /// its derived bounded-growth graphs. KMW is a substantial algorithm in its
@@ -11,11 +13,9 @@
 /// both the measured and the paper-claimed round shapes.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/ledger.hpp"
 #include "runtime/network.hpp"
 
 namespace localspan::runtime {
@@ -37,24 +37,16 @@ struct LubyStats {
 /// break symmetry with identical priorities and produce identical sets.
 [[nodiscard]] double luby_priority(std::uint64_t seed, int iteration, int node);
 
-/// Compute an MIS of g with Luby's algorithm over a SyncNetwork. Per
-/// iteration every undecided node draws a value (seeded deterministically
-/// from (seed, iteration, node)), broadcasts it, joins if it is the strict
-/// (value, id)-minimum in its undecided neighborhood, then broadcasts the
-/// decision; dominated neighbors retire. Deterministic given `seed`.
-///
-/// \param ledger optional ledger charged under section `section`.
-[[nodiscard]] std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed,
-                                        LubyStats* stats = nullptr,
-                                        runtime::RoundLedger* ledger = nullptr,
-                                        const std::string& section = "mis");
-
-/// Transport-generic Luby: the same protocol over any `runtime::Network`
-/// implementation. `net` must be freshly constructed over topology `g`.
-/// Because every decision depends only on round-boundary inbox contents and
-/// the deterministic (seed, iteration, node) value draws, the MIS is
-/// bit-identical across transports that deliver the same round semantics —
-/// the property `ReliableNetwork` provides over the adversarial simulator.
+/// Luby's algorithm over any `runtime::Network` implementation. Per
+/// iteration every undecided node draws a value (luby_priority), broadcasts
+/// it, joins if it is the strict (value, id)-minimum in its undecided
+/// neighborhood, then broadcasts the decision; dominated neighbors retire.
+/// Deterministic given `seed`. `net` must be freshly constructed over
+/// topology `g`. Because every decision depends only on round-boundary
+/// inbox contents and the deterministic (seed, iteration, node) value
+/// draws, the MIS is bit-identical across transports that deliver the same
+/// round semantics — the property `ReliableNetwork` provides over the
+/// adversarial simulator.
 [[nodiscard]] std::vector<int> luby_mis_on(runtime::Network& net, const graph::Graph& g,
                                            std::uint64_t seed, LubyStats* stats = nullptr);
 
@@ -68,14 +60,11 @@ struct LubyStats {
 /// — the set AND the reported stats, which mirror the simulator's message
 /// accounting analytically (2 rounds per iteration; active-degree messages
 /// in round one, winner-degree in round two) — is **bit-identical to
-/// luby_mis(g, seed)** at every thread count. `pool` may be null (serial).
-///
-/// \param ledger optional ledger charged under section `section` with the
-///        same aggregate rounds/messages the synchronous transport charges.
+/// luby_mis_on over a lockstep synchronous network** at every thread count.
+/// With obs on, each of the two rounds per iteration records the `net.*`
+/// round metrics that network would. `pool` may be null (serial).
 [[nodiscard]] std::vector<int> luby_mis_parallel(const graph::Graph& g, std::uint64_t seed,
                                                  LubyStats* stats = nullptr,
-                                                 runtime::WorkerPool* pool = nullptr,
-                                                 runtime::RoundLedger* ledger = nullptr,
-                                                 const std::string& section = "mis");
+                                                 runtime::WorkerPool* pool = nullptr);
 
 }  // namespace localspan::mis

@@ -24,8 +24,9 @@
 ///
 /// Metric names are dot-scoped by layer: `rg.*` (relaxed greedy),
 /// `cover.*`/`cg.*` (cluster machinery), `dyn.*` (dynamic engine),
-/// `pool.*` (ThreadPool), `net.*` (SyncNetwork), `io.*` (trace IO),
-/// `stretch.*` (graph::max_edge_stretch).
+/// `pool.*` (ThreadPool), `net.*` (mis::luby_mis_parallel's analytic
+/// synchronous rounds), `net.async.*` (AsyncNetwork/ReliableNetwork),
+/// `io.*` (trace IO), `stretch.*` (graph::max_edge_stretch).
 /// Register once per site via a function-local static:
 ///
 ///     static const obs::MetricId id = obs::counter_id("rg.edges_added");

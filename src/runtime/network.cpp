@@ -4,11 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/obs.hpp"
-
-namespace localspan::runtime {
-
-namespace detail {
+namespace localspan::runtime::detail {
 
 void check_vertex(int n, int v, const char* who) {
   if (v < 0 || v >= n) {
@@ -23,72 +19,4 @@ void check_packet(const Packet& p, const char* who) {
   }
 }
 
-}  // namespace detail
-
-namespace {
-
-/// The paper's communication measure: messages/bytes per synchronous round.
-struct NetMetrics {
-  obs::MetricId rounds = obs::counter_id("net.rounds");
-  obs::MetricId messages = obs::counter_id("net.messages");
-  obs::MetricId bytes = obs::counter_id("net.bytes");
-  obs::MetricId round_messages = obs::histogram_id("net.round_messages");
-};
-
-const NetMetrics& net_metrics() {
-  static const NetMetrics m;
-  return m;
-}
-
-}  // namespace
-
-SyncNetwork::SyncNetwork(const graph::Graph& topo, RoundLedger* ledger, std::string section)
-    : topo_(topo),
-      ledger_(ledger),
-      section_(std::move(section)),
-      inbox_(static_cast<std::size_t>(topo.n())),
-      outbox_(static_cast<std::size_t>(topo.n())) {}
-
-void SyncNetwork::send(int from, int to, const Packet& p) {
-  detail::check_vertex(topo_.n(), from, "SyncNetwork::send");
-  detail::check_vertex(topo_.n(), to, "SyncNetwork::send");
-  detail::check_packet(p, "SyncNetwork::send");
-  if (!topo_.has_edge(from, to)) {
-    throw std::invalid_argument("SyncNetwork::send: recipients must be topology neighbors");
-  }
-  outbox_[static_cast<std::size_t>(to)].emplace_back(from, p);
-}
-
-void SyncNetwork::broadcast(int from, const Packet& p) {
-  detail::check_vertex(topo_.n(), from, "SyncNetwork::broadcast");
-  detail::check_packet(p, "SyncNetwork::broadcast");
-  for (const graph::Neighbor& nb : topo_.neighbors(from)) {
-    outbox_[static_cast<std::size_t>(nb.to)].emplace_back(from, p);
-  }
-}
-
-void SyncNetwork::end_round() {
-  long long delivered = 0;
-  for (std::size_t v = 0; v < outbox_.size(); ++v) {
-    delivered += static_cast<long long>(outbox_[v].size());
-    inbox_[v] = std::move(outbox_[v]);
-    outbox_[v].clear();
-  }
-  ++rounds_;
-  messages_ += delivered;
-  if (obs::enabled()) {
-    const NetMetrics& m = net_metrics();
-    obs::counter_add(m.rounds, 1);
-    obs::counter_add(m.messages, delivered);
-    obs::counter_add(m.bytes, delivered * static_cast<long long>(sizeof(Packet)));
-    obs::histogram_record(m.round_messages, delivered);
-  }
-  if (ledger_ != nullptr) ledger_->charge(section_, 1, delivered);
-}
-
-const std::vector<std::pair<int, Packet>>& SyncNetwork::inbox(int v) const {
-  detail::check_vertex(static_cast<int>(inbox_.size()), v, "SyncNetwork::inbox");
-  return inbox_[static_cast<std::size_t>(v)];
-}
-
-}  // namespace localspan::runtime
+}  // namespace localspan::runtime::detail

@@ -1,20 +1,19 @@
 #pragma once
 /// \file network.hpp
-/// Message-passing network runtimes (the model of §1.1).
+/// The message-passing transport interface (the model of §1.1).
 ///
 /// `Network` is the round-structured transport interface every distributed
 /// protocol in the repo is written against: stage messages to topology
 /// neighbors, `end_round()` to make them visible, read them back via
-/// `inbox()`. Two implementations exist:
-///
-///   - `SyncNetwork` (this file): the lockstep synchronous simulator —
-///     `end_round()` delivers every staged message simultaneously and charges
-///     the ledger, exactly the LOCAL-model constraint of §1.1.
-///   - `runtime::ReliableNetwork` (reliable.hpp): the same round semantics
-///     reconstructed on top of the adversarial discrete-event simulator
-///     (async_network.hpp) via a per-link sequencing + ack/retry protocol, so
-///     protocols written for synchronous semantics run unmodified under
-///     message loss, duplication, reordering and partitions.
+/// `inbox()`. The library implements it once, as `runtime::ReliableNetwork`
+/// (reliable.hpp): the synchronous round semantics of §1.1 reconstructed on
+/// top of the adversarial discrete-event simulator (async_network.hpp) via a
+/// per-link sequencing + ack/retry protocol, so protocols written for
+/// synchronous semantics run unmodified under message loss, duplication,
+/// reordering and partitions. The synchronous transport itself needs no
+/// messages: `mis::luby_mis_parallel` counts its rounds analytically. The
+/// lockstep simulator the tests hold both against lives with the test
+/// references (tests/network_reference.hpp).
 ///
 /// Only topology neighbors can talk. Algorithms that run on derived graphs
 /// (the conflict graphs J of §3.2.1/§3.2.5, whose "edges" are constant-hop
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/ledger.hpp"
 
 namespace localspan::runtime {
 
@@ -71,31 +69,6 @@ class Network {
 
   [[nodiscard]] virtual long long rounds() const noexcept = 0;
   [[nodiscard]] virtual long long messages() const noexcept = 0;
-};
-
-class SyncNetwork final : public Network {
- public:
-  /// \param topo   communication topology (must outlive the network).
-  /// \param ledger ledger charged one round per end_round(); may be null.
-  /// \param section ledger section name for charges.
-  SyncNetwork(const graph::Graph& topo, RoundLedger* ledger, std::string section);
-
-  void send(int from, int to, const Packet& p) override;
-  void broadcast(int from, const Packet& p) override;
-  void end_round() override;
-  [[nodiscard]] const std::vector<std::pair<int, Packet>>& inbox(int v) const override;
-
-  [[nodiscard]] long long rounds() const noexcept override { return rounds_; }
-  [[nodiscard]] long long messages() const noexcept override { return messages_; }
-
- private:
-  const graph::Graph& topo_;
-  RoundLedger* ledger_;
-  std::string section_;
-  std::vector<std::vector<std::pair<int, Packet>>> inbox_;
-  std::vector<std::vector<std::pair<int, Packet>>> outbox_;
-  long long rounds_ = 0;
-  long long messages_ = 0;
 };
 
 }  // namespace localspan::runtime

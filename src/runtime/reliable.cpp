@@ -69,12 +69,9 @@ void ReliableNetwork::ReceiverLink::mark(std::uint64_t seq) {
   }
 }
 
-ReliableNetwork::ReliableNetwork(AsyncNetwork& net, ReliableConfig cfg, RoundLedger* ledger,
-                                 std::string section)
+ReliableNetwork::ReliableNetwork(AsyncNetwork& net, ReliableConfig cfg)
     : net_(net),
       cfg_(cfg),
-      ledger_(ledger),
-      section_(std::move(section)),
       staging_(static_cast<std::size_t>(net.topology().n())),
       staging_seq_(static_cast<std::size_t>(net.topology().n())),
       inbox_(static_cast<std::size_t>(net.topology().n())) {
@@ -207,7 +204,7 @@ void ReliableNetwork::end_round() {
   }
 
   // Quiescence: publish this round's arrivals in (sender, sequence) order —
-  // exactly the SyncNetwork staging order for ascending-sender protocols.
+  // exactly the synchronous staging order for ascending-sender protocols.
   const long long delivered = static_cast<long long>(pending_.size());
   for (std::size_t v = 0; v < staging_.size(); ++v) {
     auto& msgs = staging_[v];
@@ -230,7 +227,6 @@ void ReliableNetwork::end_round() {
 
   ++rounds_;
   messages_ += delivered;
-  if (ledger_ != nullptr) ledger_->charge(section_, 1, delivered);
 }
 
 const std::vector<std::pair<int, Packet>>& ReliableNetwork::inbox(int v) const {

@@ -3,7 +3,7 @@
 /// Reliable round delivery over the adversarial asynchronous network.
 ///
 /// `ReliableNetwork` implements the `Network` interface on top of
-/// `AsyncNetwork`, so protocols written for `SyncNetwork` semantics run
+/// `AsyncNetwork`, so protocols written for synchronous round semantics run
 /// unmodified under message loss, duplication, reordering, stragglers and
 /// healing partitions. The protocol is classical stop-and-wait-per-message:
 ///
@@ -20,23 +20,21 @@
 ///     message of the round acked), which is the termination detector: a
 ///     round ends exactly when nothing in it can still make progress.
 ///
-/// Bit-identity with `SyncNetwork` is by construction: the round inbox is
-/// sorted by (sender, link sequence), which equals the synchronous staging
-/// order for protocols that stage in ascending sender order (Luby does), and
-/// `rounds()`/`messages()` count application-level rounds and messages, not
-/// physical frames — so ledger charges and downstream decisions are exactly
-/// those of the synchronous run.
+/// Bit-identity with a lockstep synchronous network is by construction: the
+/// round inbox is sorted by (sender, link sequence), which equals the
+/// synchronous staging order for protocols that stage in ascending sender
+/// order (Luby does), and `rounds()`/`messages()` count application-level
+/// rounds and messages, not physical frames — so round counts and
+/// downstream decisions are exactly those of the synchronous run.
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "runtime/async_network.hpp"
-#include "runtime/ledger.hpp"
 #include "runtime/network.hpp"
 
 namespace localspan::runtime {
@@ -91,10 +89,8 @@ struct ReliableStats {
 class ReliableNetwork final : public Network {
  public:
   /// \param net    adversarial transport (must outlive this object).
-  /// \param ledger charged one round per end_round(), like SyncNetwork.
   /// \throws std::invalid_argument when cfg fails validation.
-  ReliableNetwork(AsyncNetwork& net, ReliableConfig cfg, RoundLedger* ledger,
-                  std::string section);
+  ReliableNetwork(AsyncNetwork& net, ReliableConfig cfg);
 
   void send(int from, int to, const Packet& p) override;
   void broadcast(int from, const Packet& p) override;
@@ -139,8 +135,6 @@ class ReliableNetwork final : public Network {
 
   AsyncNetwork& net_;
   ReliableConfig cfg_;
-  RoundLedger* ledger_;
-  std::string section_;
 
   // Persistent across rounds: link sequence counters and receiver dup state
   // (late duplicates from round r must still be recognized in round r+1).

@@ -94,13 +94,15 @@ UbgInstance make_ubg(const UbgConfig& cfg, const GrayZonePolicy& policy) {
   inst.points = place_points(cfg, side);
 
   const geom::Grid grid(inst.points, 1.0);
-  for (const auto& [u, v] : grid.pairs_within(1.0)) {
-    const double d = inst.dist(u, v);
-    if (d <= cfg.alpha || policy.connect(u, v, d)) {
-      // Zero-distance duplicates would make an illegal zero-weight edge;
-      // nudge to a tiny positive weight (coincident radios still talk).
-      inst.g.add_edge(u, v, std::max(d, 1e-12));
-    }
+  for (int u = 0; u < cfg.n; ++u) {
+    grid.for_neighbors_within(inst.points[static_cast<std::size_t>(u)], 1.0, [&](int v, double d) {
+      if (v <= u) return;
+      if (d <= cfg.alpha || policy.connect(u, v, d)) {
+        // Zero-distance duplicates would make an illegal zero-weight edge;
+        // nudge to a tiny positive weight (coincident radios still talk).
+        inst.g.add_edge(u, v, std::max(d, 1e-12));
+      }
+    });
   }
   return inst;
 }

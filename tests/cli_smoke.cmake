@@ -136,6 +136,30 @@ run_cli_err("--seed has no effect" span --in tiny.lsi --eps 0.5 --algo yao --see
 # repeated option -> rejected rather than silently last-wins.
 run_cli_err("option 'k' given more than once" span --in tiny.lsi --eps 0.5 --algo yao --opt k=8 --opt k=12)
 
+# gen rejects values it would otherwise silently replace by a default.
+run_cli_err("--placement must be uniform, clustered or corridor, got 'bogus'"
+            gen --n 16 --placement bogus --out x.lsi)
+run_cli_err("--policy must be always, never, prob or threshold, got 'nope'"
+            gen --n 16 --policy nope --out x.lsi)
+run_cli_err("--p has no effect: policy 'always'" gen --n 16 --p 0.3 --out x.lsi)
+run_cli_err("--p has no effect: policy 'never'" gen --n 16 --policy never --p 0.3 --out x.lsi)
+run_cli(0 gen_prob_out gen --n 16 --policy prob --p 0.3 --out prob.lsi)
+
+# --net-json writes the adversary knobs as parsed numbers, so option text
+# such as ".1" or "+3" still gives a valid report.
+run_cli(0 net_json_out span --in tiny.lsi --eps 0.5 --algo relaxed-dist --net async --loss .1
+        --opt net-seed=+3 --net-json net.json)
+file(READ "${WORK_DIR}/net.json" net_json)
+string(JSON net_loss GET "${net_json}" adversary loss)
+string(JSON net_seed GET "${net_json}" adversary net_seed)
+string(JSON net_retries GET "${net_json}" adversary retries)
+string(JSON net_posted GET "${net_json}" counters net.async.posted)
+if(NOT net_loss EQUAL 0.1 OR NOT net_seed STREQUAL "3" OR NOT net_retries STREQUAL "24"
+   OR NOT net_posted GREATER 0)
+  message(FATAL_ERROR "--net-json report mismatch (loss ${net_loss}, net_seed ${net_seed}, "
+                      "retries ${net_retries}, net.async.posted ${net_posted}):\n${net_json}")
+endif()
+
 # span through a non-default registry algorithm.
 run_cli(0 yao_out span --in tiny.lsi --eps 0.5 --algo yao --opt k=9)
 if(NOT yao_out MATCHES "spanner: [0-9]+ -> [0-9]+ edges")

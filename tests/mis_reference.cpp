@@ -1,6 +1,14 @@
 #include "mis_reference.hpp"
 
+#include "network_reference.hpp"
+
 namespace localspan::mis {
+
+std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed, LubyStats* stats,
+                          runtime::RoundLedger* ledger, const std::string& section) {
+  runtime::SyncNetwork net(g, ledger, section);
+  return luby_mis_on(net, g, seed, stats);
+}
 
 std::vector<int> greedy_mis(const graph::Graph& g) {
   std::vector<char> blocked(static_cast<std::size_t>(g.n()), 0);

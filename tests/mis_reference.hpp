@@ -8,13 +8,29 @@
 /// protocol with a per-phase seed, through `luby_mis_parallel` under
 /// net=sync and `luby_mis_on` under net=async. The greedy MIS below is the
 /// deterministic reference the tests drive the cluster and redundancy
-/// passes with, and the checker validates every MIS the tests draw.
+/// passes with, `luby_mis` is the message-level Luby both library variants
+/// are held against, and the checker validates every MIS the tests draw.
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "mis/luby.hpp"
+#include "runtime/ledger.hpp"
 
 namespace localspan::mis {
+
+/// Luby's algorithm (`luby_mis_on`) run message by message on the lockstep
+/// `runtime::SyncNetwork` (network_reference.hpp): the round-semantics
+/// reference for `luby_mis_parallel` and for `luby_mis_on` over
+/// `runtime::ReliableNetwork`. Deterministic given `seed`.
+///
+/// \param ledger optional ledger charged under section `section`.
+[[nodiscard]] std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed,
+                                        LubyStats* stats = nullptr,
+                                        runtime::RoundLedger* ledger = nullptr,
+                                        const std::string& section = "mis");
 
 /// Deterministic greedy MIS: scan vertices in increasing id, add a vertex
 /// when none of its neighbors was added. O(n + m), always maximal.

@@ -13,9 +13,10 @@
 #include "core/distributed.hpp"
 #include "graph/graph.hpp"
 #include "mis/luby.hpp"
+#include "mis_reference.hpp"
+#include "network_reference.hpp"
 #include "obs/obs.hpp"
 #include "runtime/async_network.hpp"
-#include "runtime/network.hpp"
 #include "runtime/reliable.hpp"
 #include "scenario_matrix.hpp"
 
@@ -245,7 +246,7 @@ TEST(AsyncNetwork, SameSeedReplaysTheExactTranscript) {
 TEST(ReliableNetwork, ValidatesLikeTheSyncTransport) {
   const gr::Graph g = path4();
   rt::AsyncNetwork anet(g, {});
-  rt::ReliableNetwork net(anet, {}, nullptr, "test");
+  rt::ReliableNetwork net(anet, {});
   EXPECT_THROW(net.send(0, 2, {}), std::invalid_argument);
   EXPECT_THROW(net.send(0, 9, {}), std::invalid_argument);
   EXPECT_THROW(net.broadcast(-1, {}), std::invalid_argument);
@@ -263,7 +264,7 @@ TEST(ReliableNetwork, InboxMatchesSyncNetworkUnderFaults) {
   cfg.dup_prob = 0.3;
   cfg.reorder_prob = 0.5;
   rt::AsyncNetwork anet(g, cfg);
-  rt::ReliableNetwork rel(anet, {}, nullptr, "test");
+  rt::ReliableNetwork rel(anet, {});
   rt::SyncNetwork sync(g, nullptr, "test");
 
   for (int round = 0; round < 8; ++round) {
@@ -293,27 +294,27 @@ TEST(ReliableNetwork, InboxMatchesSyncNetworkUnderFaults) {
   EXPECT_GT(rel.stats().acks_received, 0);
 }
 
-TEST(ReliableNetwork, LedgerChargedLikeSync) {
+TEST(ReliableNetwork, RoundsAndMessagesCountedLikeSync) {
+  // Application-level rounds and messages, not physical frames: the lossy
+  // run retransmits, yet counts exactly what the lockstep reference counts.
   const gr::Graph g = path4();
-  rt::RoundLedger sync_ledger;
-  rt::RoundLedger rel_ledger;
-  {
-    rt::SyncNetwork net(g, &sync_ledger, "mis");
-    net.broadcast(0, {});
-    net.end_round();
-    net.end_round();
+  rt::SyncNetwork sync(g, nullptr, "mis");
+  rt::AdversaryConfig cfg;
+  cfg.drop_prob = 0.3;
+  rt::AsyncNetwork anet(g, cfg);
+  rt::ReliableNetwork rel(anet, {});
+  for (rt::Network* net : {static_cast<rt::Network*>(&sync), static_cast<rt::Network*>(&rel)}) {
+    net->broadcast(0, {});
+    net->end_round();
+    net->send(2, 3, {});
+    net->broadcast(1, {});
+    net->end_round();
+    net->end_round();
   }
-  {
-    rt::AdversaryConfig cfg;
-    cfg.drop_prob = 0.3;
-    rt::AsyncNetwork anet(g, cfg);
-    rt::ReliableNetwork net(anet, {}, &rel_ledger, "mis");
-    net.broadcast(0, {});
-    net.end_round();
-    net.end_round();
-  }
-  EXPECT_EQ(sync_ledger.rounds(), rel_ledger.rounds());
-  EXPECT_EQ(sync_ledger.messages(), rel_ledger.messages());
+  EXPECT_EQ(sync.rounds(), 3);
+  EXPECT_EQ(sync.messages(), 4);
+  EXPECT_EQ(sync.rounds(), rel.rounds());
+  EXPECT_EQ(sync.messages(), rel.messages());
 }
 
 TEST(ReliableNetwork, RetryBudgetExhaustedOnPermanentPartition) {
@@ -337,7 +338,7 @@ TEST(ReliableNetwork, RetryBudgetExhaustedOnPermanentPartition) {
     rt::AsyncNetwork anet(g, cfg);
     rt::ReliableConfig rel_cfg;
     rel_cfg.max_attempts = 4;  // small budget: fail fast.
-    rt::ReliableNetwork net(anet, rel_cfg, nullptr, "test");
+    rt::ReliableNetwork net(anet, rel_cfg);
     net.send(cut->u, cut->v, {1, 0.0, 0});
     try {
       net.end_round();
@@ -376,7 +377,7 @@ TEST_P(AsyncMisFaultMatrix, MisBitIdenticalToSync) {
   rt::AdversaryConfig adv = preset.cfg;
   adv.seed = sc.seed * 1000003ULL + static_cast<std::uint64_t>(preset_idx);
   rt::AsyncNetwork anet(inst.g, adv);
-  rt::ReliableNetwork rel(anet, {}, nullptr, "mis");
+  rt::ReliableNetwork rel(anet, {});
   mis::LubyStats async_stats;
   const std::vector<int> async_mis = mis::luby_mis_on(rel, inst.g, sc.seed + 77, &async_stats);
 

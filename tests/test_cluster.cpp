@@ -75,13 +75,26 @@ gr::Graph partial_spanner(std::uint64_t seed, int n = 200) {
   return localspan::core::seq_greedy(inst.g, 1.5);
 }
 
+/// The library builds covers and cluster graphs on a frozen CSR snapshot
+/// with a caller-owned workspace; these one-off forms give each call its own.
+cl::ClusterCover cover_of(const gr::Graph& gp, double radius) {
+  gr::DijkstraWorkspace ws(gp.n());
+  return cl::sequential_cover(gr::CsrView(gp), radius, ws);
+}
+
+cl::ClusterGraph cluster_graph_of(const gr::Graph& gp, const cl::ClusterCover& cover,
+                                  double w_prev) {
+  gr::DijkstraWorkspace ws(gp.n());
+  return cl::build_cluster_graph(gr::CsrView(gp), cover, w_prev, ws);
+}
+
 }  // namespace
 
 class CoverRadius : public ::testing::TestWithParam<double> {};
 
 TEST_P(CoverRadius, SequentialCoverIsValid) {
   const gr::Graph gp = partial_spanner(5);
-  const cl::ClusterCover cover = cl::sequential_cover(gp, GetParam());
+  const cl::ClusterCover cover = cover_of(gp, GetParam());
   EXPECT_TRUE(cl::is_valid_cover(gp, cover));
 }
 
@@ -304,7 +317,7 @@ TEST(MisCover, MemoryIsLinearInVerticesPlusJEdges) {
 
 TEST(Cover, ZeroRadiusMakesEveryVertexACenter) {
   const gr::Graph gp = partial_spanner(7, 60);
-  const cl::ClusterCover cover = cl::sequential_cover(gp, 0.0);
+  const cl::ClusterCover cover = cover_of(gp, 0.0);
   EXPECT_EQ(static_cast<int>(cover.centers.size()), gp.n());
 }
 
@@ -312,7 +325,7 @@ TEST(Cover, LargerRadiusNeverIncreasesCenters) {
   const gr::Graph gp = partial_spanner(8);
   std::size_t prev = static_cast<std::size_t>(gp.n()) + 1;
   for (double radius : {0.01, 0.05, 0.2, 0.8}) {
-    const auto cover = cl::sequential_cover(gp, radius);
+    const auto cover = cover_of(gp, radius);
     EXPECT_LE(cover.centers.size(), prev);
     prev = cover.centers.size();
   }
@@ -320,7 +333,7 @@ TEST(Cover, LargerRadiusNeverIncreasesCenters) {
 
 TEST(Cover, MembersGroupingIsConsistent) {
   const gr::Graph gp = partial_spanner(9, 100);
-  const auto cover = cl::sequential_cover(gp, 0.15);
+  const auto cover = cover_of(gp, 0.15);
   const auto members = cover.members();
   int total = 0;
   for (int c = 0; c < gp.n(); ++c) {
@@ -334,14 +347,14 @@ TEST(Cover, MembersGroupingIsConsistent) {
 
 TEST(Cover, RejectsNegativeRadius) {
   const gr::Graph gp(3);
-  EXPECT_THROW(static_cast<void>(cl::sequential_cover(gp, -1.0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(cover_of(gp, -1.0)), std::invalid_argument);
 }
 
 TEST(Cover, DisconnectedGraphsGetPerComponentClusters) {
   gr::Graph gp(4);  // two disconnected pairs
   gp.add_edge(0, 1, 0.1);
   gp.add_edge(2, 3, 0.1);
-  const auto cover = cl::sequential_cover(gp, 0.5);
+  const auto cover = cover_of(gp, 0.5);
   EXPECT_TRUE(cl::is_valid_cover(gp, cover));
   EXPECT_EQ(cover.centers.size(), 2u);
 }
@@ -355,7 +368,7 @@ TEST(Cover, SkippedSingletonBallsMatchADenseReference) {
   for (int k = 0; k < 5; ++k) gp.add_vertex();  // isolated vertices
   const std::vector<gr::Edge> edges = gp.edges();
   for (const double radius : {0.0, 0.02, 0.05, 0.1, 0.3, edges[7].w, edges[40].w}) {
-    const auto cover = cl::sequential_cover(gp, radius);
+    const auto cover = cover_of(gp, radius);
     std::vector<int> center_of(static_cast<std::size_t>(gp.n()), -1);
     std::vector<double> dist(static_cast<std::size_t>(gp.n()), gr::kInf);
     std::vector<int> centers;
@@ -380,15 +393,15 @@ TEST(Cover, SkippedSingletonBallsMatchADenseReference) {
   gr::Graph path(3);
   path.add_edge(0, 1, 0.5);
   path.add_edge(1, 2, 0.7);
-  EXPECT_EQ(cl::sequential_cover(path, 0.5).center_of, (std::vector<int>{0, 0, 2}));
-  EXPECT_EQ(cl::sequential_cover(path, std::nextafter(0.5, 0.0)).center_of,
+  EXPECT_EQ(cover_of(path, 0.5).center_of, (std::vector<int>{0, 0, 2}));
+  EXPECT_EQ(cover_of(path, std::nextafter(0.5, 0.0)).center_of,
             (std::vector<int>{0, 1, 2}));
 }
 
 TEST(ClusterGraph, EmptyGraphHasZeroInterDegree) {
   const gr::Graph gp(0);
-  const auto cover = cl::sequential_cover(gp, 0.1);
-  const auto cg = cl::build_cluster_graph(gp, cover, 1.0);
+  const auto cover = cover_of(gp, 0.1);
+  const auto cg = cluster_graph_of(gp, cover, 1.0);
   EXPECT_EQ(cg.h.n(), 0);
   EXPECT_EQ(cg.max_inter_degree, 0);
   EXPECT_EQ(cg.inter_edges + cg.intra_edges, 0);
@@ -397,8 +410,8 @@ TEST(ClusterGraph, EmptyGraphHasZeroInterDegree) {
 TEST(ClusterGraph, IntraEdgesMatchCoverDistances) {
   const gr::Graph gp = partial_spanner(10);
   const double radius = 0.1;
-  const auto cover = cl::sequential_cover(gp, radius);
-  const auto cg = cl::build_cluster_graph(gp, cover, radius / 0.05);
+  const auto cover = cover_of(gp, radius);
+  const auto cg = cluster_graph_of(gp, cover, radius / 0.05);
   for (int v = 0; v < gp.n(); ++v) {
     const int a = cover.center_of[static_cast<std::size_t>(v)];
     if (a == v) continue;
@@ -418,8 +431,8 @@ TEST(ClusterGraph, Lemma5InterClusterWeightBound) {
     if (e.w <= w_prev) gp.add_edge(e.u, e.v, e.w);
   }
   const double delta = 0.2;
-  const auto cover = cl::sequential_cover(gp, delta * w_prev);
-  const auto cg = cl::build_cluster_graph(gp, cover, w_prev);
+  const auto cover = cover_of(gp, delta * w_prev);
+  const auto cg = cluster_graph_of(gp, cover, w_prev);
   EXPECT_LE(cg.max_inter_weight, (2.0 * delta + 1.0) * w_prev + 1e-9);
 }
 
@@ -431,8 +444,8 @@ TEST(ClusterGraph, GeneralizedInterWeightBoundWithLongEdges) {
   const double delta = 0.2;
   double max_edge = 0.0;
   for (const gr::Edge& e : gp.edges()) max_edge = std::max(max_edge, e.w);
-  const auto cover = cl::sequential_cover(gp, delta * w_prev);
-  const auto cg = cl::build_cluster_graph(gp, cover, w_prev);
+  const auto cover = cover_of(gp, delta * w_prev);
+  const auto cg = cluster_graph_of(gp, cover, w_prev);
   EXPECT_LE(cg.max_inter_weight, 2.0 * delta * w_prev + max_edge + 1e-9);
 }
 
@@ -441,8 +454,8 @@ TEST(ClusterGraph, Lemma6InterDegreeIsSmall) {
   for (int n : {100, 200, 400}) {
     const gr::Graph gp = partial_spanner(12, n);
     const double w_prev = 0.25;
-    const auto cover = cl::sequential_cover(gp, 0.1 * w_prev);
-    const auto cg = cl::build_cluster_graph(gp, cover, w_prev);
+    const auto cover = cover_of(gp, 0.1 * w_prev);
+    const auto cg = cluster_graph_of(gp, cover, w_prev);
     EXPECT_LE(cg.max_inter_degree, 64) << "n=" << n;
   }
 }
@@ -453,8 +466,8 @@ TEST(ClusterGraph, Lemma7PathApproximation) {
   const gr::Graph gp = partial_spanner(13);
   const double w_prev = 0.3;
   const double delta = 0.1;
-  const auto cover = cl::sequential_cover(gp, delta * w_prev);
-  const auto cg = cl::build_cluster_graph(gp, cover, w_prev);
+  const auto cover = cover_of(gp, delta * w_prev);
+  const auto cg = cluster_graph_of(gp, cover, w_prev);
   const double ratio = (1.0 + 6.0 * delta) / (1.0 - 2.0 * delta);
   int checked = 0;
   for (int x = 0; x < gp.n() && checked < 200; x += 3) {
@@ -482,16 +495,17 @@ TEST(ClusterGraph, Lemma8QueriesHaveConstantHops) {
   const double delta = 0.1;
   const double t = 1.5;
   const double r = 1.3;
-  const auto cover = cl::sequential_cover(gp, delta * w_prev);
-  const auto cg = cl::build_cluster_graph(gp, cover, w_prev);
+  const auto cover = cover_of(gp, delta * w_prev);
+  const auto cg = cluster_graph_of(gp, cover, w_prev);
   const int hop_cap = 2 + static_cast<int>(std::ceil(t * r / delta));
+  gr::DijkstraWorkspace ws;
   for (int x = 0; x < gp.n(); x += 5) {
     for (int y = 0; y < gp.n(); y += 11) {
       if (x == y) continue;
       // Only query-edge-like pairs: Euclidean-scale weight in (W, rW].
       int hops = -1;
       const double bound = t * r * w_prev;
-      const double d = cl::query_on_h(cg.h, x, y, bound, &hops);
+      const double d = cl::query_on_h(ws, cg.h, x, y, bound, &hops);
       if (d == gr::kInf) continue;
       EXPECT_LE(hops, hop_cap);
     }
@@ -502,15 +516,16 @@ TEST(ClusterGraph, QueryOnHRespectsBound) {
   gr::Graph h(3);
   h.add_edge(0, 1, 1.0);
   h.add_edge(1, 2, 1.0);
+  gr::DijkstraWorkspace ws;
   int hops = -1;
-  EXPECT_EQ(cl::query_on_h(h, 0, 2, 1.5, &hops), gr::kInf);
+  EXPECT_EQ(cl::query_on_h(ws, h, 0, 2, 1.5, &hops), gr::kInf);
   EXPECT_EQ(hops, -1);
-  EXPECT_DOUBLE_EQ(cl::query_on_h(h, 0, 2, 2.5, &hops), 2.0);
+  EXPECT_DOUBLE_EQ(cl::query_on_h(ws, h, 0, 2, 2.5, &hops), 2.0);
   EXPECT_EQ(hops, 2);
 }
 
 TEST(ClusterGraph, RejectsBadWPrev) {
   const gr::Graph gp(3);
-  const auto cover = cl::sequential_cover(gp, 0.1);
-  EXPECT_THROW(static_cast<void>(cl::build_cluster_graph(gp, cover, 0.0)), std::invalid_argument);
+  const auto cover = cover_of(gp, 0.1);
+  EXPECT_THROW(static_cast<void>(cluster_graph_of(gp, cover, 0.0)), std::invalid_argument);
 }

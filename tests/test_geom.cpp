@@ -2,9 +2,12 @@
 // Yao cones, and the spatial hash grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "geom/cones.hpp"
 #include "geom/grid.hpp"
@@ -132,14 +135,39 @@ TEST(YaoCones, RejectsDegenerate) {
   EXPECT_THROW(static_cast<void>(cones.sector_of({1.0, 1.0}, {1.0, 1.0})), std::invalid_argument);
 }
 
+namespace {
+
+/// All pairs {i, j}, i < j, within `radius`, enumerated the way the static
+/// builders do: points inserted in id order, each point's neighbors
+/// queried, its own id and lower ids skipped.
+std::vector<std::pair<int, int>> grid_pairs(const std::vector<g::Point>& pts, double radius) {
+  const g::Grid grid(pts, 1.0);
+  std::vector<std::pair<int, int>> out;
+  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+    grid.for_neighbors_within(pts[static_cast<std::size_t>(i)], radius, [&](int j, double) {
+      if (i < j) out.emplace_back(i, j);
+    });
+  }
+  return out;
+}
+
+/// Ids the grid reports within `radius` of p, sorted.
+std::vector<int> ids_near(const g::Grid& grid, const g::Point& p, double radius) {
+  std::vector<int> out;
+  grid.for_neighbors_within(p, radius, [&](int j, double) { out.push_back(j); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+}  // namespace
+
 TEST(Grid, FindsExactlyTheCloseNeighbors) {
   std::vector<g::Point> pts;
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<double> coord(0.0, 5.0);
   for (int i = 0; i < 300; ++i) pts.push_back({coord(rng), coord(rng)});
-  const g::Grid grid(pts, 1.0);
   // Brute-force cross-check.
-  auto got = grid.pairs_within(1.0);
+  auto got = grid_pairs(pts, 1.0);
   std::vector<std::pair<int, int>> want;
   for (int i = 0; i < 300; ++i) {
     for (int j = i + 1; j < 300; ++j) {
@@ -158,8 +186,7 @@ TEST(Grid, WorksInThreeDimensions) {
   std::mt19937_64 rng(5);
   std::uniform_real_distribution<double> coord(0.0, 3.0);
   for (int i = 0; i < 200; ++i) pts.push_back({coord(rng), coord(rng), coord(rng)});
-  const g::Grid grid(pts, 1.0);
-  auto got = grid.pairs_within(0.8);
+  auto got = grid_pairs(pts, 0.8);
   std::vector<std::pair<int, int>> want;
   for (int i = 0; i < 200; ++i) {
     for (int j = i + 1; j < 200; ++j) {
@@ -176,18 +203,108 @@ TEST(Grid, WorksInThreeDimensions) {
 TEST(Grid, RejectsBadQueries) {
   std::vector<g::Point> pts{{0.0, 0.0}, {1.0, 1.0}};
   const g::Grid grid(pts, 1.0);
-  EXPECT_THROW(grid.for_neighbors_within(0, 2.0, [](int) {}), std::invalid_argument);
+  EXPECT_THROW(grid.for_neighbors_within(pts[0], 2.0, [](int, double) {}), std::invalid_argument);
+  EXPECT_THROW(grid.for_neighbors_within(g::Point{0.0, 0.0, 0.0}, 1.0, [](int, double) {}),
+               std::invalid_argument);
   EXPECT_THROW(g::Grid(pts, 0.0), std::invalid_argument);
-  EXPECT_THROW(g::Grid({}, 1.0), std::invalid_argument);
+  EXPECT_THROW(g::Grid(2, -1.0), std::invalid_argument);
+  EXPECT_THROW(g::Grid(1, 1.0), std::invalid_argument);
+  EXPECT_THROW(g::Grid(g::kMaxDim + 1, 1.0), std::invalid_argument);
+  const std::vector<g::Point> mixed{{0.0, 0.0}, {0.0, 0.0, 0.0}};
+  EXPECT_THROW(g::Grid(mixed, 1.0), std::invalid_argument);
+  // An empty point set is a valid, empty grid.
+  const g::Grid empty(std::vector<g::Point>{}, 1.0);
+  EXPECT_EQ(empty.size(), 0);
+  EXPECT_TRUE(ids_near(empty, {0.0, 0.0}, 1.0).empty());
 }
 
 TEST(Grid, NegativeCoordinatesSupported) {
   std::vector<g::Point> pts{{-0.5, -0.5}, {-0.4, -0.45}, {3.0, 3.0}};
   const g::Grid grid(pts, 1.0);
-  int count = 0;
-  grid.for_neighbors_within(0, 1.0, [&](int j) {
-    EXPECT_EQ(j, 1);
-    ++count;
-  });
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(ids_near(grid, pts[0], 1.0), (std::vector<int>{0, 1}));
+}
+
+TEST(Grid, ReportsDistancesAndItsOwnId) {
+  const g::Grid grid(std::vector<g::Point>{{0.0, 0.0}, {0.3, 0.4}}, 1.0);
+  std::vector<std::pair<int, double>> got;
+  grid.for_neighbors_within(g::Point{0.0, 0.0}, 1.0,
+                            [&](int j, double d) { got.emplace_back(j, d); });
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], (std::pair<int, double>{0, 0.0}));
+  EXPECT_EQ(got[1].first, 1);
+  EXPECT_DOUBLE_EQ(got[1].second, 0.5);
+}
+
+TEST(Grid, InsertRemoveAndContains) {
+  g::Grid grid(2, 1.0);
+  EXPECT_EQ(grid.dim(), 2);
+  EXPECT_DOUBLE_EQ(grid.cell(), 1.0);
+  EXPECT_EQ(grid.size(), 0);
+  EXPECT_FALSE(grid.contains(0));
+  EXPECT_FALSE(grid.contains(-1));
+  grid.insert(5, {0.2, 0.2});  // sparse ids are fine
+  grid.insert(0, {0.4, 0.2});
+  grid.insert(2, {3.0, 3.0});
+  EXPECT_EQ(grid.size(), 3);
+  EXPECT_TRUE(grid.contains(5));
+  EXPECT_TRUE(grid.contains(0));
+  EXPECT_FALSE(grid.contains(1));
+  EXPECT_FALSE(grid.contains(6));
+  EXPECT_EQ(ids_near(grid, {0.3, 0.2}, 0.5), (std::vector<int>{0, 5}));
+  grid.remove(5);
+  EXPECT_FALSE(grid.contains(5));
+  EXPECT_EQ(grid.size(), 2);
+  EXPECT_EQ(ids_near(grid, {0.3, 0.2}, 0.5), (std::vector<int>{0}));
+  // A removed id may be inserted again, anywhere.
+  grid.insert(5, {3.1, 3.0});
+  EXPECT_EQ(ids_near(grid, {3.0, 3.0}, 0.5), (std::vector<int>{2, 5}));
+}
+
+TEST(Grid, BucketsListIdsInInsertionOrder) {
+  g::Grid grid(2, 1.0);
+  for (int id : {4, 1, 3}) grid.insert(id, {0.5, 0.5});
+  std::vector<int> order;
+  grid.for_neighbors_within(g::Point{0.5, 0.5}, 0.1, [&](int j, double) { order.push_back(j); });
+  EXPECT_EQ(order, (std::vector<int>{4, 1, 3}));
+}
+
+TEST(Grid, MoveWithinAndAcrossCells) {
+  g::Grid grid(2, 1.0);
+  grid.insert(0, {0.1, 0.1});
+  grid.insert(1, {0.9, 0.9});
+  // Within the cell: the new position is what the distance check sees.
+  grid.move(0, {0.8, 0.8});
+  EXPECT_EQ(ids_near(grid, {0.85, 0.85}, 0.1), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(ids_near(grid, {0.1, 0.1}, 0.2).empty());
+  // Across cells: the id leaves its old bucket and joins the new one.
+  grid.move(0, {5.5, 5.5});
+  EXPECT_EQ(grid.size(), 2);
+  EXPECT_TRUE(grid.contains(0));
+  EXPECT_EQ(ids_near(grid, {0.85, 0.85}, 0.1), (std::vector<int>{1}));
+  EXPECT_EQ(ids_near(grid, {5.4, 5.5}, 0.2), (std::vector<int>{0}));
+  // Back into a shared cell and out to the negative side of an axis.
+  grid.move(0, {-0.5, 0.5});
+  EXPECT_EQ(ids_near(grid, {-0.5, 0.5}, 0.1), (std::vector<int>{0}));
+  EXPECT_TRUE(ids_near(grid, {5.4, 5.5}, 0.2).empty());
+}
+
+TEST(Grid, MutationErrorPaths) {
+  g::Grid grid(2, 1.0);
+  grid.insert(0, {0.0, 0.0});
+  EXPECT_THROW(grid.insert(0, {1.0, 1.0}), std::invalid_argument);        // duplicate id
+  EXPECT_THROW(grid.insert(-1, {1.0, 1.0}), std::invalid_argument);       // negative id
+  EXPECT_THROW(grid.insert(1, {1.0, 1.0, 1.0}), std::invalid_argument);   // dimension mismatch
+  EXPECT_THROW(grid.remove(1), std::invalid_argument);                    // absent id
+  EXPECT_THROW(grid.remove(-3), std::invalid_argument);
+  EXPECT_THROW(grid.move(7, {1.0, 1.0}), std::invalid_argument);          // absent id
+  EXPECT_THROW(grid.move(0, {1.0, 1.0, 1.0}), std::invalid_argument);     // dimension mismatch
+  EXPECT_THROW(grid.for_neighbors_within(g::Point{0.0, 0.0}, 1.5, [](int, double) {}),
+               std::invalid_argument);                                    // radius > cell
+  // A failed call leaves the grid as it was.
+  EXPECT_EQ(grid.size(), 1);
+  EXPECT_EQ(ids_near(grid, {0.0, 0.0}, 1.0), (std::vector<int>{0}));
+  grid.remove(0);
+  EXPECT_THROW(grid.remove(0), std::invalid_argument);
+  EXPECT_EQ(grid.size(), 0);
 }

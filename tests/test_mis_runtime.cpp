@@ -3,17 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <optional>
 #include <random>
+#include <string>
 
 #include "mis/luby.hpp"
 #include "mis_reference.hpp"
+#include "network_reference.hpp"
+#include "obs/obs.hpp"
 #include "runtime/ledger.hpp"
-#include "runtime/network.hpp"
 #include "runtime/parallel.hpp"
 
 namespace gr = localspan::graph;
 namespace ms = localspan::mis;
+namespace obs = localspan::obs;
 namespace rt = localspan::runtime;
 
 namespace {
@@ -108,33 +112,53 @@ TEST(Luby, ChargesLedger) {
 
 // ---------------------------------------------------------------------------
 // Pool-parallel Luby: the harvest/commit variant must reproduce the
-// simulator-driven run exactly — set, stats, and ledger charges — at every
-// thread count, because both consume mis::luby_priority and the parallel
-// passes read only frozen previous-iteration state.
+// simulator-driven run exactly — set and stats — at every thread count,
+// because both consume mis::luby_priority and the parallel passes read only
+// frozen previous-iteration state.
 // ---------------------------------------------------------------------------
 
-TEST(LubyParallel, MatchesSimulatorSetStatsAndLedger) {
+TEST(LubyParallel, MatchesSimulatorSetAndStats) {
   for (std::uint64_t seed : {1u, 7u, 42u}) {
     const gr::Graph g = random_graph(150, 0.06, seed);
     ms::LubyStats net_stats;
-    rt::RoundLedger net_ledger;
-    const auto expected = ms::luby_mis(g, seed, &net_stats, &net_ledger, "mis");
+    const auto expected = ms::luby_mis(g, seed, &net_stats);
     for (int threads : {0, 2, 4}) {  // 0 = serial fallback, no pool
       std::optional<rt::WorkerPool> pool;
       if (threads > 0) pool.emplace(threads);
       ms::LubyStats stats;
-      rt::RoundLedger ledger;
-      const auto got = ms::luby_mis_parallel(g, seed, &stats,
-                                             pool ? &*pool : nullptr, &ledger, "mis");
+      const auto got = ms::luby_mis_parallel(g, seed, &stats, pool ? &*pool : nullptr);
       EXPECT_EQ(expected, got) << "seed " << seed << " threads " << threads;
       EXPECT_EQ(net_stats.iterations, stats.iterations);
       EXPECT_EQ(net_stats.network_rounds, stats.network_rounds);
       EXPECT_EQ(net_stats.messages, stats.messages);
-      EXPECT_EQ(net_ledger.rounds(), ledger.rounds());
-      EXPECT_EQ(net_ledger.messages(), ledger.messages());
-      EXPECT_EQ(net_ledger.rounds_by_section().at("mis"),
-                ledger.rounds_by_section().at("mis"));
     }
+  }
+}
+
+TEST(LubyParallel, NetProbeMatchesStats) {
+  // The analytic round accounting is the library's only net.* round probe:
+  // with obs on, its counters and per-round histogram agree with LubyStats.
+  const gr::Graph g = random_graph(150, 0.06, 7);
+  for (int threads : {0, 4}) {
+    std::optional<rt::WorkerPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    obs::reset();
+    obs::set_enabled(true);
+    ms::LubyStats stats;
+    static_cast<void>(ms::luby_mis_parallel(g, 7, &stats, pool ? &*pool : nullptr));
+    const obs::Snapshot snap = obs::snapshot();
+    obs::set_enabled(false);
+    obs::reset();
+    std::map<std::string, std::int64_t> counters(snap.counters.begin(), snap.counters.end());
+    std::map<std::string, obs::HistogramSummary> hists(snap.histograms.begin(),
+                                                       snap.histograms.end());
+    ASSERT_GT(stats.messages, 0);
+    EXPECT_EQ(counters["net.rounds"], stats.network_rounds) << "threads " << threads;
+    EXPECT_EQ(counters["net.messages"], stats.messages);
+    EXPECT_EQ(counters["net.bytes"],
+              stats.messages * static_cast<std::int64_t>(sizeof(rt::Packet)));
+    EXPECT_EQ(hists["net.round_messages"].count, stats.network_rounds);
+    EXPECT_EQ(hists["net.round_messages"].sum, stats.messages);
   }
 }
 

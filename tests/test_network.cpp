@@ -1,12 +1,12 @@
-// Tests for the synchronous message-passing simulator (runtime/network.hpp):
+// Tests for the synchronous message-passing simulator (network_reference.hpp):
 // error paths, inbox lifecycle between rounds, and round/message accounting.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "graph/graph.hpp"
+#include "network_reference.hpp"
 #include "runtime/ledger.hpp"
-#include "runtime/network.hpp"
 
 namespace gr = localspan::graph;
 namespace rt = localspan::runtime;

@@ -27,6 +27,7 @@
 #include "graph/mst.hpp"
 #include "graph/sp_workspace.hpp"
 #include "mis/luby.hpp"
+#include "mis_reference.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 #include "stretch_reference.hpp"

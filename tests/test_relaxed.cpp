@@ -408,7 +408,8 @@ TEST(QuerySelection, OneEdgePerClusterPair) {
   gr::Graph gp(4);
   gp.add_edge(0, 1, 0.05);  // cluster {0,1}
   gp.add_edge(2, 3, 0.05);  // cluster {2,3}
-  const auto cover = localspan::cluster::sequential_cover(gp, 0.1);
+  gr::DijkstraWorkspace ws(gp.n());
+  const auto cover = localspan::cluster::sequential_cover(gr::CsrView(gp), 0.1, ws);
   ASSERT_EQ(cover.centers.size(), 2u);
   std::vector<core::detail::PhaseEdge> cands{
       {0, 2, 0.5, 0.5}, {1, 3, 0.45, 0.45}, {0, 3, 0.55, 0.55}};
@@ -424,7 +425,8 @@ TEST(QuerySelection, OneEdgePerClusterPair) {
 
 TEST(QuerySelection, DistinctPairsKeepDistinctEdges) {
   gr::Graph gp(6);  // three singleton-ish clusters at mutual distance
-  const auto cover = localspan::cluster::sequential_cover(gp, 0.0);
+  gr::DijkstraWorkspace ws(gp.n());
+  const auto cover = localspan::cluster::sequential_cover(gr::CsrView(gp), 0.0, ws);
   std::vector<core::detail::PhaseEdge> cands{{0, 1, 0.5, 0.5}, {2, 3, 0.5, 0.5}, {4, 5, 0.5, 0.5}};
   int per_cluster = 0;
   const auto selected = core::detail::select_query_edges(cands, cover, 1.5, &per_cluster);

@@ -1,12 +1,17 @@
 // Tests for the α-UBG model: gray-zone policies and instance generation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "graph/components.hpp"
+#include "scenario_matrix.hpp"
 #include "ubg/generator.hpp"
 #include "ubg/policy.hpp"
 
 namespace ub = localspan::ubg;
 namespace gr = localspan::graph;
+namespace ti = localspan::testinfra;
 
 TEST(Policy, AlwaysAndNever) {
   const auto a = ub::always_connect();
@@ -161,6 +166,64 @@ TEST(Generator, HigherDimensions) {
     EXPECT_TRUE(ub::is_valid_ubg(inst));
     EXPECT_EQ(inst.points.front().dim(), d);
     EXPECT_GT(inst.g.m(), 0);
+  }
+}
+
+// make_ubg pinned over {2-d, 3-d} x {uniform, clustered, corridor} x
+// {always, prob, threshold}: m and an FNV-1a digest of every adjacency row in
+// storage order, weight bits included, so a change of neighbour-enumeration
+// order shows even where the edge set stays the same.
+TEST(Generator, EdgeListsArePinned) {
+  struct Pin {
+    int dim;
+    ub::Placement placement;
+    const char* policy;
+    int m;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {2, ub::Placement::kUniform, "always", 8399, 0x4e3d786f71385001ULL},
+      {2, ub::Placement::kUniform, "prob", 6631, 0x8f4dd5db2b864ad1ULL},
+      {2, ub::Placement::kUniform, "threshold", 6468, 0x1f8dd1fbe35b7755ULL},
+      {2, ub::Placement::kClustered, "always", 14947, 0xb3d72691f04e9341ULL},
+      {2, ub::Placement::kClustered, "prob", 12042, 0x9e2a751b12d1ad0dULL},
+      {2, ub::Placement::kClustered, "threshold", 11834, 0x720dff7b424c4de1ULL},
+      {2, ub::Placement::kCorridor, "always", 6436, 0xc49b13cace412529ULL},
+      {2, ub::Placement::kCorridor, "prob", 5184, 0xb190ad4d9f278c15ULL},
+      {2, ub::Placement::kCorridor, "threshold", 5108, 0xb3e1130082f9ba09ULL},
+      {3, ub::Placement::kUniform, "always", 9520, 0x90bd2e57cf38a905ULL},
+      {3, ub::Placement::kUniform, "prob", 6868, 0x24b072b23869acbdULL},
+      {3, ub::Placement::kUniform, "threshold", 6526, 0x99c92b81fae4382dULL},
+      {3, ub::Placement::kClustered, "always", 14609, 0xe08ce1b25c1a36d9ULL},
+      {3, ub::Placement::kClustered, "prob", 10798, 0x3e4a022dce9830e1ULL},
+      {3, ub::Placement::kClustered, "threshold", 10395, 0x24831e14484b54d5ULL},
+      {3, ub::Placement::kCorridor, "always", 6388, 0xf521ec1774978819ULL},
+      {3, ub::Placement::kCorridor, "prob", 4825, 0x7d7917ab83624ca5ULL},
+      {3, ub::Placement::kCorridor, "threshold", 4650, 0xaa4dc52eba1e3cb1ULL},
+  };
+  for (const Pin& pin : pins) {
+    ub::UbgConfig cfg;
+    cfg.n = 1000;
+    cfg.dim = pin.dim;
+    cfg.placement = pin.placement;
+    cfg.seed = 29;
+    const std::string policy = pin.policy;
+    const auto gray = policy == "always" ? ub::always_connect()
+                      : policy == "prob" ? ub::probabilistic(0.5, cfg.seed ^ 0xABCDULL)
+                                         : ub::threshold(0.5 * (cfg.alpha + 1.0));
+    const ub::UbgInstance inst = ub::make_ubg(cfg, *gray);
+    ti::Digest digest;
+    for (int u = 0; u < inst.g.n(); ++u) {
+      for (const gr::Neighbor& nb : inst.g.neighbors(u)) {
+        digest.add(u);
+        digest.add(nb.to);
+        digest.add(nb.w);
+      }
+    }
+    const std::string cell = std::to_string(pin.dim) + "-d placement " +
+                             std::to_string(static_cast<int>(pin.placement)) + " " + policy;
+    EXPECT_EQ(inst.g.m(), pin.m) << cell;
+    EXPECT_EQ(digest.value(), pin.digest) << cell;
   }
 }
 

@@ -44,6 +44,7 @@
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "graph/metrics.hpp"
+#include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "io/trace_io.hpp"
 #include "obs/obs.hpp"
@@ -294,18 +295,29 @@ int cmd_gen(const Args& args) {
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   cfg.target_degree = args.get_double("target-degree", 10.0);
   const std::string placement = args.get("placement", "uniform");
-  if (placement == "clustered") cfg.placement = ubg::Placement::kClustered;
-  if (placement == "corridor") cfg.placement = ubg::Placement::kCorridor;
+  if (placement == "clustered") {
+    cfg.placement = ubg::Placement::kClustered;
+  } else if (placement == "corridor") {
+    cfg.placement = ubg::Placement::kCorridor;
+  } else if (placement != "uniform") {
+    throw std::invalid_argument("--placement must be uniform, clustered or corridor, got '" +
+                                placement + "'");
+  }
   std::unique_ptr<ubg::GrayZonePolicy> policy;
   const std::string pol = args.get("policy", "always");
-  if (pol == "never") {
-    policy = ubg::never_connect();
+  if (pol == "never" || pol == "always") {
+    if (args.has("p")) {
+      throw std::invalid_argument("--p has no effect: policy '" + pol +
+                                  "' takes no parameter (prob and threshold do)");
+    }
+    policy = pol == "never" ? ubg::never_connect() : ubg::always_connect();
   } else if (pol == "prob") {
     policy = ubg::probabilistic(args.get_double("p", 0.5), cfg.seed ^ 0xABCDULL);
   } else if (pol == "threshold") {
     policy = ubg::threshold(args.get_double("p", 0.5 * (cfg.alpha + 1.0)));
   } else {
-    policy = ubg::always_connect();
+    throw std::invalid_argument("--policy must be always, never, prob or threshold, got '" + pol +
+                                "'");
   }
   const ubg::UbgInstance inst = ubg::make_ubg(cfg, *policy);
   const std::string out = args.get("out", "network.lsi");
@@ -323,26 +335,31 @@ bool net_async_requested(const Args& args) {
 }
 
 /// `--net-json FILE`: the adversarial-network fault report — the adversary
-/// knobs as requested plus every `net.*` metric the run recorded (physical
-/// frame counters, protocol retries/timeouts, the delivery-latency
-/// histogram). Built from the obs snapshot, so it works through the
-/// registry without widening BuildResult.
+/// knobs the run parsed (numbers as parsed, not as typed, so the report is
+/// valid JSON) plus every `net.*` metric the run recorded (physical frame
+/// counters, protocol retries/timeouts, the delivery-latency histogram).
+/// Built from the obs snapshot, so it works through the registry without
+/// widening BuildResult.
 void write_net_json(const Args& args, const std::string& path) {
-  const api::Options opts = api::Options::parse(args.get_all("opt"));
-  const auto knob = [&](const char* key, const char* flag, const std::string& dflt) {
-    return args.has(flag) ? args.get(flag, dflt) : opts.get_string(key, dflt);
+  api::Options opts = api::Options::parse(args.get_all("opt"));
+  // --loss is sugar for --opt loss=, which wins when both are given.
+  if (args.has("loss") && !opts.has("loss")) opts.set("loss", args.get("loss", "0"));
+  const auto number = [&](const char* key) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", opts.get_double(key, 0.0));
+    return std::string(buf);
   };
   const obs::Snapshot snap = obs::snapshot();
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open " + path);
   os << "{\n  \"command\": \"span\",\n  \"net\": \"async\",\n  \"adversary\": {\n";
-  os << "    \"loss\": " << knob("loss", "loss", "0") << ",\n";
-  os << "    \"dup\": " << opts.get_string("dup", "0") << ",\n";
-  os << "    \"reorder\": " << opts.get_string("reorder", "0") << ",\n";
-  os << "    \"straggle\": " << opts.get_string("straggle", "0") << ",\n";
-  os << "    \"partition\": \"" << opts.get_string("partition", "") << "\",\n";
-  os << "    \"net_seed\": " << opts.get_string("net-seed", "1") << ",\n";
-  os << "    \"retries\": " << opts.get_string("retries", "24") << "\n  },\n";
+  os << "    \"loss\": " << number("loss") << ",\n";
+  os << "    \"dup\": " << number("dup") << ",\n";
+  os << "    \"reorder\": " << number("reorder") << ",\n";
+  os << "    \"straggle\": " << number("straggle") << ",\n";
+  os << "    \"partition\": \"" << io::json_escape(opts.get_string("partition", "")) << "\",\n";
+  os << "    \"net_seed\": " << opts.get_int("net-seed", 1) << ",\n";
+  os << "    \"retries\": " << opts.get_int("retries", 24) << "\n  },\n";
   const auto is_net = [](const std::string& name) { return name.rfind("net.", 0) == 0; };
   os << "  \"counters\": {";
   bool first = true;
