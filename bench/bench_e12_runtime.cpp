@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,8 +102,10 @@ int main() {
       const ubg::UbgInstance inst = bu::standard_instance(n, alpha, 12);
       double serial_ms = 0.0;
       for (int t : threads) {
+        std::optional<runtime::WorkerPool> pool;
+        if (t > 1) pool.emplace(t);
         core::RelaxedGreedyOptions opts;
-        opts.threads = t;
+        opts.worker_pool = pool ? &*pool : nullptr;
         const double ms = 1e3 * time_best(reps, [&] {
           static_cast<void>(core::relaxed_greedy(inst, practical, opts).spanner.m());
         });

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -479,8 +480,10 @@ int main() {
     const ubg::UbgInstance inst = bu::standard_instance(build_n, alpha, 7);
     double serial_s = 0.0;
     for (int t : thread_counts) {
+      std::optional<runtime::WorkerPool> pool;
+      if (t > 1) pool.emplace(t);
       core::RelaxedGreedyOptions opts;
-      opts.threads = t;
+      opts.worker_pool = pool ? &*pool : nullptr;
       const auto t0 = std::chrono::steady_clock::now();
       static_cast<void>(core::relaxed_greedy(inst, params, opts).spanner.m());
       const double s =

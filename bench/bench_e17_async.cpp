@@ -143,7 +143,7 @@ int main() {
 
       bool terminated = true;
       bool identical = false;
-      core::DistributedResult async_r{{graph::Graph(0), params, {}, 0, 0, 0}, {}, {}};
+      core::DistributedResult async_r{{graph::Graph(0), params, {}, 0, 0, 0}, {}};
       try {
         async_r = core::distributed_relaxed_greedy(inst, params, {}, 11, net);
         identical = async_r.base.spanner == sync_r.base.spanner &&

@@ -29,8 +29,9 @@ namespace {
 
 const core::VerifyCaps kPolicyCaps{};
 
-/// Shared by every adapter with a parallel construction path. 0 defers to
-/// the LOCALSPAN_THREADS env default (1 when unset); any value produces a
+/// Shared by every adapter with a parallel construction path; the registry
+/// resolves it into the team construct() borrows. 0 defers to the
+/// LOCALSPAN_THREADS env default (1 when unset); any value produces a
 /// bit-identical topology (tests/test_parallel.cpp enforces this).
 const OptionSpec kThreadsSpec{
     "threads", OptionType::kInt, "0",
@@ -53,13 +54,12 @@ const OptionSpec kThreadsSpec{
   return g;
 }
 
-[[nodiscard]] core::RelaxedGreedyOptions relaxed_options(const BuildRequest& req) {
+[[nodiscard]] core::RelaxedGreedyOptions relaxed_options(const BuildRequest& req,
+                                                        runtime::WorkerPool* pool = nullptr) {
   core::RelaxedGreedyOptions opts;
   opts.redundancy_removal = req.options.get_bool("redundancy", true);
   opts.covered_edge_filter = req.options.get_bool("covered-filter", true);
-  // Only present for algorithms whose schema declares kThreadsSpec (the
-  // registry rejects it elsewhere); get_int's default keeps the rest serial.
-  opts.threads = req.options.get_int("threads", 0);
+  opts.worker_pool = pool;
   return opts;
 }
 
@@ -95,8 +95,9 @@ class RelaxedAlgorithm final : public SpannerAlgorithm {
     return relaxed_guarantees(req, relaxed_options(req));
   }
 
-  Construction construct(const BuildRequest& req) const override {
-    core::RelaxedGreedyResult r = core::relaxed_greedy(req.inst, req.params, relaxed_options(req));
+  Construction construct(const BuildRequest& req, runtime::WorkerPool* pool) const override {
+    core::RelaxedGreedyResult r =
+        core::relaxed_greedy(req.inst, req.params, relaxed_options(req, pool));
     return {std::move(r.spanner), std::move(r.phases)};
   }
 };
@@ -180,8 +181,7 @@ class DistributedAlgorithm final : public SpannerAlgorithm {
                           "async: record the per-delivery replay transcript"});
           return opts;
         }(),
-        {.dim2_only = false, .needs_k = false, .uses_params = true, .randomized = true,
-         .distributed = true},
+        {},
         kRelaxedPhaseSchema};
     return kInfo;
   }
@@ -190,8 +190,8 @@ class DistributedAlgorithm final : public SpannerAlgorithm {
     return relaxed_guarantees(req, relaxed_options(req));
   }
 
-  Construction construct(const BuildRequest& req) const override {
-    const core::RelaxedGreedyOptions opts = relaxed_options(req);
+  Construction construct(const BuildRequest& req, runtime::WorkerPool* pool) const override {
+    const core::RelaxedGreedyOptions opts = relaxed_options(req, pool);
     const auto seed = static_cast<std::uint64_t>(req.options.get_int("seed", 1));
     const core::NetOptions net = distributed_net_options(req);
     core::DistributedResult r =
@@ -222,7 +222,7 @@ class GreedyAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
     return {core::seq_greedy(req.inst.g, req.params.t), {}};
   }
 };
@@ -245,7 +245,7 @@ class YaoAlgorithm final : public SpannerAlgorithm {
         "symmetrized Yao graph: nearest G-neighbor per cone",
         "Yao [20], paper §1.3",
         {{"k", OptionType::kInt, "8", "number of cones (>= 3)"}},
-        {.dim2_only = true, .needs_k = true, .uses_params = false, .randomized = false},
+        {.dim2_only = true, .uses_params = false},
         {}};
     return kInfo;
   }
@@ -254,7 +254,7 @@ class YaoAlgorithm final : public SpannerAlgorithm {
     return cone_guarantees(req, req.options.get_int("k", 8));
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
     return {baseline::yao_graph(req.inst, req.options.get_int("k", 8)), {}};
   }
 };
@@ -267,7 +267,7 @@ class ThetaAlgorithm final : public SpannerAlgorithm {
         "Θ-graph: nearest projection onto the cone bisector per cone",
         "theta-graph sibling of Yao [20]; Lemma 3 analysis",
         {{"k", OptionType::kInt, "8", "number of cones (>= 3)"}},
-        {.dim2_only = true, .needs_k = true, .uses_params = false, .randomized = false},
+        {.dim2_only = true, .uses_params = false},
         {}};
     return kInfo;
   }
@@ -276,7 +276,7 @@ class ThetaAlgorithm final : public SpannerAlgorithm {
     return cone_guarantees(req, req.options.get_int("k", 8));
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
     return {baseline::theta_graph(req.inst, req.options.get_int("k", 8)), {}};
   }
 };
@@ -289,7 +289,7 @@ class GabrielAlgorithm final : public SpannerAlgorithm {
         "Gabriel graph: drop edges with a witness inside the diameter ball",
         "planar-backbone family, paper §1.3 [13-15]",
         {},
-        {.dim2_only = false, .needs_k = false, .uses_params = false, .randomized = false},
+        {.dim2_only = false, .uses_params = false},
         {}};
     return kInfo;
   }
@@ -300,7 +300,7 @@ class GabrielAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
     return {baseline::gabriel_graph(req.inst), {}};
   }
 };
@@ -313,7 +313,7 @@ class RngAlgorithm final : public SpannerAlgorithm {
         "relative neighborhood graph (the XTC topology)",
         "XTC [19], paper §1.3",
         {},
-        {.dim2_only = false, .needs_k = false, .uses_params = false, .randomized = false},
+        {.dim2_only = false, .uses_params = false},
         {}};
     return kInfo;
   }
@@ -324,7 +324,7 @@ class RngAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
     return {baseline::relative_neighborhood_graph(req.inst), {}};
   }
 };
@@ -337,7 +337,7 @@ class EdgeFaultTolerantAlgorithm final : public SpannerAlgorithm {
         "greedy k-edge fault-tolerant t-spanner",
         "paper §1.6 ext. 1, Czumaj-Zhao [2]",
         {{"k", OptionType::kInt, "1", "number of edge faults tolerated (>= 0)"}, kThreadsSpec},
-        {.dim2_only = false, .needs_k = true, .uses_params = true, .randomized = false},
+        {},
         {}};
     return kInfo;
   }
@@ -349,9 +349,8 @@ class EdgeFaultTolerantAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override {
-    return {ext::fault_tolerant_greedy(req.inst.g, req.params.t, req.options.get_int("k", 1),
-                                       req.options.get_int("threads", 0)),
+  Construction construct(const BuildRequest& req, runtime::WorkerPool* pool) const override {
+    return {ext::fault_tolerant_greedy(req.inst.g, req.params.t, req.options.get_int("k", 1), pool),
             {}};
   }
 };
@@ -364,7 +363,7 @@ class VertexFaultTolerantAlgorithm final : public SpannerAlgorithm {
         "greedy k-vertex fault-tolerant t-spanner (denser, stronger guarantee)",
         "paper §1.6 ext. 1, Czumaj-Zhao [2]",
         {{"k", OptionType::kInt, "1", "number of vertex faults tolerated (>= 0)"}, kThreadsSpec},
-        {.dim2_only = false, .needs_k = true, .uses_params = true, .randomized = false},
+        {},
         {}};
     return kInfo;
   }
@@ -376,10 +375,9 @@ class VertexFaultTolerantAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool* pool) const override {
     return {ext::fault_tolerant_greedy_vertex(req.inst.g, req.params.t,
-                                              req.options.get_int("k", 1),
-                                              req.options.get_int("threads", 0)),
+                                              req.options.get_int("k", 1), pool),
             {}};
   }
 };
@@ -414,8 +412,8 @@ class EnergyAlgorithm final : public SpannerAlgorithm {
                                 req.options.get_double("gamma", 2.0));
   }
 
-  Construction construct(const BuildRequest& req) const override {
-    core::RelaxedGreedyOptions opts = relaxed_options(req);
+  Construction construct(const BuildRequest& req, runtime::WorkerPool* pool) const override {
+    core::RelaxedGreedyOptions opts = relaxed_options(req, pool);
     opts.weight_transform = ext::energy_transform(req.options.get_double("c", 1.0),
                                                   req.options.get_double("gamma", 2.0));
     core::RelaxedGreedyResult r = core::relaxed_greedy(req.inst, req.params, opts);
@@ -431,7 +429,7 @@ class MstAlgorithm final : public SpannerAlgorithm {
         "minimum spanning forest (weight lower bound; unbounded stretch)",
         "Kruskal; E6 reference row",
         {},
-        {.dim2_only = false, .needs_k = false, .uses_params = false, .randomized = false},
+        {.dim2_only = false, .uses_params = false},
         {}};
     return kInfo;
   }
@@ -443,7 +441,7 @@ class MstAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override {
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
     return {graph::minimum_spanning_forest(req.inst.g), {}};
   }
 };
@@ -456,7 +454,7 @@ class MaxPowerAlgorithm final : public SpannerAlgorithm {
         "no topology control: the full α-UBG itself (stretch-1 reference)",
         "E6 reference row",
         {},
-        {.dim2_only = false, .needs_k = false, .uses_params = false, .randomized = false},
+        {.dim2_only = false, .uses_params = false},
         {}};
     return kInfo;
   }
@@ -468,7 +466,9 @@ class MaxPowerAlgorithm final : public SpannerAlgorithm {
     return g;
   }
 
-  Construction construct(const BuildRequest& req) const override { return {req.inst.g, {}}; }
+  Construction construct(const BuildRequest& req, runtime::WorkerPool*) const override {
+    return {req.inst.g, {}};
+  }
 };
 
 }  // namespace

@@ -164,6 +164,11 @@ std::string Guarantees::describe() const {
   return out.empty() ? "-" : out;
 }
 
+bool AlgorithmInfo::accepts(const std::string& key) const {
+  return std::any_of(options.begin(), options.end(),
+                     [&](const OptionSpec& spec) { return spec.key == key; });
+}
+
 // ---------------------------------------------------------------------------
 // AlgorithmRegistry
 // ---------------------------------------------------------------------------
@@ -220,6 +225,15 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
   const Guarantees guarantees = algo.guarantees(req);
   std::optional<graph::Graph> metric_reference = algo.metric_reference(req);
 
+  // The build's one worker team. Options were validated against the
+  // schema, so an algorithm without a `threads` option reads 0, the
+  // LOCALSPAN_THREADS default and gets a team only for the measure pass.
+  // Bit-identical at every thread count.
+  const int threads = runtime::resolve_threads(req.options.get_int("threads", 0));
+  std::optional<runtime::WorkerPool> team;
+  if (threads > 1 && (measure || info.accepts("threads"))) team.emplace(threads);
+  runtime::WorkerPool* const pool = team ? &*team : nullptr;
+
   // Phase accounting rides the obs layer: diff the global span totals
   // around the timed call and filter to the algorithm's declared schema.
   // The "construct" span wraps every algorithm, so even opaque baselines
@@ -232,7 +246,7 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
   Construction c = [&] {
     static const obs::MetricId construct_span = obs::span_id("construct");
     const obs::Span span(construct_span);
-    return algo.construct(req);
+    return algo.construct(req, pool);
   }();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -266,21 +280,13 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
   if (measure) {
     static const obs::MetricId measure_span = obs::span_id("api.measure");
     const obs::Span span(measure_span);
-    // The stretch pass dominates measurement; run it on the worker count
-    // the construction was asked for. Options were validated against the
-    // schema, so an algorithm without a `threads` option reads 0, the
-    // LOCALSPAN_THREADS default. Bit-identical at every thread count.
-    std::optional<runtime::WorkerPool> pool;
-    if (const int n = runtime::resolve_threads(req.options.get_int("threads", 0)); n > 1) {
-      pool.emplace(n);
-    }
     // Undeclared bounds are unbounded, so the certificate flags only what
     // the algorithm promised.
     const Guarantees& g = guarantees;
     res.certificate = core::certify(
         ref, res.spanner, {}, g.stretch > 0.0 ? g.stretch : graph::kInf,
         {g.max_degree > 0 ? g.max_degree : INT_MAX, g.lightness > 0.0 ? g.lightness : graph::kInf},
-        {}, pool ? &*pool : nullptr);
+        {}, pool);
     res.metrics.stretch = res.certificate.measured_stretch;
     res.metrics.lightness = res.certificate.measured_lightness;
     const double ref_power = graph::power_cost(ref);

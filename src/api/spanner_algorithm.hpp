@@ -29,6 +29,10 @@
 #include "graph/graph.hpp"
 #include "ubg/generator.hpp"
 
+namespace localspan::runtime {
+class WorkerPool;
+}  // namespace localspan::runtime
+
 namespace localspan::api {
 
 /// Type of one algorithm option (schemas are self-describing for --algo
@@ -92,14 +96,12 @@ class Options {
 };
 
 /// Capability flags a consumer can dispatch on without knowing the
-/// algorithm (the registry enforces dim2_only before construction).
+/// algorithm (the registry enforces dim2_only before construction). What
+/// an option schema already says — a structural `k`, a `seed`, the `net`
+/// transport family, `threads` — is read from it with AlgorithmInfo::accepts.
 struct Capabilities {
   bool dim2_only = false;     ///< construction defined for dim == 2 only.
-  bool needs_k = false;       ///< consumes a structural `k` option (cones / faults).
   bool uses_params = true;    ///< output depends on core::Params (t, θ, δ, ...).
-  bool randomized = false;    ///< consumes a `seed` option (deterministic given it).
-  bool distributed = false;   ///< message-passing construction: accepts the
-                              ///< `net` option family (--net async, fault knobs).
 };
 
 /// The guarantees an algorithm declares for a concrete request. Zero /
@@ -131,6 +133,9 @@ struct AlgorithmInfo {
   /// means the construction is opaque: {"construct"} only. The API test
   /// fails when a declared phase never fires on a covered scenario.
   std::vector<std::string> phases;
+
+  /// True iff the option schema declares `key`.
+  [[nodiscard]] bool accepts(const std::string& key) const;
 };
 
 /// Input to one build: a generated instance, the paper's parameterization
@@ -214,11 +219,13 @@ class SpannerAlgorithm {
     return std::nullopt;
   }
 
-  /// Run the construction. The registry has already validated options and
+  /// Run the construction on the build's worker team (`pool`, borrowed;
+  /// null means serial). The registry has already validated options and
   /// capabilities when this is called; only this call is timed into
   /// BuildResult::seconds. \throws std::invalid_argument on request values
   /// outside the algorithm's domain.
-  [[nodiscard]] virtual Construction construct(const BuildRequest& req) const = 0;
+  [[nodiscard]] virtual Construction construct(const BuildRequest& req,
+                                               runtime::WorkerPool* pool) const = 0;
 };
 
 /// String-keyed registry over every known construction. The global instance
@@ -245,11 +252,13 @@ class AlgorithmRegistry {
   /// The one entry point every consumer builds through: resolves `name`,
   /// rejects unknown options (and dim-2-only algorithms on higher-dimensional
   /// instances), validates params, times the construction and measures the
-  /// uniform quality metrics. Pass measure=false when the caller discards
-  /// the metrics (e.g. it only wants the spanner): the superlinear
-  /// measurements (stretch, lightness, power) are skipped and left zero, and
-  /// check_guarantees must not be applied to such a result. \throws
-  /// std::invalid_argument on any validation failure.
+  /// uniform quality metrics. The `threads` option (absent: the
+  /// LOCALSPAN_THREADS default) is resolved here into at most one worker
+  /// team, which the construction borrows and the measure pass reuses. Pass
+  /// measure=false when the caller discards the metrics (e.g. it only wants
+  /// the spanner): the superlinear measurements (stretch, lightness, power)
+  /// are skipped and left zero, and check_guarantees must not be applied to
+  /// such a result. \throws std::invalid_argument on any validation failure.
   [[nodiscard]] BuildResult build(const std::string& name, const BuildRequest& req,
                                   bool measure = true) const;
 

@@ -109,38 +109,24 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
   };
   std::vector<Retry> retries;
   const int nc = static_cast<int>(cover.centers.size());
-  const auto commit = [&](int a, const CenterHarvest& h) {
-    for (const auto& [b, d] : h.cond1) add_inter(a, b, d);
-    for (const CenterHarvest::Cond2& c : h.cond2) {
-      if (cg.h.has_edge(a, c.b)) continue;
-      if (c.d == graph::kInf) {
-        retries.push_back({a, c.b, c.retry_bound});
-        continue;
-      }
-      add_inter(a, c.b, c.d);
-    }
-  };
-  if (pool == nullptr || pool->threads() == 1) {
-    // Streaming serial path: one reused harvest, no per-center buffering —
-    // the dynamic repair path builds H per event and must not regrow
-    // scratch once warm within the call.
-    CenterHarvest h;
-    for (int i = 0; i < nc; ++i) {
-      const int a = cover.centers[static_cast<std::size_t>(i)];
-      h.harvest(gp, cover, members, a, w_prev, reach, ws);
-      commit(a, h);
-    }
-  } else {
-    std::vector<CenterHarvest> harvests(static_cast<std::size_t>(nc));
-    pool->for_each(0, nc, [&](int worker, int i) {
-      harvests[static_cast<std::size_t>(i)].harvest(
-          gp, cover, members, cover.centers[static_cast<std::size_t>(i)], w_prev, reach,
-          pool->workspace(worker));
-    });
-    for (int i = 0; i < nc; ++i) {
-      commit(cover.centers[static_cast<std::size_t>(i)], harvests[static_cast<std::size_t>(i)]);
-    }
-  }
+  runtime::harvest_commit<CenterHarvest>(
+      pool, ws, nc,
+      [&](graph::DijkstraWorkspace& hws, int, int i, CenterHarvest& h) {
+        h.harvest(gp, cover, members, cover.centers[static_cast<std::size_t>(i)], w_prev, reach,
+                  hws);
+      },
+      [&](int i, const CenterHarvest& h) {
+        const int a = cover.centers[static_cast<std::size_t>(i)];
+        for (const auto& [b, d] : h.cond1) add_inter(a, b, d);
+        for (const CenterHarvest::Cond2& c : h.cond2) {
+          if (cg.h.has_edge(a, c.b)) continue;
+          if (c.d == graph::kInf) {
+            retries.push_back({a, c.b, c.retry_bound});
+            continue;
+          }
+          add_inter(a, c.b, c.d);
+        }
+      });
   for (const Retry& r : retries) {
     if (cg.h.has_edge(r.a, r.b)) continue;
     const double d = ws.distance(gp, r.a, r.b, r.bound);

@@ -107,20 +107,20 @@ namespace {
 /// adjacency lists are the same at every thread count.
 graph::Graph proximity_graph(const graph::CsrView& gp, double radius,
                              graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
-  const int n = gp.n();
-  std::vector<std::vector<int>> lower(static_cast<std::size_t>(n));
-  runtime::for_each_with_workspace(pool, ws, 0, n, [&](graph::DijkstraWorkspace& wws, int u) {
-    const graph::SpView sp = wws.bounded(gp, u, radius);
-    std::vector<int>& row = lower[static_cast<std::size_t>(u)];
-    for (int v : sp.touched()) {
-      if (v < u) row.push_back(v);
-    }
-    std::sort(row.begin(), row.end());
-  });
-  graph::Graph j(n);
-  for (int u = 0; u < n; ++u) {
-    for (int v : lower[static_cast<std::size_t>(u)]) j.add_edge(u, v, 1.0);
-  }
+  graph::Graph j(gp.n());
+  runtime::harvest_commit<std::vector<int>>(
+      pool, ws, gp.n(),
+      [&](graph::DijkstraWorkspace& wws, int, int u, std::vector<int>& row) {
+        row.clear();
+        const graph::SpView sp = wws.bounded(gp, u, radius);
+        for (int v : sp.touched()) {
+          if (v < u) row.push_back(v);
+        }
+        std::sort(row.begin(), row.end());
+      },
+      [&](int u, const std::vector<int>& row) {
+        for (int v : row) j.add_edge(u, v, 1.0);
+      });
   return j;
 }
 

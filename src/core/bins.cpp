@@ -47,26 +47,19 @@ std::vector<std::vector<graph::Edge>> group_edges_by_bin(
   }
   const int k = static_cast<int>(edges.size());
   std::vector<std::vector<graph::Edge>> bins(static_cast<std::size_t>(schema.max_bin()) + 1);
-  if (pool != nullptr && pool->threads() > 1 && k > 1) {
-    // Harvest: each edge's bin index is a pure function of (schema, length).
-    // Commit: push in edge order, so intra-bin order — which later phases
-    // observe — matches the serial path exactly.
-    std::vector<int> bin_index(static_cast<std::size_t>(k));
-    pool->for_each(0, k, [&](int, int i) {
-      bin_index[static_cast<std::size_t>(i)] = schema.bin_of(euclidean_len[static_cast<std::size_t>(i)]);
-    });
-    for (int i = 0; i < k; ++i) {
-      const int b = bin_index[static_cast<std::size_t>(i)];
-      if (b >= static_cast<int>(bins.size())) bins.resize(static_cast<std::size_t>(b) + 1);
-      bins[static_cast<std::size_t>(b)].push_back(edges[static_cast<std::size_t>(i)]);
-    }
-  } else {
-    for (int i = 0; i < k; ++i) {
-      const int b = schema.bin_of(euclidean_len[static_cast<std::size_t>(i)]);
-      if (b >= static_cast<int>(bins.size())) bins.resize(static_cast<std::size_t>(b) + 1);
-      bins[static_cast<std::size_t>(b)].push_back(edges[static_cast<std::size_t>(i)]);
-    }
-  }
+  // Harvest: each edge's bin index is a pure function of (schema, length).
+  // Commit: push in edge order, so intra-bin order — which later phases
+  // observe — is the same at every thread count.
+  graph::DijkstraWorkspace no_ws;  // the pass runs no searches
+  runtime::harvest_commit<int>(
+      pool, no_ws, k,
+      [&](graph::DijkstraWorkspace&, int, int i, int& b) {
+        b = schema.bin_of(euclidean_len[static_cast<std::size_t>(i)]);
+      },
+      [&](int i, int b) {
+        if (b >= static_cast<int>(bins.size())) bins.resize(static_cast<std::size_t>(b) + 1);
+        bins[static_cast<std::size_t>(b)].push_back(edges[static_cast<std::size_t>(i)]);
+      });
   return bins;
 }
 

@@ -58,7 +58,11 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   const long long m_edges = inst.g.m();
   const int lstar = log_star(static_cast<double>(std::max(2, n)));
   DistributedStats net;
-  runtime::RoundLedger ledger;
+  // Every charge adds its rounds and messages straight into `net`.
+  const auto charge = [&](long long rounds, long long messages) {
+    net.rounds_measured += rounds;
+    net.messages += messages;
+  };
 
   // MIS transport: sync (the pool-parallel harvester, which reproduces a
   // lockstep network's round/message accounting analytically and
@@ -69,9 +73,10 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // replays deterministically while invocations stay decorrelated.
   std::uint64_t mis_seed = seed;
   int async_invocation = 0;
-  const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby,
-                           runtime::WorkerPool* pool) {
-    if (net_opts.mode == NetMode::kSync) return mis::luby_mis_parallel(j, ++mis_seed, luby, pool);
+  const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby) {
+    if (net_opts.mode == NetMode::kSync) {
+      return mis::luby_mis_parallel(j, ++mis_seed, luby, opts.worker_pool);
+    }
     runtime::AdversaryConfig adv = net_opts.adversary;
     adv.seed = adv.seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(++async_invocation);
     runtime::AsyncNetwork anet(j, adv);
@@ -85,22 +90,19 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // (i) cluster cover (§3.2.1): every node gathers its δW ball, a Luby MIS
   // on the proximity graph J picks the centers, the rest attach.
   mis::LubyStats cover_luby;
-  const auto cover = [&](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws,
-                         runtime::WorkerPool* pool) {
+  const auto cover = [&](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws) {
     return cluster::mis_cover(
-        csr, radius, ws, [&](const graph::Graph& j) { return run_mis(j, &cover_luby, pool); },
-        pool);
+        csr, radius, ws, [&](const graph::Graph& j) { return run_mis(j, &cover_luby); },
+        opts.worker_pool);
   };
   // (v) redundancy removal (§3.2.5): a Luby MIS on the conflict graph J.
   mis::LubyStats redundancy_luby;
-  const auto redundancy_mis = [&](const graph::Graph& j, runtime::WorkerPool* pool) {
-    return run_mis(j, &redundancy_luby, pool);
-  };
+  const auto redundancy_mis = [&](const graph::Graph& j) { return run_mis(j, &redundancy_luby); };
 
   // Round accounting of a finished phase. Every step other than the MIS
   // runs is a constant-hop gather whose rounds follow from the phase's
-  // Euclidean scale W_{i-1}; the ledger only sums, so charging the whole
-  // phase at its end gives the same ledger as charging step by step.
+  // Euclidean scale W_{i-1}; the tally only sums, so charging the whole
+  // phase at its end gives the same totals as charging step by step.
   const auto charge_phase = [&](const PhaseStats& st) {
     const double w_eucl = st.w_lo;
     PhaseRounds pr;
@@ -112,21 +114,21 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     pr.cover = k_ball + cover_luby.network_rounds * k_ball + 1;
     pr.mis_rounds_measured += cover_luby.network_rounds * k_ball;
     pr.mis_rounds_kmw_model += static_cast<long long>(lstar) * k_ball;
-    ledger.charge("cover", pr.cover, k_ball * 2 * m_edges + cover_luby.messages * k_ball + n);
+    charge(pr.cover, k_ball * 2 * m_edges + cover_luby.messages * k_ball + n);
     net.mis_invocations += 1;
     net.max_luby_iterations = std::max(net.max_luby_iterations, cover_luby.iterations);
 
     // select (§3.2.2): cluster heads gather 1 + 2δW/α hops.
     pr.select = k_ball + 1;
-    ledger.charge("select", pr.select, (k_ball + 1) * 2 * m_edges);
+    charge(pr.select, (k_ball + 1) * 2 * m_edges);
 
     // clustergraph (§3.2.3): gather 2(2δ+1)W/α hops.
     pr.cluster_graph = hops_for((2.0 * params.delta + 1.0) * w_eucl, params.alpha);
-    ledger.charge("clustergraph", pr.cluster_graph, pr.cluster_graph * 2 * m_edges);
+    charge(pr.cluster_graph, pr.cluster_graph * 2 * m_edges);
 
     // query (§3.2.4): Theorem 9 constant-hop search.
     pr.query = hops_for(2.0 * params.delta + 1.0, params.alpha);
-    ledger.charge("query", pr.query, pr.query * 2 * m_edges);
+    charge(pr.query, pr.query * 2 * m_edges);
 
     // redundancy (§3.2.5): constant-hop exchange + Luby MIS on J (J-edges
     // span <= 2 t1 r W/α G-hops).
@@ -136,8 +138,7 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
       pr.redundancy = k_red + redundancy_luby.network_rounds * k_red;
       pr.mis_rounds_measured += redundancy_luby.network_rounds * k_red;
       pr.mis_rounds_kmw_model += static_cast<long long>(lstar) * k_red;
-      ledger.charge("redundancy", pr.redundancy,
-                    k_red * 2 * m_edges + redundancy_luby.messages * k_red);
+      charge(pr.redundancy, k_red * 2 * m_edges + redundancy_luby.messages * k_red);
       net.mis_invocations += 1;
       net.max_luby_iterations = std::max(net.max_luby_iterations, redundancy_luby.iterations);
     }
@@ -149,12 +150,10 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // Phase 0 (§3.1): every node learns its closed neighborhood topology in 2
   // rounds, spans its G_0 component (a clique, Lemma 1) locally and
   // announces its incident spanner edges in 1 round.
-  ledger.charge("phase0", 3, 3 * 2 * m_edges);
+  charge(3, 3 * 2 * m_edges);
   RelaxedGreedyResult base = detail::run_relaxed_phases(
       inst, params, opts, {.cover = cover, .mis = redundancy_mis, .after_phase = charge_phase});
 
-  net.rounds_measured = ledger.rounds();
-  net.messages = ledger.messages();
   // KMW model: deterministic steps unchanged, MIS rounds replaced by the
   // log*(n) model.
   long long kmw = 3;  // phase 0
@@ -162,7 +161,7 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     kmw += pr.total_measured() - pr.mis_rounds_measured + pr.mis_rounds_kmw_model;
   }
   net.rounds_kmw_model = kmw;
-  return {std::move(base), std::move(net), std::move(ledger)};
+  return {std::move(base), std::move(net)};
 }
 
 }  // namespace localspan::core

@@ -26,14 +26,13 @@
 
 #include "core/relaxed_greedy.hpp"
 #include "runtime/async_network.hpp"
-#include "runtime/ledger.hpp"
 #include "runtime/reliable.hpp"
 
 namespace localspan::core {
 
 /// Transport selection for the message-passing phases (the Luby MIS
 /// invocations — every other phase is constant-hop gathers whose rounds are
-/// charged analytically to the ledger either way).
+/// charged analytically to DistributedStats either way).
 enum class NetMode { kSync, kAsync };
 
 struct NetOptions {
@@ -83,7 +82,6 @@ struct DistributedStats {
 struct DistributedResult {
   RelaxedGreedyResult base;  ///< spanner + per-phase algorithmic stats.
   DistributedStats net;
-  runtime::RoundLedger ledger;
 };
 
 /// Run §3's distributed algorithm. Deterministic given `seed` (which drives

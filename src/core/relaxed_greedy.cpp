@@ -94,42 +94,29 @@ std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidat
 std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph::Graph& h,
                                       const std::vector<PhaseEdge>& queries, double t,
                                       int* max_hops, runtime::WorkerPool* pool) {
-  // Each query is an independent early-exit bounded search on the frozen H;
-  // with a pool, answers are harvested in parallel and committed in query
-  // order, so to_add and the hop statistic are identical for every thread
-  // count (max over ints is order-insensitive anyway). The serial path
-  // streams — no per-call answer buffers on the dynamic repair hot path.
+  // Each query is an independent early-exit bounded search on the frozen H,
+  // committed in query order, so to_add and the hop statistic are identical
+  // for every thread count (max over ints is order-insensitive anyway).
+  struct Answer {
+    double dist;
+    int hops;
+  };
   std::vector<PhaseEdge> to_add;
   int worst_hops = 0;
-  if (pool == nullptr || pool->threads() == 1) {
-    for (const PhaseEdge& q : queries) {
-      const double bound = t * q.w;
-      int hops = -1;
-      const double d = cluster::query_on_h(ws, h, q.u, q.v, bound, &hops);
-      if (d <= bound) {
-        worst_hops = std::max(worst_hops, hops);  // answered positively on H
-      } else {
-        to_add.push_back(q);
-      }
-    }
-  } else {
-    const int k = static_cast<int>(queries.size());
-    std::vector<double> dist(static_cast<std::size_t>(k));
-    std::vector<int> hops(static_cast<std::size_t>(k));
-    pool->for_each(0, k, [&](int worker, int i) {
-      const PhaseEdge& q = queries[static_cast<std::size_t>(i)];
-      dist[static_cast<std::size_t>(i)] = cluster::query_on_h(
-          pool->workspace(worker), h, q.u, q.v, t * q.w, &hops[static_cast<std::size_t>(i)]);
-    });
-    for (int i = 0; i < k; ++i) {
-      const PhaseEdge& q = queries[static_cast<std::size_t>(i)];
-      if (dist[static_cast<std::size_t>(i)] <= t * q.w) {
-        worst_hops = std::max(worst_hops, hops[static_cast<std::size_t>(i)]);
-      } else {
-        to_add.push_back(q);
-      }
-    }
-  }
+  runtime::harvest_commit<Answer>(
+      pool, ws, static_cast<int>(queries.size()),
+      [&](graph::DijkstraWorkspace& qws, int, int i, Answer& a) {
+        const PhaseEdge& q = queries[static_cast<std::size_t>(i)];
+        a.dist = cluster::query_on_h(qws, h, q.u, q.v, t * q.w, &a.hops);
+      },
+      [&](int i, const Answer& a) {
+        const PhaseEdge& q = queries[static_cast<std::size_t>(i)];
+        if (a.dist <= t * q.w) {
+          worst_hops = std::max(worst_hops, a.hops);  // answered positively on H
+        } else {
+          to_add.push_back(q);
+        }
+      });
   if (max_hops != nullptr) *max_hops = worst_hops;
   return to_add;
 }
@@ -180,29 +167,27 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
   struct Slice {
     int worker, begin, end;
   };
-  const int workers = pool != nullptr ? pool->threads() : 1;
-  std::vector<std::vector<Entry>> buffers(static_cast<std::size_t>(workers));
+  std::vector<std::vector<Entry>> buffers(
+      static_cast<std::size_t>(pool != nullptr ? pool->threads() : 1));
   std::vector<Slice> slices(static_cast<std::size_t>(ne));
-  const auto harvest = [&](graph::DijkstraWorkspace& wws, int worker, int r) {
-    std::vector<Entry>& buf = buffers[static_cast<std::size_t>(worker)];
-    const graph::SpView sp = wws.bounded(h, endpoints[static_cast<std::size_t>(r)], bound, settle);
-    const std::size_t begin = buf.size();
-    std::size_t near_end = begin;
-    for (int v : sp.touched()) {
-      const int q = index_of[static_cast<std::size_t>(v)];
-      if (q == -1) continue;
-      buf.push_back({q, sp.dist(v)});
-      if (buf.back().second <= settle) near_end = buf.size();
-    }
-    buf.resize(near_end);
-    slices[static_cast<std::size_t>(r)] = {worker, static_cast<int>(begin),
-                                           static_cast<int>(near_end)};
-  };
-  if (workers > 1) {
-    pool->for_each(0, ne, [&](int worker, int r) { harvest(pool->workspace(worker), worker, r); });
-  } else {
-    for (int r = 0; r < ne; ++r) harvest(ws, 0, r);
-  }
+  runtime::harvest_commit<Slice>(
+      pool, ws, ne,
+      [&](graph::DijkstraWorkspace& wws, int worker, int r, Slice& slice) {
+        std::vector<Entry>& buf = buffers[static_cast<std::size_t>(worker)];
+        const graph::SpView sp =
+            wws.bounded(h, endpoints[static_cast<std::size_t>(r)], bound, settle);
+        const std::size_t begin = buf.size();
+        std::size_t near_end = begin;
+        for (int v : sp.touched()) {
+          const int q = index_of[static_cast<std::size_t>(v)];
+          if (q == -1) continue;
+          buf.push_back({q, sp.dist(v)});
+          if (buf.back().second <= settle) near_end = buf.size();
+        }
+        buf.resize(near_end);
+        slice = {worker, static_cast<int>(begin), static_cast<int>(near_end)};
+      },
+      [&](int r, const Slice& slice) { slices[static_cast<std::size_t>(r)] = slice; });
   const auto row_of = [&](int endpoint) {
     const Slice& sl =
         slices[static_cast<std::size_t>(index_of[static_cast<std::size_t>(endpoint)])];
@@ -399,16 +384,10 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
   graph::CsrView csr;
   const graph::SoaPoints pts(inst.points);
 
-  // Worker team for the embarrassingly parallel passes: the caller's pool
-  // when provided (long-lived engines), else a run-local pool when more than
-  // one thread is requested, else the serial path (pool == nullptr). Every
-  // result is bit-identical across thread counts — see RelaxedGreedyOptions.
-  std::optional<runtime::WorkerPool> run_pool;
-  runtime::WorkerPool* pool = opts.worker_pool;
-  if (pool == nullptr) {
-    const int threads = runtime::resolve_threads(opts.threads);
-    if (threads > 1) pool = &run_pool.emplace(threads);
-  }
+  // Worker team for the embarrassingly parallel passes (null: serial).
+  // Every result is bit-identical across thread counts — see
+  // RelaxedGreedyOptions.
+  runtime::WorkerPool* const pool = opts.worker_pool;
 
   // Materialize edges with Euclidean lengths and active weights.
   const std::vector<graph::Edge> ge = inst.g.edges();
@@ -440,8 +419,6 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     obs::counter_add(rg_metrics().edges_added, result.phases.back().added);
   }
 
-  const auto mis_fn = [&](const graph::Graph& j) { return steps.mis(j, pool); };
-
   const detail::CoveredCone cone(params.theta);
 
   // Phases i >= 1, skipping empty bins (recomputation is from G' alone, so
@@ -465,7 +442,7 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     csr.assign(result.spanner);
     const cluster::ClusterCover cover = [&] {
       const obs::Span span(rg_metrics().cover_span);
-      return steps.cover(csr, radius, ws, pool);
+      return steps.cover(csr, radius, ws);
     }();
     st.clusters = static_cast<int>(cover.centers.size());
 
@@ -475,38 +452,37 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     const std::vector<PhaseEdge> candidates = [&] {
       const obs::Span span(rg_metrics().filter_span);
       enum : char { kAlready, kCovered, kCandidate };
-      std::vector<char> status(bin.size(), kCandidate);
-      std::vector<double> lens(bin.size(), 0.0);  // Euclidean length, computed once
-      const auto classify = [&](int i) {
-        const graph::Edge& e = bin[static_cast<std::size_t>(i)];
-        if (result.spanner.has_edge(e.u, e.v)) {
-          status[static_cast<std::size_t>(i)] = kAlready;
-          return;
-        }
-        const double len = pts.distance(e.u, e.v);
-        lens[static_cast<std::size_t>(i)] = len;
-        if (opts.covered_edge_filter &&
-            detail::is_covered_edge(pts, inst.config.alpha, result.spanner, {e.u, e.v, len, e.w},
-                                    cone)) {
-          status[static_cast<std::size_t>(i)] = kCovered;
-        }
+      struct Classified {
+        char status;
+        double len;  ///< Euclidean length, computed once.
       };
-      if (pool != nullptr && pool->threads() > 1) {
-        pool->for_each(0, static_cast<int>(bin.size()), [&](int, int i) { classify(i); });
-      } else {
-        for (int i = 0; i < static_cast<int>(bin.size()); ++i) classify(i);
-      }
       std::vector<PhaseEdge> out;
-      for (std::size_t i = 0; i < bin.size(); ++i) {
-        const graph::Edge& e = bin[i];
-        if (status[i] == kAlready) {
-          ++st.already_in_spanner;
-        } else if (status[i] == kCovered) {
-          ++st.covered;
-        } else {
-          out.push_back({e.u, e.v, lens[i], e.w});
-        }
-      }
+      runtime::harvest_commit<Classified>(
+          pool, ws, static_cast<int>(bin.size()),
+          [&](graph::DijkstraWorkspace&, int, int i, Classified& c) {
+            const graph::Edge& e = bin[static_cast<std::size_t>(i)];
+            c = {kCandidate, 0.0};
+            if (result.spanner.has_edge(e.u, e.v)) {
+              c.status = kAlready;
+              return;
+            }
+            c.len = pts.distance(e.u, e.v);
+            if (opts.covered_edge_filter &&
+                detail::is_covered_edge(pts, inst.config.alpha, result.spanner,
+                                        {e.u, e.v, c.len, e.w}, cone)) {
+              c.status = kCovered;
+            }
+          },
+          [&](int i, const Classified& c) {
+            const graph::Edge& e = bin[static_cast<std::size_t>(i)];
+            if (c.status == kAlready) {
+              ++st.already_in_spanner;
+            } else if (c.status == kCovered) {
+              ++st.covered;
+            } else {
+              out.push_back({e.u, e.v, c.len, e.w});
+            }
+          });
       return out;
     }();
     st.candidates = static_cast<int>(candidates.size());
@@ -538,7 +514,7 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     if (opts.redundancy_removal && to_add.size() >= 2) {
       const obs::Span span(rg_metrics().redundancy_span);
       const std::vector<int> removal =
-          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn, pool);
+          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, steps.mis, pool);
       for (int idx : removal) {
         const PhaseEdge& e = to_add[static_cast<std::size_t>(idx)];
         result.spanner.remove_edge(e.u, e.v);
@@ -578,10 +554,11 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
   constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
   return detail::run_relaxed_phases(
       inst, params, opts,
-      {.cover = [](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws,
-                   runtime::WorkerPool*) { return cluster::sequential_cover(csr, radius, ws); },
-       .mis = [](const graph::Graph& j, runtime::WorkerPool* pool) {
-         return mis::luby_mis_parallel(j, kMisSeed, nullptr, pool);
+      {.cover = [](const graph::CsrView& csr, double radius, graph::DijkstraWorkspace& ws) {
+         return cluster::sequential_cover(csr, radius, ws);
+       },
+       .mis = [&](const graph::Graph& j) {
+         return mis::luby_mis_parallel(j, kMisSeed, nullptr, opts.worker_pool);
        },
        .after_phase = [](const PhaseStats&) {}});
 }

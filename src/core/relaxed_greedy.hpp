@@ -86,19 +86,14 @@ struct RelaxedGreedyOptions {
   /// Non-owning; must outlive every relaxed_greedy call it is passed to.
   graph::DijkstraWorkspace* workspace = nullptr;
 
-  /// Worker threads for the embarrassingly parallel passes (cover ball
-  /// computation, cluster-graph center sweeps, covered-edge filtering,
-  /// H-queries, §2.2.5 redundancy endpoint balls). 0 = the process default
-  /// (LOCALSPAN_THREADS env, else 1). The construction is **bit-identical**
-  /// at every thread count: parallel phases compute state-independent
-  /// per-item results and all commits stay in the serial order
-  /// (tests/test_parallel.cpp enforces this across the scenario matrix).
-  int threads = 0;
-
-  /// Optional caller-owned worker pool (thread pool + per-worker
-  /// workspaces), overriding `threads`. Long-lived engines share one pool
-  /// across runs so repeated repairs spawn no threads and allocate no
-  /// per-worker scratch. Non-owning; must outlive every call.
+  /// Optional borrowed worker pool (thread pool + per-worker workspaces)
+  /// for the embarrassingly parallel passes (cover ball computation,
+  /// cluster-graph center sweeps, covered-edge filtering, H-queries, §2.2.5
+  /// redundancy endpoint balls); null runs them serially. The construction
+  /// is **bit-identical** with and without one: parallel phases compute
+  /// state-independent per-item results and all commits stay in the serial
+  /// order (tests/test_parallel.cpp enforces this across the scenario
+  /// matrix). Non-owning; must outlive every call.
   runtime::WorkerPool* worker_pool = nullptr;
 };
 
@@ -231,14 +226,15 @@ struct CoveredCone {
 
 /// The three steps in which the sequential (§2) and distributed (§3)
 /// drivers differ; everything else is one phase loop.
+/// Steps that run on a pool use the options' `worker_pool`, as the loop does.
 struct PhaseSteps {
   /// §2.2.1 / §3.2.1: a radius-`radius` cluster cover of G'_{i-1}, given
   /// as the phase's frozen CSR snapshot (`csr`).
   FnRef<cluster::ClusterCover(const graph::CsrView& csr, double radius,
-                              graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool)>
+                              graph::DijkstraWorkspace& ws)>
       cover;
   /// The MIS of the §2.2.5 conflict graph J.
-  FnRef<std::vector<int>(const graph::Graph& j, runtime::WorkerPool* pool)> mis;
+  FnRef<std::vector<int>(const graph::Graph& j)> mis;
   /// Runs once per processed bin i >= 1 with its completed row, before the
   /// next phase starts (the distributed driver charges its rounds here).
   FnRef<void(const PhaseStats& st)> after_phase;

@@ -48,7 +48,7 @@ VerificationReport certify(const graph::Graph& g, const graph::Graph& sub,
     {
       static const obs::MetricId stretch_span = obs::span_id("verify.stretch");
       const obs::Span span(stretch_span);
-      rep.measured_stretch = graph::max_edge_stretch(g, sub, 64.0, 1, pool);
+      rep.measured_stretch = graph::max_edge_stretch(g, sub, 64.0, pool);
     }
     rep.connectivity_ok =
         graph::connected_components(g).count == graph::connected_components(sub).count;
@@ -74,10 +74,8 @@ VerificationReport certify(const graph::Graph& g, const graph::Graph& sub,
 }
 
 VerificationReport verify_spanner(const ubg::UbgInstance& inst, const graph::Graph& topo,
-                                  double t, const VerifyCaps& caps, int threads) {
-  std::optional<runtime::WorkerPool> pool;
-  if (const int n = runtime::resolve_threads(threads); n > 1) pool.emplace(n);
-  return certify(inst.g, topo, {}, t, caps, {}, pool ? &*pool : nullptr);
+                                  double t, const VerifyCaps& caps, runtime::WorkerPool* pool) {
+  return certify(inst.g, topo, {}, t, caps, {}, pool);
 }
 
 }  // namespace localspan::core

@@ -62,11 +62,12 @@ struct VerificationReport {
                                          runtime::WorkerPool* pool = nullptr,
                                          graph::DijkstraWorkspace* ws = nullptr);
 
-/// Full-scope certify of `topo` against the instance's network. `threads`
-/// splits the stretch pass as in graph::max_edge_stretch (<= 0: the process
-/// default); the report is identical at every thread count.
+/// Full-scope certify of `topo` against the instance's network. A `pool`
+/// splits the stretch pass as in graph::max_edge_stretch; the report is
+/// identical with and without one.
 [[nodiscard]] VerificationReport verify_spanner(const ubg::UbgInstance& inst,
                                                 const graph::Graph& topo, double t,
-                                                const VerifyCaps& caps = {}, int threads = 0);
+                                                const VerifyCaps& caps = {},
+                                                runtime::WorkerPool* pool = nullptr);
 
 }  // namespace localspan::core

@@ -94,46 +94,37 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
   for (int v = 0; v < inst_.g.n(); ++v) {
     grid_.insert(v, inst_.points[static_cast<std::size_t>(v)]);
   }
-  scratch_local_id_.assign(static_cast<std::size_t>(inst_.g.n()), -1);
-  scratch_in_core_.assign(static_cast<std::size_t>(inst_.g.n()), 0);
   scratch_in_scope_.assign(static_cast<std::size_t>(inst_.g.n()), 0);
   batch_owner_.assign(static_cast<std::size_t>(inst_.g.n()), -1);
   // Every relaxed_greedy run (local repairs and full recomputes) shares one
-  // workspace so the steady state reuses its buffers, unless the caller
-  // supplied a workspace of their own.
-  if (opts_.greedy.workspace == nullptr) opts_.greedy.workspace = &greedy_ws_;
-  // One long-lived worker team serves the local reruns and the certify
-  // sweep; spawning it once keeps the per-event steady state thread- and
-  // allocation-free. A thread request on the nested greedy options counts
-  // too — otherwise every per-event rerun would spawn its own run-local
-  // pool, which is exactly what the engine-owned pool exists to prevent.
-  const int engine_threads =
-      runtime::resolve_threads(opts_.threads > 0 ? opts_.threads : opts_.greedy.threads);
-  if (engine_threads > 1 && opts_.greedy.worker_pool == nullptr) {
-    pool_.emplace(engine_threads);
-    opts_.greedy.worker_pool = &*pool_;
-  }
+  // workspace so the steady state reuses its buffers. One long-lived worker
+  // team serves the local reruns and the certify sweep; spawning it once
+  // keeps the per-event steady state thread- and allocation-free.
+  opts_.greedy.workspace = &greedy_ws_;
+  const int threads = runtime::resolve_threads(opts_.threads);
+  if (threads > 1) pool_.emplace(threads);
+  opts_.greedy.worker_pool = pool_ ? &*pool_ : nullptr;
+  // Per-worker region-extraction scratch; a serial engine has worker 0's.
+  // Sized eagerly (and kept in step by ensure_slot) rather than lazily
+  // inside the harvest: region→worker assignment is dynamic, so lazy
+  // growth would leave rarely-hit workers cold and break the
+  // zero-allocation steady state nondeterministically.
+  worker_local_id_.assign(static_cast<std::size_t>(threads),
+                          std::vector<int>(static_cast<std::size_t>(inst_.g.n()), -1));
+  worker_in_core_.assign(static_cast<std::size_t>(threads),
+                         std::vector<char>(static_cast<std::size_t>(inst_.g.n()), 0));
   // Per-worker greedy options for the batch path's concurrent region
   // reruns: each worker repairs its regions with a *serial* relaxed_greedy
   // against its own pool workspace (no nested dispatch). Built once here so
   // a warmed apply_batch never copies the std::function weight transform.
-  if (runtime::WorkerPool* const tm = team(); tm != nullptr) {
-    worker_greedy_opts_.reserve(static_cast<std::size_t>(tm->threads()));
-    for (int w = 0; w < tm->threads(); ++w) {
+  if (pool_) {
+    worker_greedy_opts_.reserve(static_cast<std::size_t>(threads));
+    for (int w = 0; w < threads; ++w) {
       core::RelaxedGreedyOptions o = opts_.greedy;
-      o.workspace = &tm->workspace(w);
+      o.workspace = &pool_->workspace(w);
       o.worker_pool = nullptr;
-      o.threads = 1;
       worker_greedy_opts_.push_back(std::move(o));
     }
-    // Sized eagerly (and kept in step by ensure_slot) rather than lazily
-    // inside the harvest: region→worker assignment is dynamic, so lazy
-    // growth would leave rarely-hit workers cold and break the
-    // zero-allocation steady state nondeterministically.
-    worker_local_id_.assign(static_cast<std::size_t>(tm->threads()),
-                            std::vector<int>(static_cast<std::size_t>(inst_.g.n()), -1));
-    worker_in_core_.assign(static_cast<std::size_t>(tm->threads()),
-                           std::vector<char>(static_cast<std::size_t>(inst_.g.n()), 0));
   }
   full_recompute();
 }
@@ -162,8 +153,6 @@ void DynamicSpanner::ensure_slot(int v) {
     active_.push_back(0);
     spanner_.add_vertex();
     ++inst_.config.n;
-    scratch_local_id_.push_back(-1);
-    scratch_in_core_.push_back(0);
     scratch_in_scope_.push_back(0);
     batch_owner_.push_back(-1);
     for (std::vector<int>& ids : worker_local_id_) ids.push_back(-1);
@@ -275,7 +264,7 @@ bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_o
   const int scope_count = modified.empty() ? inst_.g.n() : static_cast<int>(scratch_scoped_.size());
   if (scope_size_out != nullptr) *scope_size_out = scope_count;
   obs::histogram_record(dyn_metrics().certify_scope, scope_count);
-  runtime::WorkerPool* const pool = team();
+  runtime::WorkerPool* const pool = opts_.greedy.worker_pool;
   const bool ok = core::certify(inst_.g, spanner_, {scratch_scoped_, scratch_in_scope_}, params_.t,
                                 opts_.caps, tf, pool, &ws_)
                       .ok();
@@ -387,7 +376,7 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   // of the window covers every per-event ball — this is the coalescing
   // payoff: a burst of k overlapping events costs one |U|-sized search
   // instead of k of them. The per-event balls are never materialized.
-  runtime::WorkerPool* const tm = team();
+  runtime::WorkerPool* const tm = opts_.greedy.worker_pool;
   const std::function<double(double)>& tf = opts_.greedy.weight_transform;
   // The merged modified set doubles as the deduplicated seed list; the
   // commit below appends the splice endpoints.
@@ -616,13 +605,10 @@ void DynamicSpanner::repair_window(BatchStats* st) {
     runtime::scatter_commit(
         parallel_regions ? tm : nullptr, ws_, nregions,
         [&](graph::DijkstraWorkspace&, int worker, int r) {
-          if (parallel_regions) {
-            harvest_region(r, worker_local_id_[static_cast<std::size_t>(worker)],
-                           worker_in_core_[static_cast<std::size_t>(worker)],
-                           worker_greedy_opts_[static_cast<std::size_t>(worker)]);
-          } else {
-            harvest_region(r, scratch_local_id_, scratch_in_core_, opts_.greedy);
-          }
+          harvest_region(r, worker_local_id_[static_cast<std::size_t>(worker)],
+                         worker_in_core_[static_cast<std::size_t>(worker)],
+                         parallel_regions ? worker_greedy_opts_[static_cast<std::size_t>(worker)]
+                                          : opts_.greedy);
         },
         [&](int r) {
           RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];

@@ -65,7 +65,8 @@ enum class CheckLevel {
 
 struct DynamicOptions {
   /// Passed through to every local rerun and to full recomputes, so the
-  /// dynamic spanner honors ablations and the §1.6 weight transform.
+  /// dynamic spanner honors ablations and the §1.6 weight transform. The
+  /// engine sets `workspace` and `worker_pool` to its own.
   core::RelaxedGreedyOptions greedy;
 
   /// Deterministic gray-zone rule applied to event-incident pairs: connect
@@ -92,8 +93,7 @@ struct DynamicOptions {
   core::VerifyCaps caps;
 
   /// Worker threads for the parallel passes: the local reruns / full
-  /// recomputes (threaded through greedy.threads unless the caller set a
-  /// pool of their own) and the per-vertex certify sweep. 0 = the process
+  /// recomputes and the per-vertex certify sweep. 0 = the process
   /// default (LOCALSPAN_THREADS env, else 1). The maintained spanner is
   /// bit-identical at every thread count; the engine owns one long-lived
   /// pool, so the steady state spawns no threads and the warmed certify
@@ -292,12 +292,6 @@ class DynamicSpanner {
   /// Its repair phases: union ball, regions, harvest/commit, certify.
   void repair_window(BatchStats* st);
 
-  /// The engaged worker team: the engine-owned pool when there is one, else
-  /// a caller-supplied pool threaded through the greedy options.
-  [[nodiscard]] runtime::WorkerPool* team() const noexcept {
-    return pool_.has_value() ? &*pool_ : opts_.greedy.worker_pool;
-  }
-
   ubg::UbgInstance inst_;
   core::Params params_;
   DynamicOptions opts_;
@@ -314,8 +308,6 @@ class DynamicSpanner {
   // initialization per event). Entries touched by one window are reset
   // before the next; the certify buffers are mutable because certify() is
   // logically const.
-  std::vector<int> scratch_local_id_;          ///< -1 outside the current region ball.
-  std::vector<char> scratch_in_core_;          ///< 0 outside the current region core.
   mutable std::vector<char> scratch_in_scope_; ///< 0 outside the current scope.
   mutable std::vector<int> scratch_scoped_;    ///< scope members (reset list).
   std::vector<int> scratch_old_nbrs_;          ///< ingest_event neighbor snapshot.
@@ -344,15 +336,15 @@ class DynamicSpanner {
   };
   std::vector<RegionScratch> batch_regions_;
   std::vector<int> batch_modified_;  ///< merged modified set for the one certify.
-  /// Per-worker region-extraction scratch for the parallel harvest (the
-  /// serial path reuses scratch_local_id_/scratch_in_core_ instead). Sized
-  /// to n like them, stamp-reset after each region.
+  /// Per-worker region-extraction scratch, sized to n and stamp-reset after
+  /// each region: local ids (-1 outside the region's ball) and core flags
+  /// (0 outside its core). A serial engine has worker 0's only.
   std::vector<std::vector<int>> worker_local_id_;
   std::vector<std::vector<char>> worker_in_core_;
   /// Per-worker relaxed-greedy options for concurrent region reruns: each
   /// points at that worker's pool workspace and is forced serial
-  /// (worker_pool = nullptr, threads = 1) so regions never nest dispatches.
-  /// Built once at construction; empty when no team is engaged.
+  /// (worker_pool = nullptr) so regions never nest dispatches. Built once
+  /// at construction; empty when no team is engaged.
   std::vector<core::RelaxedGreedyOptions> worker_greedy_opts_;
 
   /// Epoch-stamped shortest-path workspace for the dirty-ball, scope and
@@ -364,10 +356,10 @@ class DynamicSpanner {
   /// search buffers.
   graph::DijkstraWorkspace greedy_ws_;
   /// Long-lived worker team (engaged when the resolved thread count > 1):
-  /// handed to relaxed_greedy via opts_.greedy.worker_pool and used by the
-  /// certify sweep, so repeated events reuse the same threads and per-worker
-  /// workspaces. Mutable because certify() is logically const.
-  mutable std::optional<runtime::WorkerPool> pool_;
+  /// opts_.greedy.worker_pool points at it, so relaxed_greedy, the region
+  /// harvest and the certify sweep reuse the same threads and per-worker
+  /// workspaces across events.
+  std::optional<runtime::WorkerPool> pool_;
 
   /// Post-commit notification (see set_commit_hook / CommitNotifier).
   std::function<void(const DynamicSpanner&)> commit_hook_;

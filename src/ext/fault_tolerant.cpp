@@ -63,73 +63,65 @@ int disjoint_bounded_vertex_paths(graph::DijkstraWorkspace& ws, graph::Graph g, 
 /// "does `out` already hold k+1 sufficiently short disjoint uv-paths?" — a
 /// pure function of the output snapshot it is handed.
 ///
-/// The serial loop checks each sorted edge against the current output. The
-/// parallel path speculates: a wave of upcoming edges is checked against a
-/// snapshot of `out` on the workers, then results are consumed in edge
-/// order. A "skip" result is valid as long as no earlier wave edge was
-/// added (the output is still exactly the snapshot); the first edge that
-/// must be *added* invalidates the remaining results (the greedy peel count
-/// is not monotone under edge insertion in either direction), so the wave
-/// ends there and the next wave re-checks from the following edge. Consumed
+/// The sorted edges go in waves. A wave's checks run against the output as
+/// it stands and are committed in edge order up to and including the first
+/// edge that must be *added*: the checks after it saw a stale output (the
+/// greedy peel count is not monotone under edge insertion in either
+/// direction), so the wave ends there and the next one re-checks from the
+/// following edge. Streamed (no pool, or a team of one) those stale checks
+/// are skipped, so every edge is checked once, as in the serial greedy; on
+/// several workers the wave's checks speculate on one snapshot. Consumed
 /// decisions therefore always saw exactly the serial algorithm's output
 /// state — the result is bit-identical at every thread count. The wave size
 /// adapts: skip-only waves widen the window (the common regime once the
 /// output is dense enough), an add shrinks it back toward one chunk per
 /// worker to bound the speculation waste.
 template <class HasEnough>
-graph::Graph ft_greedy_drive(const graph::Graph& g, int threads, const HasEnough& has_enough) {
+graph::Graph ft_greedy_drive(const graph::Graph& g, runtime::WorkerPool* pool,
+                             const HasEnough& has_enough) {
   std::vector<graph::Edge> es = g.edges();
   std::sort(es.begin(), es.end(), [](const graph::Edge& a, const graph::Edge& b) {
     if (a.w != b.w) return a.w < b.w;
     return a.u != b.u ? a.u < b.u : a.v < b.v;
   });
   graph::Graph out(g.n());
-  const int nthreads = runtime::resolve_threads(threads);
-  if (nthreads == 1) {
-    graph::DijkstraWorkspace ws(g.n());
-    for (const graph::Edge& e : es) {
-      if (!has_enough(ws, out, e)) out.add_edge(e.u, e.v, e.w);
-    }
-    return out;
-  }
-  runtime::WorkerPool pool(nthreads);
+  graph::DijkstraWorkspace ws(g.n());
+  const int team = pool != nullptr ? pool->threads() : 1;
   const int m = static_cast<int>(es.size());
-  int wave_cap = pool.threads();
-  const int wave_max = 16 * pool.threads();
-  std::vector<char> enough;
+  int wave_cap = team;
+  const int wave_max = 16 * team;
   int idx = 0;
   while (idx < m) {
     const int wave = std::min(wave_cap, m - idx);
-    enough.assign(static_cast<std::size_t>(wave), 0);
-    pool.for_each(0, wave, [&](int worker, int i) {
-      enough[static_cast<std::size_t>(i)] =
-          has_enough(pool.workspace(worker), out, es[static_cast<std::size_t>(idx + i)]) ? 1 : 0;
-    });
     int consumed = 0;
     bool added = false;
-    for (int i = 0; i < wave; ++i) {
-      const graph::Edge& e = es[static_cast<std::size_t>(idx + i)];
-      if (enough[static_cast<std::size_t>(i)]) {
-        ++consumed;
-        continue;
-      }
-      out.add_edge(e.u, e.v, e.w);
-      ++consumed;
-      added = true;
-      break;  // output changed: the rest of the wave saw a stale snapshot
-    }
+    runtime::harvest_commit<char>(
+        pool, ws, wave,
+        [&](graph::DijkstraWorkspace& cws, int, int i, char& enough) {
+          if (!added) enough = has_enough(cws, out, es[static_cast<std::size_t>(idx + i)]);
+        },
+        [&](int i, char enough) {
+          if (added) return;  // checked a snapshot the wave's add changed
+          ++consumed;
+          if (!enough) {
+            const graph::Edge& e = es[static_cast<std::size_t>(idx + i)];
+            out.add_edge(e.u, e.v, e.w);
+            added = true;
+          }
+        });
     idx += consumed;
-    wave_cap = added ? std::max(pool.threads(), wave_cap / 2) : std::min(wave_cap * 2, wave_max);
+    wave_cap = added ? std::max(team, wave_cap / 2) : std::min(wave_cap * 2, wave_max);
   }
   return out;
 }
 
 }  // namespace
 
-graph::Graph fault_tolerant_greedy_vertex(const graph::Graph& g, double t, int k, int threads) {
+graph::Graph fault_tolerant_greedy_vertex(const graph::Graph& g, double t, int k,
+                                          runtime::WorkerPool* pool) {
   if (!(t >= 1.0)) throw std::invalid_argument("fault_tolerant_greedy_vertex: t must be >= 1");
   if (k < 0) throw std::invalid_argument("fault_tolerant_greedy_vertex: k must be >= 0");
-  return ft_greedy_drive(g, threads,
+  return ft_greedy_drive(g, pool,
                          [&](graph::DijkstraWorkspace& ws, const graph::Graph& out,
                              const graph::Edge& e) {
                            return disjoint_bounded_vertex_paths(ws, out, e.u, e.v, t * e.w,
@@ -137,10 +129,11 @@ graph::Graph fault_tolerant_greedy_vertex(const graph::Graph& g, double t, int k
                          });
 }
 
-graph::Graph fault_tolerant_greedy(const graph::Graph& g, double t, int k, int threads) {
+graph::Graph fault_tolerant_greedy(const graph::Graph& g, double t, int k,
+                                   runtime::WorkerPool* pool) {
   if (!(t >= 1.0)) throw std::invalid_argument("fault_tolerant_greedy: t must be >= 1");
   if (k < 0) throw std::invalid_argument("fault_tolerant_greedy: k must be >= 0");
-  return ft_greedy_drive(g, threads,
+  return ft_greedy_drive(g, pool,
                          [&](graph::DijkstraWorkspace& ws, const graph::Graph& out,
                              const graph::Edge& e) {
                            return disjoint_bounded_paths(ws, out, e.u, e.v, t * e.w, k + 1) >=

@@ -15,30 +15,33 @@
 
 #include "graph/graph.hpp"
 
+namespace localspan::runtime {
+class WorkerPool;
+}  // namespace localspan::runtime
+
 namespace localspan::ext {
 
 /// Greedy k-edge fault-tolerant t-spanner.
 /// k = 0 degenerates to the classical SEQ-GREEDY.
 ///
-/// `threads` > 1 runs the per-edge peeling checks speculatively in parallel
-/// waves: a wave of upcoming edges is checked against a snapshot of the
-/// output, and results are consumed in sorted-edge order up to (and
-/// including) the first edge that gets added — later results saw a stale
-/// output and are recomputed in the next wave, so the output is
-/// bit-identical to the serial greedy at every thread count. <= 0 uses the
-/// process default (LOCALSPAN_THREADS, else 1).
+/// With a `pool` of several workers the per-edge peeling checks run
+/// speculatively in parallel waves: a wave of upcoming edges is checked
+/// against a snapshot of the output, and results are consumed in
+/// sorted-edge order up to (and including) the first edge that gets added —
+/// later results saw a stale output and are recomputed in the next wave, so
+/// the output is bit-identical to the serial greedy (pool null).
 /// \throws std::invalid_argument unless t >= 1 and k >= 0.
 [[nodiscard]] graph::Graph fault_tolerant_greedy(const graph::Graph& g, double t, int k,
-                                                 int threads = 0);
+                                                 runtime::WorkerPool* pool = nullptr);
 
 /// Greedy k-VERTEX fault-tolerant t-spanner (§1.6 names this variant first):
 /// keep {u,v} unless the output already holds k+1 internally vertex-disjoint
 /// uv-paths of length <= t·w(u,v) (greedy peel of interior vertices).
 /// Vertex-disjointness implies edge-disjointness, so this output also
 /// survives k edge faults; it is denser than the edge variant.
-/// `threads` as in fault_tolerant_greedy (bit-identical speculative waves).
+/// `pool` as in fault_tolerant_greedy (bit-identical speculative waves).
 [[nodiscard]] graph::Graph fault_tolerant_greedy_vertex(const graph::Graph& g, double t, int k,
-                                                        int threads = 0);
+                                                        runtime::WorkerPool* pool = nullptr);
 
 /// Remove `faults` random edges (seeded) from a copy of `g'` — the fault
 /// injector for the E10 resilience measurements. Returns the faulted copy

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -17,18 +16,12 @@ namespace localspan::graph {
 /// cap·w_max(u) search never runs on that traffic.
 constexpr double kProbe = 2.0;
 
-double max_edge_stretch(const Graph& g, const Graph& sub, double cap, int threads,
-                        runtime::WorkerPool* pool) {
+double max_edge_stretch(const Graph& g, const Graph& sub, double cap, runtime::WorkerPool* pool) {
   if (g.n() != sub.n()) throw std::invalid_argument("max_edge_stretch: vertex count mismatch");
   if (g.m() == 0) return 1.0;
   static const obs::MetricId vertices_id = obs::counter_id("stretch.vertices");
   static const obs::MetricId widened_id = obs::counter_id("stretch.widened");
   static const obs::MetricId heap_pops_id = obs::counter_id("stretch.heap_pops");
-  std::optional<runtime::WorkerPool> local_pool;
-  if (pool == nullptr) {
-    const int nthreads = runtime::resolve_threads(threads);
-    if (nthreads > 1) pool = &local_pool.emplace(nthreads);
-  }
   DijkstraWorkspace ws(g.n());
   static_cast<void>(runtime::take_heap_ops(ws, pool));  // drop earlier searches' tallies
   const WitnessPass pass =

@@ -111,12 +111,10 @@ template <class Sub, class Weight = IdentityWeight>
 /// count the vertices measured, those that widened and the heap pops of
 /// the pass.
 ///
-/// `threads` > 1 splits the vertices over a worker pool, bit-identically;
-/// <= 0 uses the process default (LOCALSPAN_THREADS, else 1). A non-null
-/// caller-owned `pool` overrides `threads`, so repeated measurements reuse
-/// one pool.
+/// A `pool` splits the vertices over its workers, bit-identically; null
+/// measures serially.
 [[nodiscard]] double max_edge_stretch(const Graph& g, const Graph& sub, double cap = 64.0,
-                                      int threads = 0, runtime::WorkerPool* pool = nullptr);
+                                      runtime::WorkerPool* pool = nullptr);
 
 /// 0-based index of the q-quantile entry among `count` ascending-sorted
 /// samples: min(count-1, ceil(q*count)-1), never below 0. Computed in

@@ -4,7 +4,7 @@
 /// Layout: a leaked singleton Registry holds the name tables, the list of
 /// live slabs (one per thread that ever recorded), retired integer totals,
 /// preserved trace events of exited threads, and a slab free list so a
-/// process that churns ThreadPools reuses slab memory instead of growing.
+/// process that churns WorkerPools reuses slab memory instead of growing.
 /// Hot-path writes touch only the calling thread's slab with relaxed
 /// atomics (single writer; the scraper reads relaxed — no torn values, no
 /// TSan reports). Trace events publish through a release store of the

@@ -18,13 +18,13 @@
 ///     are integer sums over slabs — independent of thread count and of
 ///     summation order. Slabs of exited threads are folded into retired
 ///     totals (and their trace events preserved), so nothing is lost when
-///     a ThreadPool is destroyed. Wall-clock fields (span ns, histogram
+///     a WorkerPool is destroyed. Wall-clock fields (span ns, histogram
 ///     sums of recorded durations) are inherently nondeterministic and
 ///     excluded from the determinism contract.
 ///
 /// Metric names are dot-scoped by layer: `rg.*` (relaxed greedy),
 /// `cover.*`/`cg.*` (cluster machinery), `dyn.*` (dynamic engine),
-/// `pool.*` (ThreadPool), `net.*` (mis::luby_mis_parallel's analytic
+/// `pool.*` (WorkerPool), `net.*` (mis::luby_mis_parallel's analytic
 /// synchronous rounds), `net.async.*` (AsyncNetwork/ReliableNetwork),
 /// `io.*` (trace IO), `stretch.*` (graph::max_edge_stretch).
 /// Register once per site via a function-local static:

@@ -63,9 +63,10 @@ int resolve_threads(int requested) noexcept {
   return requested > 0 ? clamp_threads(requested) : default_threads();
 }
 
-ThreadPool::ThreadPool(int threads) : threads_(threads) {
-  if (threads < 1) throw std::invalid_argument("ThreadPool: threads must be >= 1");
+WorkerPool::WorkerPool(int threads) : threads_(threads) {
+  if (threads < 1) throw std::invalid_argument("WorkerPool: threads must be >= 1");
   errors_.resize(static_cast<std::size_t>(threads_));
+  workspaces_.resize(static_cast<std::size_t>(threads_));
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   try {
     for (int t = 1; t < threads_; ++t) {
@@ -85,7 +86,7 @@ ThreadPool::ThreadPool(int threads) : threads_(threads) {
   }
 }
 
-ThreadPool::~ThreadPool() {
+WorkerPool::~WorkerPool() {
   {
     const std::lock_guard<std::mutex> lk(mutex_);
     stop_ = true;
@@ -94,14 +95,14 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::pair<int, int> ThreadPool::chunk(int begin, int end, int worker) const noexcept {
+std::pair<int, int> WorkerPool::chunk(int begin, int end, int worker) const noexcept {
   const auto total = static_cast<long long>(end) - begin;
   const int lo = begin + static_cast<int>(total * worker / threads_);
   const int hi = begin + static_cast<int>(total * (worker + 1) / threads_);
   return {lo, hi};
 }
 
-void ThreadPool::dispatch(TaskFn fn, void* ctx, int begin, int end) {
+void WorkerPool::dispatch(TaskFn fn, void* ctx, int begin, int end) {
   {
     const std::lock_guard<std::mutex> lk(mutex_);
     task_fn_ = fn;
@@ -140,7 +141,7 @@ void ThreadPool::dispatch(TaskFn fn, void* ctx, int begin, int end) {
   }
 }
 
-void ThreadPool::worker_loop(int worker) {
+void WorkerPool::worker_loop(int worker) {
   {
     char label[32];
     std::snprintf(label, sizeof(label), "worker %d", worker);

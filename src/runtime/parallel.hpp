@@ -10,16 +10,17 @@
 /// runtime turns that locality into multicore speedup without giving up the
 /// repo's determinism contract:
 ///
-///   * `ThreadPool` — a fixed-size pool. `for_each(begin, end, fn)` splits
+///   * `WorkerPool` — a fixed-size pool. `for_each(begin, end, fn)` splits
 ///     the index range into one *contiguous, statically computed* chunk per
 ///     worker (worker t always gets chunk t); the calling thread executes
 ///     chunk 0. Dispatch is a function pointer + context pointer, so a
 ///     warmed-up `for_each` performs **zero heap allocations** — the
-///     property the counting-allocator suites enforce end-to-end.
-///   * `WorkerPool` — a `ThreadPool` plus one `graph::DijkstraWorkspace`
-///     per worker, so every retrofitted search loop hands each worker its
-///     own epoch-stamped scratch and the zero-steady-state-allocation
-///     property of PR 4 survives parallel execution.
+///     property the counting-allocator suites enforce end-to-end. Each
+///     worker also owns a `graph::DijkstraWorkspace`, so every search loop
+///     hands each worker its own epoch-stamped scratch and the
+///     zero-steady-state-allocation property survives parallel execution.
+///   * `for_each_with_workspace`, `harvest_commit`, `scatter_commit` — the
+///     pass shapes every parallel consumer is written against, once.
 ///
 /// Determinism contract: every parallel consumer in the repo computes
 /// *state-independent* per-item results in the parallel phase and commits
@@ -30,7 +31,11 @@
 ///
 /// Thread-count resolution: explicit request > `LOCALSPAN_THREADS` env
 /// default > 1. A request of 0 means "use the default"; the default is 1
-/// when the env var is unset, so nothing parallelizes unless asked to.
+/// when the env var is unset, so nothing parallelizes unless asked to. A
+/// command resolves its count once, at an edge — `api::AlgorithmRegistry::
+/// build`, the `dynamic::DynamicSpanner` and `serve::QueryEngine`
+/// constructors, the CLI — and owns the one pool; every library pass below
+/// borrows a `WorkerPool*`, where null means serial.
 
 #include <atomic>
 #include <condition_variable>
@@ -57,34 +62,40 @@ namespace localspan::runtime {
 /// [1, 256]); <= 0 means "use default_threads()".
 [[nodiscard]] int resolve_threads(int requested) noexcept;
 
-/// Fixed-size thread pool with deterministic static chunking.
+/// Fixed-size thread pool with deterministic static chunking, plus one
+/// shortest-path workspace per worker. Workspaces are as long-lived as the
+/// pool, so repeated parallel passes (the dynamic engine's per-event
+/// certify above all) reuse warm buffers and allocate nothing.
 ///
 /// Single-client: one `for_each` at a time, issued from one owner thread
 /// (the repo's consumers never nest dispatches). Worker t executes the t-th
 /// contiguous chunk of the range; the caller doubles as worker 0. An
 /// exception thrown by `fn` is captured and rethrown on the calling thread
-/// (the lowest-index worker's exception wins, deterministically).
-class ThreadPool {
+/// (the lowest-index worker's exception wins, deterministically). Every
+/// call dispatches, on a one-thread pool too: the serial path of a pass is
+/// the helpers' (for_each_with_workspace, harvest_commit, scatter_commit).
+class WorkerPool {
  public:
   /// Spawns `threads - 1` workers (the caller is worker 0).
   /// \throws std::invalid_argument when threads < 1.
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
+  explicit WorkerPool(int threads);
+  ~WorkerPool();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   [[nodiscard]] int threads() const noexcept { return threads_; }
+
+  /// Worker `worker`'s private workspace (index 0 is the calling thread's).
+  [[nodiscard]] graph::DijkstraWorkspace& workspace(int worker) {
+    return workspaces_[static_cast<std::size_t>(worker)];
+  }
 
   /// Run fn(worker, i) for every i in [begin, end), worker in [0, threads).
   /// Allocation-free once the pool exists; blocks until every chunk is done.
   template <class Fn>
   void for_each(int begin, int end, Fn&& fn) {
     if (end - begin <= 0) return;
-    if (threads_ == 1) {
-      for (int i = begin; i < end; ++i) fn(0, i);
-      return;
-    }
     using F = std::remove_reference_t<Fn>;
     dispatch(
         [](void* ctx, int worker, int b, int e) {
@@ -107,10 +118,6 @@ class ThreadPool {
   template <class Fn>
   void for_each_dynamic(int begin, int end, Fn&& fn) {
     if (end - begin <= 0) return;
-    if (threads_ == 1) {
-      for (int i = begin; i < end; ++i) fn(0, i);
-      return;
-    }
     using F = std::remove_reference_t<Fn>;
     struct Ctx {
       F* fn;
@@ -154,45 +161,15 @@ class ThreadPool {
   bool stop_ = false;
   std::atomic<int> next_item_{0};  ///< work counter for for_each_dynamic.
   std::vector<std::exception_ptr> errors_;  ///< one slot per worker.
-};
-
-/// A thread pool plus per-worker shortest-path workspaces — the resource
-/// bundle every retrofitted search loop consumes. Workspaces are as
-/// long-lived as the pool, so repeated parallel passes (the dynamic engine's
-/// per-event certify above all) reuse warm buffers and allocate nothing.
-class WorkerPool {
- public:
-  explicit WorkerPool(int threads) : pool_(threads), workspaces_(pool_.threads()) {}
-
-  [[nodiscard]] int threads() const noexcept { return pool_.threads(); }
-  [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
-
-  /// Worker `worker`'s private workspace (index 0 is the calling thread's).
-  [[nodiscard]] graph::DijkstraWorkspace& workspace(int worker) {
-    return workspaces_[static_cast<std::size_t>(worker)];
-  }
-
-  template <class Fn>
-  void for_each(int begin, int end, Fn&& fn) {
-    pool_.for_each(begin, end, std::forward<Fn>(fn));
-  }
-
-  template <class Fn>
-  void for_each_dynamic(int begin, int end, Fn&& fn) {
-    pool_.for_each_dynamic(begin, end, std::forward<Fn>(fn));
-  }
-
- private:
-  ThreadPool pool_;
-  std::vector<graph::DijkstraWorkspace> workspaces_;
+  std::vector<graph::DijkstraWorkspace> workspaces_;  ///< one per worker.
 };
 
 /// Run fn(workspace, i) over [begin, end): on `pool`'s workers with their
-/// private workspaces when a pool is provided, else serially on `serial_ws`.
-/// Both paths call the identical fn, so consumers written against this
-/// helper are bit-identical at every thread count by construction (fn must
-/// compute a state-independent result per item; commit order is the
-/// caller's).
+/// private workspaces when a pool of several is provided, else serially on
+/// `serial_ws`. Both paths call the identical fn, so consumers written
+/// against this helper are bit-identical at every thread count by
+/// construction (fn must compute a state-independent result per item;
+/// commit order is the caller's).
 template <class Fn>
 void for_each_with_workspace(WorkerPool* pool, graph::DijkstraWorkspace& serial_ws, int begin,
                              int end, Fn&& fn) {
@@ -202,6 +179,33 @@ void for_each_with_workspace(WorkerPool* pool, graph::DijkstraWorkspace& serial_
     pool->for_each(begin, end,
                    [&](int worker, int i) { fn(pool->workspace(worker), i); });
   }
+}
+
+/// Harvest/commit over items [0, count) with a per-item result `Slot`, on
+/// the static schedule: `harvest(workspace, worker, i, slot)` computes item
+/// i's result, `commit(i, slot)` applies it on the calling thread in item
+/// order. With no pool or a team of one the pass streams (harvest i, commit
+/// i, one reused Slot on `serial_ws`, no per-item buffer); with several
+/// workers each item has its own Slot and the commits follow the parallel
+/// harvests. A harvest that reads nothing a commit changes gives the same
+/// commits either way; one that does must tell the two apart itself
+/// (ext::fault_tolerant_greedy).
+template <class Slot, class Harvest, class Commit>
+void harvest_commit(WorkerPool* pool, graph::DijkstraWorkspace& serial_ws, int count,
+                    Harvest&& harvest, Commit&& commit) {
+  if (pool == nullptr || pool->threads() == 1 || count <= 1) {
+    Slot slot{};
+    for (int i = 0; i < count; ++i) {
+      harvest(serial_ws, 0, i, slot);
+      commit(i, slot);
+    }
+    return;
+  }
+  std::vector<Slot> slots(static_cast<std::size_t>(count));
+  pool->for_each(0, count, [&](int worker, int i) {
+    harvest(pool->workspace(worker), worker, i, slots[static_cast<std::size_t>(i)]);
+  });
+  for (int i = 0; i < count; ++i) commit(i, slots[static_cast<std::size_t>(i)]);
 }
 
 /// Drain the heap push/pop tallies (`DijkstraWorkspace::take_heap_ops`) of
@@ -225,18 +229,23 @@ inline std::pair<long long, long long> take_heap_ops(graph::DijkstraWorkspace& s
 /// scheduled *dynamically* because their costs are skewed (one big repair
 /// region next to many tiny ones) and static chunking would serialize the
 /// pool behind the big one. `commit(i)` then runs serially in item order on
-/// the calling thread. Because harvests only read frozen state and the
-/// commit order is fixed, the combined effect is bit-identical at every
-/// thread count even though the parallel execution order is not.
+/// the calling thread. Without a pool, or with a team of one, the pass
+/// streams: harvest i, then commit i. Because no harvest reads what an
+/// earlier item's commit changes and the commit order is fixed, the
+/// combined effect is bit-identical at every thread count even though the
+/// parallel execution order is not.
 template <class Harvest, class Commit>
 void scatter_commit(WorkerPool* pool, graph::DijkstraWorkspace& serial_ws, int count,
                     Harvest&& harvest, Commit&& commit) {
   if (pool == nullptr || pool->threads() == 1 || count <= 1) {
-    for (int i = 0; i < count; ++i) harvest(serial_ws, 0, i);
-  } else {
-    pool->for_each_dynamic(
-        0, count, [&](int worker, int i) { harvest(pool->workspace(worker), worker, i); });
+    for (int i = 0; i < count; ++i) {
+      harvest(serial_ws, 0, i);
+      commit(i);
+    }
+    return;
   }
+  pool->for_each_dynamic(
+      0, count, [&](int worker, int i) { harvest(pool->workspace(worker), worker, i); });
   for (int i = 0; i < count; ++i) commit(i);
 }
 

@@ -64,6 +64,25 @@ if(NOT mst_verify_t4_out STREQUAL mst_verify_out)
   message(FATAL_ERROR "verify --algo mst --threads 4 changed the report:\n${mst_verify_out}\n${mst_verify_t4_out}")
 endif()
 
+# span --threads 4: one registry team serves the construction and the
+# measure pass, and the spanner and declared lines match the one-thread
+# build's (the construction time aside).
+foreach(algo relaxed ft-edge relaxed-dist)
+  foreach(threads 1 4)
+    run_cli(0 span_t_out span --in tiny.lsi --eps 0.5 --algo ${algo} --threads ${threads})
+    string(REGEX MATCH "spanner: [^\n]*" spanner_line "${span_t_out}")
+    string(REGEX REPLACE ", [0-9.]+ ms$" "" spanner_line "${spanner_line}")
+    string(REGEX MATCH "declared: [^\n]*" declared_line "${span_t_out}")
+    if(spanner_line STREQUAL "" OR declared_line STREQUAL "")
+      message(FATAL_ERROR "span --algo ${algo} --threads ${threads} output shape mismatch:\n${span_t_out}")
+    endif()
+    set(span_lines_${threads} "${spanner_line}\n${declared_line}")
+  endforeach()
+  if(NOT span_lines_4 STREQUAL span_lines_1)
+    message(FATAL_ERROR "span --algo ${algo} --threads 4 changed its lines:\n${span_lines_1}\n${span_lines_4}")
+  endif()
+endforeach()
+
 # verify a transformed-metric algorithm: must compare against the reweighted
 # reference (not Euclidean weights) and still pass.
 run_cli(0 energy_verify_out verify --in tiny.lsi --eps 0.5 --algo energy)

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/ledger.hpp"
+#include "ledger_reference.hpp"
 
 namespace localspan::runtime {
 

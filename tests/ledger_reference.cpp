@@ -1,4 +1,4 @@
-#include "runtime/ledger.hpp"
+#include "ledger_reference.hpp"
 
 #include <stdexcept>
 

@@ -1,9 +1,11 @@
 #pragma once
-/// \file ledger.hpp
+/// \file ledger_reference.hpp
 /// Round/message accounting for the synchronous message-passing model of
 /// §1.1: time is divided into rounds; per round every node may exchange one
-/// message with each neighbor and compute arbitrarily. The ledger is the
-/// single source of truth for the E4 experiment (round complexity).
+/// message with each neighbor and compute arbitrarily. The test references
+/// (the lockstep network, the k-hop gather and the message-level Luby MIS)
+/// charge it; the library's distributed algorithm tallies its rounds in
+/// core::DistributedStats.
 
 #include <map>
 #include <string>

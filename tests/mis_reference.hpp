@@ -17,7 +17,7 @@
 
 #include "graph/graph.hpp"
 #include "mis/luby.hpp"
-#include "runtime/ledger.hpp"
+#include "ledger_reference.hpp"
 
 namespace localspan::mis {
 

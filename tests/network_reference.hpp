@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/ledger.hpp"
+#include "ledger_reference.hpp"
 #include "runtime/network.hpp"
 
 namespace localspan::runtime {

@@ -1,7 +1,6 @@
 #include "stretch_reference.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -12,7 +11,7 @@
 namespace localspan::graph {
 
 double sampled_pair_stretch(const Graph& g, const Graph& sub, std::int64_t samples,
-                            std::uint64_t seed, int threads, runtime::WorkerPool* pool) {
+                            std::uint64_t seed, runtime::WorkerPool* pool) {
   if (g.n() != sub.n()) throw std::invalid_argument("sampled_pair_stretch: vertex count mismatch");
   if (g.n() < 2 || samples <= 0) return 1.0;
   std::mt19937_64 rng(seed);
@@ -34,7 +33,7 @@ double sampled_pair_stretch(const Graph& g, const Graph& sub, std::int64_t sampl
   std::stable_sort(pairs.begin(), pairs.end(),
                    [](const Sample& a, const Sample& b) { return a.u < b.u; });
   // Source-group boundaries, so groups can be processed independently (and,
-  // with threads, in parallel: each group's worst ratio depends only on the
+  // with a pool, in parallel: each group's worst ratio depends only on the
   // two frozen graphs; the max reduction is exact under any order).
   std::vector<std::pair<std::size_t, std::size_t>> groups;
   for (std::size_t i = 0; i < pairs.size();) {
@@ -61,30 +60,18 @@ double sampled_pair_stretch(const Graph& g, const Graph& sub, std::int64_t sampl
     }
     return worst;
   };
-  std::optional<runtime::WorkerPool> local_pool;
-  if (pool == nullptr) {
-    const int nthreads = runtime::resolve_threads(threads);
-    if (nthreads > 1) pool = &local_pool.emplace(nthreads);
-  }
-  if (pool == nullptr || pool->threads() == 1) {
-    DijkstraWorkspace ws(g.n());
-    std::vector<double> dg_run;  // dist-in-g per pair of the current source run
-    double worst = 1.0;
-    for (const auto& [begin, end] : groups) {
-      worst = std::max(worst, group_worst(ws, dg_run, begin, end));
-    }
-    return worst;
-  }
-  std::vector<double> per_worker(static_cast<std::size_t>(pool->threads()), 1.0);
-  std::vector<std::vector<double>> dg_runs(static_cast<std::size_t>(pool->threads()));
-  pool->for_each(0, static_cast<int>(groups.size()), [&](int worker, int i) {
-    const auto& [begin, end] = groups[static_cast<std::size_t>(i)];
-    double& worst = per_worker[static_cast<std::size_t>(worker)];
-    worst = std::max(worst, group_worst(pool->workspace(worker),
-                                        dg_runs[static_cast<std::size_t>(worker)], begin, end));
-  });
+  // One dist-in-g buffer per worker for the current source run.
+  std::vector<std::vector<double>> dg_runs(
+      static_cast<std::size_t>(pool != nullptr ? pool->threads() : 1));
+  DijkstraWorkspace ws(g.n());
   double worst = 1.0;
-  for (double w : per_worker) worst = std::max(worst, w);
+  runtime::harvest_commit<double>(
+      pool, ws, static_cast<int>(groups.size()),
+      [&](DijkstraWorkspace& gws, int worker, int i, double& group) {
+        const auto& [begin, end] = groups[static_cast<std::size_t>(i)];
+        group = group_worst(gws, dg_runs[static_cast<std::size_t>(worker)], begin, end);
+      },
+      [&](int, double group) { worst = std::max(worst, group); });
   return worst;
 }
 

@@ -16,10 +16,9 @@ namespace localspan::graph {
 /// its two unbounded searches once, not k times (the drawn pair set is
 /// identical either way). The sample count is 64-bit end-to-end: n=1e5-scale
 /// sweeps ask for sample budgets that wrapped 32-bit counters.
-/// `threads`/`pool` parallelize the per-source-group searches
-/// (bit-identical; same semantics as max_edge_stretch).
+/// A `pool` parallelizes the per-source-group searches (bit-identical;
+/// same semantics as max_edge_stretch).
 [[nodiscard]] double sampled_pair_stretch(const Graph& g, const Graph& sub, std::int64_t samples,
-                                          std::uint64_t seed, int threads = 0,
-                                          runtime::WorkerPool* pool = nullptr);
+                                          std::uint64_t seed, runtime::WorkerPool* pool = nullptr);
 
 }  // namespace localspan::graph

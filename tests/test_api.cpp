@@ -268,7 +268,8 @@ TEST(CheckGuarantees, DeclaredSubgraphCoversEdgeWeights) {
       return kInfo;
     }
     api::Guarantees guarantees(const api::BuildRequest&) const override { return {}; }
-    api::Construction construct(const api::BuildRequest& req) const override {
+    api::Construction construct(const api::BuildRequest& req,
+                                localspan::runtime::WorkerPool*) const override {
       localspan::graph::Graph out(req.inst.g.n());
       const localspan::graph::Edge e = req.inst.g.edges().front();
       out.add_edge(e.u, e.v, 1.5 * e.w);

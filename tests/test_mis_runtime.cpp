@@ -12,7 +12,7 @@
 #include "mis_reference.hpp"
 #include "network_reference.hpp"
 #include "obs/obs.hpp"
-#include "runtime/ledger.hpp"
+#include "ledger_reference.hpp"
 #include "runtime/parallel.hpp"
 
 namespace gr = localspan::graph;

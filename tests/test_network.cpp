@@ -6,7 +6,7 @@
 
 #include "graph/graph.hpp"
 #include "network_reference.hpp"
-#include "runtime/ledger.hpp"
+#include "ledger_reference.hpp"
 
 namespace gr = localspan::graph;
 namespace rt = localspan::runtime;

@@ -1,6 +1,6 @@
 /// Tests for the deterministic parallel runtime (runtime/parallel.hpp) and
 /// the bit-identical-at-every-thread-count contract of the retrofitted hot
-/// loops: ThreadPool/WorkerPool semantics, unit-level equivalence of the
+/// loops: WorkerPool semantics, unit-level equivalence of the
 /// parallelized passes (covers, cluster graphs, metrics, fault-tolerant
 /// greedy), the registry-level determinism sweep for every algorithm that
 /// declares a `threads` option, dynamic-engine determinism under churn, and
@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "api/spanner_algorithm.hpp"
@@ -20,6 +22,7 @@
 #include "cluster/cover.hpp"
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
+#include "core/verify.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "ext/fault_tolerant.hpp"
@@ -88,15 +91,27 @@ std::vector<int> determinism_thread_counts() {
   return counts;
 }
 
+/// Caller-owned pools for the unit-level equivalence cases: one per
+/// determinism thread count, the team of one included, so both branches of
+/// the runtime helpers (streaming serial and worker dispatch) are compared
+/// against the pool-free serial run.
+std::vector<std::unique_ptr<rt::WorkerPool>> determinism_pools() {
+  std::vector<std::unique_ptr<rt::WorkerPool>> pools;
+  for (int threads : determinism_thread_counts()) {
+    pools.push_back(std::make_unique<rt::WorkerPool>(threads));
+  }
+  return pools;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ThreadPool / WorkerPool semantics
+// WorkerPool semantics
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
+TEST(WorkerPool, CoversEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 3, 7}) {
-    rt::ThreadPool pool(threads);
+    rt::WorkerPool pool(threads);
     EXPECT_EQ(pool.threads(), threads);
     std::vector<std::atomic<int>> hits(257);
     pool.for_each(0, 257, [&](int worker, int i) {
@@ -108,8 +123,8 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, StaticChunkingIsContiguousPerWorker) {
-  rt::ThreadPool pool(4);
+TEST(WorkerPool, StaticChunkingIsContiguousPerWorker) {
+  rt::WorkerPool pool(4);
   std::vector<int> owner(100, -1);
   pool.for_each(0, 100, [&](int worker, int i) { owner[static_cast<std::size_t>(i)] = worker; });
   // Worker ids must be non-decreasing over the index range (contiguous
@@ -119,8 +134,8 @@ TEST(ThreadPool, StaticChunkingIsContiguousPerWorker) {
   EXPECT_EQ(owner.back(), 3);
 }
 
-TEST(ThreadPool, EmptyAndSingletonRanges) {
-  rt::ThreadPool pool(3);
+TEST(WorkerPool, EmptyAndSingletonRanges) {
+  rt::WorkerPool pool(3);
   int calls = 0;
   pool.for_each(5, 5, [&](int, int) { ++calls; });
   EXPECT_EQ(calls, 0);
@@ -132,8 +147,8 @@ TEST(ThreadPool, EmptyAndSingletonRanges) {
   EXPECT_EQ(acalls.load(), 1);
 }
 
-TEST(ThreadPool, ExceptionsPropagateToCaller) {
-  rt::ThreadPool pool(3);
+TEST(WorkerPool, ExceptionsPropagateToCaller) {
+  rt::WorkerPool pool(3);
   EXPECT_THROW(pool.for_each(0, 64,
                              [&](int, int i) {
                                if (i == 17) throw std::runtime_error("boom");
@@ -145,12 +160,12 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, RejectsNonPositiveThreadCounts) {
-  EXPECT_THROW(rt::ThreadPool(0), std::invalid_argument);
-  EXPECT_THROW(rt::ThreadPool(-3), std::invalid_argument);
+TEST(WorkerPool, RejectsNonPositiveThreadCounts) {
+  EXPECT_THROW(rt::WorkerPool(0), std::invalid_argument);
+  EXPECT_THROW(rt::WorkerPool(-3), std::invalid_argument);
 }
 
-TEST(ThreadPool, ResolveThreadsHonorsRequestAndDefault) {
+TEST(WorkerPool, ResolveThreadsHonorsRequestAndDefault) {
   EXPECT_EQ(rt::resolve_threads(5), 5);
   EXPECT_EQ(rt::resolve_threads(1), 1);
   // 0 and negatives defer to the env default (1 in the test environment
@@ -179,8 +194,8 @@ TEST(WorkerPool, HandsEachWorkerItsOwnWorkspace) {
   EXPECT_EQ(dist, (std::vector<double>{0.0, 1.0, 2.0, 3.0}));
 }
 
-TEST(ThreadPool, WarmForEachAllocatesNothing) {
-  rt::ThreadPool pool(4);
+TEST(WorkerPool, WarmForEachAllocatesNothing) {
+  rt::WorkerPool pool(4);
   std::atomic<long long> sink{0};
   const auto body = [&](int, int i) { sink.fetch_add(i, std::memory_order_relaxed); };
   pool.for_each(0, 1024, body);  // warm-up
@@ -203,10 +218,8 @@ TEST_P(ParallelMatrixTest, ClusterGraphMatchesSerialBitForBit) {
   const double w_prev = 0.25;
   const cl::ClusterCover cover = cl::sequential_cover(csr, radius, ws);
   const cl::ClusterGraph serial = cl::build_cluster_graph(csr, cover, w_prev, ws);
-  for (int threads : determinism_thread_counts()) {
-    if (threads == 1) continue;
-    rt::WorkerPool pool(threads);
-    const cl::ClusterGraph parallel = cl::build_cluster_graph(csr, cover, w_prev, ws, &pool);
+  for (const auto& pool : determinism_pools()) {
+    const cl::ClusterGraph parallel = cl::build_cluster_graph(csr, cover, w_prev, ws, pool.get());
     EXPECT_EQ(serial.h, parallel.h);
     EXPECT_EQ(serial.intra_edges, parallel.intra_edges);
     EXPECT_EQ(serial.inter_edges, parallel.inter_edges);
@@ -218,16 +231,12 @@ TEST_P(ParallelMatrixTest, ClusterGraphMatchesSerialBitForBit) {
 TEST_P(ParallelMatrixTest, StretchMetricsMatchSerialBitForBit) {
   const localspan::ubg::UbgInstance inst = GetParam().make();
   const gr::Graph mst = localspan::graph::minimum_spanning_forest(inst.g);
-  const double serial_edge = gr::max_edge_stretch(inst.g, mst, 64.0, 1);
-  const double serial_pair = gr::sampled_pair_stretch(inst.g, mst, 200, 11, 1);
-  for (int threads : {2, 4}) {
-    EXPECT_EQ(serial_edge, gr::max_edge_stretch(inst.g, mst, 64.0, threads));
-    EXPECT_EQ(serial_pair, gr::sampled_pair_stretch(inst.g, mst, 200, 11, threads));
+  const double serial_edge = gr::max_edge_stretch(inst.g, mst);
+  const double serial_pair = gr::sampled_pair_stretch(inst.g, mst, 200, 11);
+  for (const auto& pool : determinism_pools()) {
+    EXPECT_EQ(serial_edge, gr::max_edge_stretch(inst.g, mst, 64.0, pool.get()));
+    EXPECT_EQ(serial_pair, gr::sampled_pair_stretch(inst.g, mst, 200, 11, pool.get()));
   }
-  // A caller-owned pool (the repeated-measurement form) agrees too.
-  rt::WorkerPool pool(3);
-  EXPECT_EQ(serial_edge, gr::max_edge_stretch(inst.g, mst, 64.0, 0, &pool));
-  EXPECT_EQ(serial_pair, gr::sampled_pair_stretch(inst.g, mst, 200, 11, 0, &pool));
 }
 
 TEST_P(ParallelMatrixTest, LubyMisMatchesSyncSimulatorAtEveryThreadCount) {
@@ -262,10 +271,9 @@ TEST_P(ParallelMatrixTest, BinGroupingMatchesSerialBitForBit) {
   for (const gr::Edge& e : edges) lens.push_back(e.w);
   const localspan::core::BinSchema schema(inst.config.alpha, 2.0, inst.g.n());
   const auto serial = localspan::core::group_edges_by_bin(edges, schema, lens);
-  for (int threads : {2, 4}) {
-    rt::WorkerPool pool(threads);
-    const auto parallel = localspan::core::group_edges_by_bin(edges, schema, lens, &pool);
-    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
+  for (const auto& pool : determinism_pools()) {
+    const auto parallel = localspan::core::group_edges_by_bin(edges, schema, lens, pool.get());
+    ASSERT_EQ(serial.size(), parallel.size()) << pool->threads() << " threads";
     for (std::size_t b = 0; b < serial.size(); ++b) {
       ASSERT_EQ(serial[b].size(), parallel[b].size()) << "bin " << b;
       for (std::size_t k = 0; k < serial[b].size(); ++k) {
@@ -312,6 +320,41 @@ TEST_P(ParallelMatrixTest, QuerySelectionIgnoresCandidateOrder) {
   }
 }
 
+// relaxed_greedy on a borrowed pool builds the serial spanner and phase
+// trace, and verify_spanner on one reports the serial certificate.
+TEST_P(ParallelMatrixTest, RelaxedGreedyAndVerifyMatchSerialBitForBit) {
+  const localspan::ubg::UbgInstance inst = GetParam().make();
+  const localspan::core::Params params =
+      localspan::core::Params::practical_params(0.5, inst.config.alpha);
+  const localspan::core::RelaxedGreedyResult serial = localspan::core::relaxed_greedy(inst, params);
+  const localspan::core::VerificationReport serial_rep =
+      localspan::core::verify_spanner(inst, serial.spanner, params.t);
+  for (const auto& pool : determinism_pools()) {
+    localspan::core::RelaxedGreedyOptions opts;
+    opts.worker_pool = pool.get();
+    const localspan::core::RelaxedGreedyResult parallel =
+        localspan::core::relaxed_greedy(inst, params, opts);
+    EXPECT_EQ(serial.spanner, parallel.spanner) << pool->threads() << " threads";
+    ASSERT_EQ(serial.phases.size(), parallel.phases.size());
+    for (std::size_t i = 0; i < serial.phases.size(); ++i) {
+      const localspan::core::PhaseStats& a = serial.phases[i];
+      const localspan::core::PhaseStats& b = parallel.phases[i];
+      EXPECT_EQ(std::tie(a.bin, a.edges_in_bin, a.already_in_spanner, a.covered, a.candidates,
+                         a.queries, a.added, a.removed, a.clusters, a.max_query_edges_per_cluster,
+                         a.max_inter_degree, a.max_query_hops),
+                std::tie(b.bin, b.edges_in_bin, b.already_in_spanner, b.covered, b.candidates,
+                         b.queries, b.added, b.removed, b.clusters, b.max_query_edges_per_cluster,
+                         b.max_inter_degree, b.max_query_hops))
+          << "phase " << i;
+      EXPECT_EQ(a.max_inter_weight, b.max_inter_weight);  // bitwise
+    }
+    const localspan::core::VerificationReport rep =
+        localspan::core::verify_spanner(inst, serial.spanner, params.t, {}, pool.get());
+    EXPECT_EQ(serial_rep.measured_stretch, rep.measured_stretch);  // bitwise
+    EXPECT_EQ(serial_rep.summary(), rep.summary());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Matrix, ParallelMatrixTest,
                          ::testing::ValuesIn(localspan::testinfra::standard_matrix()),
                          ScenarioName());
@@ -319,13 +362,15 @@ INSTANTIATE_TEST_SUITE_P(Matrix, ParallelMatrixTest,
 TEST(ParallelFaultTolerant, MatchesSerialAcrossVariantsAndThreadCounts) {
   const localspan::ubg::UbgInstance inst =
       Scenario{2, localspan::ubg::Placement::kUniform, 0.75, 96, 5}.make();
+  std::vector<std::unique_ptr<rt::WorkerPool>> pools;
+  for (int threads : {1, 2, 3, 5}) pools.push_back(std::make_unique<rt::WorkerPool>(threads));
   for (int k : {0, 1, 2}) {
-    const gr::Graph edge_serial = localspan::ext::fault_tolerant_greedy(inst.g, 1.5, k, 1);
-    const gr::Graph vert_serial = localspan::ext::fault_tolerant_greedy_vertex(inst.g, 1.5, k, 1);
-    for (int threads : {2, 3, 5}) {
-      EXPECT_EQ(edge_serial, localspan::ext::fault_tolerant_greedy(inst.g, 1.5, k, threads));
+    const gr::Graph edge_serial = localspan::ext::fault_tolerant_greedy(inst.g, 1.5, k);
+    const gr::Graph vert_serial = localspan::ext::fault_tolerant_greedy_vertex(inst.g, 1.5, k);
+    for (const auto& pool : pools) {
+      EXPECT_EQ(edge_serial, localspan::ext::fault_tolerant_greedy(inst.g, 1.5, k, pool.get()));
       EXPECT_EQ(vert_serial,
-                localspan::ext::fault_tolerant_greedy_vertex(inst.g, 1.5, k, threads));
+                localspan::ext::fault_tolerant_greedy_vertex(inst.g, 1.5, k, pool.get()));
     }
   }
 }

@@ -413,7 +413,7 @@ std::pair<std::int64_t, std::int64_t> stretch_counters(const gr::Graph& g, const
                                                        double cap = 64.0) {
   obs::reset();
   obs::set_enabled(true);
-  (void)gr::max_edge_stretch(g, sub, cap, 1);
+  (void)gr::max_edge_stretch(g, sub, cap);
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
   obs::reset();
@@ -459,14 +459,15 @@ TEST_P(StretchBitIdentity, TwoRadiiMatchTheSingleRadiusPass) {
       {"thinned", thinned},
   };
   if (sc.dim == 2) subs.emplace_back("theta6", localspan::baseline::theta_graph(inst, 6));
-  rt::WorkerPool pool(4);
+  rt::WorkerPool one(1);
+  rt::WorkerPool four(4);
   for (const auto& [name, sub] : subs) {
     for (const double cap : {1.5, 2.0, 4.0, 64.0}) {
       const std::uint64_t want = bits(single_radius_stretch(inst.g, sub, cap));
       const std::string where = sc.name() + " " + name + " cap=" + std::to_string(cap);
-      EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, 1)), want) << where;
-      EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, 4)), want) << where;
-      EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, 0, &pool)), want) << where;
+      for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &one, &four}) {
+        EXPECT_EQ(bits(gr::max_edge_stretch(inst.g, sub, cap, pool)), want) << where;
+      }
     }
   }
 }
@@ -485,7 +486,8 @@ TEST(StretchTwoRadii, RatioTwoSettlesAtTheProbeRadius) {
 TEST(StretchTwoRadii, RatioThreeNeedsTheWideSearch) {
   const auto [g, sub] = detour(3);
   EXPECT_EQ(gr::max_edge_stretch(g, sub), 3.0);
-  EXPECT_EQ(gr::max_edge_stretch(g, sub, 64.0, 4), 3.0);
+  rt::WorkerPool pool(4);
+  EXPECT_EQ(gr::max_edge_stretch(g, sub, 64.0, &pool), 3.0);
   // Only vertex 0 owns an edge ({0,3}) whose endpoint lies past 2·w_max.
   EXPECT_EQ(stretch_counters(g, sub), (std::pair<std::int64_t, std::int64_t>{4, 1}));
 }
@@ -528,11 +530,12 @@ struct MeasuredStretch {
   std::int64_t heap_pops = -1;
 };
 
-MeasuredStretch measure(const ub::UbgInstance& inst, const gr::Graph& sub, double t, int threads) {
+MeasuredStretch measure(const ub::UbgInstance& inst, const gr::Graph& sub, double t,
+                        rt::WorkerPool* pool) {
   obs::reset();
   obs::set_enabled(true);
   MeasuredStretch out;
-  out.stretch = core::verify_spanner(inst, sub, t, {}, threads).measured_stretch;
+  out.stretch = core::verify_spanner(inst, sub, t, {}, pool).measured_stretch;
   const obs::Snapshot snap = obs::snapshot();
   obs::set_enabled(false);
   obs::reset();
@@ -565,6 +568,7 @@ TEST(StretchPins, MeasuredStretchAndWidenedArePinned) {
       {ub::Placement::kCorridor, "mst", 0x1.9cb038f865a0dp+2, 83},
   };
   const core::Params params = core::Params::practical_params(0.5, 0.75);
+  rt::WorkerPool pool(4);
   for (const Pin& pin : pins) {
     ub::UbgConfig cfg;
     cfg.n = 200;
@@ -578,8 +582,8 @@ TEST(StretchPins, MeasuredStretchAndWidenedArePinned) {
                           : algo == "yao"     ? localspan::baseline::yao_graph(inst, 8)
                           : algo == "gabriel" ? localspan::baseline::gabriel_graph(inst)
                                               : gr::minimum_spanning_forest(inst.g);
-    const MeasuredStretch serial = measure(inst, sub, params.t, 1);
-    const MeasuredStretch pooled = measure(inst, sub, params.t, 4);
+    const MeasuredStretch serial = measure(inst, sub, params.t, nullptr);
+    const MeasuredStretch pooled = measure(inst, sub, params.t, &pool);
     const std::string where = algo + " placement " + std::to_string(static_cast<int>(pin.placement));
     for (const MeasuredStretch& m : {serial, pooled}) {
       EXPECT_EQ(bits(m.stretch), bits(pin.stretch)) << where;
@@ -649,9 +653,10 @@ TEST(Verify, ThreadsLeaveTheReportUnchanged) {
   const core::Params params = core::Params::practical_params(0.5, 0.75);
   const gr::Graph spanner = core::relaxed_greedy(inst, params).spanner;
   const gr::Graph forest = gr::minimum_spanning_forest(inst.g);
+  rt::WorkerPool pool(4);
   for (const gr::Graph* topo : {&spanner, &forest}) {
-    const core::VerificationReport serial = core::verify_spanner(inst, *topo, params.t, {}, 1);
-    const core::VerificationReport pooled = core::verify_spanner(inst, *topo, params.t, {}, 4);
+    const core::VerificationReport serial = core::verify_spanner(inst, *topo, params.t);
+    const core::VerificationReport pooled = core::verify_spanner(inst, *topo, params.t, {}, &pool);
     EXPECT_EQ(bits(pooled.measured_stretch), bits(serial.measured_stretch));
     EXPECT_EQ(pooled.summary(), serial.summary());
   }

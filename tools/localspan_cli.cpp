@@ -158,7 +158,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: localspan_cli <gen|span|verify|route|trace|dynamic|serve> [--flags]\n"
                "  gen     --n N --alpha A --dim D --seed S [--placement uniform|clustered|corridor]\n"
-               "          [--policy always|never|prob|threshold] [--p P] --out FILE\n"
+               "          [--policy always|never|prob|threshold] [--p P] [--target-degree K]\n"
+               "          --out FILE\n"
                "  span    --in FILE --eps E [--algo NAME|list] [--opt k=v ...] [--strict]\n"
                "          [--distributed] [--seed S] [--threads N] [--out-dot FILE] [--out-csv FILE]\n"
                "          [--net sync|async] [--loss P] [--net-json FILE]\n"
@@ -167,10 +168,12 @@ int usage() {
                "          partition=START:HEAL/net-seed=/retries=; --net-json writes the fault report)\n"
                "  verify  --in FILE --eps E [--algo NAME|list] [--opt k=v ...] [--strict] [--threads N]\n"
                "  route   --in FILE --eps E [--algo NAME|list] [--opt k=v ...] [--trials T] [--seed S]\n"
+               "          [--threads N]\n"
                "  trace   --in FILE --model poisson|waypoint|failure --out FILE[.ctb]\n"
                "          [--seed S] [--events K] [--rate R] [--join-frac F]     (poisson)\n"
                "          [--movers M] [--speed V] [--dt T] [--duration T]      (waypoint)\n"
                "          [--radius R] [--fail-time T] [--no-rejoin]            (failure)\n"
+               "          [--rejoin-time T]                                     (failure)\n"
                "  dynamic [--in FILE] [--churn FILE] --eps E [--strict] [--check off|local|full]\n"
                "          [--baseline-full] [--batch [N]] [--threads N] [--quiet]\n"
                "          [--n N] [--events K] [--seed S] [--out-json FILE]\n"
@@ -210,10 +213,10 @@ void print_algorithm_list() {
     if (opts.empty()) opts = "-";
     std::string caps;
     if (info.caps.dim2_only) caps += " dim2-only";
-    if (info.caps.needs_k) caps += " needs-k";
+    if (info.accepts("k")) caps += " needs-k";
     if (!info.caps.uses_params) caps += " ignores-params";
-    if (info.caps.randomized) caps += " seeded";
-    if (info.caps.distributed) caps += " distributed";
+    if (info.accepts("seed")) caps += " seeded";
+    if (info.accepts("net")) caps += " distributed";
     if (caps.empty()) caps = " -";
     std::printf("  %-12s %s\n", name.c_str(), info.summary.c_str());
     std::printf("  %-12s   options: %s | caps:%s | ref: %s\n", "", opts.c_str(), caps.c_str(),
@@ -239,12 +242,12 @@ api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
     }
     algo = "relaxed-dist";
   }
-  const api::Capabilities& caps = api::registry().at(algo).info().caps;
-  if (args.has("strict") && !caps.uses_params) {
+  const api::AlgorithmInfo& info = api::registry().at(algo).info();
+  if (args.has("strict") && !info.caps.uses_params) {
     throw std::invalid_argument("--strict has no effect: algorithm '" + algo +
                                 "' ignores params");
   }
-  if (args.has("seed") && !caps.randomized && !command_uses_seed) {
+  if (args.has("seed") && !info.accepts("seed") && !command_uses_seed) {
     throw std::invalid_argument("--seed has no effect: algorithm '" + algo +
                                 "' is deterministic");
   }
@@ -254,7 +257,7 @@ api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
                                                  : core::Params::practical_params(eps, alpha);
   api::Options opts = api::Options::parse(args.get_all("opt"));
   // Back-compat sugar: --seed feeds seeded algorithms unless --opt seed= given.
-  if (args.has("seed") && !opts.has("seed") && caps.randomized) {
+  if (args.has("seed") && !opts.has("seed") && info.accepts("seed")) {
     opts.set("seed", args.get("seed", "1"));
   }
   // --net/--loss: sugar for --opt net=/loss=, only meaningful for
@@ -262,7 +265,7 @@ api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
   // rejects fault knobs under net=sync).
   for (const char* flag : {"net", "loss"}) {
     if (!args.has(flag)) continue;
-    if (!caps.distributed) {
+    if (!info.accepts("net")) {
       throw std::invalid_argument(std::string("--") + flag + " has no effect: algorithm '" +
                                   algo + "' is not distributed");
     }
@@ -272,10 +275,7 @@ api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
   // no parallel path (LOCALSPAN_THREADS remains the env default for
   // algorithms that do). Results are bit-identical for every value.
   if (args.has("threads")) {
-    const auto& schema = api::registry().at(algo).info().options;
-    const bool supported = std::any_of(schema.begin(), schema.end(), [](const api::OptionSpec& s) {
-      return s.key == "threads";
-    });
+    const bool supported = info.accepts("threads");
     if (!supported && !command_uses_threads) {
       throw std::invalid_argument("--threads has no effect: algorithm '" + algo +
                                   "' has no parallel construction path");
@@ -461,9 +461,11 @@ int cmd_verify(const Args& args) {
     verify_against = &ref_inst;
     std::printf("verifying in the algorithm's transformed metric (reweighted reference)\n");
   }
-  const core::VerificationReport rep =
-      core::verify_spanner(*verify_against, result.spanner, 1.0 + eps, {},
-                           args.get_int("threads", 0));
+  const int threads = runtime::resolve_threads(args.get_int("threads", 0));
+  std::optional<runtime::WorkerPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  const core::VerificationReport rep = core::verify_spanner(*verify_against, result.spanner,
+                                                            1.0 + eps, {}, pool ? &*pool : nullptr);
   std::printf("%s\n", rep.summary().c_str());
   obs_write_outputs(args);
   return rep.ok() ? 0 : 1;
