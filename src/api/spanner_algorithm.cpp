@@ -225,14 +225,19 @@ BuildResult AlgorithmRegistry::build(const std::string& name, const BuildRequest
   const Guarantees guarantees = algo.guarantees(req);
   std::optional<graph::Graph> metric_reference = algo.metric_reference(req);
 
-  // The build's one worker team. Options were validated against the
-  // schema, so an algorithm without a `threads` option reads 0, the
-  // LOCALSPAN_THREADS default and gets a team only for the measure pass.
-  // Bit-identical at every thread count.
+  // The build's one worker team: the caller's, or one made here. Options
+  // were validated against the schema, so an algorithm without a `threads`
+  // option reads 0, the LOCALSPAN_THREADS default and gets a team only for
+  // the measure pass. Bit-identical at every thread count.
   const int threads = runtime::resolve_threads(req.options.get_int("threads", 0));
+  if (req.pool && req.options.has("threads") && threads != req.pool->threads()) {
+    throw std::invalid_argument("option threads=" + std::to_string(threads) +
+                                " differs from the lent pool's " +
+                                std::to_string(req.pool->threads()) + " threads");
+  }
   std::optional<runtime::WorkerPool> team;
-  if (threads > 1 && (measure || info.accepts("threads"))) team.emplace(threads);
-  runtime::WorkerPool* const pool = team ? &*team : nullptr;
+  if (!req.pool && threads > 1 && (measure || info.accepts("threads"))) team.emplace(threads);
+  runtime::WorkerPool* const pool = req.pool ? req.pool : team ? &*team : nullptr;
 
   // Phase accounting rides the obs layer: diff the global span totals
   // around the timed call and filter to the algorithm's declared schema.

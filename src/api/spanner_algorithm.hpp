@@ -140,10 +140,12 @@ struct AlgorithmInfo {
 
 /// Input to one build: a generated instance, the paper's parameterization
 /// and the algorithm-specific options. The instance must outlive the call.
+/// A caller with its own pass after the build lends its team as `pool`.
 struct BuildRequest {
   const ubg::UbgInstance& inst;
   core::Params params;
   Options options;
+  runtime::WorkerPool* pool = nullptr;  ///< borrowed; null: the build makes its own.
 };
 
 /// Uniform quality record measured by the registry (against the algorithm's
@@ -254,7 +256,9 @@ class AlgorithmRegistry {
   /// instances), validates params, times the construction and measures the
   /// uniform quality metrics. The `threads` option (absent: the
   /// LOCALSPAN_THREADS default) is resolved here into at most one worker
-  /// team, which the construction borrows and the measure pass reuses. Pass
+  /// team, which the construction borrows and the measure pass reuses;
+  /// with `req.pool` set, that pool is the team, and a `threads` option
+  /// naming another count is rejected. Pass
   /// measure=false when the caller discards the metrics (e.g. it only wants
   /// the spanner): the superlinear measurements (stretch, lightness, power)
   /// are skipped and left zero, and check_guarantees must not be applied to

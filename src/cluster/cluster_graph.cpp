@@ -1,6 +1,7 @@
 #include "cluster/cluster_graph.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -29,7 +30,7 @@ const CgMetrics& cg_metrics() {
 /// b a center, sp <= W_{i-1}, in settle order; `cond2` carries one entry per
 /// member-edge crossing into a cluster with center b > a, in scan order,
 /// with the distance (kInf => retry with `retry_bound`). State-dependent
-/// dedup (has_edge) happens at commit time only.
+/// dedup happens at commit time only.
 struct CenterHarvest {
   struct Cond2 {
     int b;
@@ -39,22 +40,21 @@ struct CenterHarvest {
   std::vector<std::pair<int, double>> cond1;
   std::vector<Cond2> cond2;
 
-  void harvest(const graph::CsrView& gp, const ClusterCover& cover,
-               const std::vector<std::vector<int>>& members, int a, double w_prev, double reach,
-               graph::DijkstraWorkspace& ws) {
+  void harvest(const graph::CsrView& gp, const ClusterCover& cover, std::span<const int> members,
+               int a, double w_prev, double reach, graph::DijkstraWorkspace& ws) {
     cond1.clear();
     cond2.clear();
     // A center with no G'_{i-1} edge and no other member has a ball of {a}
     // and no member edge to cross, so there is nothing to harvest. Early
     // phases are mostly such singleton clusters.
-    if (gp.neighbors(a).empty() && members[static_cast<std::size_t>(a)].size() == 1) return;
+    if (gp.neighbors(a).empty() && members.size() == 1) return;
     const graph::SpView sp = ws.bounded(gp, a, reach);
     for (int v : sp.touched()) {
       if (v <= a || cover.center_of[static_cast<std::size_t>(v)] != v) continue;
       const double d = sp.dist(v);
       if (d <= w_prev) cond1.push_back({v, d});
     }
-    for (int u : members[static_cast<std::size_t>(a)]) {
+    for (int u : members) {
       for (const graph::Neighbor& nb : gp.neighbors(u)) {
         const int b = cover.center_of[static_cast<std::size_t>(nb.to)];
         if (b == a || b < a) continue;  // each unordered center pair once, from min center
@@ -71,32 +71,51 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
                                  runtime::WorkerPool* pool) {
   if (w_prev <= 0.0) throw std::invalid_argument("build_cluster_graph: w_prev must be positive");
   const int n = gp.n();
-  ClusterGraph cg{graph::Graph(n), 0, 0, 0, 0.0};
+  const int nc = static_cast<int>(cover.centers.size());
+  ClusterGraph cg;
 
-  // Intra-cluster edges: center to every (distinct) member.
+  // Members keyed by center, in vertex order: member_of[first[a]..first[a+1]).
+  std::vector<int> first(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<int> member_of(static_cast<std::size_t>(n));
+  for (int c : cover.center_of) ++first[static_cast<std::size_t>(c) + 1];
+  for (std::size_t c = 1; c < first.size(); ++c) first[c] += first[c - 1];
+  for (int v = 0; v < n; ++v) {
+    int& slot = first[static_cast<std::size_t>(cover.center_of[static_cast<std::size_t>(v)])];
+    member_of[static_cast<std::size_t>(slot++)] = v;
+  }
+  std::copy_backward(first.begin(), first.end() - 1, first.end());
+  first[0] = 0;
+  const auto members = [&](int a) {
+    const auto i = static_cast<std::size_t>(a);
+    return std::span<const int>(member_of.data() + first[i], member_of.data() + first[i + 1]);
+  };
+
+  // H's edges in commit order, for CsrView::assign. There is about one
+  // inter edge per crossing G' edge, so the reserve rarely grows. Intra
+  // edges first: center to every (distinct) member.
+  std::vector<graph::Edge> edges;
+  edges.reserve(static_cast<std::size_t>(n) + gp.half_edges() / 2);
   for (int v = 0; v < n; ++v) {
     const int a = cover.center_of[static_cast<std::size_t>(v)];
     if (a == v) continue;
     const double w = cover.dist_to_center[static_cast<std::size_t>(v)];
-    if (cg.h.add_edge(a, v, std::max(w, 1e-15))) ++cg.intra_edges;
+    edges.push_back({a, v, std::max(w, 1e-15)});
   }
+  cg.intra_edges = static_cast<int>(edges.size());
 
   // Inter-cluster edges. One bounded Dijkstra per center (radius (2δ+1)W per
   // Lemma 5) serves both membership conditions; the per-center sweeps walk
   // the settled ball and the center's member list, never all of V. The
   // searches are independent per center, so with a pool they run in
   // parallel; edges always commit sequentially in center order, making H
-  // bit-identical at every thread count.
+  // bit-identical at every thread count. An edge {a, b}, a < b, is committed
+  // only by a (harvest or retries), so `linked[b] == a` marks it present.
   const double reach = (2.0 * cover.radius / w_prev + 1.0) * w_prev + 1e-12;
-  const std::vector<std::vector<int>> members = cover.members();
-  std::vector<int> inter_degree(static_cast<std::size_t>(n), 0);
+  std::vector<int> linked(static_cast<std::size_t>(n), -1);
   const auto add_inter = [&](int a, int b, double d) {
-    if (cg.h.add_edge(a, b, d)) {
-      ++cg.inter_edges;
-      ++inter_degree[static_cast<std::size_t>(a)];
-      ++inter_degree[static_cast<std::size_t>(b)];
-      cg.max_inter_weight = std::max(cg.max_inter_weight, d);
-    }
+    linked[static_cast<std::size_t>(b)] = a;
+    edges.push_back({a, b, d});
+    cg.max_inter_weight = std::max(cg.max_inter_weight, d);
   };
   // Crossing edges whose sp(a,b) exceeded `reach` (phase-0 clique edges
   // escape the paper's premise) retry with a wider bound after the per-center
@@ -108,18 +127,17 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
     double bound;
   };
   std::vector<Retry> retries;
-  const int nc = static_cast<int>(cover.centers.size());
   runtime::harvest_commit<CenterHarvest>(
       pool, ws, nc,
       [&](graph::DijkstraWorkspace& hws, int, int i, CenterHarvest& h) {
-        h.harvest(gp, cover, members, cover.centers[static_cast<std::size_t>(i)], w_prev, reach,
-                  hws);
+        const int a = cover.centers[static_cast<std::size_t>(i)];
+        h.harvest(gp, cover, members(a), a, w_prev, reach, hws);
       },
       [&](int i, const CenterHarvest& h) {
         const int a = cover.centers[static_cast<std::size_t>(i)];
         for (const auto& [b, d] : h.cond1) add_inter(a, b, d);
         for (const CenterHarvest::Cond2& c : h.cond2) {
-          if (cg.h.has_edge(a, c.b)) continue;
+          if (linked[static_cast<std::size_t>(c.b)] == a) continue;
           if (c.d == graph::kInf) {
             retries.push_back({a, c.b, c.retry_bound});
             continue;
@@ -127,13 +145,21 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
           add_inter(a, c.b, c.d);
         }
       });
+  // A retried pair was not committed in a's harvest: every crossing into b
+  // read the same kInf, and cond-1 takes only reached centers. a's retries
+  // run back to back, so the stamp still tells whether one of them did.
   for (const Retry& r : retries) {
-    if (cg.h.has_edge(r.a, r.b)) continue;
+    if (linked[static_cast<std::size_t>(r.b)] == r.a) continue;
     const double d = ws.distance(gp, r.a, r.b, r.bound);
     if (d == graph::kInf) continue;  // unreachable for a valid cover
     add_inter(r.a, r.b, d);
   }
-  for (int d : inter_degree) cg.max_inter_degree = std::max(cg.max_inter_degree, d);
+  cg.inter_edges = static_cast<int>(edges.size()) - cg.intra_edges;
+  cg.h.assign(n, edges);
+  for (int a : cover.centers) {  // a's row: its other members, then inter edges
+    const std::size_t inter = cg.h.neighbors(a).size() + 1 - members(a).size();
+    cg.max_inter_degree = std::max(cg.max_inter_degree, static_cast<int>(inter));
+  }
   if (obs::enabled()) {
     const CgMetrics& m = cg_metrics();
     obs::counter_add(m.centers, nc);
@@ -144,7 +170,7 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
   return cg;
 }
 
-double query_on_h(graph::DijkstraWorkspace& ws, const graph::Graph& h, int x, int y, double bound,
+double query_on_h(graph::DijkstraWorkspace& ws, const graph::CsrView& h, int x, int y, double bound,
                   int* hops_out) {
   const graph::SpView sp = ws.bounded_to(h, x, y, bound);
   const double d = sp.dist(y);

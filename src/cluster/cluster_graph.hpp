@@ -10,6 +10,12 @@
 ///     some edge of G'_{i-1} crosses the two clusters; weight sp_{G'}(a,b).
 /// Lemma 5 bounds every inter-cluster weight by (2δ+1)W_{i-1}; Lemma 7 shows
 /// H-path lengths overestimate G'-path lengths by at most (1+6δ)/(1−2δ).
+///
+/// A phase answers every query on H before it adds an edge (the lazy
+/// update of §2.2.4), so H is frozen once built: a CSR whose rows list edges
+/// in commit order (intra edges by member id, then per center its cond-1
+/// and crossing edges, then the widened retries), as a graph built edge by
+/// edge would, so searches on H settle the same balls.
 
 #include "cluster/cover.hpp"
 #include "graph/graph.hpp"
@@ -19,7 +25,7 @@ namespace localspan::cluster {
 
 /// H plus the structural counters the paper's lemmas bound.
 struct ClusterGraph {
-  graph::Graph h;          ///< the cluster graph (same vertex ids as G').
+  graph::CsrView h;        ///< the cluster graph (same vertex ids as G').
   int intra_edges = 0;
   int inter_edges = 0;
   int max_inter_degree = 0;  ///< max inter-cluster edges at a center (Lemma 6).
@@ -31,8 +37,9 @@ struct ClusterGraph {
 ///
 /// Output-sensitive on a frozen CSR snapshot with a caller-owned workspace:
 /// per-center sweeps walk the settled ball (via the SpView touched list) and
-/// the precomputed member lists instead of scanning all n vertices per
-/// center.
+/// a center-keyed member CSR instead of scanning all n vertices per center.
+/// The edges are collected in commit order (a per-vertex stamp stands in for
+/// a duplicate check) and laid out in one counting-sort pass.
 ///
 /// With a non-null `pool`, the per-center bounded searches (the dominant
 /// cost) run in parallel — each center's candidate harvest is a pure
@@ -48,7 +55,7 @@ struct ClusterGraph {
 /// receives the hop count of the found path (-1 when none), validating
 /// Lemma 8's O(1)-hop claim. One early-exit bounded search on the caller's
 /// workspace: zero allocation once the workspace is warm.
-[[nodiscard]] double query_on_h(graph::DijkstraWorkspace& ws, const graph::Graph& h, int x, int y,
+[[nodiscard]] double query_on_h(graph::DijkstraWorkspace& ws, const graph::CsrView& h, int x, int y,
                                 double bound, int* hops_out = nullptr);
 
 }  // namespace localspan::cluster

@@ -1,7 +1,6 @@
 #include "cluster/cover.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 
@@ -24,14 +23,6 @@ const CoverMetrics& cover_metrics() {
 }
 
 }  // namespace
-
-std::vector<std::vector<int>> ClusterCover::members() const {
-  std::vector<std::vector<int>> out(center_of.size());
-  for (int v = 0; v < static_cast<int>(center_of.size()); ++v) {
-    out[static_cast<std::size_t>(center_of[static_cast<std::size_t>(v)])].push_back(v);
-  }
-  return out;
-}
 
 ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
                               graph::DijkstraWorkspace& ws) {
@@ -176,27 +167,6 @@ ClusterCover mis_cover(const graph::CsrView& gp, double radius, graph::DijkstraW
         }
       });
   return cover;
-}
-
-bool is_valid_cover(const graph::Graph& gp, const ClusterCover& cover) {
-  const int n = gp.n();
-  graph::DijkstraWorkspace ws(n);
-  if (static_cast<int>(cover.center_of.size()) != n) return false;
-  for (int v = 0; v < n; ++v) {
-    const int c = cover.center_of[static_cast<std::size_t>(v)];
-    if (c < 0 || c >= n) return false;                          // coverage
-    if (cover.center_of[static_cast<std::size_t>(c)] != c) return false;  // centers own themselves
-    const double d = ws.distance(gp, c, v, cover.radius);
-    if (d > cover.radius) return false;  // radius bound (also validates dist_to_center)
-    if (std::abs(d - cover.dist_to_center[static_cast<std::size_t>(v)]) > 1e-9) return false;
-  }
-  for (int a : cover.centers) {
-    for (int b : cover.centers) {
-      if (a >= b) continue;
-      if (ws.distance(gp, a, b, cover.radius) <= cover.radius) return false;  // separation
-    }
-  }
-  return true;
 }
 
 }  // namespace localspan::cluster

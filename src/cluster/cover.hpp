@@ -28,9 +28,6 @@ struct ClusterCover {
   std::vector<int> center_of;        ///< owning center of each vertex (center_of[c]==c).
   std::vector<double> dist_to_center;  ///< sp_{G'}(center_of[v], v), 0 at centers.
   std::vector<int> centers;          ///< sorted list of distinct centers.
-
-  /// Members of each center, keyed by center id (only centers present).
-  [[nodiscard]] std::vector<std::vector<int>> members() const;
 };
 
 /// Sequential construction (§2.2.1): sweep vertices in id order; each still
@@ -92,9 +89,5 @@ struct CoverHierarchy {
     const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws,
     const std::function<std::vector<int>(const graph::Graph&)>& mis,
     runtime::WorkerPool* pool = nullptr);
-
-/// Validation for tests: coverage, radius bound, center separation
-/// (sp between any two centers > radius), and partition consistency.
-[[nodiscard]] bool is_valid_cover(const graph::Graph& gp, const ClusterCover& cover);
 
 }  // namespace localspan::cluster

@@ -22,7 +22,7 @@ CoveredCone::CoveredCone(double angle)
       cos_theta(std::cos(angle)),
       band(angle >= 0.0 && angle <= std::numbers::pi ? 1e-12 : graph::kInf) {}
 
-bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::Graph& gp,
+bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::CsrView& gp,
                      const PhaseEdge& e, const CoveredCone& cone) {
   // Squared lengths order like lengths, so |uz| <= |uv| needs a sqrt only
   // when the squares say otherwise (sqrt may round them equal).
@@ -91,7 +91,7 @@ std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidat
   return selected;
 }
 
-std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph::Graph& h,
+std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph::CsrView& h,
                                       const std::vector<PhaseEdge>& queries, double t,
                                       int* max_hops, runtime::WorkerPool* pool) {
   // Each query is an independent early-exit bounded search on the frozen H,
@@ -121,7 +121,7 @@ std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph:
   return to_add;
 }
 
-graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph::Graph& h,
+graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph::CsrView& h,
                                        const std::vector<PhaseEdge>& added, double t1,
                                        runtime::WorkerPool* pool) {
   const int k = static_cast<int>(added.size());
@@ -245,7 +245,7 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
   return j;
 }
 
-std::vector<int> redundant_edge_removal(graph::DijkstraWorkspace& ws, const graph::Graph& h,
+std::vector<int> redundant_edge_removal(graph::DijkstraWorkspace& ws, const graph::CsrView& h,
                                         const std::vector<PhaseEdge>& added, double t1,
                                         FnRef<std::vector<int>(const graph::Graph&)> mis,
                                         runtime::WorkerPool* pool) {
@@ -446,9 +446,10 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     }();
     st.clusters = static_cast<int>(cover.centers.size());
 
-    // (ii) covered-edge filter + candidate selection. Each edge's status is
-    // a pure function of (inst, G'_{i-1}, edge), so the θ-cone tests run in
-    // parallel; candidates are committed in bin order.
+    // (ii) covered-edge filter + candidate selection on the G'_{i-1}
+    // snapshot. Each edge's status is a pure function of (inst, G'_{i-1},
+    // edge), so the θ-cone tests run in parallel; candidates are committed
+    // in bin order.
     const std::vector<PhaseEdge> candidates = [&] {
       const obs::Span span(rg_metrics().filter_span);
       enum : char { kAlready, kCovered, kCandidate };
@@ -462,14 +463,15 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
           [&](graph::DijkstraWorkspace&, int, int i, Classified& c) {
             const graph::Edge& e = bin[static_cast<std::size_t>(i)];
             c = {kCandidate, 0.0};
-            if (result.spanner.has_edge(e.u, e.v)) {
+            if (std::ranges::any_of(csr.neighbors(e.u),
+                                    [&](const graph::Neighbor& nb) { return nb.to == e.v; })) {
               c.status = kAlready;
               return;
             }
             c.len = pts.distance(e.u, e.v);
             if (opts.covered_edge_filter &&
-                detail::is_covered_edge(pts, inst.config.alpha, result.spanner,
-                                        {e.u, e.v, c.len, e.w}, cone)) {
+                detail::is_covered_edge(pts, inst.config.alpha, csr, {e.u, e.v, c.len, e.w},
+                                        cone)) {
               c.status = kCovered;
             }
           },

@@ -165,7 +165,7 @@ struct CoveredCone {
 /// compared through its cosine, and acos runs only for a cosine within
 /// `band` of cos θ, so the answer is bit-identical to testing the angle.
 [[nodiscard]] bool is_covered_edge(const graph::SoaPoints& pts, double alpha,
-                                   const graph::Graph& gp, const PhaseEdge& e,
+                                   const graph::CsrView& gp, const PhaseEdge& e,
                                    const CoveredCone& cone);
 
 /// §2.2.2 part 2: keep one query edge per cluster pair, minimizing
@@ -187,7 +187,7 @@ struct CoveredCone {
 /// the workspace is warm. With a pool the per-query searches run in
 /// parallel (results committed in query order — bit-identical to serial).
 [[nodiscard]] std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws,
-                                                    const graph::Graph& h,
+                                                    const graph::CsrView& h,
                                                     const std::vector<PhaseEdge>& queries,
                                                     double t, int* max_hops,
                                                     runtime::WorkerPool* pool = nullptr);
@@ -196,7 +196,7 @@ struct CoveredCone {
 /// graph J (one node per edge participating in >= 1 pair), run `mis` on it
 /// and return the indices (into `added`) of edges to REMOVE (non-MIS nodes).
 [[nodiscard]] std::vector<int> redundant_edge_removal(
-    graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
+    graph::DijkstraWorkspace& ws, const graph::CsrView& h, const std::vector<PhaseEdge>& added,
     double t1, FnRef<std::vector<int>(const graph::Graph&)> mis,
     runtime::WorkerPool* pool = nullptr);
 
@@ -219,7 +219,7 @@ struct CoveredCone {
 /// touched list is a prefix of the full one and J's adjacency order is the
 /// same too; that order is the message order of a distributed MIS on J.
 [[nodiscard]] graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws,
-                                                     const graph::Graph& h,
+                                                     const graph::CsrView& h,
                                                      const std::vector<PhaseEdge>& added,
                                                      double t1,
                                                      runtime::WorkerPool* pool = nullptr);

@@ -32,6 +32,21 @@ bool Graph::add_edge(int u, int v, double w) {
   return true;
 }
 
+int Graph::add_edges(std::span<const Edge> edges) {
+  std::vector<std::size_t> more(adj_.size(), 0);
+  for (const Edge& e : edges) {
+    check_vertex(e.u);
+    check_vertex(e.v);
+    ++more[static_cast<std::size_t>(e.u)];
+    ++more[static_cast<std::size_t>(e.v)];
+  }
+  for (std::size_t u = 0; u < adj_.size(); ++u) adj_[u].reserve(adj_[u].size() + more[u]);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (!add_edge(edges[i].u, edges[i].v, edges[i].w)) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 bool Graph::remove_edge(int u, int v) {
   check_vertex(u);
   check_vertex(v);

@@ -1,8 +1,8 @@
 #pragma once
 /// \file graph.hpp
 /// Weighted undirected graph — the shared substrate for the input α-UBG G,
-/// the partial spanners G'_i, the Das–Narasimhan cluster graph H_{i-1} and
-/// the derived conflict graphs J of the paper.
+/// the partial spanners G'_i and the derived conflict graphs J of the
+/// paper (the cluster graph H_{i-1}, frozen once built, is a CsrView).
 ///
 /// Adjacency-list representation with value semantics. Edge weights are
 /// positive doubles (Euclidean lengths by default; the §1.6 energy extension
@@ -49,6 +49,11 @@ class Graph {
   /// \returns true if added, false if the edge already existed (weight kept).
   /// \throws std::invalid_argument on bad endpoints, self-loop or w <= 0.
   bool add_edge(int u, int v, double w);
+
+  /// add_edge each of `edges` in list order, every row reserved up front.
+  /// \returns the index of the first edge already present (it and those
+  /// after it are not added), or -1.
+  int add_edges(std::span<const Edge> edges);
 
   /// Remove undirected edge {u,v}. \returns true if it existed.
   bool remove_edge(int u, int v);

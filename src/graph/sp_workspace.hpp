@@ -46,10 +46,10 @@
 /// same distances regardless of pop order, which the d-ary-vs-binary
 /// equivalence suite in tests/test_sp_workspace.cpp pins down.
 ///
-/// `CsrView` complements the workspace for read-heavy passes: a frozen
-/// offsets-plus-flat-neighbor-array snapshot of a Graph, so loops that sweep
-/// many adjacency lists (metrics, covers, cluster-graph construction) stop
-/// chasing one heap pointer per vertex of `vector<vector<Neighbor>>`.
+/// `CsrView` complements the workspace for read-heavy passes: frozen
+/// offsets-plus-flat-neighbor-array adjacency (a Graph snapshot, or an edge
+/// list laid out), so loops that sweep many adjacency lists (metrics, covers,
+/// cluster graphs) stop chasing one heap pointer per vertex of `vector<vector<Neighbor>>`.
 /// `SoaPoints` (soa_points.hpp) does the same for the geometry: positions in
 /// a flat structure-of-arrays buffer instead of one 72-byte Point per node.
 
@@ -70,9 +70,9 @@
 
 namespace localspan::graph {
 
-/// Frozen CSR (compressed sparse row) snapshot of a Graph's adjacency.
-/// Neighbor spans are bitwise-identical in content and order to the source
-/// graph's at snapshot time; the snapshot does not track later mutations.
+/// Frozen CSR (compressed sparse row) adjacency, snapshot from a Graph or
+/// laid out from an edge list. Neighbor spans are bitwise-identical in
+/// content and order to the source's; later mutations are not tracked.
 class CsrView {
  public:
   CsrView() = default;
@@ -110,7 +110,29 @@ class CsrView {
     }
   }
 
+  /// The graph `Graph::add_edge` of each of `edges` in list order builds on
+  /// n edgeless vertices, laid out by one counting sort into the reused
+  /// buffers. The edges must be distinct, loop-free and in range.
+  void assign(int n, std::span<const Edge> edges) {
+    offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (const Edge& e : edges) {
+      ++offsets_[static_cast<std::size_t>(e.u) + 1];
+      ++offsets_[static_cast<std::size_t>(e.v) + 1];
+    }
+    for (std::size_t u = 1; u < offsets_.size(); ++u) offsets_[u] += offsets_[u - 1];
+    nbrs_.resize(2 * edges.size());
+    // offsets_[u] is row u's cursor; it ends on row u+1's start.
+    for (const Edge& e : edges) {
+      nbrs_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.u)]++)] = {e.v, e.w};
+      nbrs_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.v)]++)] = {e.u, e.w};
+    }
+    std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+    offsets_[0] = 0;
+  }
+
   [[nodiscard]] int n() const noexcept { return static_cast<int>(offsets_.size()) - 1; }
+  /// Stored half-edges: 2·|E|.
+  [[nodiscard]] std::size_t half_edges() const noexcept { return nbrs_.size(); }
 
   [[nodiscard]] std::span<const Neighbor> neighbors(int u) const {
     const auto i = static_cast<std::size_t>(u);

@@ -18,7 +18,8 @@
 namespace localspan::io {
 
 /// Write an instance (config, points, edges) to a stream in the versioned
-/// text format. Exact doubles are preserved via hex floats.
+/// text format. Doubles are written with 17 significant decimal digits
+/// (max_digits10), which read back bit for bit.
 void write_instance(std::ostream& os, const ubg::UbgInstance& inst);
 
 /// Parse an instance written by write_instance.

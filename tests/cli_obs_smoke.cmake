@@ -204,6 +204,19 @@ if(heap_pops GREATER max_heap_pops)
   message(FATAL_ERROR "rg.heap_pops is ${heap_pops} on the n=2048 seed-3 instance, "
     "above ${max_heap_pops}: a phase searches further than before")
 endif()
+# The searches on the cluster graph H depend on its row order. H's rows
+# list edges in commit order, so the count is exactly the one of H built
+# edge by edge, not only bounded by it.
+if(NOT heap_pops EQUAL max_heap_pops)
+  message(FATAL_ERROR "rg.heap_pops is ${heap_pops} on the n=2048 seed-3 instance, "
+    "not ${max_heap_pops}: the phase loop no longer runs the same searches")
+endif()
+# The load is a span of its own, once per command.
+string(JSON io_load_count ERROR_VARIABLE io_load_err GET "${work_stats}" "spans" "io.load" "count")
+if(io_load_err OR NOT io_load_count EQUAL 1)
+  message(FATAL_ERROR "span --obs-json: io.load span count '${io_load_count}', expected 1 "
+    "${io_load_err}")
+endif()
 # The stretch pass's witness searches stop once the checked endpoints of
 # each vertex settle; draining every ball to 2·w_max took 104840 pops here.
 string(JSON stretch_pops GET "${work_stats}" "counters" "stretch.heap_pops")

@@ -133,6 +133,9 @@ endfunction()
 run_cli_err("unknown flag --bogus" span --in tiny.lsi --eps 0.5 --bogus 1)
 run_cli_err("unknown flag --epz" verify --in tiny.lsi --epz 0.5)
 run_cli_err("stray argument" gen extra --n 16 --out x.lsi)
+# verify/route lend their one pool to the build: a threads option that
+# names another count conflicts with it.
+run_cli_err("differs from the lent pool" verify --in tiny.lsi --eps 0.5 --threads 2 --opt threads=3)
 
 # unknown algorithm -> error naming the available ones.
 run_cli_err("unknown algorithm 'nope'" span --in tiny.lsi --eps 0.5 --algo nope)

@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/spanner_algorithm.hpp"
 #include "core/params.hpp"
 #include "obs/obs.hpp"
+#include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 
 namespace api = localspan::api;
@@ -283,6 +285,62 @@ TEST(CheckGuarantees, DeclaredSubgraphCoversEdgeWeights) {
       reg.build("perturbed", api::BuildRequest{inst, practical(inst.config.alpha), {}});
   ASSERT_TRUE(res.guarantees.subgraph);
   EXPECT_NE(api::check_guarantees(inst, res).find("weights=NO"), std::string::npos);
+}
+
+TEST(Registry, BuildsOnTheLentPool) {
+  // A caller's pool is the build's one team: construct() receives it, and a
+  // `threads` option naming another count is rejected.
+  class PoolProbe final : public api::SpannerAlgorithm {
+   public:
+    mutable localspan::runtime::WorkerPool* seen = nullptr;
+    const api::AlgorithmInfo& info() const override {
+      static const api::AlgorithmInfo kInfo{
+          "probe",
+          "records its pool",
+          "test",
+          {{"threads", api::OptionType::kInt, "0", "worker threads"}},
+          {},
+          {}};
+      return kInfo;
+    }
+    api::Guarantees guarantees(const api::BuildRequest&) const override { return {}; }
+    api::Construction construct(const api::BuildRequest& req,
+                                localspan::runtime::WorkerPool* pool) const override {
+      seen = pool;
+      return {localspan::graph::Graph(req.inst.g.n()), {}};
+    }
+  };
+  api::AlgorithmRegistry reg;
+  auto owned = std::make_unique<PoolProbe>();
+  const PoolProbe* probe = owned.get();
+  reg.add(std::move(owned));
+  const UbgInstance inst = testinfra::Scenario{}.make();
+  const core::Params params = practical(inst.config.alpha);
+  localspan::runtime::WorkerPool pool(3);
+  api::Options three;
+  three.set("threads", "3");
+  api::Options two;
+  two.set("threads", "2");
+  api::Options one;
+  one.set("threads", "1");
+  static_cast<void>(reg.build("probe", api::BuildRequest{inst, params, {}, &pool}));
+  EXPECT_EQ(probe->seen, &pool);
+  probe->seen = nullptr;
+  static_cast<void>(reg.build("probe", api::BuildRequest{inst, params, three, &pool}, false));
+  EXPECT_EQ(probe->seen, &pool);
+  EXPECT_THROW(static_cast<void>(reg.build("probe", api::BuildRequest{inst, params, two, &pool})),
+               std::invalid_argument);
+  static_cast<void>(reg.build("probe", api::BuildRequest{inst, params, one}));
+  EXPECT_EQ(probe->seen, nullptr);
+
+  // A real build on a lent pool is the serial build, metrics included.
+  const api::BuildResult serial =
+      api::registry().build("relaxed", api::BuildRequest{inst, params, one});
+  const api::BuildResult lent =
+      api::registry().build("relaxed", api::BuildRequest{inst, params, {}, &pool});
+  EXPECT_EQ(lent.spanner, serial.spanner);
+  EXPECT_EQ(lent.metrics.stretch, serial.metrics.stretch);
+  EXPECT_EQ(lent.metrics.lightness, serial.metrics.lightness);
 }
 
 // ---------------------------------------------------------------------------

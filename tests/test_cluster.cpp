@@ -10,10 +10,12 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_graph.hpp"
 #include "cluster/cover.hpp"
+#include "cluster_reference.hpp"
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "dijkstra_reference.hpp"
@@ -29,11 +31,13 @@ namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
 
 // ---------------------------------------------------------------------------
-// Byte-counting allocator: every operator-new in this binary adds its request
-// size to the counter. The linear-memory test snapshots it around one call.
+// Counting allocator: every operator-new in this binary adds its request
+// size to one counter and one to another. The linear-memory and
+// allocation-count tests snapshot them around one call.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<long long> g_alloc_bytes{0};
+std::atomic<long long> g_allocs{0};
 }  // namespace
 
 // The replacement operator new allocates with std::malloc, so operator
@@ -45,12 +49,14 @@ std::atomic<long long> g_alloc_bytes{0};
 
 void* operator new(std::size_t size) {
   g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
@@ -332,15 +338,16 @@ TEST(Cover, LargerRadiusNeverIncreasesCenters) {
 }
 
 TEST(Cover, MembersGroupingIsConsistent) {
+  // center_of partitions V into one cluster per listed center.
   const gr::Graph gp = partial_spanner(9, 100);
   const auto cover = cover_of(gp, 0.15);
-  const auto members = cover.members();
+  std::vector<int> size(static_cast<std::size_t>(gp.n()), 0);
+  for (int c : cover.center_of) ++size[static_cast<std::size_t>(c)];
   int total = 0;
-  for (int c = 0; c < gp.n(); ++c) {
-    for (int v : members[static_cast<std::size_t>(c)]) {
-      EXPECT_EQ(cover.center_of[static_cast<std::size_t>(v)], c);
-      ++total;
-    }
+  for (int c : cover.centers) {
+    EXPECT_EQ(cover.center_of[static_cast<std::size_t>(c)], c);
+    EXPECT_GE(size[static_cast<std::size_t>(c)], 1);
+    total += size[static_cast<std::size_t>(c)];
   }
   EXPECT_EQ(total, gp.n());
 }
@@ -415,9 +422,11 @@ TEST(ClusterGraph, IntraEdgesMatchCoverDistances) {
   for (int v = 0; v < gp.n(); ++v) {
     const int a = cover.center_of[static_cast<std::size_t>(v)];
     if (a == v) continue;
-    ASSERT_TRUE(cg.h.has_edge(a, v));
-    EXPECT_NEAR(cg.h.edge_weight(a, v),
-                std::max(cover.dist_to_center[static_cast<std::size_t>(v)], 1e-15), 1e-9);
+    const std::span<const gr::Neighbor> row = cg.h.neighbors(a);
+    const auto it = std::find_if(row.begin(), row.end(),
+                                 [&](const gr::Neighbor& nb) { return nb.to == v; });
+    ASSERT_NE(it, row.end());
+    EXPECT_NEAR(it->w, std::max(cover.dist_to_center[static_cast<std::size_t>(v)], 1e-15), 1e-9);
   }
 }
 
@@ -469,17 +478,18 @@ TEST(ClusterGraph, Lemma7PathApproximation) {
   const auto cover = cover_of(gp, delta * w_prev);
   const auto cg = cluster_graph_of(gp, cover, w_prev);
   const double ratio = (1.0 + 6.0 * delta) / (1.0 - 2.0 * delta);
+  gr::DijkstraWorkspace ws;
   int checked = 0;
   for (int x = 0; x < gp.n() && checked < 200; x += 3) {
     const gr::ShortestPaths in_gp = gr::dijkstra(gp, x);
-    const gr::ShortestPaths in_h = gr::dijkstra(cg.h, x);
+    const gr::SpView in_h = ws.bounded(cg.h, x, gr::kInf);
     for (int y = 0; y < gp.n(); y += 7) {
       if (x == y) continue;
       const double l1 = in_gp.dist[static_cast<std::size_t>(y)];
       // Lemma 7 is stated for query-edge distances; restrict to the relevant
       // scale (longer than the cluster diameter, bounded by a few W).
       if (l1 == gr::kInf || l1 < 2.0 * delta * w_prev || l1 > 3.0 * w_prev) continue;
-      const double l2 = in_h.dist[static_cast<std::size_t>(y)];
+      const double l2 = in_h.dist(y);
       ASSERT_NE(l2, gr::kInf) << "H must connect what G' connects at this scale";
       EXPECT_GE(l2, l1 - 1e-9);                  // H never underestimates
       EXPECT_LE(l2, ratio * l1 + 1e-9) << l1;    // Lemma 7 upper bound
@@ -516,11 +526,12 @@ TEST(ClusterGraph, QueryOnHRespectsBound) {
   gr::Graph h(3);
   h.add_edge(0, 1, 1.0);
   h.add_edge(1, 2, 1.0);
+  const gr::CsrView csr(h);
   gr::DijkstraWorkspace ws;
   int hops = -1;
-  EXPECT_EQ(cl::query_on_h(ws, h, 0, 2, 1.5, &hops), gr::kInf);
+  EXPECT_EQ(cl::query_on_h(ws, csr, 0, 2, 1.5, &hops), gr::kInf);
   EXPECT_EQ(hops, -1);
-  EXPECT_DOUBLE_EQ(cl::query_on_h(ws, h, 0, 2, 2.5, &hops), 2.0);
+  EXPECT_DOUBLE_EQ(cl::query_on_h(ws, csr, 0, 2, 2.5, &hops), 2.0);
   EXPECT_EQ(hops, 2);
 }
 
@@ -528,4 +539,144 @@ TEST(ClusterGraph, RejectsBadWPrev) {
   const gr::Graph gp(3);
   const auto cover = cover_of(gp, 0.1);
   EXPECT_THROW(static_cast<void>(cluster_graph_of(gp, cover, 0.0)), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// H as a frozen CSR: row for row the graph the edge-by-edge build gives
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Every row of `cg.h` equals the reference row (ids, order, weight bits),
+/// and the structural counters agree.
+void expect_same_h(const cl::ClusterGraph& cg, const cl::ReferenceClusterGraph& ref,
+                   const std::string& where) {
+  EXPECT_EQ(cl::row_mismatch(cg.h, ref.h), "") << where;
+  EXPECT_EQ(cg.intra_edges, ref.intra_edges) << where;
+  EXPECT_EQ(cg.inter_edges, ref.inter_edges) << where;
+  EXPECT_EQ(cg.max_inter_degree, ref.max_inter_degree) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cg.max_inter_weight),
+            std::bit_cast<std::uint64_t>(ref.max_inter_weight))
+      << where;
+}
+
+}  // namespace
+
+class ClusterGraphMatrix : public ::testing::TestWithParam<ti::Scenario> {};
+
+TEST_P(ClusterGraphMatrix, CsrRowsMatchTheGraphBuild) {
+  // G'_{i-1} stand-ins: the relaxed-greedy spanner at several scales, and
+  // the UBG's edges up to 0.3 at W_{i-1} = 0.1, whose longer crossing edges
+  // leave the per-center balls and take the widened retries.
+  const ub::UbgInstance inst = GetParam().make();
+  const gr::Graph spanner =
+      localspan::core::relaxed_greedy(
+          inst, localspan::core::Params::practical_params(0.5, inst.config.alpha))
+          .spanner;
+  gr::Graph short_edges(inst.g.n());
+  for (const gr::Edge& e : inst.g.edges()) {
+    if (e.w <= 0.3) short_edges.add_edge(e.u, e.v, e.w);
+  }
+  rt::WorkerPool one(1);
+  rt::WorkerPool four(4);
+  gr::DijkstraWorkspace ws;
+  for (const gr::Graph* gp : {static_cast<const gr::Graph*>(&short_edges), &spanner}) {
+    const gr::CsrView csr(*gp);
+    for (const double w_prev : {0.1, 0.25, 0.5}) {
+      if (gp == &short_edges && w_prev > 0.1) break;
+      for (const double delta : {0.05, 0.3}) {
+        const cl::ClusterCover cover = cl::sequential_cover(csr, delta * w_prev, ws);
+        const cl::ReferenceClusterGraph ref = cl::reference_cluster_graph(csr, cover, w_prev);
+        if (gp == &short_edges) {
+          EXPECT_GT(ref.retries, 0);
+        }
+        for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &one, &four}) {
+          const std::string where = std::string(gp == &spanner ? "spanner" : "short UBG edges") +
+                                    " w_prev=" + std::to_string(w_prev) +
+                                    " delta=" + std::to_string(delta) +
+                                    " threads=" + std::to_string(pool ? pool->threads() : 0);
+          expect_same_h(cl::build_cluster_graph(csr, cover, w_prev, ws, pool), ref, where);
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+ti::MatrixSpec all_placements() {
+  ti::MatrixSpec spec;
+  spec.placements = {ub::Placement::kUniform, ub::Placement::kClustered,
+                     ub::Placement::kCorridor};
+  return spec;
+}
+
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(Placements, ClusterGraphMatrix,
+                         ::testing::ValuesIn(ti::scenario_matrix(all_placements())),
+                         ti::ScenarioName{});
+
+TEST(ClusterGraph, RetriedCrossingEdgesMatchTheGraphBuild) {
+  // Crossing edges far longer than the (2δ+1)·W_{i-1} reach leave the
+  // per-center ball and are committed by the widened retries, after every
+  // center's harvest.
+  gr::Graph gp(4);
+  gp.add_edge(0, 1, 5.0);
+  gp.add_edge(0, 2, 0.3);
+  gp.add_edge(2, 3, 4.0);
+  gp.add_edge(1, 3, 6.0);
+  gp.add_edge(1, 2, 5.5);
+  const gr::CsrView csr(gp);
+  gr::DijkstraWorkspace ws;
+  rt::WorkerPool four(4);
+  // Singletons: only {0, 2} is within reach; the other four edges retry.
+  const cl::ClusterCover singletons = cl::sequential_cover(csr, 0.1, ws);
+  ASSERT_EQ(singletons.centers.size(), 4u);
+  const cl::ReferenceClusterGraph ref = cl::reference_cluster_graph(csr, singletons, 0.2);
+  EXPECT_EQ(ref.retries, 4);
+  EXPECT_EQ(ref.inter_edges, 5);
+  for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &four}) {
+    expect_same_h(cl::build_cluster_graph(csr, singletons, 0.2, ws, pool), ref, "singletons");
+  }
+  // Cluster {0, 2}: members 0 and 2 both cross into {1}, so that pair is
+  // queued twice and committed once, after 2's crossing into {3}.
+  const cl::ClusterCover merged = cl::sequential_cover(csr, 0.35, ws);
+  ASSERT_EQ(merged.centers, (std::vector<int>{0, 1, 3}));
+  const cl::ReferenceClusterGraph ref_merged = cl::reference_cluster_graph(csr, merged, 0.2);
+  EXPECT_EQ(ref_merged.retries, 4);
+  EXPECT_EQ(ref_merged.inter_edges, 3);
+  for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &four}) {
+    expect_same_h(cl::build_cluster_graph(csr, merged, 0.2, ws, pool), ref_merged, "merged");
+  }
+}
+
+TEST(ClusterGraph, WarmBuildAllocationsDoNotGrowWithN) {
+  // The build keeps no per-vertex vector: it allocates a fixed set of flat
+  // buffers, plus the few doublings of the per-center harvest buffers, so
+  // the count stays under one cap from n=512 to n=8192.
+  constexpr long long kMaxAllocs = 20;
+  const localspan::core::Params params = localspan::core::Params::practical_params(0.5, 0.75);
+  const double w_prev = 0.25;
+  for (const int n : {512, 8192}) {
+    ub::UbgConfig cfg;
+    cfg.n = n;
+    cfg.alpha = 0.75;
+    cfg.seed = 5;
+    const ub::UbgInstance inst = ub::make_ubg(cfg);
+    // Lemma 5's premise: G'_{i-1} has only edges of weight <= W_{i-1}.
+    gr::Graph gp(n);
+    for (const gr::Edge& e : localspan::core::relaxed_greedy(inst, params).spanner.edges()) {
+      if (e.w <= w_prev) gp.add_edge(e.u, e.v, e.w);
+    }
+    const gr::CsrView csr(gp);
+    gr::DijkstraWorkspace ws;
+    const cl::ClusterCover cover = cl::sequential_cover(csr, 0.1 * w_prev, ws);
+    static_cast<void>(cl::build_cluster_graph(csr, cover, w_prev, ws));  // warm the workspace
+    const long long before = g_allocs.load();
+    const cl::ClusterGraph cg = cl::build_cluster_graph(csr, cover, w_prev, ws);
+    const long long allocs = g_allocs.load() - before;
+    ASSERT_GT(cg.inter_edges, n / 4);
+    EXPECT_LE(allocs, kMaxAllocs) << "n=" << n;
+  }
 }

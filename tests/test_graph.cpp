@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/components.hpp"
@@ -126,6 +127,32 @@ TEST(Graph, EdgesMatchAGloballySortedReference) {
     });
     EXPECT_EQ(g.edges(), want) << "n=" << n;
   }
+}
+
+TEST(Graph, AddEdgesIsAddEdgeInListOrder) {
+  // Rows match one add_edge per edge, in order; the first edge already
+  // present is reported, and it and the rest are left out.
+  const std::vector<gr::Edge> edges{{2, 0, 0.5}, {0, 1, 1.0}, {3, 2, 0.25}, {1, 2, 2.0}};
+  gr::Graph one_by_one(4);
+  one_by_one.add_edge(1, 3, 3.0);
+  gr::Graph bulk = one_by_one;
+  for (const gr::Edge& e : edges) one_by_one.add_edge(e.u, e.v, e.w);
+  EXPECT_EQ(bulk.add_edges(edges), -1);
+  ASSERT_EQ(bulk, one_by_one);
+  for (int u = 0; u < 4; ++u) {
+    const auto a = bulk.neighbors(u);
+    const auto b = one_by_one.neighbors(u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k].to, b[k].to) << u << " " << k;
+  }
+  gr::Graph dup(4);
+  EXPECT_EQ(dup.add_edges(std::vector<gr::Edge>{{0, 1, 1.0}, {2, 3, 1.0}, {1, 0, 2.0}, {1, 2, 1.0}}),
+            2);
+  EXPECT_EQ(dup.m(), 2);
+  EXPECT_EQ(dup.edge_weight(0, 1), 1.0);
+  EXPECT_FALSE(dup.has_edge(1, 2));
+  EXPECT_THROW(static_cast<void>(dup.add_edges(std::vector<gr::Edge>{{0, 4, 1.0}})),
+               std::invalid_argument);
 }
 
 TEST(Graph, DegreeTracking) {

@@ -1,6 +1,7 @@
 // Tests for instance serialization, DOT and CSV export.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -213,6 +214,109 @@ TEST(Serialize, FileRoundTrip) {
   std::remove(path.c_str());
   EXPECT_THROW(static_cast<void>(io::load_instance("/nonexistent/nowhere.lsi")),
                std::runtime_error);
+}
+
+namespace {
+
+/// Every adjacency row of `got` equals `want`'s, entry by entry in order
+/// (Graph::operator== compares sorted edge lists, so it cannot see order).
+void expect_same_rows(const gr::Graph& got, const gr::Graph& want) {
+  ASSERT_EQ(got.n(), want.n());
+  for (int u = 0; u < want.n(); ++u) {
+    const auto a = got.neighbors(u);
+    const auto b = want.neighbors(u);
+    ASSERT_EQ(a.size(), b.size()) << "row " << u;
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      EXPECT_EQ(a[k].to, b[k].to) << "row " << u << " entry " << k;
+      EXPECT_EQ(std::memcmp(&a[k].w, &b[k].w, sizeof(double)), 0) << "row " << u << " entry " << k;
+    }
+  }
+}
+
+/// Same config, bitwise-equal points and the same rows in the same order.
+void expect_same_instance(const ub::UbgInstance& got, const ub::UbgInstance& want) {
+  EXPECT_EQ(got.config.n, want.config.n);
+  EXPECT_EQ(got.config.dim, want.config.dim);
+  EXPECT_EQ(got.config.alpha, want.config.alpha);
+  EXPECT_EQ(got.config.side, want.config.side);
+  EXPECT_EQ(got.config.target_degree, want.config.target_degree);
+  EXPECT_EQ(got.config.placement, want.config.placement);
+  EXPECT_EQ(got.config.seed, want.config.seed);
+  ASSERT_EQ(got.points.size(), want.points.size());
+  for (std::size_t i = 0; i < want.points.size(); ++i) {
+    for (int k = 0; k < want.config.dim; ++k) {
+      const double a = got.points[i][k];
+      const double b = want.points[i][k];
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "point " << i << " coord " << k;
+    }
+  }
+  expect_same_rows(got.g, want.g);
+}
+
+ub::UbgInstance read_text(const std::string& text) {
+  std::stringstream ss(text);
+  return io::read_instance(ss);
+}
+
+}  // namespace
+
+TEST(Serialize, LargeRoundTripCrossesBufferRefills) {
+  // ~0.7 MB of text: the reader refills its 64 KiB buffer many times, and
+  // tokens straddle refill boundaries.
+  ub::UbgConfig cfg;
+  cfg.n = 3000;
+  cfg.alpha = 0.75;
+  cfg.seed = 17;
+  const ub::UbgInstance inst = ub::make_ubg(cfg);
+  std::stringstream ss;
+  io::write_instance(ss, inst);
+  const std::string text = ss.str();
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  ASSERT_GT(text.size(), 8 * kChunk);
+  int split_tokens = 0;
+  for (std::size_t cut = kChunk; cut < text.size(); cut += kChunk) {
+    if (!std::isspace(static_cast<unsigned char>(text[cut - 1])) &&
+        !std::isspace(static_cast<unsigned char>(text[cut]))) {
+      ++split_tokens;
+    }
+  }
+  EXPECT_GT(split_tokens, 0);
+  const ub::UbgInstance back = read_text(text);
+  EXPECT_EQ(back.g, inst.g);
+  // The rows are built in file order: the edge lines, sorted by (u, v).
+  ub::UbgInstance want{inst.config, inst.points, gr::Graph(cfg.n)};
+  for (const gr::Edge& e : inst.g.edges()) want.g.add_edge(e.u, e.v, e.w);
+  expect_same_instance(back, want);
+  // A token longer than the buffer: leading zeros on the first coordinate.
+  std::string padded = text;
+  const std::size_t first_coord = padded.find('\n', padded.find('\n') + 1) + 1;
+  ASSERT_NE(padded[first_coord], '-');
+  padded.insert(first_coord, 3 * kChunk, '0');
+  expect_same_instance(read_text(padded), want);
+}
+
+TEST(Serialize, AnyWhitespaceLoadsLikeTheCanonicalFile) {
+  const ub::UbgInstance inst = sample(4, 3);
+  std::stringstream ss;
+  io::write_instance(ss, inst);
+  const std::string canonical = ss.str();
+  const ub::UbgInstance want = read_text(canonical);
+  std::string crlf;
+  std::string tabs;
+  for (const char c : canonical) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+    tabs += c == ' ' ? '\t' : c;
+  }
+  ASSERT_EQ(canonical.back(), '\n');
+  const std::string no_final_newline = canonical.substr(0, canonical.size() - 1);
+  std::string mixed = "  \t\r\n" + canonical;
+  for (char& c : mixed) {
+    if (c == '\n') c = '\v';
+  }
+  for (const std::string& text : {crlf, tabs, no_final_newline, mixed}) {
+    expect_same_instance(read_text(text), want);
+  }
 }
 
 TEST(Dot, ContainsNodesAndHighlights) {

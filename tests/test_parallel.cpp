@@ -20,6 +20,7 @@
 #include "api/spanner_algorithm.hpp"
 #include "cluster/cluster_graph.hpp"
 #include "cluster/cover.hpp"
+#include "cluster_reference.hpp"
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "core/verify.hpp"
@@ -218,9 +219,11 @@ TEST_P(ParallelMatrixTest, ClusterGraphMatchesSerialBitForBit) {
   const double w_prev = 0.25;
   const cl::ClusterCover cover = cl::sequential_cover(csr, radius, ws);
   const cl::ClusterGraph serial = cl::build_cluster_graph(csr, cover, w_prev, ws);
+  const cl::ReferenceClusterGraph ref = cl::reference_cluster_graph(csr, cover, w_prev);
+  EXPECT_EQ(cl::row_mismatch(serial.h, ref.h), "");
   for (const auto& pool : determinism_pools()) {
     const cl::ClusterGraph parallel = cl::build_cluster_graph(csr, cover, w_prev, ws, pool.get());
-    EXPECT_EQ(serial.h, parallel.h);
+    EXPECT_EQ(cl::row_mismatch(parallel.h, ref.h), "");
     EXPECT_EQ(serial.intra_edges, parallel.intra_edges);
     EXPECT_EQ(serial.inter_edges, parallel.inter_edges);
     EXPECT_EQ(serial.max_inter_degree, parallel.max_inter_degree);

@@ -349,8 +349,8 @@ namespace {
 
 bool covered(const ub::UbgInstance& inst, const gr::Graph& gp, const core::detail::PhaseEdge& e,
              double theta) {
-  return core::detail::is_covered_edge(gr::SoaPoints(inst.points), inst.config.alpha, gp, e,
-                                       theta);
+  return core::detail::is_covered_edge(gr::SoaPoints(inst.points), inst.config.alpha,
+                                       gr::CsrView(gp), e, theta);
 }
 
 }  // namespace
@@ -443,7 +443,7 @@ TEST(AnswerQueries, AddsExactlyTheUnreachable) {
   std::vector<core::detail::PhaseEdge> queries{{0, 2, 1.5, 1.5}, {0, 3, 1.5, 1.5}};
   int hops = 0;
   gr::DijkstraWorkspace ws;
-  const auto to_add = core::detail::answer_queries(ws, h, queries, 1.5, &hops);
+  const auto to_add = core::detail::answer_queries(ws, gr::CsrView(h), queries, 1.5, &hops);
   ASSERT_EQ(to_add.size(), 1u);
   EXPECT_EQ(to_add[0].v, 3);
   EXPECT_EQ(hops, 2);
@@ -458,10 +458,11 @@ TEST(Redundancy, ParallelCloseEdgesConflict) {
   std::vector<core::detail::PhaseEdge> added{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
   const double t1 = 1.25;
   gr::DijkstraWorkspace ws;
-  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, t1);
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, gr::CsrView(h), added, t1);
   EXPECT_EQ(j.m(), 1);
   const auto removal = core::detail::redundant_edge_removal(
-      ws, h, added, t1, [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
+      ws, gr::CsrView(h), added, t1,
+      [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
   EXPECT_EQ(removal.size(), 1u);
 }
 
@@ -469,10 +470,11 @@ TEST(Redundancy, FarEdgesDoNotConflict) {
   gr::Graph h(4);  // no H connectivity between the pairs
   std::vector<core::detail::PhaseEdge> added{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
   gr::DijkstraWorkspace ws;
-  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, 1.25);
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, gr::CsrView(h), added, 1.25);
   EXPECT_EQ(j.m(), 0);
   const auto removal = core::detail::redundant_edge_removal(
-      ws, h, added, 1.25, [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
+      ws, gr::CsrView(h), added, 1.25,
+      [](const gr::Graph& jj) { return localspan::mis::greedy_mis(jj); });
   EXPECT_TRUE(removal.empty());
 }
 
@@ -483,7 +485,7 @@ TEST(Redundancy, SwappedPairingIsDetected) {
   h.add_edge(1, 2, 0.01);  // v ~ u'
   std::vector<core::detail::PhaseEdge> added{{0, 1, 1.0, 1.0}, {2, 3, 1.0, 1.0}};
   gr::DijkstraWorkspace ws;
-  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, 1.25);
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, gr::CsrView(h), added, 1.25);
   EXPECT_EQ(j.m(), 1);
 }
 
@@ -622,7 +624,7 @@ TEST(Redundancy, ConflictGraphMatchesAllPairsReference) {
     }
     for (const double t1 : {1.1, 1.25, 1.5, 2.0}) {
       const auto want = reference_conflicts(h, added, t1);
-      const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, t1);
+      const gr::Graph j = core::detail::redundancy_conflict_graph(ws, gr::CsrView(h), added, t1);
       EXPECT_EQ(conflict_pairs(j), want) << "trial " << trial << " t1=" << t1;
       expect_same_adjacency(j, ordered_reference(ws, h, added, t1, want));
       conflicts += static_cast<int>(want.size());
@@ -641,7 +643,8 @@ TEST(Redundancy, ConflictAtTheRadiusAndAtCoincidentEndpoints) {
                          bool conflict) {
     const auto want = reference_conflicts(h, added, t1);
     EXPECT_EQ(!want.empty(), conflict);
-    EXPECT_EQ(conflict_pairs(core::detail::redundancy_conflict_graph(ws, h, added, t1)), want);
+    const gr::CsrView csr(h);
+    EXPECT_EQ(conflict_pairs(core::detail::redundancy_conflict_graph(ws, csr, added, t1)), want);
   };
   // One distance of exactly 0.25 and a shared endpoint.
   double w = 0.25;
@@ -702,7 +705,7 @@ TEST(Redundancy, PartnersKeepTheFullBallOrder) {
   gr::DijkstraWorkspace ws;
   const auto want = reference_conflicts(h, added, 1.25);
   ASSERT_EQ(want.size(), 3u);
-  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, h, added, 1.25);
+  const gr::Graph j = core::detail::redundancy_conflict_graph(ws, gr::CsrView(h), added, 1.25);
   expect_same_adjacency(j, ordered_reference(ws, h, added, 1.25, want));
   EXPECT_EQ(j.neighbors(0)[0].to, 1);
 }
@@ -748,6 +751,7 @@ TEST(CoveredEdge, CosineBandMatchesAcosReference) {
       const int z = pick(rng);
       if (u != z) gp.add_edge(u, z, 1.0);
     }
+    const gr::CsrView csr(gp);
     // Random edges against random and boundary angles.
     int agree = 0;
     for (int u = 0; u < n; ++u) {
@@ -756,7 +760,7 @@ TEST(CoveredEdge, CosineBandMatchesAcosReference) {
         for (const double theta : {angle(rng), angle(rng) / 4.0, 0.0, std::numbers::pi, 4.0, -0.5,
                                    std::numeric_limits<double>::quiet_NaN()}) {
           for (const double alpha : {0.8, 3.0}) {
-            ASSERT_EQ(core::detail::is_covered_edge(pts, alpha, gp, e, theta),
+            ASSERT_EQ(core::detail::is_covered_edge(pts, alpha, csr, e, theta),
                       reference_covered(pts, alpha, gp, e, theta))
                 << "dim " << dim << " edge " << u << "-" << v << " theta " << theta;
             ++agree;
@@ -777,7 +781,7 @@ TEST(CoveredEdge, CosineBandMatchesAcosReference) {
           double theta = pts.angle_at(u, v, nb.to);
           for (int k = 0; k < 3; ++k) theta = std::nextafter(theta, 0.0);
           for (int k = -3; k <= 3; ++k, theta = std::nextafter(theta, 4.0)) {
-            ASSERT_EQ(core::detail::is_covered_edge(pts, 3.0, gp, e, theta),
+            ASSERT_EQ(core::detail::is_covered_edge(pts, 3.0, csr, e, theta),
                       reference_covered(pts, 3.0, gp, e, theta))
                 << "dim " << dim << " edge " << u << "-" << v << " ulps " << k;
           }
@@ -813,7 +817,7 @@ TEST(CoveredEdge, WitnessAsLongAsTheEdgeAfterRounding) {
   gp.add_edge(0, 2, 1.0);
   const PhaseEdge e{0, 1, 1.0, 1.0};
   EXPECT_TRUE(reference_covered(pts, 3.0, gp, e, 0.5));
-  EXPECT_TRUE(core::detail::is_covered_edge(pts, 3.0, gp, e, 0.5));
+  EXPECT_TRUE(core::detail::is_covered_edge(pts, 3.0, gr::CsrView(gp), e, 0.5));
 }
 
 namespace {

@@ -230,11 +230,12 @@ void print_algorithm_list() {
 /// when neither the command nor the algorithm reads it; `command_uses_threads`
 /// likewise for commands with their own pool (route's trial evaluation,
 /// verify's stretch pass), where --threads is meaningful even if the construction
-/// algorithm is serial. Commands that discard the quality metrics (verify,
-/// route) pass measure=false to skip the superlinear measurement pass.
+/// algorithm is serial, and lends its `pool` to the build. Commands that
+/// discard the quality metrics (verify, route) pass measure=false.
 api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
                                 bool command_uses_seed = false, bool measure = true,
-                                bool command_uses_threads = false) {
+                                bool command_uses_threads = false,
+                                runtime::WorkerPool* pool = nullptr) {
   std::string algo = args.get("algo", "relaxed");
   if (args.has("distributed")) {
     if (args.has("algo") && algo != "relaxed-dist") {
@@ -282,7 +283,14 @@ api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
     }
     if (supported && !opts.has("threads")) opts.set("threads", args.get("threads", "0"));
   }
-  return api::registry().build(algo, api::BuildRequest{inst, params, std::move(opts)}, measure);
+  return api::registry().build(algo, api::BuildRequest{inst, params, std::move(opts), pool},
+                               measure);
+}
+
+/// verify/route's thread count: --threads, else --opt threads=, else the default.
+int command_threads(const Args& args) {
+  if (args.has("threads")) return runtime::resolve_threads(args.get_int("threads", 0));
+  return runtime::resolve_threads(api::Options::parse(args.get_all("opt")).get_int("threads", 0));
 }
 
 int cmd_gen(const Args& args) {
@@ -449,8 +457,13 @@ int cmd_verify(const Args& args) {
   }
   obs_enable_if_requested(args);
   const ubg::UbgInstance inst = load(args);
-  const api::BuildResult result = build_topology(inst, args, /*command_uses_seed=*/false,
-                                                 /*measure=*/false, /*command_uses_threads=*/true);
+  // One team for the command: the build borrows it, then the stretch pass.
+  const int threads = command_threads(args);
+  std::optional<runtime::WorkerPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  const api::BuildResult result =
+      build_topology(inst, args, /*command_uses_seed=*/false, /*measure=*/false,
+                     /*command_uses_threads=*/true, pool ? &*pool : nullptr);
   const double eps = args.get_double("eps", 0.5);
   // Transformed-metric algorithms (energy) must be verified against the same
   // reweighted reference graph their guarantees and metrics are stated in.
@@ -461,9 +474,6 @@ int cmd_verify(const Args& args) {
     verify_against = &ref_inst;
     std::printf("verifying in the algorithm's transformed metric (reweighted reference)\n");
   }
-  const int threads = runtime::resolve_threads(args.get_int("threads", 0));
-  std::optional<runtime::WorkerPool> pool;
-  if (threads > 1) pool.emplace(threads);
   const core::VerificationReport rep = core::verify_spanner(*verify_against, result.spanner,
                                                             1.0 + eps, {}, pool ? &*pool : nullptr);
   std::printf("%s\n", rep.summary().c_str());
@@ -483,18 +493,18 @@ int cmd_route(const Args& args) {
     std::fprintf(stderr, "route: geometric routing demo expects dim=2\n");
     return 1;
   }
+  const int threads = command_threads(args);
+  std::optional<runtime::WorkerPool> pool;
+  if (threads > 1) pool.emplace(threads);
   const api::BuildResult result =
       build_topology(inst, args, /*command_uses_seed=*/true, /*measure=*/false,
-                     /*command_uses_threads=*/true);
+                     /*command_uses_threads=*/true, pool ? &*pool : nullptr);
   const int trials = args.get_int("trials", 200);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  // One warmed workspace (and optional pool) shared by both topologies: the
+  // One warmed workspace and the build's pool serve both topologies: the
   // second evaluation reuses the first one's buffers, and a pool parallelizes
   // the per-trial Dijkstras without changing the accepted-trial sequence.
   graph::DijkstraWorkspace ws(inst.g.n());
-  const int threads = runtime::resolve_threads(args.get_int("threads", 0));
-  std::optional<runtime::WorkerPool> pool;
-  if (threads > 1) pool.emplace(threads);
   graph::CsrView csr;
   for (const auto& [name, topo] : {std::pair<const char*, const graph::Graph*>{"max power", &inst.g},
                                    {"spanner", &result.spanner}}) {
