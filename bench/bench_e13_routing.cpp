@@ -34,9 +34,12 @@ int main() {
 
   benchutil::Table table({"topology", "edges", "rule", "delivery %", "mean hops",
                           "mean route stretch", "worst route stretch"});
+  graph::DijkstraWorkspace ws(inst.g.n());
+  graph::CsrView csr;
   for (const Row& row : rows) {
+    csr.assign(row.g);
     for (const auto rule : {route::Forwarding::kGreedy, route::Forwarding::kCompass}) {
-      const route::RoutingStats st = route::evaluate_routing(inst, row.g, rule, 300, 13);
+      const route::RoutingStats st = route::evaluate_routing(inst, csr, rule, 300, 13, ws);
       table.add_row({row.name, fmt_int(row.g.m()),
                      rule == route::Forwarding::kGreedy ? "greedy" : "compass",
                      fmt(100.0 * st.delivery_rate, 1), fmt(st.mean_hops, 1),

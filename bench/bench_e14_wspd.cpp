@@ -22,16 +22,15 @@ using benchutil::fmt_int;
 namespace {
 
 /// Max over sampled pairs of sp_topo(u,v) / |uv| (complete-graph stretch).
-double complete_stretch(const std::vector<geom::Point>& pts, const graph::Graph& topo) {
+double complete_stretch(const geom::Points& pts, const graph::Graph& topo) {
   double worst = 1.0;
-  const int n = static_cast<int>(pts.size());
+  const int n = pts.size();
   graph::DijkstraWorkspace ws;
   for (int u = 0; u < n; u += 3) {
     const graph::SpView sp = ws.bounded(topo, u, graph::kInf);
     for (int v = 0; v < n; v += 5) {
       if (u == v) continue;
-      const double direct = geom::distance(pts[static_cast<std::size_t>(u)],
-                                           pts[static_cast<std::size_t>(v)]);
+      const double direct = pts.distance(u, v);
       if (direct == 0.0) continue;
       worst = std::max(worst, sp.dist(v) / direct);
     }
@@ -52,7 +51,7 @@ int main() {
   graph::Graph complete(n);
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
-      complete.add_edge(u, v, std::max(inst.dist(u, v), 1e-12));
+      complete.add_edge(u, v, std::max(inst.points.distance(u, v), 1e-12));
     }
   }
 

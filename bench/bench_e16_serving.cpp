@@ -95,7 +95,7 @@ StaticCell run_static(int n, int serve_queries, int dij_queries, const core::Par
   serve::QueryEngine qe;
   {
     const auto t0 = Clock::now();
-    qe.publish(spanner, inst.points, params.t);
+    qe.publish(spanner, params.t);
     cell.publish_ms = 1e3 * seconds_since(t0);
   }
   serve::QueryEngine::Reader reader = qe.reader();

@@ -43,7 +43,7 @@ int main() {
     // topology to the direct-link energy (measured on the energy weights).
     graph::Graph topo_energy(net.g.n());
     for (const graph::Edge& e : row.topo->edges()) {
-      topo_energy.add_edge(e.u, e.v, std::pow(net.dist(e.u, e.v), gamma));
+      topo_energy.add_edge(e.u, e.v, std::pow(net.points.distance(e.u, e.v), gamma));
     }
     const double estretch = graph::max_edge_stretch(energy_graph, topo_energy);
     std::printf("%-18s links %5d  energy-stretch %6.3f  power cost %7.2f  maxdeg %2d\n",

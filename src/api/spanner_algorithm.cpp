@@ -339,7 +339,7 @@ bool gray_zone_closed(const ubg::UbgInstance& inst) {
   int pairs = 0;
   for (int i = 0; i < inst.g.n(); ++i) {
     bool missing = false;
-    grid.for_neighbors_within(inst.points[static_cast<std::size_t>(i)], 1.0, [&](int j, double) {
+    grid.for_neighbors_within(i, 1.0, [&](int j, double) {
       if (i < j) {
         ++pairs;
         if (!inst.g.has_edge(i, j)) missing = true;

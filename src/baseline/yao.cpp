@@ -18,17 +18,16 @@ graph::Graph yao_graph(const ubg::UbgInstance& inst, int k) {
     // Nearest G-neighbor per cone (ties by id for determinism).
     std::vector<int> best(static_cast<std::size_t>(k), -1);
     std::vector<double> best_d(static_cast<std::size_t>(k), 0.0);
+    const geom::Point pu = inst.points[u];
     for (const graph::Neighbor& nb : inst.g.neighbors(u)) {
       // A coincident neighbor has no direction: keep the edge outright (it
       // is trivially the nearest in "its" cone; clustered deployments clamp
       // points to the box and can collide exactly).
-      if (geom::sq_distance(inst.points[static_cast<std::size_t>(u)],
-                            inst.points[static_cast<std::size_t>(nb.to)]) == 0.0) {
+      if (inst.points.sq_distance(u, nb.to) == 0.0) {
         out.add_edge(u, nb.to, nb.w);
         continue;
       }
-      const int s = cones.sector_of(inst.points[static_cast<std::size_t>(u)],
-                                    inst.points[static_cast<std::size_t>(nb.to)]);
+      const int s = cones.sector_of(pu, inst.points[nb.to]);
       const auto si = static_cast<std::size_t>(s);
       if (best[si] == -1 || nb.w < best_d[si] || (nb.w == best_d[si] && nb.to < best[si])) {
         best[si] = nb.to;
@@ -52,9 +51,9 @@ graph::Graph theta_graph(const ubg::UbgInstance& inst, int k) {
   for (int u = 0; u < n; ++u) {
     std::vector<int> best(static_cast<std::size_t>(k), -1);
     std::vector<double> best_proj(static_cast<std::size_t>(k), 0.0);
-    const auto& pu = inst.points[static_cast<std::size_t>(u)];
+    const geom::Point pu = inst.points[u];
     for (const graph::Neighbor& nb : inst.g.neighbors(u)) {
-      const auto& pv = inst.points[static_cast<std::size_t>(nb.to)];
+      const geom::Point pv = inst.points[nb.to];
       if (geom::sq_distance(pu, pv) == 0.0) {  // no direction: keep outright
         out.add_edge(u, nb.to, nb.w);
         continue;
@@ -73,7 +72,7 @@ graph::Graph theta_graph(const ubg::UbgInstance& inst, int k) {
     }
     for (int s = 0; s < k; ++s) {
       const auto si = static_cast<std::size_t>(s);
-      if (best[si] != -1) out.add_edge(u, best[si], inst.dist(u, best[si]));
+      if (best[si] != -1) out.add_edge(u, best[si], inst.points.distance(u, best[si]));
     }
   }
   return out;

@@ -24,45 +24,52 @@ const CgMetrics& cg_metrics() {
   return m;
 }
 
-/// Per-center candidate harvest for the inter-cluster conditions — a pure
-/// function of (gp, cover, center, reach), so it can run on any worker.
-/// `cond1` carries (center b, sp(a,b)) pairs already filtered to b > a,
-/// b a center, sp <= W_{i-1}, in settle order; `cond2` carries one entry per
-/// member-edge crossing into a cluster with center b > a, in scan order,
-/// with the distance (kInf => retry with `retry_bound`). State-dependent
-/// dedup happens at commit time only.
-struct CenterHarvest {
-  struct Cond2 {
-    int b;
-    double d;
-    double retry_bound;
-  };
-  std::vector<std::pair<int, double>> cond1;
-  std::vector<Cond2> cond2;
+/// One row of a center a's harvest: center b > a and sp(a, b) (kInf =>
+/// retry with `retry_bound`).
+struct Candidate {
+  int b;
+  double d;
+  double retry_bound;
+};
 
-  void harvest(const graph::CsrView& gp, const ClusterCover& cover, std::span<const int> members,
-               int a, double w_prev, double reach, graph::DijkstraWorkspace& ws) {
-    cond1.clear();
-    cond2.clear();
-    // A center with no G'_{i-1} edge and no other member has a ball of {a}
-    // and no member edge to cross, so there is nothing to harvest. Early
-    // phases are mostly such singleton clusters.
-    if (gp.neighbors(a).empty() && members.size() == 1) return;
-    const graph::SpView sp = ws.bounded(gp, a, reach);
-    for (int v : sp.touched()) {
-      if (v <= a || cover.center_of[static_cast<std::size_t>(v)] != v) continue;
-      const double d = sp.dist(v);
-      if (d <= w_prev) cond1.push_back({v, d});
-    }
-    for (int u : members) {
-      for (const graph::Neighbor& nb : gp.neighbors(u)) {
-        const int b = cover.center_of[static_cast<std::size_t>(nb.to)];
-        if (b == a || b < a) continue;  // each unordered center pair once, from min center
-        cond2.push_back({b, sp.dist(b), 2.0 * cover.radius + nb.w + 1e-9});
-      }
+/// Center i's rows in its worker's buffer: cond-1 in [begin, mid), cond-2
+/// in [mid, end).
+struct Slice {
+  int worker = 0;
+  std::size_t begin = 0, mid = 0, end = 0;
+};
+
+/// One center's candidate harvest for the inter-cluster conditions — a pure
+/// function of (gp, cover, center, reach), so it can run on any worker.
+/// Cond-1 rows are the centers b > a with sp(a,b) <= W_{i-1}, in settle
+/// order; cond-2 rows are one per member-edge crossing into a cluster with
+/// center b > a, in scan order. State-dependent dedup happens at commit
+/// time only. Each worker appends its centers' rows to one flat buffer (a
+/// vector per center would cost allocations per center).
+void harvest_center(const graph::CsrView& gp, const ClusterCover& cover,
+                    std::span<const int> members, int a, double w_prev, double reach,
+                    graph::DijkstraWorkspace& ws, std::vector<Candidate>& buf, Slice& slice) {
+  slice.begin = slice.mid = slice.end = buf.size();
+  // A center with no G'_{i-1} edge and no other member has a ball of {a}
+  // and no member edge to cross, so there is nothing to harvest. Early
+  // phases are mostly such singleton clusters.
+  if (gp.neighbors(a).empty() && members.size() == 1) return;
+  const graph::SpView sp = ws.bounded(gp, a, reach);
+  for (int v : sp.touched()) {
+    if (v <= a || cover.center_of[static_cast<std::size_t>(v)] != v) continue;
+    const double d = sp.dist(v);
+    if (d <= w_prev) buf.push_back({v, d, 0.0});
+  }
+  slice.mid = buf.size();
+  for (int u : members) {
+    for (const graph::Neighbor& nb : gp.neighbors(u)) {
+      const int b = cover.center_of[static_cast<std::size_t>(nb.to)];
+      if (b == a || b < a) continue;  // each unordered center pair once, from min center
+      buf.push_back({b, sp.dist(b), 2.0 * cover.radius + nb.w + 1e-9});
     }
   }
-};
+  slice.end = buf.size();
+}
 
 }  // namespace
 
@@ -127,16 +134,33 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
     double bound;
   };
   std::vector<Retry> retries;
-  runtime::harvest_commit<CenterHarvest>(
+  // Parallel harvests keep every center's rows until the commits, so each
+  // worker's buffer starts at its share of the expected total: about one
+  // cond-1 row per center (Lemma 6 bounds a center's inter edges) and one
+  // cond-2 row per crossing G' edge. A build then allocates a fixed number
+  // of times, whatever n; a streamed pass holds one center's rows at a time.
+  const int workers = pool != nullptr ? pool->threads() : 1;
+  std::vector<std::vector<Candidate>> buffers(static_cast<std::size_t>(workers));
+  if (workers > 1) {
+    for (std::vector<Candidate>& buf : buffers) {
+      buf.reserve((static_cast<std::size_t>(nc) + gp.half_edges() / 2) /
+                  static_cast<std::size_t>(workers) + 1);
+    }
+  }
+  runtime::harvest_commit<Slice>(
       pool, ws, nc,
-      [&](graph::DijkstraWorkspace& hws, int, int i, CenterHarvest& h) {
+      [&](graph::DijkstraWorkspace& hws, int worker, int i, Slice& slice) {
         const int a = cover.centers[static_cast<std::size_t>(i)];
-        h.harvest(gp, cover, members(a), a, w_prev, reach, hws);
+        slice.worker = worker;
+        harvest_center(gp, cover, members(a), a, w_prev, reach, hws,
+                       buffers[static_cast<std::size_t>(worker)], slice);
       },
-      [&](int i, const CenterHarvest& h) {
+      [&](int i, const Slice& slice) {
         const int a = cover.centers[static_cast<std::size_t>(i)];
-        for (const auto& [b, d] : h.cond1) add_inter(a, b, d);
-        for (const CenterHarvest::Cond2& c : h.cond2) {
+        std::vector<Candidate>& buf = buffers[static_cast<std::size_t>(slice.worker)];
+        for (std::size_t k = slice.begin; k < slice.mid; ++k) add_inter(a, buf[k].b, buf[k].d);
+        for (std::size_t k = slice.mid; k < slice.end; ++k) {
+          const Candidate& c = buf[k];
           if (linked[static_cast<std::size_t>(c.b)] == a) continue;
           if (c.d == graph::kInf) {
             retries.push_back({a, c.b, c.retry_bound});
@@ -144,6 +168,11 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
           }
           add_inter(a, c.b, c.d);
         }
+        // A slice at its buffer's tail is consumed: a streamed (serial) pass
+        // commits each center right after its harvest, so its buffer stays
+        // one center's size. Parallel commits run in item order, so every
+        // earlier slice of the worker's chunk is consumed by then too.
+        if (slice.end == buf.size()) buf.resize(slice.begin);
       });
   // A retried pair was not committed in a's harvest: every crossing into b
   // read the same kInf, and cond-1 takes only reached centers. a's retries

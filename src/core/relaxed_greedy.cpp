@@ -22,7 +22,7 @@ CoveredCone::CoveredCone(double angle)
       cos_theta(std::cos(angle)),
       band(angle >= 0.0 && angle <= std::numbers::pi ? 1e-12 : graph::kInf) {}
 
-bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::CsrView& gp,
+bool is_covered_edge(const geom::Points& pts, double alpha, const graph::CsrView& gp,
                      const PhaseEdge& e, const CoveredCone& cone) {
   // Squared lengths order like lengths, so |uz| <= |uv| needs a sqrt only
   // when the squares say otherwise (sqrt may round them equal).
@@ -309,11 +309,11 @@ std::function<double(double)> make_transform(const RelaxedGreedyOptions& opts) {
 /// are harvested in parallel (dynamically scheduled — component sizes are
 /// skewed) and the spanner edges committed in component order, bit-identical
 /// to the serial path.
-PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoints& pts,
-                               const std::vector<graph::Edge>& bin0,
-                               const std::function<double(double)>& transform, const Params& params,
-                               int clique_cap, graph::Graph& spanner, int* component_count,
-                               graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
+PhaseStats process_short_edges(const ubg::UbgInstance& inst, const std::vector<graph::Edge>& bin0,
+                               const std::function<double(double)>& transform,
+                               const Params& params, int clique_cap, graph::Graph& spanner,
+                               int* component_count, graph::DijkstraWorkspace& ws,
+                               runtime::WorkerPool* pool) {
   PhaseStats st;
   st.bin = 0;
   st.w_hi = params.alpha / inst.g.n();
@@ -322,7 +322,7 @@ PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoi
   for (const graph::Edge& e : bin0) g0.add_edge(e.u, e.v, e.w);
   const std::vector<std::vector<int>> groups = graph::connected_components(g0).groups();
   const auto weight = [&](int u, int v) {
-    return transform(std::max(pts.distance(u, v), 1e-12));
+    return transform(std::max(inst.points.distance(u, v), 1e-12));
   };
   std::vector<const std::vector<int>*> work;
   for (const std::vector<int>& members : groups) {
@@ -377,12 +377,10 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
   // Shortest-path scratch for the whole run: one workspace (caller-owned
   // when opts.workspace is set, so repeated runs reuse the same buffers) and
   // one CSR snapshot of G'_{i-1} per phase for the read-heavy cover/cluster
-  // passes. The geometry is snapshotted once into flat SoA coordinate lanes
-  // for the filter/classify loops (bit-identical kernels — see SoaPoints).
+  // passes.
   graph::DijkstraWorkspace run_ws;
   graph::DijkstraWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : run_ws;
   graph::CsrView csr;
-  const graph::SoaPoints pts(inst.points);
 
   // Worker team for the embarrassingly parallel passes (null: serial).
   // Every result is bit-identical across thread counts — see
@@ -412,7 +410,7 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
   // Phase 0.
   {
     const obs::Span span(rg_metrics().phase0);
-    result.phases.push_back(process_short_edges(inst, pts, bins[0], transform, params,
+    result.phases.push_back(process_short_edges(inst, bins[0], transform, params,
                                                 opts.phase0_clique_cap, result.spanner,
                                                 &result.phase0_components, ws, pool));
     obs::counter_add(rg_metrics().edges_examined, result.phases.back().edges_in_bin);
@@ -468,10 +466,10 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
               c.status = kAlready;
               return;
             }
-            c.len = pts.distance(e.u, e.v);
+            c.len = inst.points.distance(e.u, e.v);
             if (opts.covered_edge_filter &&
-                detail::is_covered_edge(pts, inst.config.alpha, csr, {e.u, e.v, c.len, e.w},
-                                        cone)) {
+                detail::is_covered_edge(inst.points, inst.config.alpha, csr,
+                                        {e.u, e.v, c.len, e.w}, cone)) {
               c.status = kCovered;
             }
           },

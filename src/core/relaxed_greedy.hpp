@@ -25,8 +25,8 @@
 #include "cluster/cover.hpp"
 #include "core/bins.hpp"
 #include "core/params.hpp"
+#include "geom/point.hpp"
 #include "graph/graph.hpp"
-#include "graph/soa_points.hpp"
 #include "ubg/generator.hpp"
 
 namespace localspan::runtime {
@@ -160,11 +160,11 @@ struct CoveredCone {
 
 /// §2.2.2 part 1: the θ-cone covered test for one edge (Lemma 3 / Fig 1).
 /// True iff some z with {u,z} in gp, |vz| <= α and ∠vuz <= θ exists (or the
-/// symmetric condition at v). The geometry streams from the flat SoA
-/// coordinate lanes; `alpha` is the instance's UBG radius. The angle is
+/// symmetric condition at v). The geometry streams from the position
+/// store's flat rows; `alpha` is the instance's UBG radius. The angle is
 /// compared through its cosine, and acos runs only for a cosine within
 /// `band` of cos θ, so the answer is bit-identical to testing the angle.
-[[nodiscard]] bool is_covered_edge(const graph::SoaPoints& pts, double alpha,
+[[nodiscard]] bool is_covered_edge(const geom::Points& pts, double alpha,
                                    const graph::CsrView& gp, const PhaseEdge& e,
                                    const CoveredCone& cone);
 

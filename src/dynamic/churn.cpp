@@ -134,8 +134,7 @@ ChurnTrace random_waypoint(const ubg::UbgInstance& inst, const WaypointConfig& c
   state.reserve(static_cast<std::size_t>(movers));
   for (int k = 0; k < movers; ++k) {
     const int id = ids[static_cast<std::size_t>(k)];
-    state.push_back({id, inst.points[static_cast<std::size_t>(id)],
-                     uniform_point(rng, trace.dim, trace.side)});
+    state.push_back({id, inst.points[id], uniform_point(rng, trace.dim, trace.side)});
   }
 
   for (double now = cfg.sample_dt; now <= cfg.duration + 1e-12; now += cfg.sample_dt) {
@@ -166,15 +165,14 @@ ChurnTrace regional_failure(const ubg::UbgInstance& inst, const RegionalFailureC
   const geom::Point epicenter = uniform_point(rng, trace.dim, trace.side);
   std::vector<int> hit;
   for (int v = 0; v < inst.g.n(); ++v) {
-    if (geom::distance(inst.points[static_cast<std::size_t>(v)], epicenter) <= cfg.radius) {
+    if (geom::distance(inst.points.row(v), epicenter.coords()) <= cfg.radius) {
       hit.push_back(v);
     }
   }
   for (int v : hit) trace.events.push_back({cfg.fail_time, EventKind::kLeave, v, geom::Point(trace.dim)});
   if (cfg.rejoin) {
     for (int v : hit) {
-      trace.events.push_back(
-          {cfg.rejoin_time, EventKind::kJoin, v, inst.points[static_cast<std::size_t>(v)]});
+      trace.events.push_back({cfg.rejoin_time, EventKind::kJoin, v, inst.points[v]});
     }
   }
   return trace;

@@ -69,8 +69,8 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
       opts_(std::move(opts)),
       spanner_(0),
       // Cell side 1.0: connect_radius <= 1, so one adjacent-cell sweep
-      // covers every possible radio link.
-      grid_(inst_.config.dim, 1.0) {
+      // covers every possible radio link. Every initial node is live.
+      grid_(inst_.points, 1.0) {
   params_.validate();
   if (std::abs(params_.alpha - inst_.config.alpha) > 1e-12) {
     throw std::invalid_argument("DynamicSpanner: params.alpha != instance alpha");
@@ -91,9 +91,6 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
   }
   active_.assign(static_cast<std::size_t>(inst_.g.n()), 1);
   active_count_ = inst_.g.n();
-  for (int v = 0; v < inst_.g.n(); ++v) {
-    grid_.insert(v, inst_.points[static_cast<std::size_t>(v)]);
-  }
   scratch_in_scope_.assign(static_cast<std::size_t>(inst_.g.n()), 0);
   batch_owner_.assign(static_cast<std::size_t>(inst_.g.n()), -1);
   // Every relaxed_greedy run (local repairs and full recomputes) shares one
@@ -161,12 +158,11 @@ void DynamicSpanner::ensure_slot(int v) {
 }
 
 void DynamicSpanner::connect_neighbors(int node, std::vector<int>* touched) {
-  grid_.for_neighbors_within(inst_.points[static_cast<std::size_t>(node)], opts_.connect_radius,
-                             [&](int u, double d) {
-                               if (u == node) return;
-                               inst_.g.add_edge(node, u, std::max(d, 1e-12));
-                               touched->push_back(u);
-                             });
+  grid_.for_neighbors_within(node, opts_.connect_radius, [&](int u, double d) {
+    if (u == node) return;
+    inst_.g.add_edge(node, u, std::max(d, 1e-12));
+    touched->push_back(u);
+  });
 }
 
 void DynamicSpanner::check_position(const geom::Point& pos) const {
@@ -197,11 +193,10 @@ void DynamicSpanner::ingest_event(const ChurnEvent& ev, int* spanner_removed,
       if (is_active(ev.node)) throw std::invalid_argument("DynamicSpanner: join of a live node");
       check_position(ev.pos);
       ensure_slot(ev.node);
-      const auto slot = static_cast<std::size_t>(ev.node);
-      inst_.points[slot] = ev.pos;
-      active_[slot] = 1;
+      inst_.points.set(ev.node, ev.pos);
+      active_[static_cast<std::size_t>(ev.node)] = 1;
       ++active_count_;
-      grid_.insert(ev.node, ev.pos);
+      grid_.insert(ev.node);
       touched->push_back(ev.node);
       connect_neighbors(ev.node, touched);
       break;
@@ -214,11 +209,10 @@ void DynamicSpanner::ingest_event(const ChurnEvent& ev, int* spanner_removed,
         if (spanner_.remove_edge(ev.node, u)) ++*spanner_removed;
         touched->push_back(u);
       }
-      const auto slot = static_cast<std::size_t>(ev.node);
-      active_[slot] = 0;
+      active_[static_cast<std::size_t>(ev.node)] = 0;
       --active_count_;
       grid_.remove(ev.node);
-      inst_.points[slot] = parked_position(ev.node);
+      inst_.points.set(ev.node, parked_position(ev.node));
       break;
     }
     case EventKind::kMove: {
@@ -232,8 +226,8 @@ void DynamicSpanner::ingest_event(const ChurnEvent& ev, int* spanner_removed,
         if (spanner_.remove_edge(ev.node, u)) ++*spanner_removed;
         touched->push_back(u);
       }
-      inst_.points[static_cast<std::size_t>(ev.node)] = ev.pos;
-      grid_.move(ev.node, ev.pos);
+      inst_.points.set(ev.node, ev.pos);
+      grid_.move(ev.node);
       touched->push_back(ev.node);
       connect_neighbors(ev.node, touched);
       break;
@@ -555,10 +549,11 @@ void DynamicSpanner::repair_window(BatchStats* st) {
     if (sub_edges > 0) {
       // The α-UBG induced on the ball is itself a valid α-UBG over the
       // ball's points, so the whole static pipeline applies unchanged.
-      ubg::UbgInstance sub{inst_.config, {}, graph::Graph(static_cast<int>(rg.ball.size()))};
+      ubg::UbgInstance sub{inst_.config, geom::Points(inst_.points.dim()),
+                           graph::Graph(static_cast<int>(rg.ball.size()))};
       sub.config.n = static_cast<int>(rg.ball.size());
-      sub.points.reserve(rg.ball.size());
-      for (int v : rg.ball) sub.points.push_back(inst_.points[static_cast<std::size_t>(v)]);
+      sub.points.reserve(sub.config.n);
+      for (int v : rg.ball) sub.points.push_back(inst_.points.row(v));
       for (int v : rg.ball) {
         for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
           if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) {

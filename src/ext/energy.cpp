@@ -16,7 +16,7 @@ graph::Graph energy_reweight(const ubg::UbgInstance& inst, const graph::Graph& g
   const auto transform = energy_transform(c, gamma);
   graph::Graph out(g.n());
   for (const graph::Edge& e : g.edges()) {
-    out.add_edge(e.u, e.v, transform(std::max(inst.dist(e.u, e.v), 1e-12)));
+    out.add_edge(e.u, e.v, transform(std::max(inst.points.distance(e.u, e.v), 1e-12)));
   }
   return out;
 }

@@ -1,6 +1,6 @@
 #pragma once
 /// \file grid.hpp
-/// Mutable spatial hash grid over d-dimensional points.
+/// Mutable spatial hash grid over the vertices of a position store.
 ///
 /// Building the α-UBG edge set naively costs Θ(n²) distance checks; with
 /// points bucketed into axis-aligned cells of side `cell`, all neighbors at
@@ -9,15 +9,14 @@
 /// evaluation. This mirrors the "cells intersecting the unit ball" device in
 /// the degree proof (Theorem 11, Fig 4).
 ///
-/// The one index serves both uses: the static builders (make_ubg, the
-/// gray-zone check, the Gabriel and RNG baselines) insert points[0..n) in id
-/// order, so every bucket lists its ids ascending, and enumerate each
-/// point's neighbors; the dynamic-topology engine inserts, removes and moves
-/// points one event at a time (O(1) expected each), so a churn event's
-/// neighbor discovery costs the 3^d adjacent cells instead of an Ω(n) scan.
-///
-/// Ids are the caller's slot ids (non-negative, sparse-friendly: storage is
-/// indexed by id, so keep ids dense-ish).
+/// The grid indexes vertex ids and reads their positions from the
+/// `geom::Points` store it was built over; it keeps no copy. It starts with
+/// every vertex indexed in id order, so every bucket lists its ids
+/// ascending. The static builders (make_ubg, the gray-zone check, the
+/// Gabriel and RNG baselines) then enumerate each vertex's neighbors; the
+/// dynamic-topology engine removes, re-inserts and moves vertices one event
+/// at a time (O(1) expected each), so a churn event's neighbor discovery
+/// costs the 3^d adjacent cells instead of an Ω(n) scan.
 
 #include <array>
 #include <cmath>
@@ -32,60 +31,55 @@ namespace localspan::geom {
 
 class Grid {
  public:
-  /// \param dim   point dimension (2..kMaxDim).
+  /// Index every row of `points` under its id, in id order. `points` must
+  /// outlive the grid; it may grow, and a caller that rewrites a row of an
+  /// indexed id calls move() (or removes the id first).
   /// \param cell  cell side; queries are supported up to this radius.
-  /// \throws std::invalid_argument on bad dimension or non-positive cell.
-  Grid(int dim, double cell);
+  /// \throws std::invalid_argument on a non-positive cell.
+  Grid(const Points& points, double cell);
 
-  /// Index points[i] under id i, in id order, so every bucket lists its ids
-  /// ascending. The dimension is the points' own (an empty set gives an
-  /// empty 2-d grid). \throws std::invalid_argument on mixed dimensions or a
-  /// non-positive cell.
-  Grid(const std::vector<Point>& points, double cell);
-
-  /// Index `id` at position p. \throws std::invalid_argument if `id` is
-  /// negative, already present, or p's dimension mismatches.
-  void insert(int id, const Point& p);
+  /// Index `id` at its stored position. \throws std::invalid_argument if
+  /// `id` has no row or is already present.
+  void insert(int id);
 
   /// Drop `id`. \throws std::invalid_argument if absent.
   void remove(int id);
 
-  /// Re-index `id` at its new position (equivalent to remove + insert, but
-  /// skips the bucket churn when the cell is unchanged).
-  void move(int id, const Point& p);
+  /// Re-index `id` at its rewritten position (equivalent to remove + insert,
+  /// but skips the bucket churn when the cell is unchanged).
+  /// \throws std::invalid_argument if absent.
+  void move(int id);
 
   [[nodiscard]] bool contains(int id) const;
   [[nodiscard]] int size() const noexcept { return count_; }
   [[nodiscard]] double cell() const noexcept { return cell_; }
-  [[nodiscard]] int dim() const noexcept { return dim_; }
+  [[nodiscard]] int dim() const noexcept { return pts_->dim(); }
 
-  /// Invoke `fn(id, dist)` for every indexed point within `radius` of p
-  /// (including an indexed point at p itself — callers filter their own id).
+  /// Invoke `fn(j, dist)` for every indexed vertex j within `radius` of
+  /// vertex `id`'s position (`id` itself included when indexed, and any
+  /// vertex at the same position — callers filter their own id).
   /// Cells are visited in a fixed order and each bucket in insertion order,
   /// so the enumeration is deterministic. Requires radius <= cell().
   /// \throws std::invalid_argument otherwise. Templated on the callback:
   /// this is the per-event hot path, so the capture stays on the stack (no
   /// std::function type erasure).
   template <typename Fn>
-  void for_neighbors_within(const Point& p, double radius, Fn&& fn) const {
+  void for_neighbors_within(int id, double radius, Fn&& fn) const {
     if (radius > cell_ * (1.0 + 1e-12)) {
       throw std::invalid_argument("Grid::for_neighbors_within: radius exceeds cell size");
     }
-    check_point(p);
     const double r2 = radius * radius;
-    for_each_adjacent_cell(p, [&](std::uint64_t key) {
+    for_each_adjacent_cell(pts_->row(id), [&](std::uint64_t key) {
       auto it = buckets_.find(key);
       if (it == buckets_.end()) return;
       for (int j : it->second) {
-        const double d2 = sq_distance(p, pos_[static_cast<std::size_t>(j)]);
+        const double d2 = pts_->sq_distance(id, j);
         if (d2 <= r2) fn(j, std::sqrt(d2));
       }
     });
   }
 
  private:
-  void check_point(const Point& p) const;
-
   // Cell keys: the d integer cell coordinates mixed into one 64-bit key.
   // Coordinates may be negative (dynamic slots park departed nodes on the
   // negative side of axis 0); exact collisions across distant cells are
@@ -100,27 +94,29 @@ class Grid {
   }
 
   /// Key of the cell containing p.
-  [[nodiscard]] std::uint64_t key_of(const Point& p) const;
+  [[nodiscard]] std::uint64_t key_of(Row p) const;
 
   /// Invoke `fn(key)` for each of the 3^dim cells adjacent to (and
   /// including) p's cell — every point within distance `cell` of p lies in
   /// one of them.
   template <typename Fn>
-  void for_each_adjacent_cell(const Point& p, Fn&& fn) const {
+  void for_each_adjacent_cell(Row p, Fn&& fn) const {
+    const int dim = pts_->dim();
     std::array<std::int64_t, kMaxDim> base{};
-    for (int k = 0; k < dim_; ++k) {
-      base[static_cast<std::size_t>(k)] = static_cast<std::int64_t>(std::floor(p[k] / cell_));
+    for (int k = 0; k < dim; ++k) {
+      base[static_cast<std::size_t>(k)] =
+          static_cast<std::int64_t>(std::floor(p[static_cast<std::size_t>(k)] / cell_));
     }
     std::array<int, kMaxDim> off{};
     off.fill(-1);
     while (true) {
       std::uint64_t h = kHashBasis;
-      for (int k = 0; k < dim_; ++k) {
+      for (int k = 0; k < dim; ++k) {
         h = hash_combine(h, base[static_cast<std::size_t>(k)] + off[static_cast<std::size_t>(k)]);
       }
       fn(h);
       int k = 0;
-      for (; k < dim_; ++k) {
+      for (; k < dim; ++k) {
         auto& o = off[static_cast<std::size_t>(k)];
         if (o < 1) {
           ++o;
@@ -128,17 +124,16 @@ class Grid {
         }
         o = -1;
       }
-      if (k == dim_) break;
+      if (k == dim) break;
     }
   }
 
-  int dim_;
+  const Points* pts_;
   double cell_;
   int count_ = 0;
   std::unordered_map<std::uint64_t, std::vector<int>> buckets_;
-  std::vector<char> present_;          // by id
-  std::vector<Point> pos_;             // by id (valid while present)
-  std::vector<std::uint64_t> key_;     // by id: bucket key (valid while present)
+  std::vector<char> present_;       // by id
+  std::vector<std::uint64_t> key_;  // by id: bucket key (valid while present)
 };
 
 }  // namespace localspan::geom

@@ -50,8 +50,9 @@
 /// offsets-plus-flat-neighbor-array adjacency (a Graph snapshot, or an edge
 /// list laid out), so loops that sweep many adjacency lists (metrics, covers,
 /// cluster graphs) stop chasing one heap pointer per vertex of `vector<vector<Neighbor>>`.
-/// `SoaPoints` (soa_points.hpp) does the same for the geometry: positions in
-/// a flat structure-of-arrays buffer instead of one 72-byte Point per node.
+/// The geometry has the same layout on its own: `geom::Points`
+/// (geom/point.hpp) keeps every position in one flat dim-strided buffer,
+/// which `EuclideanPotential` reads in place.
 
 #include <algorithm>
 #include <atomic>
@@ -65,8 +66,8 @@
 #include <utility>
 #include <vector>
 
+#include "geom/point.hpp"
 #include "graph/graph.hpp"
-#include "graph/soa_points.hpp"
 
 namespace localspan::graph {
 
@@ -173,7 +174,7 @@ struct NoTargets {};
 /// edge, the triangle inequality makes h a lower bound on sp(x, goal) for any
 /// edge weights, Euclidean or not. Build it with `euclidean_potential`.
 struct EuclideanPotential {
-  const SoaPoints* pts;
+  const geom::Points* pts;
   double rho;
   double operator()(int v, int goal) const noexcept { return rho * pts->distance(v, goal); }
 };
@@ -182,8 +183,8 @@ struct EuclideanPotential {
 /// gives ρ = 0), shaved by 1e-12 so rounding cannot lift h above sp.
 /// \throws std::invalid_argument when `pts` does not have one row per vertex.
 template <class G>
-EuclideanPotential euclidean_potential(const G& g, const SoaPoints& pts) {
-  if (pts.n() != g.n()) throw std::invalid_argument("euclidean_potential: size mismatch");
+EuclideanPotential euclidean_potential(const G& g, const geom::Points& pts) {
+  if (pts.size() != g.n()) throw std::invalid_argument("euclidean_potential: size mismatch");
   double rho = kInf;
   for (int u = 0; u < g.n(); ++u) {
     for (const Neighbor& nb : g.neighbors(u)) {

@@ -13,6 +13,7 @@
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -117,8 +118,9 @@ void write_instance(std::ostream& os, const ubg::UbgInstance& inst) {
   os << kMagic << " v" << kVersion << "\n";
   os << c.n << ' ' << c.dim << ' ' << c.alpha << ' ' << c.side << ' ' << c.target_degree << ' '
      << placement_to_int(c.placement) << ' ' << c.seed << "\n";
-  for (const auto& p : inst.points) {
-    for (int k = 0; k < p.dim(); ++k) os << (k ? " " : "") << p[k];
+  for (int v = 0; v < inst.points.size(); ++v) {
+    const char* sep = "";
+    for (const double x : inst.points.row(v)) os << std::exchange(sep, " ") << x;
     os << "\n";
   }
   os << inst.g.m() << "\n";
@@ -150,13 +152,13 @@ ubg::UbgInstance read_instance(std::istream& is) {
   cfg.placement = placement_from_int(placement_code);
   expect(cfg.n > 0 && cfg.dim >= 2 && cfg.dim <= geom::kMaxDim, "config ranges");
 
-  ubg::UbgInstance inst{cfg, {}, graph::Graph(cfg.n)};
-  inst.points.reserve(static_cast<std::size_t>(cfg.n));
-  for (int i = 0; i < cfg.n; ++i) {
-    geom::Point p(cfg.dim);
-    for (int k = 0; k < cfg.dim; ++k) p[k] = read_number<double>(in, "point coordinate");
-    inst.points.push_back(p);
+  // Storage follows the coordinates actually read, not the n the header
+  // claims: the graph is sized only once all n·dim of them have parsed.
+  std::vector<double> coords;
+  for (long long i = 0, count = static_cast<long long>(cfg.n) * cfg.dim; i < count; ++i) {
+    coords.push_back(read_number<double>(in, "point coordinate"));
   }
+  ubg::UbgInstance inst{cfg, geom::Points(cfg.dim, std::move(coords)), graph::Graph(cfg.n)};
   const int m = read_number<int>(in, "edge count");
   expect(m >= 0, "edge count");
   const auto bad = [](int i, int u, int v, const char* why) {
@@ -202,7 +204,7 @@ void write_dot(std::ostream& os, const ubg::UbgInstance& inst, const graph::Grap
   // neato -n2 respects pos="x,y!"; scale up for readability.
   const double scale = 100.0;
   for (int v = 0; v < topo.n(); ++v) {
-    const auto& p = inst.points[static_cast<std::size_t>(v)];
+    const geom::Row p = inst.points.row(v);
     os << "  " << v << " [pos=\"" << p[0] * scale << ',' << p[1] * scale << "!\"];\n";
   }
   for (const graph::Edge& e : topo.edges()) {

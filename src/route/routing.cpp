@@ -4,9 +4,7 @@
 #include <random>
 #include <stdexcept>
 
-#include "geom/point.hpp"
 #include "graph/components.hpp"
-#include "graph/soa_points.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -27,12 +25,11 @@ const RouteMetrics& route_metrics() {
   return m;
 }
 
-/// The forwarding walk, shared between the Graph and CsrView entry points
-/// (identical code, so identical routes).
-template <class G>
-RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s, int d,
-                              Forwarding rule, int max_hops) {
-  if (static_cast<std::size_t>(topo.n()) != inst.points.size()) {
+}  // namespace
+
+RouteResult route_packet(const ubg::UbgInstance& inst, const graph::CsrView& topo, int s, int d,
+                         Forwarding rule, int max_hops) {
+  if (topo.n() != inst.points.size()) {
     throw std::invalid_argument("route_packet: topology and instance sizes differ");
   }
   if (s < 0 || s >= topo.n() || d < 0 || d >= topo.n()) {
@@ -42,7 +39,7 @@ RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s
   res.path.push_back(s);
   int cur = s;
   while (cur != d && res.hops < max_hops) {
-    const double here = inst.dist(cur, d);
+    const double here = inst.points.distance(cur, d);
     int best = -1;
     double best_key = 0.0;
     double best_w = 0.0;
@@ -54,15 +51,13 @@ RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s
       }
       double key = 0.0;
       if (rule == Forwarding::kGreedy) {
-        key = inst.dist(nb.to, d);
+        key = inst.points.distance(nb.to, d);
         if (key >= here) continue;  // must make geometric progress
       } else {
         // Compass: smallest angle to the cur->d ray, progress-gated the same
         // way to guarantee termination on arbitrary graphs.
-        if (inst.dist(nb.to, d) >= here) continue;
-        key = geom::angle_at(inst.points[static_cast<std::size_t>(cur)],
-                             inst.points[static_cast<std::size_t>(d)],
-                             inst.points[static_cast<std::size_t>(nb.to)]);
+        if (inst.points.distance(nb.to, d) >= here) continue;
+        key = inst.points.angle_at(cur, d, nb.to);
       }
       if (best == -1 || key < best_key) {
         best = nb.to;
@@ -71,7 +66,7 @@ RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s
       }
     }
     if (best == -1) return res;  // local minimum: undeliverable by this rule
-    res.length += inst.dist(cur, best);
+    res.length += inst.points.distance(cur, best);
     res.weight += best_w;
     cur = best;
     res.path.push_back(cur);
@@ -81,23 +76,11 @@ RouteResult route_packet_impl(const ubg::UbgInstance& inst, const G& topo, int s
   return res;
 }
 
-}  // namespace
-
-RouteResult route_packet(const ubg::UbgInstance& inst, const graph::Graph& topo, int s, int d,
-                         Forwarding rule, int max_hops) {
-  return route_packet_impl(inst, topo, s, d, rule, max_hops);
-}
-
-RouteResult route_packet(const ubg::UbgInstance& inst, const graph::CsrView& topo, int s, int d,
-                         Forwarding rule, int max_hops) {
-  return route_packet_impl(inst, topo, s, d, rule, max_hops);
-}
-
 RoutingStats evaluate_routing(const ubg::UbgInstance& inst, const graph::CsrView& topo,
                               Forwarding rule, int trials, std::uint64_t seed,
                               graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
   if (trials <= 0) throw std::invalid_argument("evaluate_routing: trials must be positive");
-  if (topo.n() == 0 || static_cast<std::size_t>(topo.n()) != inst.points.size()) {
+  if (topo.n() == 0 || topo.n() != inst.points.size()) {
     throw std::invalid_argument("evaluate_routing: topology must span the instance's points");
   }
   const obs::Span span(route_metrics().evaluate);
@@ -130,12 +113,11 @@ RoutingStats evaluate_routing(const ubg::UbgInstance& inst, const graph::CsrView
   // Per pair: the forwarding walk, then the exact goal-directed sp(s, d)
   // that prices a delivered route, bounded by the route's own weight. Both
   // are pure functions of the frozen snapshot, so the pool cannot change them.
-  const graph::SoaPoints pts(inst.points);
-  const graph::EuclideanPotential h = graph::euclidean_potential(topo, pts);
+  const graph::EuclideanPotential h = graph::euclidean_potential(topo, inst.points);
   runtime::for_each_with_workspace(
       pool, ws, 0, static_cast<int>(batch.size()), [&](graph::DijkstraWorkspace& wws, int i) {
         Trial& t = batch[static_cast<std::size_t>(i)];
-        t.route = route_packet_impl(inst, topo, t.s, t.d, rule, 10000);
+        t.route = route_packet(inst, topo, t.s, t.d, rule);
         if (t.route.delivered) t.sp = wws.distance(topo, t.s, t.d, t.route.weight, h);
       });
   RoutingStats st;
@@ -160,13 +142,6 @@ RoutingStats evaluate_routing(const ubg::UbgInstance& inst, const graph::CsrView
     st.mean_route_stretch = stretch_sum / st.delivered;
   }
   return st;
-}
-
-RoutingStats evaluate_routing(const ubg::UbgInstance& inst, const graph::Graph& topo,
-                              Forwarding rule, int trials, std::uint64_t seed) {
-  const graph::CsrView csr(topo);
-  graph::DijkstraWorkspace ws(topo.n());
-  return evaluate_routing(inst, csr, rule, trials, seed, ws, nullptr);
 }
 
 }  // namespace localspan::route

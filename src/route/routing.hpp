@@ -37,17 +37,11 @@ struct RouteResult {
   std::vector<int> path;     ///< visited vertices, starting at the source.
 };
 
-/// Route one packet from s to d over `topo` using the given rule. The packet
-/// fails (delivered=false) at a local minimum — a node with no neighbor
-/// making progress — or after `max_hops`.
+/// Route one packet from s to d over the frozen CSR snapshot `topo` using
+/// the given rule. The packet fails (delivered=false) at a local minimum — a
+/// node with no neighbor making progress — or after `max_hops`.
 /// \throws std::invalid_argument on an endpoint out of range or when `topo`
 /// and `inst.points` differ in size.
-[[nodiscard]] RouteResult route_packet(const ubg::UbgInstance& inst, const graph::Graph& topo,
-                                       int s, int d, Forwarding rule, int max_hops = 10000);
-
-/// Same walk on a frozen CSR snapshot — the form the serving read side and
-/// the warmed evaluation harness use (identical output; the snapshot just
-/// removes the per-vertex pointer chase).
 [[nodiscard]] RouteResult route_packet(const ubg::UbgInstance& inst, const graph::CsrView& topo,
                                        int s, int d, Forwarding rule, int max_hops = 10000);
 
@@ -77,10 +71,5 @@ struct RoutingStats {
                                             int trials, std::uint64_t seed,
                                             graph::DijkstraWorkspace& ws,
                                             runtime::WorkerPool* pool = nullptr);
-
-/// Convenience form: snapshots `topo` and builds a workspace per call.
-[[nodiscard]] RoutingStats evaluate_routing(const ubg::UbgInstance& inst,
-                                            const graph::Graph& topo, Forwarding rule,
-                                            int trials, std::uint64_t seed);
 
 }  // namespace localspan::route

@@ -76,7 +76,6 @@ std::uint64_t QueryEngine::publish(const dynamic::DynamicSpanner& engine) {
   auto snap = std::make_unique<TopologySnapshot>();
   snap->csr.assign(engine.spanner());
   snap->n = snap->csr.n();
-  snap->points = engine.instance().points;
   snap->active.resize(static_cast<std::size_t>(snap->n));
   for (int v = 0; v < snap->n; ++v) {
     snap->active[static_cast<std::size_t>(v)] = engine.is_active(v) ? 1 : 0;
@@ -85,15 +84,10 @@ std::uint64_t QueryEngine::publish(const dynamic::DynamicSpanner& engine) {
   return publish_snapshot(std::move(snap));
 }
 
-std::uint64_t QueryEngine::publish(const graph::Graph& spanner,
-                                   const std::vector<geom::Point>& points, double stretch_t) {
-  if (static_cast<int>(points.size()) != spanner.n()) {
-    throw std::invalid_argument("QueryEngine::publish: points/spanner size mismatch");
-  }
+std::uint64_t QueryEngine::publish(const graph::Graph& spanner, double stretch_t) {
   auto snap = std::make_unique<TopologySnapshot>();
   snap->csr.assign(spanner);
   snap->n = snap->csr.n();
-  snap->points = points;
   snap->active.assign(static_cast<std::size_t>(snap->n), 1);
   snap->stretch_t = stretch_t;
   return publish_snapshot(std::move(snap));

@@ -8,8 +8,8 @@
 ///   ─────────────                         ──────────────────────────
 ///   DynamicSpanner::apply_batch(window)   Reader r = engine.reader();
 ///     └─ commit hook ──► QueryEngine::    r.distance(u, v) / r.route(u, v)
-///        publish: freeze CsrView, copy      └─ pin current snapshot
-///        positions, build RoutingOracle,       (SnapshotStore::acquire),
+///        publish: freeze CsrView and        └─ pin current snapshot
+///        liveness, build RoutingOracle,        (SnapshotStore::acquire),
 ///        SnapshotStore::publish (pointer       answer from oracle labels or
 ///        flip + grace-period reclaim)          exact-Dijkstra fallback, unpin
 ///
@@ -61,8 +61,7 @@ class QueryEngine {
   std::uint64_t publish(const dynamic::DynamicSpanner& engine);
 
   /// Publish a static spanner (benches, tests): every vertex active.
-  std::uint64_t publish(const graph::Graph& spanner, const std::vector<geom::Point>& points,
-                        double stretch_t);
+  std::uint64_t publish(const graph::Graph& spanner, double stretch_t);
 
   /// Wire the engine's commit hook to republish here on every window
   /// commit. The hook holds a reference to this QueryEngine — detach (or

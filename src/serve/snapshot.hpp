@@ -4,9 +4,9 @@
 /// multi-reader store with grace-period reclamation.
 ///
 /// A `TopologySnapshot` is an immutable bundle of everything a reader
-/// thread needs to answer queries — frozen `CsrView` adjacency, vertex
-/// positions, liveness flags and the prebuilt `RoutingOracle` — stamped
-/// with a monotonically increasing epoch. The writer (the thread driving
+/// thread needs to answer queries — frozen `CsrView` adjacency, liveness
+/// flags and the prebuilt `RoutingOracle` — stamped with a monotonically
+/// increasing epoch. The writer (the thread driving
 /// `DynamicSpanner`) builds the next snapshot off to the side, then
 /// publishes it with one atomic pointer flip; readers that were routing on
 /// snapshot N keep doing so undisturbed while new acquisitions see N+1.
@@ -46,7 +46,6 @@
 #include <mutex>
 #include <vector>
 
-#include "geom/point.hpp"
 #include "graph/sp_workspace.hpp"
 #include "serve/oracle.hpp"
 
@@ -56,10 +55,9 @@ namespace localspan::serve {
 struct TopologySnapshot {
   std::uint64_t epoch = 0;  ///< assigned by SnapshotStore::publish.
   int n = 0;
-  graph::CsrView csr;              ///< frozen spanner adjacency.
-  std::vector<geom::Point> points;  ///< positions at publish time.
-  std::vector<char> active;         ///< liveness flag per vertex.
-  double stretch_t = 0.0;           ///< spanner stretch target (1 + eps).
+  graph::CsrView csr;         ///< frozen spanner adjacency.
+  std::vector<char> active;   ///< liveness flag per vertex.
+  double stretch_t = 0.0;     ///< spanner stretch target (1 + eps).
   RoutingOracle oracle;
 
   /// Integrity stamp over the scalar fields, written as the last step of
@@ -70,7 +68,6 @@ struct TopologySnapshot {
   [[nodiscard]] std::uint64_t compute_checksum() const noexcept {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ epoch;
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(n);
-    h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(points.size());
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(active.size());
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(oracle.levels());
     h = h * 0x100000001b3ULL ^ static_cast<std::uint64_t>(oracle.total_label_entries());

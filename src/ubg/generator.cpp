@@ -5,6 +5,8 @@
 #include <numbers>
 #include <random>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "geom/grid.hpp"
 
@@ -25,35 +27,29 @@ double auto_side(const UbgConfig& cfg) {
   return std::max(1.0, std::pow(volume_needed, 1.0 / cfg.dim));
 }
 
-std::vector<geom::Point> place_points(const UbgConfig& cfg, double side) {
+/// The positions, drawn coordinate by coordinate into one flat buffer.
+geom::Points place_points(const UbgConfig& cfg, double side) {
   std::mt19937_64 rng(cfg.seed);
   std::uniform_real_distribution<double> unit(0.0, side);
-  std::vector<geom::Point> pts;
-  pts.reserve(static_cast<std::size_t>(cfg.n));
+  std::vector<double> coords;
+  coords.reserve(static_cast<std::size_t>(cfg.n) * static_cast<std::size_t>(cfg.dim));
   switch (cfg.placement) {
     case Placement::kUniform: {
-      for (int i = 0; i < cfg.n; ++i) {
-        geom::Point p(cfg.dim);
-        for (int k = 0; k < cfg.dim; ++k) p[k] = unit(rng);
-        pts.push_back(p);
-      }
+      for (int i = 0; i < cfg.n * cfg.dim; ++i) coords.push_back(unit(rng));
       break;
     }
     case Placement::kClustered: {
       const int hubs = std::max(1, cfg.n / 48);
-      std::vector<geom::Point> centers;
-      for (int h = 0; h < hubs; ++h) {
-        geom::Point c(cfg.dim);
-        for (int k = 0; k < cfg.dim; ++k) c[k] = unit(rng);
-        centers.push_back(c);
-      }
+      std::vector<double> centers;
+      for (int i = 0; i < hubs * cfg.dim; ++i) centers.push_back(unit(rng));
       std::normal_distribution<double> blob(0.0, cfg.alpha);
       std::uniform_int_distribution<int> pick(0, hubs - 1);
       for (int i = 0; i < cfg.n; ++i) {
-        const geom::Point& c = centers[static_cast<std::size_t>(pick(rng))];
-        geom::Point p(cfg.dim);
-        for (int k = 0; k < cfg.dim; ++k) p[k] = std::clamp(c[k] + blob(rng), 0.0, side);
-        pts.push_back(p);
+        const auto c = static_cast<std::size_t>(pick(rng) * cfg.dim);
+        for (int k = 0; k < cfg.dim; ++k) {
+          const double x = centers[c + static_cast<std::size_t>(k)] + blob(rng);
+          coords.push_back(std::clamp(x, 0.0, side));
+        }
       }
       break;
     }
@@ -65,15 +61,13 @@ std::vector<geom::Point> place_points(const UbgConfig& cfg, double side) {
       const double length = std::pow(side, cfg.dim) / std::pow(width, cfg.dim - 1);
       std::uniform_real_distribution<double> along(0.0, length);
       for (int i = 0; i < cfg.n; ++i) {
-        geom::Point p(cfg.dim);
-        p[0] = along(rng);
-        for (int k = 1; k < cfg.dim; ++k) p[k] = across(rng);
-        pts.push_back(p);
+        coords.push_back(along(rng));
+        for (int k = 1; k < cfg.dim; ++k) coords.push_back(across(rng));
       }
       break;
     }
   }
-  return pts;
+  return geom::Points(cfg.dim, std::move(coords));
 }
 
 }  // namespace
@@ -95,7 +89,7 @@ UbgInstance make_ubg(const UbgConfig& cfg, const GrayZonePolicy& policy) {
 
   const geom::Grid grid(inst.points, 1.0);
   for (int u = 0; u < cfg.n; ++u) {
-    grid.for_neighbors_within(inst.points[static_cast<std::size_t>(u)], 1.0, [&](int v, double d) {
+    grid.for_neighbors_within(u, 1.0, [&](int v, double d) {
       if (v <= u) return;
       if (d <= cfg.alpha || policy.connect(u, v, d)) {
         // Zero-distance duplicates would make an illegal zero-weight edge;
@@ -116,7 +110,7 @@ bool is_valid_ubg(const UbgInstance& inst) {
   const int n = inst.g.n();
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
-      const double d = inst.dist(u, v);
+      const double d = inst.points.distance(u, v);
       const bool e = inst.g.has_edge(u, v);
       if (d <= inst.config.alpha && !e) return false;
       if (d > 1.0 && e) return false;

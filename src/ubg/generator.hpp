@@ -7,10 +7,10 @@
 /// d-dimensional box by one of three deployment models, edges follow the
 /// α-UBG rule with a pluggable gray-zone policy, and edge weights are the
 /// pairwise Euclidean distances (the only geometric information the
-/// algorithm is allowed to use).
+/// algorithm is allowed to use). The positions are drawn straight into the
+/// instance's one `geom::Points` store; every layer reads them there.
 
 #include <cstdint>
-#include <vector>
 
 #include "geom/point.hpp"
 #include "graph/graph.hpp"
@@ -38,17 +38,13 @@ struct UbgConfig {
 };
 
 /// A generated network: node positions plus the α-UBG with Euclidean weights.
+/// The algorithm layers read the geometry through `points.distance(u, v)`
+/// (and the cone test's `points.cos_at`): the model gives them pairwise
+/// distances and nothing else.
 struct UbgInstance {
   UbgConfig config;
-  std::vector<geom::Point> points;
+  geom::Points points;
   graph::Graph g;
-
-  /// Euclidean distance between nodes u and v (convenience accessor used by
-  /// all algorithm layers; the model gives algorithms pairwise distances).
-  [[nodiscard]] double dist(int u, int v) const {
-    return geom::distance(points[static_cast<std::size_t>(u)],
-                          points[static_cast<std::size_t>(v)]);
-  }
 };
 
 /// Generate an instance. \throws std::invalid_argument on invalid config

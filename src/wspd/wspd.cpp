@@ -6,16 +6,16 @@
 
 namespace localspan::wspd {
 
-SplitTree::SplitTree(const std::vector<geom::Point>& pts) : pts_(&pts) {
+SplitTree::SplitTree(const geom::Points& pts) : pts_(&pts) {
   if (pts.empty()) throw std::invalid_argument("SplitTree: empty point set");
-  std::vector<int> idx(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) idx[i] = static_cast<int>(i);
-  nodes_.reserve(2 * pts.size());
+  std::vector<int> idx(static_cast<std::size_t>(pts.size()));
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
+  nodes_.reserve(2 * idx.size());
   root_ = build(std::move(idx));
 }
 
 int SplitTree::build(std::vector<int> idx) {
-  const int dim = (*pts_)[0].dim();
+  const int dim = pts_->dim();
   Node nd;
   nd.lo = geom::Point(dim);
   nd.hi = geom::Point(dim);
@@ -24,10 +24,10 @@ int SplitTree::build(std::vector<int> idx) {
     nd.hi[k] = -1e300;
   }
   for (int i : idx) {
-    const geom::Point& p = (*pts_)[static_cast<std::size_t>(i)];
+    const geom::Row p = pts_->row(i);
     for (int k = 0; k < dim; ++k) {
-      nd.lo[k] = std::min(nd.lo[k], p[k]);
-      nd.hi[k] = std::max(nd.hi[k], p[k]);
+      nd.lo[k] = std::min(nd.lo[k], p[static_cast<std::size_t>(k)]);
+      nd.hi[k] = std::max(nd.hi[k], p[static_cast<std::size_t>(k)]);
     }
   }
   nd.rep = idx.front();
@@ -52,7 +52,7 @@ int SplitTree::build(std::vector<int> idx) {
   std::vector<int> left_idx;
   std::vector<int> right_idx;
   for (int i : idx) {
-    ((*pts_)[static_cast<std::size_t>(i)][axis] <= mid ? left_idx : right_idx).push_back(i);
+    (pts_->row(i)[static_cast<std::size_t>(axis)] <= mid ? left_idx : right_idx).push_back(i);
   }
   // The bounding box is tight, so both sides are nonempty when longest > 0.
   const int l = build(std::move(left_idx));
@@ -63,25 +63,16 @@ int SplitTree::build(std::vector<int> idx) {
   return static_cast<int>(nodes_.size()) - 1;
 }
 
-double SplitTree::radius(int i) const {
-  const Node& nd = node(i);
-  double s = 0.0;
-  for (int k = 0; k < nd.lo.dim(); ++k) {
-    const double side = nd.hi[k] - nd.lo[k];
-    s += side * side;
-  }
-  return 0.5 * std::sqrt(s);
-}
+double SplitTree::radius(int i) const { return 0.5 * geom::distance(node(i).lo, node(i).hi); }
 
 double SplitTree::center_distance(int a, int b) const {
-  const Node& na = node(a);
-  const Node& nb = node(b);
-  double s = 0.0;
-  for (int k = 0; k < na.lo.dim(); ++k) {
-    const double d = 0.5 * (na.lo[k] + na.hi[k]) - 0.5 * (nb.lo[k] + nb.hi[k]);
-    s += d * d;
-  }
-  return std::sqrt(s);
+  const auto center = [this](int i) {
+    const Node& nd = node(i);
+    geom::Point c(nd.lo.dim());
+    for (int k = 0; k < c.dim(); ++k) c[k] = 0.5 * (nd.lo[k] + nd.hi[k]);
+    return c;
+  };
+  return geom::distance(center(a), center(b));
 }
 
 double SplitTree::box_distance(int a, int b) const {
@@ -139,18 +130,16 @@ std::vector<WsPair> well_separated_pairs(const SplitTree& tree, double s) {
   return out;
 }
 
-graph::Graph wspd_spanner(const std::vector<geom::Point>& pts, double t) {
+graph::Graph wspd_spanner(const geom::Points& pts, double t) {
   if (!(t > 1.0)) throw std::invalid_argument("wspd_spanner: t must be > 1");
   const SplitTree tree(pts);
   const double s = 4.0 * (t + 1.0) / (t - 1.0);
-  graph::Graph g(static_cast<int>(pts.size()));
+  graph::Graph g(pts.size());
   for (const WsPair& pr : well_separated_pairs(tree, s)) {
     const int u = tree.node(pr.a).rep;
     const int v = tree.node(pr.b).rep;
     if (u == v) continue;
-    const double w = geom::distance(pts[static_cast<std::size_t>(u)],
-                                    pts[static_cast<std::size_t>(v)]);
-    g.add_edge(u, v, std::max(w, 1e-12));
+    g.add_edge(u, v, std::max(pts.distance(u, v), 1e-12));
   }
   return g;
 }

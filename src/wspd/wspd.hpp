@@ -35,8 +35,9 @@ class SplitTree {
     [[nodiscard]] bool leaf() const noexcept { return left == -1; }
   };
 
+  /// The tree reads positions from `pts`, which must outlive it.
   /// \throws std::invalid_argument on an empty point set.
-  explicit SplitTree(const std::vector<geom::Point>& pts);
+  explicit SplitTree(const geom::Points& pts);
 
   [[nodiscard]] const Node& node(int i) const { return nodes_[static_cast<std::size_t>(i)]; }
   [[nodiscard]] int root() const noexcept { return root_; }
@@ -54,7 +55,7 @@ class SplitTree {
  private:
   int build(std::vector<int> idx);
 
-  const std::vector<geom::Point>* pts_;
+  const geom::Points* pts_;
   std::vector<Node> nodes_;
   int root_ = -1;
 };
@@ -73,6 +74,6 @@ struct WsPair {
 /// The WSPD t-spanner of the complete Euclidean graph on `pts`:
 /// separation s = 4(t+1)/(t-1), one representative edge per pair.
 /// \throws std::invalid_argument unless t > 1.
-[[nodiscard]] graph::Graph wspd_spanner(const std::vector<geom::Point>& pts, double t);
+[[nodiscard]] graph::Graph wspd_spanner(const geom::Points& pts, double t);
 
 }  // namespace localspan::wspd

@@ -67,13 +67,13 @@ TEST(Gabriel, WitnessFreeEdgesOnly) {
   const gr::Graph gg = bl::gabriel_graph(inst);
   // Verify the Gabriel predicate directly on every kept edge.
   for (const gr::Edge& e : gg.edges()) {
-    const auto& pu = inst.points[static_cast<std::size_t>(e.u)];
-    const auto& pv = inst.points[static_cast<std::size_t>(e.v)];
+    const auto& pu = inst.points[e.u];
+    const auto& pv = inst.points[e.v];
     for (int w = 0; w < inst.g.n(); ++w) {
       if (w == e.u || w == e.v) continue;
       localspan::geom::Point mid(pu.dim());
       for (int d = 0; d < pu.dim(); ++d) mid[d] = 0.5 * (pu[d] + pv[d]);
-      EXPECT_GE(localspan::geom::sq_distance(mid, inst.points[static_cast<std::size_t>(w)]),
+      EXPECT_GE(localspan::geom::sq_distance(mid, inst.points[w]),
                 localspan::geom::sq_distance(pu, pv) / 4.0 * (1.0 - 1e-9));
     }
   }
@@ -104,7 +104,7 @@ TEST(Rng, LunePredicateHolds) {
   for (const gr::Edge& e : rng.edges()) {
     for (int w = 0; w < inst.g.n(); ++w) {
       if (w == e.u || w == e.v) continue;
-      const double lune = std::max(inst.dist(e.u, w), inst.dist(e.v, w));
+      const double lune = std::max(inst.points.distance(e.u, w), inst.points.distance(e.v, w));
       EXPECT_GE(lune, e.w * (1.0 - 1e-9));
     }
   }

@@ -236,7 +236,8 @@ std::vector<dy::ChurnEvent> adversarial_window(const ub::UbgInstance& inst, std:
   std::uniform_real_distribution<double> jitter(-0.3, 0.3);
 
   std::vector<char> live(static_cast<std::size_t>(inst.config.n), 1);
-  std::vector<ge::Point> pos = inst.points;
+  std::vector<ge::Point> pos;
+  for (int v = 0; v < inst.points.size(); ++v) pos.push_back(inst.points[v]);
   int live_count = inst.config.n;
   int next_id = inst.config.n;
   double t = 0.0;

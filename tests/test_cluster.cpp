@@ -652,12 +652,15 @@ TEST(ClusterGraph, RetriedCrossingEdgesMatchTheGraphBuild) {
 }
 
 TEST(ClusterGraph, WarmBuildAllocationsDoNotGrowWithN) {
-  // The build keeps no per-vertex vector: it allocates a fixed set of flat
-  // buffers, plus the few doublings of the per-center harvest buffers, so
-  // the count stays under one cap from n=512 to n=8192.
+  // The build keeps no per-vertex or per-center vector: it allocates a fixed
+  // set of flat buffers, plus one pair of harvest buffers per worker, so the
+  // count stays under one cap from n=512 to n=8192, serially and on pools of
+  // one and four threads.
   constexpr long long kMaxAllocs = 20;
   const localspan::core::Params params = localspan::core::Params::practical_params(0.5, 0.75);
   const double w_prev = 0.25;
+  rt::WorkerPool one(1);
+  rt::WorkerPool four(4);
   for (const int n : {512, 8192}) {
     ub::UbgConfig cfg;
     cfg.n = n;
@@ -672,11 +675,15 @@ TEST(ClusterGraph, WarmBuildAllocationsDoNotGrowWithN) {
     const gr::CsrView csr(gp);
     gr::DijkstraWorkspace ws;
     const cl::ClusterCover cover = cl::sequential_cover(csr, 0.1 * w_prev, ws);
-    static_cast<void>(cl::build_cluster_graph(csr, cover, w_prev, ws));  // warm the workspace
-    const long long before = g_allocs.load();
-    const cl::ClusterGraph cg = cl::build_cluster_graph(csr, cover, w_prev, ws);
-    const long long allocs = g_allocs.load() - before;
-    ASSERT_GT(cg.inter_edges, n / 4);
-    EXPECT_LE(allocs, kMaxAllocs) << "n=" << n;
+    for (rt::WorkerPool* pool : {static_cast<rt::WorkerPool*>(nullptr), &one, &four}) {
+      // Warm the workspaces.
+      static_cast<void>(cl::build_cluster_graph(csr, cover, w_prev, ws, pool));
+      const long long before = g_allocs.load();
+      const cl::ClusterGraph cg = cl::build_cluster_graph(csr, cover, w_prev, ws, pool);
+      const long long allocs = g_allocs.load() - before;
+      ASSERT_GT(cg.inter_edges, n / 4);
+      EXPECT_LE(allocs, kMaxAllocs)
+          << "n=" << n << " threads=" << (pool != nullptr ? pool->threads() : 0);
+    }
   }
 }

@@ -89,7 +89,7 @@ TEST(ChurnGenerators, WaypointMovesStayInBoxAndRespectSpeed) {
     }
     const auto it = last.find(ev.node);
     const localspan::geom::Point& from =
-        it != last.end() ? it->second : inst.points[static_cast<std::size_t>(ev.node)];
+        it != last.end() ? it->second : inst.points[ev.node];
     EXPECT_LE(localspan::geom::distance(from, ev.pos), cfg.speed * cfg.sample_dt + 1e-9);
     last.insert_or_assign(ev.node, ev.pos);
   }
@@ -112,7 +112,7 @@ TEST(ChurnGenerators, RegionalFailureLeavesThenRejoins) {
   // Rejoin restores the original position.
   for (std::size_t i = half; i < trace.events.size(); ++i) {
     const dy::ChurnEvent& ev = trace.events[i];
-    EXPECT_EQ(ev.pos, inst.points[static_cast<std::size_t>(ev.node)]);
+    EXPECT_EQ(ev.pos, inst.points[ev.node]);
   }
 }
 
@@ -309,8 +309,7 @@ TEST(DynamicSpanner, GridDiscoveryMatchesLinearScan) {
     std::map<int, double> scanned;
     for (int u = 0; u < inst.g.n(); ++u) {
       if (u == ev.node || !hashed.is_active(u)) continue;
-      const double d2 = localspan::geom::sq_distance(inst.points[static_cast<std::size_t>(ev.node)],
-                                                     inst.points[static_cast<std::size_t>(u)]);
+      const double d2 = inst.points.sq_distance(ev.node, u);
       if (d2 <= r2) scanned[u] = std::max(std::sqrt(d2), 1e-12);
     }
     std::map<int, double> discovered;

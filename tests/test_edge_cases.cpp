@@ -31,7 +31,9 @@ ub::UbgInstance disconnected_instance() {
   const int n = half.g.n();
   for (int copy = 0; copy < 2; ++copy) {
     const double shift = copy * 1000.0;
-    for (const auto& p : half.points) inst.points.push_back({p[0] + shift, p[1]});
+    for (int v = 0; v < n; ++v) {
+      inst.points.push_back({half.points[v][0] + shift, half.points[v][1]});
+    }
   }
   inst.g = gr::Graph(2 * n);
   for (const gr::Edge& e : half.g.edges()) {

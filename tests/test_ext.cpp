@@ -116,7 +116,7 @@ TEST(Energy, ReweightKeepsStructure) {
   const gr::Graph e2 = ext::energy_reweight(inst, inst.g, 1.0, 2.0);
   EXPECT_EQ(e2.m(), inst.g.m());
   for (const gr::Edge& e : e2.edges()) {
-    EXPECT_NEAR(e.w, std::pow(inst.dist(e.u, e.v), 2.0), 1e-9);
+    EXPECT_NEAR(e.w, std::pow(inst.points.distance(e.u, e.v), 2.0), 1e-9);
   }
 }
 

@@ -1,11 +1,14 @@
-// Unit tests for the geometry substrate: points, angles, θ derivation,
-// Yao cones, and the spatial hash grid.
+// Unit tests for the geometry substrate: points and the position store,
+// angles, θ derivation, Yao cones, and the spatial hash grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -77,6 +80,49 @@ TEST(Angle, InHigherDimensions) {
               std::numbers::pi / 3, 1e-12);
 }
 
+TEST(Points, KernelsMatchThePointForms) {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> coord(-5.0, 5.0);
+  for (const int dim : {2, 3, 5}) {
+    g::Points pts(dim);
+    for (int i = 0; i < 40; ++i) {
+      g::Point p(dim);
+      for (int k = 0; k < dim; ++k) p[k] = coord(rng);
+      pts.push_back(p);
+    }
+    ASSERT_EQ(pts.size(), 40);
+    for (int u = 0; u + 2 < pts.size(); ++u) {
+      const g::Point a = pts[u];
+      const g::Point b = pts[u + 1];
+      const g::Point c = pts[u + 2];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pts.sq_distance(u, u + 1)),
+                std::bit_cast<std::uint64_t>(g::sq_distance(a, b)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pts.distance(u, u + 1)),
+                std::bit_cast<std::uint64_t>(g::distance(a, b)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pts.angle_at(u, u + 1, u + 2)),
+                std::bit_cast<std::uint64_t>(g::angle_at(a, b, c)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(std::acos(pts.cos_at(u, u + 1, u + 2))),
+                std::bit_cast<std::uint64_t>(g::angle_at(a, b, c)));
+    }
+  }
+}
+
+TEST(Points, RejectsBadDimensionsAndMixedRows) {
+  EXPECT_THROW(g::Points(1), std::invalid_argument);
+  EXPECT_THROW(g::Points(g::kMaxDim + 1), std::invalid_argument);
+  EXPECT_THROW(g::Points(2, {1.0, 2.0, 3.0}), std::invalid_argument);
+  EXPECT_THROW((g::Points{{0.0, 0.0}, {0.0, 0.0, 0.0}}), std::invalid_argument);
+  g::Points pts(2, {0.0, 1.0, 2.0, 3.0});
+  EXPECT_EQ(pts.size(), 2);
+  EXPECT_EQ(pts[1], (g::Point{2.0, 3.0}));
+  EXPECT_THROW(pts.push_back(g::Point{1.0, 1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(pts.set(0, g::Point{1.0, 1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(pts.set(2, g::Point{1.0, 1.0}), std::out_of_range);
+  // A row of the store itself may be appended.
+  pts.push_back(pts.row(0));
+  EXPECT_EQ(pts[2], (g::Point{0.0, 1.0}));
+}
+
 TEST(Theta, SatisfiesCzumajZhaoPrecondition) {
   for (double t : {1.05, 1.1, 1.25, 1.5, 2.0, 4.0}) {
     const double theta = g::max_theta_for_stretch(t);
@@ -138,23 +184,23 @@ TEST(YaoCones, RejectsDegenerate) {
 namespace {
 
 /// All pairs {i, j}, i < j, within `radius`, enumerated the way the static
-/// builders do: points inserted in id order, each point's neighbors
+/// builders do: every vertex indexed in id order, each vertex's neighbors
 /// queried, its own id and lower ids skipped.
-std::vector<std::pair<int, int>> grid_pairs(const std::vector<g::Point>& pts, double radius) {
+std::vector<std::pair<int, int>> grid_pairs(const g::Points& pts, double radius) {
   const g::Grid grid(pts, 1.0);
   std::vector<std::pair<int, int>> out;
-  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
-    grid.for_neighbors_within(pts[static_cast<std::size_t>(i)], radius, [&](int j, double) {
+  for (int i = 0; i < pts.size(); ++i) {
+    grid.for_neighbors_within(i, radius, [&](int j, double) {
       if (i < j) out.emplace_back(i, j);
     });
   }
   return out;
 }
 
-/// Ids the grid reports within `radius` of p, sorted.
-std::vector<int> ids_near(const g::Grid& grid, const g::Point& p, double radius) {
+/// Ids the grid reports within `radius` of vertex v's stored position, sorted.
+std::vector<int> ids_near(const g::Grid& grid, int v, double radius) {
   std::vector<int> out;
-  grid.for_neighbors_within(p, radius, [&](int j, double) { out.push_back(j); });
+  grid.for_neighbors_within(v, radius, [&](int j, double) { out.push_back(j); });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -162,7 +208,7 @@ std::vector<int> ids_near(const g::Grid& grid, const g::Point& p, double radius)
 }  // namespace
 
 TEST(Grid, FindsExactlyTheCloseNeighbors) {
-  std::vector<g::Point> pts;
+  g::Points pts;
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<double> coord(0.0, 5.0);
   for (int i = 0; i < 300; ++i) pts.push_back({coord(rng), coord(rng)});
@@ -171,9 +217,7 @@ TEST(Grid, FindsExactlyTheCloseNeighbors) {
   std::vector<std::pair<int, int>> want;
   for (int i = 0; i < 300; ++i) {
     for (int j = i + 1; j < 300; ++j) {
-      if (g::distance(pts[static_cast<std::size_t>(i)], pts[static_cast<std::size_t>(j)]) <= 1.0) {
-        want.emplace_back(i, j);
-      }
+      if (pts.distance(i, j) <= 1.0) want.emplace_back(i, j);
     }
   }
   std::sort(got.begin(), got.end());
@@ -182,7 +226,7 @@ TEST(Grid, FindsExactlyTheCloseNeighbors) {
 }
 
 TEST(Grid, WorksInThreeDimensions) {
-  std::vector<g::Point> pts;
+  g::Points pts(3);
   std::mt19937_64 rng(5);
   std::uniform_real_distribution<double> coord(0.0, 3.0);
   for (int i = 0; i < 200; ++i) pts.push_back({coord(rng), coord(rng), coord(rng)});
@@ -190,9 +234,7 @@ TEST(Grid, WorksInThreeDimensions) {
   std::vector<std::pair<int, int>> want;
   for (int i = 0; i < 200; ++i) {
     for (int j = i + 1; j < 200; ++j) {
-      if (g::distance(pts[static_cast<std::size_t>(i)], pts[static_cast<std::size_t>(j)]) <= 0.8) {
-        want.emplace_back(i, j);
-      }
+      if (pts.distance(i, j) <= 0.8) want.emplace_back(i, j);
     }
   }
   std::sort(got.begin(), got.end());
@@ -201,34 +243,29 @@ TEST(Grid, WorksInThreeDimensions) {
 }
 
 TEST(Grid, RejectsBadQueries) {
-  std::vector<g::Point> pts{{0.0, 0.0}, {1.0, 1.0}};
+  const g::Points pts{{0.0, 0.0}, {1.0, 1.0}};
   const g::Grid grid(pts, 1.0);
-  EXPECT_THROW(grid.for_neighbors_within(pts[0], 2.0, [](int, double) {}), std::invalid_argument);
-  EXPECT_THROW(grid.for_neighbors_within(g::Point{0.0, 0.0, 0.0}, 1.0, [](int, double) {}),
-               std::invalid_argument);
+  EXPECT_THROW(grid.for_neighbors_within(0, 2.0, [](int, double) {}), std::invalid_argument);
   EXPECT_THROW(g::Grid(pts, 0.0), std::invalid_argument);
-  EXPECT_THROW(g::Grid(2, -1.0), std::invalid_argument);
-  EXPECT_THROW(g::Grid(1, 1.0), std::invalid_argument);
-  EXPECT_THROW(g::Grid(g::kMaxDim + 1, 1.0), std::invalid_argument);
-  const std::vector<g::Point> mixed{{0.0, 0.0}, {0.0, 0.0, 0.0}};
-  EXPECT_THROW(g::Grid(mixed, 1.0), std::invalid_argument);
-  // An empty point set is a valid, empty grid.
-  const g::Grid empty(std::vector<g::Point>{}, 1.0);
+  EXPECT_THROW(g::Grid(pts, -1.0), std::invalid_argument);
+  // An empty store is a valid, empty grid.
+  const g::Points none;
+  const g::Grid empty(none, 1.0);
   EXPECT_EQ(empty.size(), 0);
-  EXPECT_TRUE(ids_near(empty, {0.0, 0.0}, 1.0).empty());
+  EXPECT_EQ(empty.dim(), 2);
 }
 
 TEST(Grid, NegativeCoordinatesSupported) {
-  std::vector<g::Point> pts{{-0.5, -0.5}, {-0.4, -0.45}, {3.0, 3.0}};
+  const g::Points pts{{-0.5, -0.5}, {-0.4, -0.45}, {3.0, 3.0}};
   const g::Grid grid(pts, 1.0);
-  EXPECT_EQ(ids_near(grid, pts[0], 1.0), (std::vector<int>{0, 1}));
+  EXPECT_EQ(ids_near(grid, 0, 1.0), (std::vector<int>{0, 1}));
 }
 
 TEST(Grid, ReportsDistancesAndItsOwnId) {
-  const g::Grid grid(std::vector<g::Point>{{0.0, 0.0}, {0.3, 0.4}}, 1.0);
+  const g::Points pts{{0.0, 0.0}, {0.3, 0.4}};
+  const g::Grid grid(pts, 1.0);
   std::vector<std::pair<int, double>> got;
-  grid.for_neighbors_within(g::Point{0.0, 0.0}, 1.0,
-                            [&](int j, double d) { got.emplace_back(j, d); });
+  grid.for_neighbors_within(0, 1.0, [&](int j, double d) { got.emplace_back(j, d); });
   std::sort(got.begin(), got.end());
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], (std::pair<int, double>{0, 0.0}));
@@ -237,73 +274,85 @@ TEST(Grid, ReportsDistancesAndItsOwnId) {
 }
 
 TEST(Grid, InsertRemoveAndContains) {
-  g::Grid grid(2, 1.0);
+  // Vertex 3 is a query probe: it is removed and stays unindexed.
+  g::Points pts{{0.4, 0.2}, {0.2, 0.2}, {3.0, 3.0}, {0.3, 0.2}};
+  g::Grid grid(pts, 1.0);
   EXPECT_EQ(grid.dim(), 2);
   EXPECT_DOUBLE_EQ(grid.cell(), 1.0);
-  EXPECT_EQ(grid.size(), 0);
-  EXPECT_FALSE(grid.contains(0));
-  EXPECT_FALSE(grid.contains(-1));
-  grid.insert(5, {0.2, 0.2});  // sparse ids are fine
-  grid.insert(0, {0.4, 0.2});
-  grid.insert(2, {3.0, 3.0});
+  EXPECT_EQ(grid.size(), 4);
+  grid.remove(3);
   EXPECT_EQ(grid.size(), 3);
-  EXPECT_TRUE(grid.contains(5));
-  EXPECT_TRUE(grid.contains(0));
+  EXPECT_TRUE(grid.contains(1));
+  EXPECT_FALSE(grid.contains(3));
+  EXPECT_FALSE(grid.contains(4));
+  EXPECT_FALSE(grid.contains(-1));
+  EXPECT_EQ(ids_near(grid, 3, 0.5), (std::vector<int>{0, 1}));
+  grid.remove(1);
   EXPECT_FALSE(grid.contains(1));
-  EXPECT_FALSE(grid.contains(6));
-  EXPECT_EQ(ids_near(grid, {0.3, 0.2}, 0.5), (std::vector<int>{0, 5}));
-  grid.remove(5);
-  EXPECT_FALSE(grid.contains(5));
   EXPECT_EQ(grid.size(), 2);
-  EXPECT_EQ(ids_near(grid, {0.3, 0.2}, 0.5), (std::vector<int>{0}));
+  EXPECT_EQ(ids_near(grid, 3, 0.5), (std::vector<int>{0}));
   // A removed id may be inserted again, anywhere.
-  grid.insert(5, {3.1, 3.0});
-  EXPECT_EQ(ids_near(grid, {3.0, 3.0}, 0.5), (std::vector<int>{2, 5}));
+  pts.set(1, {3.1, 3.0});
+  grid.insert(1);
+  EXPECT_EQ(ids_near(grid, 2, 0.5), (std::vector<int>{1, 2}));
+  // A row appended to the store after the build is inserted like any other.
+  pts.push_back({0.35, 0.2});
+  grid.insert(4);
+  EXPECT_EQ(ids_near(grid, 3, 0.5), (std::vector<int>{0, 4}));
 }
 
 TEST(Grid, BucketsListIdsInInsertionOrder) {
-  g::Grid grid(2, 1.0);
-  for (int id : {4, 1, 3}) grid.insert(id, {0.5, 0.5});
+  const g::Points pts{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}};
+  g::Grid grid(pts, 1.0);
+  for (int id : {4, 1, 3}) grid.remove(id);
+  for (int id : {4, 1, 3}) grid.insert(id);
   std::vector<int> order;
-  grid.for_neighbors_within(g::Point{0.5, 0.5}, 0.1, [&](int j, double) { order.push_back(j); });
-  EXPECT_EQ(order, (std::vector<int>{4, 1, 3}));
+  grid.for_neighbors_within(0, 0.1, [&](int j, double) { order.push_back(j); });
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3}));
 }
 
 TEST(Grid, MoveWithinAndAcrossCells) {
-  g::Grid grid(2, 1.0);
-  grid.insert(0, {0.1, 0.1});
-  grid.insert(1, {0.9, 0.9});
+  // Vertices 2 and 3 are query probes: removed, they stay unindexed.
+  g::Points pts{{0.1, 0.1}, {0.9, 0.9}, {0.85, 0.85}, {0.1, 0.1}};
+  g::Grid grid(pts, 1.0);
+  grid.remove(2);
+  grid.remove(3);
   // Within the cell: the new position is what the distance check sees.
-  grid.move(0, {0.8, 0.8});
-  EXPECT_EQ(ids_near(grid, {0.85, 0.85}, 0.1), (std::vector<int>{0, 1}));
-  EXPECT_TRUE(ids_near(grid, {0.1, 0.1}, 0.2).empty());
+  pts.set(0, {0.8, 0.8});
+  grid.move(0);
+  EXPECT_EQ(ids_near(grid, 2, 0.1), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(ids_near(grid, 3, 0.2).empty());
   // Across cells: the id leaves its old bucket and joins the new one.
-  grid.move(0, {5.5, 5.5});
+  pts.set(0, {5.5, 5.5});
+  grid.move(0);
   EXPECT_EQ(grid.size(), 2);
   EXPECT_TRUE(grid.contains(0));
-  EXPECT_EQ(ids_near(grid, {0.85, 0.85}, 0.1), (std::vector<int>{1}));
-  EXPECT_EQ(ids_near(grid, {5.4, 5.5}, 0.2), (std::vector<int>{0}));
+  EXPECT_EQ(ids_near(grid, 2, 0.1), (std::vector<int>{1}));
+  pts.set(3, {5.4, 5.5});
+  EXPECT_EQ(ids_near(grid, 3, 0.2), (std::vector<int>{0}));
   // Back into a shared cell and out to the negative side of an axis.
-  grid.move(0, {-0.5, 0.5});
-  EXPECT_EQ(ids_near(grid, {-0.5, 0.5}, 0.1), (std::vector<int>{0}));
-  EXPECT_TRUE(ids_near(grid, {5.4, 5.5}, 0.2).empty());
+  pts.set(0, {-0.5, 0.5});
+  grid.move(0);
+  pts.set(2, {-0.5, 0.5});
+  EXPECT_EQ(ids_near(grid, 2, 0.1), (std::vector<int>{0}));
+  EXPECT_TRUE(ids_near(grid, 3, 0.2).empty());
 }
 
 TEST(Grid, MutationErrorPaths) {
-  g::Grid grid(2, 1.0);
-  grid.insert(0, {0.0, 0.0});
-  EXPECT_THROW(grid.insert(0, {1.0, 1.0}), std::invalid_argument);        // duplicate id
-  EXPECT_THROW(grid.insert(-1, {1.0, 1.0}), std::invalid_argument);       // negative id
-  EXPECT_THROW(grid.insert(1, {1.0, 1.0, 1.0}), std::invalid_argument);   // dimension mismatch
-  EXPECT_THROW(grid.remove(1), std::invalid_argument);                    // absent id
+  const g::Points pts{{0.0, 0.0}, {1.0, 1.0}};
+  g::Grid grid(pts, 1.0);
+  grid.remove(1);
+  EXPECT_THROW(grid.insert(0), std::invalid_argument);   // duplicate id
+  EXPECT_THROW(grid.insert(-1), std::invalid_argument);  // negative id
+  EXPECT_THROW(grid.insert(2), std::invalid_argument);   // no stored position
+  EXPECT_THROW(grid.remove(1), std::invalid_argument);   // absent id
   EXPECT_THROW(grid.remove(-3), std::invalid_argument);
-  EXPECT_THROW(grid.move(7, {1.0, 1.0}), std::invalid_argument);          // absent id
-  EXPECT_THROW(grid.move(0, {1.0, 1.0, 1.0}), std::invalid_argument);     // dimension mismatch
-  EXPECT_THROW(grid.for_neighbors_within(g::Point{0.0, 0.0}, 1.5, [](int, double) {}),
-               std::invalid_argument);                                    // radius > cell
+  EXPECT_THROW(grid.move(7), std::invalid_argument);     // absent id
+  EXPECT_THROW(grid.for_neighbors_within(0, 1.5, [](int, double) {}),
+               std::invalid_argument);                   // radius > cell
   // A failed call leaves the grid as it was.
   EXPECT_EQ(grid.size(), 1);
-  EXPECT_EQ(ids_near(grid, {0.0, 0.0}, 1.0), (std::vector<int>{0}));
+  EXPECT_EQ(ids_near(grid, 0, 1.0), (std::vector<int>{0}));
   grid.remove(0);
   EXPECT_THROW(grid.remove(0), std::invalid_argument);
   EXPECT_EQ(grid.size(), 0);

@@ -1,13 +1,17 @@
 // Tests for instance serialization, DOT and CSV export.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/bins.hpp"
@@ -18,6 +22,41 @@
 namespace io = localspan::io;
 namespace ub = localspan::ubg;
 namespace gr = localspan::graph;
+
+// ---------------------------------------------------------------------------
+// Counting allocator: every operator-new in this binary adds its request
+// size to one counter, so a test can bound what one call allocates.
+// ---------------------------------------------------------------------------
+namespace {
+std::atomic<long long> g_alloc_bytes{0};
+}  // namespace
+
+// The replacement operator new allocates with std::malloc, so operator
+// delete frees with std::free — GCC's new/delete-pair analysis cannot see
+// through the replacement and flags the (correct) pairing.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -45,7 +84,7 @@ TEST(Serialize, RoundTripIsExact) {
   EXPECT_DOUBLE_EQ(back.config.side, inst.config.side);
   EXPECT_EQ(back.config.seed, inst.config.seed);
   ASSERT_EQ(back.points.size(), inst.points.size());
-  for (std::size_t i = 0; i < back.points.size(); ++i) {
+  for (int i = 0; i < back.points.size(); ++i) {
     EXPECT_EQ(back.points[i], inst.points[i]) << i;  // bitwise-equal doubles
   }
   EXPECT_EQ(back.g, inst.g);
@@ -89,11 +128,11 @@ TEST(Serialize, RoundTripsExtremeCoordinatesBitwise) {
   std::stringstream ss;
   io::write_instance(ss, inst);
   const ub::UbgInstance back = io::read_instance(ss);
-  ASSERT_EQ(back.points.size(), 4u);
+  ASSERT_EQ(back.points.size(), 4);
   for (int i = 0; i < 4; ++i) {
     for (int k = 0; k < 2; ++k) {
-      const double want = inst.points[static_cast<std::size_t>(i)][k];
-      const double got = back.points[static_cast<std::size_t>(i)][k];
+      const double want = inst.points[i][k];
+      const double got = back.points[i][k];
       EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
           << "point " << i << " coord " << k << ": " << want << " vs " << got;
     }
@@ -131,6 +170,20 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(static_cast<void>(io::read_instance(wrong_version)), std::runtime_error);
   std::stringstream truncated("localspan-instance v1\n10 2 0.7");
   EXPECT_THROW(static_cast<void>(io::read_instance(truncated)), std::runtime_error);
+}
+
+TEST(Serialize, ClaimedSizeAllocatesNothingBeforeItsCoordinatesArrive) {
+  // A 57-byte file that claims five million vertices: the read fails on the
+  // missing coordinates, having sized nothing by the header's n.
+  std::stringstream claim("localspan-instance v1\n5000000 2 0.7 4.0 10.0 0 1\n0.5 0.5\n");
+  const long long before = g_alloc_bytes.load();
+  try {
+    static_cast<void>(io::read_instance(claim));
+    ADD_FAILURE() << "a file short of its claimed coordinates loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "read_instance: malformed input: point coordinate");
+  }
+  EXPECT_LT(g_alloc_bytes.load() - before, 1LL << 20);
 }
 
 TEST(Serialize, RejectsNonFiniteNumbers) {
@@ -243,7 +296,7 @@ void expect_same_instance(const ub::UbgInstance& got, const ub::UbgInstance& wan
   EXPECT_EQ(got.config.placement, want.config.placement);
   EXPECT_EQ(got.config.seed, want.config.seed);
   ASSERT_EQ(got.points.size(), want.points.size());
-  for (std::size_t i = 0; i < want.points.size(); ++i) {
+  for (int i = 0; i < want.points.size(); ++i) {
     for (int k = 0; k < want.config.dim; ++k) {
       const double a = got.points[i][k];
       const double b = want.points[i][k];

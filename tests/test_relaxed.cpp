@@ -289,7 +289,7 @@ TEST(RelaxedGreedy, LeapfrogPropertySampledOnOutput) {
   const auto inst = instance(46);
   const core::Params params = core::Params::strict_params(0.5, 0.75);
   const auto result = core::relaxed_greedy(inst, params);
-  const auto dist = [&](int u, int v) { return u == v ? 0.0 : inst.dist(u, v); };
+  const auto dist = [&](int u, int v) { return u == v ? 0.0 : inst.points.distance(u, v); };
   EXPECT_EQ(gr::leapfrog_violations(result.spanner, dist, 1.05, params.t, 500, 7), 0);
 }
 
@@ -322,7 +322,7 @@ TEST(RelaxedGreedy, Phase0CliqueCapFallbackPath) {
   inst.g = gr::Graph(6);
   for (int u = 0; u < 6; ++u) {
     for (int v = u + 1; v < 6; ++v) {
-      const double d = inst.dist(u, v);
+      const double d = inst.points.distance(u, v);
       if (d <= 1.0) inst.g.add_edge(u, v, std::max(d, 1e-12));
     }
   }
@@ -349,7 +349,7 @@ namespace {
 
 bool covered(const ub::UbgInstance& inst, const gr::Graph& gp, const core::detail::PhaseEdge& e,
              double theta) {
-  return core::detail::is_covered_edge(gr::SoaPoints(inst.points), inst.config.alpha,
+  return core::detail::is_covered_edge(inst.points, inst.config.alpha,
                                        gr::CsrView(gp), e, theta);
 }
 
@@ -363,15 +363,15 @@ TEST(CoveredEdge, DetectsTextbookConfiguration) {
   inst.config.n = 3;
   inst.points = {{0.0, 0.0}, {0.9, 0.0}, {0.45, 0.01}};  // u, v, z (z near uv segment)
   inst.g = gr::Graph(3);
-  inst.g.add_edge(0, 1, inst.dist(0, 1));
-  inst.g.add_edge(0, 2, inst.dist(0, 2));
-  inst.g.add_edge(1, 2, inst.dist(1, 2));
+  inst.g.add_edge(0, 1, inst.points.distance(0, 1));
+  inst.g.add_edge(0, 2, inst.points.distance(0, 2));
+  inst.g.add_edge(1, 2, inst.points.distance(1, 2));
   gr::Graph gp(3);
-  gp.add_edge(0, 2, inst.dist(0, 2));  // {u,z} in G'_{i-1}
-  const core::detail::PhaseEdge e{0, 1, inst.dist(0, 1), inst.dist(0, 1)};
+  gp.add_edge(0, 2, inst.points.distance(0, 2));  // {u,z} in G'_{i-1}
+  const core::detail::PhaseEdge e{0, 1, inst.points.distance(0, 1), inst.points.distance(0, 1)};
   EXPECT_TRUE(covered(inst, gp, e, 0.1));
   // Without the prior edge {u,z} it is not covered.
-  EXPECT_FALSE(covered(inst, gp, {0, 2, inst.dist(0, 2), inst.dist(0, 2)}, 0.1));
+  EXPECT_FALSE(covered(inst, gp, {0, 2, inst.points.distance(0, 2), inst.points.distance(0, 2)}, 0.1));
 }
 
 TEST(CoveredEdge, RespectsThetaAndAlphaLimits) {
@@ -382,8 +382,8 @@ TEST(CoveredEdge, RespectsThetaAndAlphaLimits) {
   inst.points = {{0.0, 0.0}, {0.9, 0.0}, {0.45, 0.01}};
   inst.g = gr::Graph(3);
   gr::Graph gp(3);
-  gp.add_edge(0, 2, inst.dist(0, 2));
-  const core::detail::PhaseEdge e{0, 1, inst.dist(0, 1), inst.dist(0, 1)};
+  gp.add_edge(0, 2, inst.points.distance(0, 2));
+  const core::detail::PhaseEdge e{0, 1, inst.points.distance(0, 1), inst.points.distance(0, 1)};
   EXPECT_FALSE(covered(inst, gp, e, 0.1));  // |vz| = .45 > alpha
   inst.config.alpha = 0.75;
   EXPECT_FALSE(covered(inst, gp, e, 0.001));  // cone too narrow
@@ -398,8 +398,8 @@ TEST(CoveredEdge, SymmetricSideWorks) {
   inst.points = {{0.0, 0.0}, {0.9, 0.0}, {0.45, 0.01}};
   inst.g = gr::Graph(3);
   gr::Graph gp(3);
-  gp.add_edge(1, 2, inst.dist(1, 2));  // edge at v
-  const core::detail::PhaseEdge e{0, 1, inst.dist(0, 1), inst.dist(0, 1)};
+  gp.add_edge(1, 2, inst.points.distance(1, 2));  // edge at v
+  const core::detail::PhaseEdge e{0, 1, inst.points.distance(0, 1), inst.points.distance(0, 1)};
   EXPECT_TRUE(covered(inst, gp, e, 0.1));
 }
 
@@ -713,7 +713,7 @@ TEST(Redundancy, PartnersKeepTheFullBallOrder) {
 namespace {
 
 /// The covered test as it was: acos on every candidate witness.
-bool reference_covered(const gr::SoaPoints& pts, double alpha, const gr::Graph& gp,
+bool reference_covered(const localspan::geom::Points& pts, double alpha, const gr::Graph& gp,
                        const PhaseEdge& e, double theta) {
   const auto side = [&](int u, int v) {
     for (const gr::Neighbor& nb : gp.neighbors(u)) {
@@ -736,14 +736,13 @@ TEST(CoveredEdge, CosineBandMatchesAcosReference) {
   std::uniform_real_distribution<double> angle(0.0, std::numbers::pi);
   for (const int dim : {2, 3}) {
     const int n = 40;
-    std::vector<localspan::geom::Point> points;
+    localspan::geom::Points pts(dim);
     for (int v = 0; v < n; ++v) {
       localspan::geom::Point q(dim);
       for (int k = 0; k < dim; ++k) q[k] = coord(rng);
-      points.push_back(q);
+      pts.push_back(q);
     }
-    points[1] = points[0];  // a coincident pair: degenerate rays must be skipped
-    const gr::SoaPoints pts(points);
+    pts.set(1, pts[0]);  // a coincident pair: degenerate rays must be skipped
     gr::Graph gp(n);
     std::uniform_int_distribution<int> pick(0, n - 1);
     for (int k = 0; k < 3 * n; ++k) {
@@ -810,7 +809,7 @@ TEST(CoveredEdge, WitnessAsLongAsTheEdgeAfterRounding) {
     }
   }
   ASSERT_TRUE(found);
-  const gr::SoaPoints pts(std::vector<localspan::geom::Point>{u, v, z});
+  const localspan::geom::Points pts{u, v, z};
   ASSERT_GT(pts.sq_distance(0, 2), pts.sq_distance(0, 1));
   ASSERT_EQ(pts.distance(0, 2), pts.distance(0, 1));
   gr::Graph gp(3);

@@ -64,7 +64,7 @@ TEST(Degenerate, CoincidentPointsSurviveThePipeline) {
   inst.g = gr::Graph(6);
   for (int u = 0; u < 6; ++u) {
     for (int v = u + 1; v < 6; ++v) {
-      const double d = inst.dist(u, v);
+      const double d = inst.points.distance(u, v);
       if (d <= 1.0) inst.g.add_edge(u, v, std::max(d, 1e-12));
     }
   }
@@ -94,7 +94,6 @@ TEST(Degenerate, DisconnectedNetworkGetsPerComponentSpanners) {
   inst.config.n = 40;
   inst.config.dim = 2;
   inst.config.alpha = 0.75;
-  inst.points.clear();
   for (int i = 0; i < 20; ++i) {
     inst.points.push_back({0.05 * i, 0.0});
     inst.points.push_back({0.05 * i + 100.0, 0.0});
@@ -102,7 +101,7 @@ TEST(Degenerate, DisconnectedNetworkGetsPerComponentSpanners) {
   inst.g = gr::Graph(40);
   for (int u = 0; u < 40; ++u) {
     for (int v = u + 1; v < 40; ++v) {
-      const double d = inst.dist(u, v);
+      const double d = inst.points.distance(u, v);
       if (d <= 1.0) inst.g.add_edge(u, v, std::max(d, 1e-12));
     }
   }

@@ -36,13 +36,10 @@ using localspan::ubg::UbgInstance;
 
 namespace {
 
-std::unique_ptr<sv::TopologySnapshot> make_snapshot(const gr::Graph& g,
-                                                    const std::vector<localspan::geom::Point>& pts,
-                                                    double stretch_t = 1.5) {
+std::unique_ptr<sv::TopologySnapshot> make_snapshot(const gr::Graph& g, double stretch_t = 1.5) {
   auto snap = std::make_unique<sv::TopologySnapshot>();
   snap->csr.assign(g);
   snap->n = g.n();
-  snap->points = pts;
   snap->active.assign(static_cast<std::size_t>(g.n()), 1);
   snap->stretch_t = stretch_t;
   gr::DijkstraWorkspace ws(g.n());
@@ -55,18 +52,6 @@ gr::Graph path_graph(int n) {
   gr::Graph g(n);
   for (int v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1, 1.0);
   return g;
-}
-
-std::vector<localspan::geom::Point> dummy_points(int n) {
-  std::vector<localspan::geom::Point> pts;
-  pts.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    localspan::geom::Point p(2);
-    p[0] = static_cast<double>(v);
-    p[1] = 0.0;
-    pts.push_back(p);
-  }
-  return pts;
 }
 
 // ---------------------------------------------------------------------------
@@ -83,9 +68,8 @@ TEST(SnapshotStore, AcquireBeforePublishThrows) {
 TEST(SnapshotStore, EpochsAreMonotoneAndGuardSeesSealedSnapshot) {
   sv::SnapshotStore store;
   const gr::Graph g = path_graph(8);
-  const auto pts = dummy_points(8);
-  const std::uint64_t e1 = store.publish(make_snapshot(g, pts));
-  const std::uint64_t e2 = store.publish(make_snapshot(g, pts));
+  const std::uint64_t e1 = store.publish(make_snapshot(g));
+  const std::uint64_t e2 = store.publish(make_snapshot(g));
   EXPECT_LT(e1, e2);
   EXPECT_EQ(store.current_epoch(), e2);
 
@@ -105,8 +89,7 @@ TEST(SnapshotStore, EpochsAreMonotoneAndGuardSeesSealedSnapshot) {
 TEST(SnapshotStore, PinnedSnapshotBlocksReclaimUntilReleased) {
   sv::SnapshotStore store;
   const gr::Graph g = path_graph(8);
-  const auto pts = dummy_points(8);
-  store.publish(make_snapshot(g, pts));
+  store.publish(make_snapshot(g));
 
   sv::ReaderSlot* slot = store.register_reader();
   sv::SnapshotStore::ReadGuard guard = store.acquire(*slot);
@@ -115,8 +98,8 @@ TEST(SnapshotStore, PinnedSnapshotBlocksReclaimUntilReleased) {
   // Two newer publishes retire epoch 1 and then epoch 2; the pin on epoch 1
   // must keep it (and only it needs keeping — epoch 2 has no readers, but
   // its epoch is >= the pin so the conservative scan keeps it too).
-  store.publish(make_snapshot(g, pts));
-  store.publish(make_snapshot(g, pts));
+  store.publish(make_snapshot(g));
+  store.publish(make_snapshot(g));
   EXPECT_EQ(store.retired_pending(), 2u);
   store.try_reclaim();
   EXPECT_EQ(store.retired_pending(), 2u);
@@ -158,7 +141,7 @@ TEST(SnapshotStoreConcurrency, ReadersSurviveLivePublishAndReclaim) {
   const Scenario sc{2, localspan::ubg::Placement::kUniform, 0.75, 96, 3};
   const UbgInstance inst = sc.make();
   sv::QueryEngine qe;
-  qe.publish(inst.g, inst.points, 1.5);
+  qe.publish(inst.g, 1.5);
 
   constexpr int kReaders = 4;
   constexpr int kPublishes = 24;
@@ -191,7 +174,7 @@ TEST(SnapshotStoreConcurrency, ReadersSurviveLivePublishAndReclaim) {
   // The writer republishes the same topology over and over; every publish
   // retires the predecessor and reclaims what the grace period allows.
   for (int p = 0; p < kPublishes; ++p) {
-    qe.publish(inst.g, inst.points, 1.5);
+    qe.publish(inst.g, 1.5);
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
@@ -212,7 +195,7 @@ class ServeScenarioTest : public ::testing::TestWithParam<Scenario> {};
 TEST_P(ServeScenarioTest, ServedDistancesMatchExactWithinDeclaredStretch) {
   const UbgInstance inst = GetParam().make();
   sv::QueryEngine qe;
-  qe.publish(inst.g, inst.points, 1.5);
+  qe.publish(inst.g, 1.5);
   sv::QueryEngine::Reader reader = qe.reader();
 
   double bound = 0.0;
@@ -259,7 +242,7 @@ TEST(RoutingOracle, EstimateIsExactOnAPath) {
   const int n = 64;
   const gr::Graph g = path_graph(n);
   sv::QueryEngine qe;
-  qe.publish(g, dummy_points(n), 1.5);
+  qe.publish(g, 1.5);
   sv::QueryEngine::Reader reader = qe.reader();
   for (int u = 0; u < n; u += 7) {
     for (int v = u + 1; v < n; v += 5) {
@@ -276,7 +259,7 @@ TEST(RoutingOracle, DisconnectedPairsReportInf) {
   g.add_edge(1, 2, 1.0);
   g.add_edge(3, 4, 1.0);  // second component; 5 isolated
   sv::QueryEngine qe;
-  qe.publish(g, dummy_points(6), 1.5);
+  qe.publish(g, 1.5);
   sv::QueryEngine::Reader reader = qe.reader();
   EXPECT_EQ(reader.distance(0, 3).distance, gr::kInf);
   EXPECT_EQ(reader.distance(2, 5).distance, gr::kInf);
@@ -392,7 +375,7 @@ TEST(QueryEngineRoute, RoutePathsAreValidAndExact) {
   const Scenario sc{2, localspan::ubg::Placement::kUniform, 0.75, 96, 2};
   const UbgInstance inst = sc.make();
   sv::QueryEngine qe;
-  qe.publish(inst.g, inst.points, 1.5);
+  qe.publish(inst.g, 1.5);
   sv::QueryEngine::Reader reader = qe.reader();
 
   const gr::CsrView csr(inst.g);
@@ -428,11 +411,6 @@ TEST(QueryEngineRoute, RoutePathsAreValidAndExact) {
     EXPECT_NEAR(walked, exact, 1e-9 * std::max(1.0, exact));
   }
   EXPECT_GT(reachable, 0);
-}
-
-TEST(QueryEngine, PublishRejectsSizeMismatch) {
-  sv::QueryEngine qe;
-  EXPECT_THROW(qe.publish(path_graph(4), dummy_points(3), 1.5), std::invalid_argument);
 }
 
 }  // namespace

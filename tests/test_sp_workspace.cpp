@@ -25,7 +25,6 @@
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "dijkstra_reference.hpp"
-#include "graph/soa_points.hpp"
 #include "graph/sp_workspace.hpp"
 #include "scenario_matrix.hpp"
 
@@ -221,11 +220,10 @@ namespace {
 /// Plain vs goal-directed sp(s, d) over a spread of pairs; each bound is a
 /// fraction of the plain distance, so the search meets the target's value
 /// just inside, at and just outside the bound.
-void expect_goal_directed_exact(const gr::Graph& g, const std::vector<localspan::geom::Point>& pts,
+void expect_goal_directed_exact(const gr::Graph& g, const localspan::geom::Points& pts,
                                 const char* what) {
   const gr::CsrView csr(g);
-  const gr::SoaPoints soa(pts);
-  const gr::EuclideanPotential h = gr::euclidean_potential(csr, soa);
+  const gr::EuclideanPotential h = gr::euclidean_potential(csr, pts);
   gr::DijkstraWorkspace plain;
   gr::DijkstraWorkspace goal;
   const int n = g.n();
@@ -269,7 +267,7 @@ TEST(SpWorkspaceGoalDirected, DistanceIsBitIdenticalToPlainSearch) {
   // Tie-heavy lattice: unit steps, so many shortest paths share one length.
   constexpr int kSide = 12;
   gr::Graph lattice(kSide * kSide);
-  std::vector<localspan::geom::Point> grid;
+  localspan::geom::Points grid;
   for (int y = 0; y < kSide; ++y) {
     for (int x = 0; x < kSide; ++x) {
       grid.push_back(localspan::geom::Point{0.1 * x, 0.1 * y});
@@ -283,7 +281,7 @@ TEST(SpWorkspaceGoalDirected, DistanceIsBitIdenticalToPlainSearch) {
 
 TEST(SpWorkspaceGoalDirected, PotentialRejectsSizeMismatch) {
   const gr::Graph g = gr::Graph(3);
-  const gr::SoaPoints pts(std::vector<localspan::geom::Point>{{0.0, 0.0}, {1.0, 0.0}});
+  const localspan::geom::Points pts{{0.0, 0.0}, {1.0, 0.0}};
   EXPECT_THROW(static_cast<void>(gr::euclidean_potential(g, pts)), std::invalid_argument);
 }
 
@@ -590,8 +588,7 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   static_cast<void>(ws.multi_bounded(g, sources, 0.8));
   static_cast<void>(ws.multi_bounded(g, sources, 0.8, energy));
   static_cast<void>(ws.distance(g, 0, g.n() - 1));
-  const gr::SoaPoints pts(inst.points);
-  const gr::EuclideanPotential h = gr::euclidean_potential(g, pts);
+  const gr::EuclideanPotential h = gr::euclidean_potential(g, inst.points);
   static_cast<void>(ws.distance(g, 0, g.n() - 1, gr::kInf, h));
   // The witness pass's target set: a filtered view over a row, no buffer.
   const auto targets = [&](int u) {

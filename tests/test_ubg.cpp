@@ -135,7 +135,7 @@ TEST(Generator, EdgeWeightsAreEuclidean) {
   cfg.seed = 8;
   const auto inst = ub::make_ubg(cfg);
   for (const gr::Edge& e : inst.g.edges()) {
-    EXPECT_NEAR(e.w, inst.dist(e.u, e.v), 1e-9);
+    EXPECT_NEAR(e.w, inst.points.distance(e.u, e.v), 1e-9);
     EXPECT_LE(e.w, 1.0 + 1e-12);
   }
 }
@@ -147,9 +147,9 @@ TEST(Generator, PlacementsProduceExpectedShapes) {
   cfg.placement = ub::Placement::kCorridor;
   const auto corridor = ub::make_ubg(cfg);
   // All points inside the strip of width 2*alpha.
-  for (const auto& p : corridor.points) {
-    EXPECT_LE(p[1], 2.0 * cfg.alpha + 1e-12);
-    EXPECT_GE(p[1], -1e-12);
+  for (int v = 0; v < corridor.points.size(); ++v) {
+    EXPECT_LE(corridor.points[v][1], 2.0 * cfg.alpha + 1e-12);
+    EXPECT_GE(corridor.points[v][1], -1e-12);
   }
   cfg.placement = ub::Placement::kClustered;
   const auto clustered = ub::make_ubg(cfg);
@@ -164,7 +164,7 @@ TEST(Generator, HigherDimensions) {
     cfg.seed = 23;
     const auto inst = ub::make_ubg(cfg);
     EXPECT_TRUE(ub::is_valid_ubg(inst));
-    EXPECT_EQ(inst.points.front().dim(), d);
+    EXPECT_EQ(inst.points.dim(), d);
     EXPECT_GT(inst.g.m(), 0);
   }
 }

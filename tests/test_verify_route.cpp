@@ -63,8 +63,9 @@ TEST_P(VerifyScenarioMatrix, VerifierAndRoutingAcrossTheMatrix) {
   const core::VerificationReport rep = core::verify_spanner(inst, result.spanner, params.t);
   EXPECT_TRUE(rep.ok()) << sc.name() << "\n" << rep.summary();
   if (sc.dim == 2 && inst.g.m() > 0) {
-    const route::RoutingStats st =
-        route::evaluate_routing(inst, result.spanner, route::Forwarding::kGreedy, 50, sc.seed);
+    gr::DijkstraWorkspace ws;
+    const route::RoutingStats st = route::evaluate_routing(
+        inst, gr::CsrView(result.spanner), route::Forwarding::kGreedy, 50, sc.seed, ws);
     EXPECT_GT(st.delivery_rate, 0.0) << sc.name();
   }
 }
@@ -101,8 +102,8 @@ TEST(Verify, CatchesForeignEdges) {
   double best = -1.0;
   for (int u = 0; u < inst.g.n(); ++u) {
     for (int v = u + 1; v < inst.g.n(); ++v) {
-      if (!inst.g.has_edge(u, v) && inst.dist(u, v) > best) {
-        best = inst.dist(u, v);
+      if (!inst.g.has_edge(u, v) && inst.points.distance(u, v) > best) {
+        best = inst.points.distance(u, v);
         bu = u;
         bv = v;
       }
@@ -134,8 +135,9 @@ TEST(Verify, DegreeAndLightnessCaps) {
 
 TEST(Routing, DeliversOnCompleteGeometry) {
   const auto inst = instance(6, 200);
+  gr::DijkstraWorkspace ws;
   const route::RoutingStats st =
-      route::evaluate_routing(inst, inst.g, route::Forwarding::kGreedy, 150, 9);
+      route::evaluate_routing(inst, gr::CsrView(inst.g), route::Forwarding::kGreedy, 150, 9, ws);
   EXPECT_GT(st.delivery_rate, 0.9);  // dense UBG: greedy rarely strands
   EXPECT_GE(st.mean_route_stretch, 1.0);
   EXPECT_GE(st.worst_route_stretch, st.mean_route_stretch);
@@ -145,18 +147,19 @@ TEST(Routing, SpannerKeepsDeliveryHigh) {
   const auto inst = instance(7, 200);
   const core::Params params = core::Params::practical_params(0.5, 0.75);
   const auto result = core::relaxed_greedy(inst, params);
+  gr::DijkstraWorkspace ws;
   const route::RoutingStats raw =
-      route::evaluate_routing(inst, inst.g, route::Forwarding::kGreedy, 150, 11);
-  const route::RoutingStats spa =
-      route::evaluate_routing(inst, result.spanner, route::Forwarding::kGreedy, 150, 11);
+      route::evaluate_routing(inst, gr::CsrView(inst.g), route::Forwarding::kGreedy, 150, 11, ws);
+  const route::RoutingStats spa = route::evaluate_routing(
+      inst, gr::CsrView(result.spanner), route::Forwarding::kGreedy, 150, 11, ws);
   // The spanner keeps most greedy routes alive despite pruning ~2/3 of edges.
   EXPECT_GT(spa.delivery_rate, raw.delivery_rate - 0.25);
 }
 
 TEST(Routing, PacketPathIsConsistent) {
   const auto inst = instance(8, 100);
-  const route::RouteResult r =
-      route::route_packet(inst, inst.g, 0, inst.g.n() - 1, route::Forwarding::kGreedy);
+  const route::RouteResult r = route::route_packet(inst, gr::CsrView(inst.g), 0, inst.g.n() - 1,
+                                                  route::Forwarding::kGreedy);
   if (r.delivered) {
     EXPECT_EQ(r.path.front(), 0);
     EXPECT_EQ(r.path.back(), inst.g.n() - 1);
@@ -164,7 +167,7 @@ TEST(Routing, PacketPathIsConsistent) {
     double len = 0.0;
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
       EXPECT_TRUE(inst.g.has_edge(r.path[i], r.path[i + 1]));
-      len += inst.dist(r.path[i], r.path[i + 1]);
+      len += inst.points.distance(r.path[i], r.path[i + 1]);
     }
     EXPECT_NEAR(len, r.length, 1e-9);
   } else {
@@ -174,28 +177,30 @@ TEST(Routing, PacketPathIsConsistent) {
 
 TEST(Routing, CompassAlsoWorks) {
   const auto inst = instance(9, 150);
+  gr::DijkstraWorkspace ws;
   const route::RoutingStats st =
-      route::evaluate_routing(inst, inst.g, route::Forwarding::kCompass, 100, 5);
+      route::evaluate_routing(inst, gr::CsrView(inst.g), route::Forwarding::kCompass, 100, 5, ws);
   EXPECT_GT(st.delivery_rate, 0.8);
 }
 
 TEST(Routing, RejectsBadArgs) {
   const auto inst = instance(10, 20);
-  EXPECT_THROW(
-      static_cast<void>(route::route_packet(inst, inst.g, -1, 3, route::Forwarding::kGreedy)),
-      std::invalid_argument);
-  EXPECT_THROW(
-      static_cast<void>(route::evaluate_routing(inst, inst.g, route::Forwarding::kGreedy, 0, 1)),
-      std::invalid_argument);
+  const gr::CsrView csr(inst.g);
+  gr::DijkstraWorkspace ws;
+  EXPECT_THROW(static_cast<void>(route::route_packet(inst, csr, -1, 3, route::Forwarding::kGreedy)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(
+                   route::evaluate_routing(inst, csr, route::Forwarding::kGreedy, 0, 1, ws)),
+               std::invalid_argument);
   // An empty topology has no pair to draw; a topology of another size than
   // the instance would be walked and searched past the end of its points.
   const ub::UbgInstance empty;
-  EXPECT_THROW(static_cast<void>(
-                   route::evaluate_routing(empty, empty.g, route::Forwarding::kGreedy, 5, 1)),
+  EXPECT_THROW(static_cast<void>(route::evaluate_routing(empty, gr::CsrView(empty.g),
+                                                         route::Forwarding::kGreedy, 5, 1, ws)),
                std::invalid_argument);
-  const gr::Graph bigger(inst.g.n() + 1);
+  const gr::CsrView bigger(gr::Graph(inst.g.n() + 1));
   EXPECT_THROW(static_cast<void>(
-                   route::evaluate_routing(inst, bigger, route::Forwarding::kGreedy, 5, 1)),
+                   route::evaluate_routing(inst, bigger, route::Forwarding::kGreedy, 5, 1, ws)),
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(route::route_packet(inst, bigger, 0, inst.g.n(),
                                                      route::Forwarding::kGreedy)),

@@ -13,10 +13,10 @@ namespace ws = localspan::wspd;
 
 namespace {
 
-std::vector<gm::Point> random_points(int n, std::uint64_t seed, int dim = 2) {
+gm::Points random_points(int n, std::uint64_t seed, int dim = 2) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> coord(0.0, 10.0);
-  std::vector<gm::Point> pts;
+  gm::Points pts(dim);
   for (int i = 0; i < n; ++i) {
     gm::Point p(dim);
     for (int k = 0; k < dim; ++k) p[k] = coord(rng);
@@ -40,7 +40,7 @@ TEST(SplitTree, PartitionsPointsExactly) {
     EXPECT_FALSE(l.points.empty());
     EXPECT_FALSE(r.points.empty());
   }
-  EXPECT_EQ(tree.node(tree.root()).points.size(), pts.size());
+  EXPECT_EQ(tree.node(tree.root()).points.size(), static_cast<std::size_t>(pts.size()));
 }
 
 TEST(SplitTree, BoundingBoxesAreTight) {
@@ -50,8 +50,8 @@ TEST(SplitTree, BoundingBoxesAreTight) {
     const auto& nd = tree.node(i);
     for (int p : nd.points) {
       for (int k = 0; k < 2; ++k) {
-        EXPECT_GE(pts[static_cast<std::size_t>(p)][k], nd.lo[k] - 1e-12);
-        EXPECT_LE(pts[static_cast<std::size_t>(p)][k], nd.hi[k] + 1e-12);
+        EXPECT_GE(pts[p][k], nd.lo[k] - 1e-12);
+        EXPECT_LE(pts[p][k], nd.hi[k] + 1e-12);
       }
     }
   }
@@ -59,7 +59,7 @@ TEST(SplitTree, BoundingBoxesAreTight) {
 
 TEST(SplitTree, LeavesAreSingletonsOrCoincident) {
   auto pts = random_points(50, 3);
-  pts.push_back(pts.front());  // duplicate point: coincident-leaf path
+  pts.push_back(pts.row(0));  // duplicate point: coincident-leaf path
   const ws::SplitTree tree(pts);
   for (int i = 0; i < tree.size(); ++i) {
     const auto& nd = tree.node(i);
@@ -67,7 +67,7 @@ TEST(SplitTree, LeavesAreSingletonsOrCoincident) {
     if (nd.points.size() > 1) {
       // Degenerate leaf: all points coincide.
       for (int p : nd.points) {
-        EXPECT_EQ(pts[static_cast<std::size_t>(p)], pts[static_cast<std::size_t>(nd.points[0])]);
+        EXPECT_EQ(pts[p], pts[nd.points[0]]);
       }
     }
   }
@@ -85,8 +85,7 @@ TEST(SplitTree, BoxDistanceIsALowerBound) {
     double min_pair = 1e300;
     for (int p : tree.node(a).points) {
       for (int q : tree.node(b).points) {
-        min_pair = std::min(min_pair, gm::distance(pts[static_cast<std::size_t>(p)],
-                                                   pts[static_cast<std::size_t>(q)]));
+        min_pair = std::min(min_pair, pts.distance(p, q));
       }
     }
     EXPECT_LE(tree.box_distance(a, b), min_pair + 1e-12);
@@ -108,8 +107,8 @@ TEST(Wspd, CoversEveryPairExactlyOnce) {
       }
     }
   }
-  for (std::size_t p = 0; p < pts.size(); ++p) {
-    for (std::size_t q = 0; q < pts.size(); ++q) {
+  for (std::size_t p = 0; p < count.size(); ++p) {
+    for (std::size_t q = 0; q < count.size(); ++q) {
       EXPECT_EQ(count[p][q], p == q ? 0 : 1) << p << "," << q;
     }
   }
@@ -153,8 +152,7 @@ TEST_P(WspdSpanner, StretchHoldsOnCompleteGraph) {
   for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
     const gr::ShortestPaths sp = gr::dijkstra(spanner, u);
     for (int v = u + 1; v < static_cast<int>(pts.size()); ++v) {
-      const double direct = gm::distance(pts[static_cast<std::size_t>(u)],
-                                         pts[static_cast<std::size_t>(v)]);
+      const double direct = pts.distance(u, v);
       EXPECT_LE(sp.dist[static_cast<std::size_t>(v)], t * direct + 1e-9)
           << u << "->" << v;
     }
@@ -179,8 +177,7 @@ TEST(WspdSpannerBasics, WorksInThreeDimensions) {
     const gr::ShortestPaths sp = gr::dijkstra(spanner, u);
     for (int v = 0; v < 70; v += 7) {
       if (u == v) continue;
-      const double direct = gm::distance(pts[static_cast<std::size_t>(u)],
-                                         pts[static_cast<std::size_t>(v)]);
+      const double direct = pts.distance(u, v);
       EXPECT_LE(sp.dist[static_cast<std::size_t>(v)], 2.0 * direct + 1e-9);
     }
   }

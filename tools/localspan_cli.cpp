@@ -467,15 +467,12 @@ int cmd_verify(const Args& args) {
   const double eps = args.get_double("eps", 0.5);
   // Transformed-metric algorithms (energy) must be verified against the same
   // reweighted reference graph their guarantees and metrics are stated in.
-  const ubg::UbgInstance* verify_against = &inst;
-  ubg::UbgInstance ref_inst;
   if (result.metric_reference) {
-    ref_inst = ubg::UbgInstance{inst.config, inst.points, *result.metric_reference};
-    verify_against = &ref_inst;
     std::printf("verifying in the algorithm's transformed metric (reweighted reference)\n");
   }
-  const core::VerificationReport rep = core::verify_spanner(*verify_against, result.spanner,
-                                                            1.0 + eps, {}, pool ? &*pool : nullptr);
+  const core::VerificationReport rep =
+      core::certify(result.metric_reference ? *result.metric_reference : inst.g, result.spanner,
+                    {}, 1.0 + eps, {}, {}, pool ? &*pool : nullptr);
   std::printf("%s\n", rep.summary().c_str());
   obs_write_outputs(args);
   return rep.ok() ? 0 : 1;
