@@ -16,8 +16,8 @@
 /// Table 2 (concurrent serving): R reader threads issue distance/route
 /// queries nonstop while the writer ingests churn windows through
 /// DynamicSpanner::apply_batch; every commit republishes a snapshot via the
-/// engine's commit hook, retiring the predecessor through the store's
-/// grace-period protocol. Reported: aggregate qps, exact p50/p99/max query
+/// engine's commit hook, and a replaced snapshot is freed once its last
+/// reader lets go. Reported: aggregate qps, exact p50/p99/max query
 /// latency (merged per-thread logs, so publish pauses show up as tail
 /// latency, which is the claim under test), epochs published and the
 /// oracle hit rate.

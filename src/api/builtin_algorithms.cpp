@@ -117,8 +117,8 @@ class RelaxedAlgorithm final : public SpannerAlgorithm {
                                 mode + "'");
   }
   if (net.mode == core::NetMode::kSync) {
-    for (const char* knob : {"loss", "dup", "reorder", "straggle", "partition", "net-seed",
-                             "retries", "net-transcript"}) {
+    for (const char* knob :
+         {"loss", "dup", "reorder", "straggle", "partition", "net-seed", "retries"}) {
       if (req.options.has(knob)) {
         throw std::invalid_argument(std::string("relaxed-dist: option ") + knob +
                                     " has no effect under net=sync (pass net=async)");
@@ -147,7 +147,6 @@ class RelaxedAlgorithm final : public SpannerAlgorithm {
     adv.partitions.push_back(p);
   }
   net.reliable.max_attempts = req.options.get_int("retries", 24);
-  net.record_transcript = req.options.get_bool("net-transcript", false);
   adv.validate();
   net.reliable.validate();
   return net;
@@ -177,8 +176,6 @@ class DistributedAlgorithm final : public SpannerAlgorithm {
           opts.push_back({"net-seed", OptionType::kInt, "1", "async: adversary seed"});
           opts.push_back({"retries", OptionType::kInt, "24",
                           "async: per-message retry budget before RetryBudgetExhausted"});
-          opts.push_back({"net-transcript", OptionType::kBool, "false",
-                          "async: record the per-delivery replay transcript"});
           return opts;
         }(),
         {},

@@ -211,7 +211,7 @@ class DynamicSpanner {
   /// engine and must not throw. It is NOT invoked when a mutation exits by
   /// exception (even though apply_batch restores a certified state before
   /// rethrowing): the read side then simply keeps serving the previous
-  /// snapshot, which is exactly the RCU contract.
+  /// snapshot.
   void set_commit_hook(std::function<void(const DynamicSpanner&)> hook) {
     commit_hook_ = std::move(hook);
   }

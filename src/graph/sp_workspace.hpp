@@ -36,15 +36,11 @@
 /// lookup); the dense reference the workspace is tested against lives in
 /// tests/dijkstra_reference.hpp.
 ///
-/// The priority queue is a d-ary heap with a compile-time arity
-/// (`BasicDijkstraWorkspace<Arity>`; the production alias uses 4). A 4-ary
-/// heap halves the sift-down depth of a binary heap — fewer dependent
-/// cache-missing levels per pop — while the four children of a node share
-/// one or two cache lines, so the extra comparisons are nearly free. The
-/// pop order among *equal* keys can differ between arities, but every
-/// full-drain bounded search settles the exact same ball with the exact
-/// same distances regardless of pop order, which the d-ary-vs-binary
-/// equivalence suite in tests/test_sp_workspace.cpp pins down.
+/// The priority queue is a 4-ary heap. It halves the sift-down depth of a
+/// binary heap — fewer dependent cache-missing levels per pop — while the
+/// four children of a node share one or two cache lines, so the extra
+/// comparisons are nearly free. A full-drain search settles the same ball
+/// with the same distances whatever the pop order among equal keys.
 ///
 /// `CsrView` complements the workspace for read-heavy passes: frozen
 /// offsets-plus-flat-neighbor-array adjacency (a Graph snapshot, or an edge
@@ -195,33 +191,7 @@ EuclideanPotential euclidean_potential(const G& g, const geom::Points& pts) {
   return {&pts, rho == kInf ? 0.0 : rho * (1.0 - 1e-12)};
 }
 
-namespace detail {
-
-/// The epoch-stamped search state every heap arity shares. Kept outside the
-/// `BasicDijkstraWorkspace<Arity>` template so `SpView` can borrow it
-/// without itself becoming templated on the arity (views flow through
-/// cluster/serve/dynamic code that must not care how the frontier is
-/// ordered). The arrays are structure-of-arrays on purpose: a stamped
-/// lookup touches only the 4-byte stamp lane, not a padded per-vertex
-/// record.
-struct SpState {
-  std::vector<std::uint32_t> stamp_;  ///< stamp_[v] == epoch_now_ => entry valid.
-  std::vector<double> dist_;
-  std::vector<int> parent_;
-  std::vector<int> touched_;  ///< vertices stamped by the current search.
-  std::uint32_t epoch_now_ = 0;
-  std::uint64_t token_ = 0;  ///< search counter, invalidates outstanding views.
-  int n_ = 0;                ///< vertex count of the current search's graph.
-
-  [[nodiscard]] bool stamped(int v) const {
-    return stamp_[static_cast<std::size_t>(v)] == epoch_now_;
-  }
-};
-
-}  // namespace detail
-
-template <int Arity>
-class BasicDijkstraWorkspace;
+class DijkstraWorkspace;
 
 /// Sparse result of a workspace search. Views borrow the workspace's
 /// arrays: a view is valid until the next search on the same workspace
@@ -263,32 +233,27 @@ class SpView {
   [[nodiscard]] int path_hops(int v) const;
 
  private:
-  template <int Arity>
-  friend class BasicDijkstraWorkspace;
-  SpView(const detail::SpState* st, std::uint64_t token) : st_(st), token_(token) {}
+  friend class DijkstraWorkspace;
+  SpView(const DijkstraWorkspace* ws, std::uint64_t token) : ws_(ws), token_(token) {}
 
   void check() const;  ///< throws std::logic_error when the view is stale.
 
-  const detail::SpState* st_ = nullptr;
+  const DijkstraWorkspace* ws_ = nullptr;
   std::uint64_t token_ = 0;
 };
 
-/// Reusable epoch-stamped state for Dijkstra-shaped searches, with a d-ary
-/// heap frontier of compile-time `Arity` (see the file comment for why the
-/// production alias is 4-ary).
+/// Reusable epoch-stamped state for Dijkstra-shaped searches, with a 4-ary
+/// heap frontier (see the file comment).
 ///
 /// One workspace serves any sequence of graphs (it sizes itself to the
 /// largest n seen; growth is the only allocation). Typical use: own one
 /// per long-lived engine or per algorithm invocation, and thread it through
 /// every bounded search on the hot path.
-template <int Arity>
-class BasicDijkstraWorkspace {
-  static_assert(Arity >= 2, "a heap needs at least two children per node");
-
+class DijkstraWorkspace {
  public:
-  BasicDijkstraWorkspace() = default;
+  DijkstraWorkspace() = default;
   /// Pre-size for graphs up to n vertices (optional; searches auto-grow).
-  explicit BasicDijkstraWorkspace(int n) { grow(n); }
+  explicit DijkstraWorkspace(int n) { grow(n); }
 
   /// Single-source search bounded by `radius` (pass kInf for unbounded).
   ///
@@ -368,7 +333,7 @@ class BasicDijkstraWorkspace {
   }
 
   /// The number of searches started (SpView staleness token). Test hook.
-  [[nodiscard]] std::uint64_t searches() const noexcept { return st_.token_; }
+  [[nodiscard]] std::uint64_t searches() const noexcept { return token_; }
 
   /// Drain the accumulated heap push/pop tallies since the last take (plain
   /// increments in the hot loop — this header stays observability-agnostic;
@@ -393,9 +358,11 @@ class BasicDijkstraWorkspace {
   /// Test hook for the epoch-wraparound path: exhaust the epoch counter so
   /// the next search must rebase every stamp. Production code never needs
   /// this (2^32 searches away); tests cover the rebase with it.
-  void debug_exhaust_epochs() noexcept { st_.epoch_now_ = kEpochMax; }
+  void debug_exhaust_epochs() noexcept { epoch_now_ = kEpochMax; }
 
  private:
+  friend class SpView;
+
   struct HeapItem {
     double d;
     int v;
@@ -427,16 +394,17 @@ class BasicDijkstraWorkspace {
   };
 
   static constexpr std::uint32_t kEpochMax = std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::size_t kArity = 4;
 
   static void check_radius(double radius) {
     if (radius < 0.0) throw std::invalid_argument("dijkstra: negative radius");
   }
 
   void grow(int n) {
-    if (static_cast<int>(st_.stamp_.size()) < n) {
-      st_.stamp_.resize(static_cast<std::size_t>(n), 0);
-      st_.dist_.resize(static_cast<std::size_t>(n));
-      st_.parent_.resize(static_cast<std::size_t>(n));
+    if (static_cast<int>(stamp_.size()) < n) {
+      stamp_.resize(static_cast<std::size_t>(n), 0);
+      dist_.resize(static_cast<std::size_t>(n));
+      parent_.resize(static_cast<std::size_t>(n));
     }
   }
 
@@ -444,16 +412,16 @@ class BasicDijkstraWorkspace {
   /// (rare) counter wrap, rebase all stamps to 0 — O(capacity), once per
   /// 2^32 - 1 searches.
   void begin(int n) {
-    ++st_.token_;
+    ++token_;
     grow(n);
-    st_.n_ = n;
-    if (st_.epoch_now_ == kEpochMax) {
-      std::fill(st_.stamp_.begin(), st_.stamp_.end(), 0);
+    n_ = n;
+    if (epoch_now_ == kEpochMax) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
       std::fill(target_.begin(), target_.end(), 0);
-      st_.epoch_now_ = 0;
+      epoch_now_ = 0;
     }
-    ++st_.epoch_now_;
-    st_.touched_.clear();
+    ++epoch_now_;
+    touched_.clear();
     heap_.clear();
   }
 
@@ -462,7 +430,7 @@ class BasicDijkstraWorkspace {
     heap_.push_back({d, v});
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
-      const std::size_t up = (i - 1) / static_cast<std::size_t>(Arity);
+      const std::size_t up = (i - 1) / kArity;
       if (heap_[up].d <= heap_[i].d) break;
       std::swap(heap_[up], heap_[i]);
       i = up;
@@ -477,11 +445,10 @@ class BasicDijkstraWorkspace {
     std::size_t i = 0;
     const std::size_t size = heap_.size();
     while (true) {
-      const std::size_t first = static_cast<std::size_t>(Arity) * i + 1;
+      const std::size_t first = kArity * i + 1;
       if (first >= size) break;
-      const std::size_t last = std::min(first + static_cast<std::size_t>(Arity), size);
-      // First strict minimum wins, so the lowest-index child breaks ties —
-      // the same rule the binary version used (left child on equal keys).
+      const std::size_t last = std::min(first + kArity, size);
+      // First strict minimum wins, so the lowest-index child breaks ties.
       std::size_t child = first;
       for (std::size_t c = first + 1; c < last; ++c) {
         if (heap_[c].d < heap_[child].d) child = c;
@@ -527,15 +494,15 @@ class BasicDijkstraWorkspace {
     constexpr bool kSet = !std::is_same_v<std::remove_cvref_t<Targets>, NoTargets>;
     const InUseGuard guard(in_use_);
     begin(g.n());
-    if (kGoal && h_.size() < st_.dist_.size()) h_.resize(st_.dist_.size());
+    if (kGoal && h_.size() < dist_.size()) h_.resize(dist_.size());
     int pending = 0;  // target-set form: marked targets not yet popped.
     if constexpr (kSet) {
-      if (target_.size() < st_.stamp_.size()) target_.resize(st_.stamp_.size(), 0);
+      if (target_.size() < stamp_.size()) target_.resize(stamp_.size(), 0);
       for (const int x : targets) {
-        if (x < 0 || x >= st_.n_) throw std::invalid_argument("dijkstra: target out of range");
+        if (x < 0 || x >= n_) throw std::invalid_argument("dijkstra: target out of range");
         std::uint32_t& mark = target_[static_cast<std::size_t>(x)];
-        if (mark != st_.epoch_now_) {
-          mark = st_.epoch_now_;
+        if (mark != epoch_now_) {
+          mark = epoch_now_;
           ++pending;
         }
       }
@@ -551,39 +518,39 @@ class BasicDijkstraWorkspace {
     };
     const auto stamp = [&](int x, double gx, int parent) {
       const auto i = static_cast<std::size_t>(x);
-      st_.stamp_[i] = st_.epoch_now_;
-      st_.dist_[i] = gx;
+      stamp_[i] = epoch_now_;
+      dist_[i] = gx;
       if constexpr (kGoal) {
         h_[i] = h(x, target);  // distance() reads only the target's g
       } else {
-        st_.parent_[i] = parent;
-        st_.touched_.push_back(x);
+        parent_[i] = parent;
+        touched_.push_back(x);
       }
       push(gx, i, x);
     };
     for (int s : sources) {
-      if (s < 0 || s >= st_.n_) throw std::invalid_argument("dijkstra: source out of range");
-      if (!st_.stamped(s)) stamp(s, 0.0, -1);
+      if (s < 0 || s >= n_) throw std::invalid_argument("dijkstra: source out of range");
+      if (!stamped(s)) stamp(s, 0.0, -1);
     }
     while (!heap_.empty()) {
       const auto [k, v] = heap_pop();
-      const double d = st_.dist_[static_cast<std::size_t>(v)];
+      const double d = dist_[static_cast<std::size_t>(v)];
       if (k > key(d, static_cast<std::size_t>(v))) continue;  // stale entry
       if (k > stop) break;
       if (v == target && !kGoal) break;
       if (v == target) continue;  // nothing past the target can improve best
       if constexpr (kSet) {
-        if (target_[static_cast<std::size_t>(v)] == st_.epoch_now_ && --pending == 0) break;
+        if (target_[static_cast<std::size_t>(v)] == epoch_now_ && --pending == 0) break;
       }
       for (const Neighbor& nb : g.neighbors(v)) {
         const double nd = d + weight(nb.w);
         if (nd > radius || (kGoal && nd >= best)) continue;
         const auto to = static_cast<std::size_t>(nb.to);
-        if (st_.stamp_[to] != st_.epoch_now_) {
+        if (stamp_[to] != epoch_now_) {
           stamp(nb.to, nd, v);
-        } else if (nd < st_.dist_[to]) {
-          st_.dist_[to] = nd;
-          if constexpr (!kGoal) st_.parent_[to] = v;
+        } else if (nd < dist_[to]) {
+          dist_[to] = nd;
+          if constexpr (!kGoal) parent_[to] = v;
           push(nd, to, nb.to);
         } else {
           continue;
@@ -595,13 +562,25 @@ class BasicDijkstraWorkspace {
       }
     }
     heap_.clear();  // early breaks leave entries behind; keep capacity
-    return SpView(&st_, st_.token_);
+    return SpView(this, token_);
   }
 
   static constexpr double kGoalSlack = 1.0 + 1e-9;
 
-  detail::SpState st_;
-  std::vector<double> h_;  ///< potential lane, valid where st_ is stamped.
+  [[nodiscard]] bool stamped(int v) const {
+    return stamp_[static_cast<std::size_t>(v)] == epoch_now_;
+  }
+
+  // Structure-of-arrays on purpose: a stamped lookup touches only the
+  // 4-byte stamp lane, not a padded per-vertex record.
+  std::vector<std::uint32_t> stamp_;  ///< stamp_[v] == epoch_now_ => entry valid.
+  std::vector<double> dist_;
+  std::vector<int> parent_;
+  std::vector<int> touched_;  ///< vertices stamped by the current search.
+  std::uint32_t epoch_now_ = 0;
+  std::uint64_t token_ = 0;  ///< search counter, invalidates outstanding views.
+  int n_ = 0;                ///< vertex count of the current search's graph.
+  std::vector<double> h_;  ///< potential lane, valid where stamp_ is current.
   std::vector<HeapItem> heap_;
   long long heap_pushes_ = 0;  ///< since the last take_heap_ops().
   long long heap_pops_ = 0;
@@ -609,35 +588,32 @@ class BasicDijkstraWorkspace {
   std::vector<std::uint32_t> target_;  ///< target_[v] == epoch_now_ => v is a target.
 };
 
-/// The production workspace: a 4-ary frontier (see the file comment).
-using DijkstraWorkspace = BasicDijkstraWorkspace<4>;
-
 inline void SpView::check() const {
-  if (st_ == nullptr || token_ != st_->token_) {
+  if (ws_ == nullptr || token_ != ws_->token_) {
     throw std::logic_error("SpView: stale view (the workspace ran a newer search)");
   }
 }
 
 inline bool SpView::reached(int v) const {
   check();
-  if (v < 0 || v >= st_->n_) throw std::invalid_argument("SpView: vertex out of range");
-  return st_->stamped(v);
+  if (v < 0 || v >= ws_->n_) throw std::invalid_argument("SpView: vertex out of range");
+  return ws_->stamped(v);
 }
 
-inline double SpView::dist(int v) const { return reached(v) ? st_->dist_[static_cast<std::size_t>(v)] : kInf; }
+inline double SpView::dist(int v) const { return reached(v) ? ws_->dist_[static_cast<std::size_t>(v)] : kInf; }
 
-inline int SpView::parent(int v) const { return reached(v) ? st_->parent_[static_cast<std::size_t>(v)] : -1; }
+inline int SpView::parent(int v) const { return reached(v) ? ws_->parent_[static_cast<std::size_t>(v)] : -1; }
 
 inline std::span<const int> SpView::touched() const {
   check();
-  return st_->touched_;
+  return ws_->touched_;
 }
 
 inline int SpView::path_hops(int v) const {
   if (!reached(v)) return -1;
   int hops = 0;
-  for (int cur = v; st_->parent_[static_cast<std::size_t>(cur)] != -1;
-       cur = st_->parent_[static_cast<std::size_t>(cur)]) {
+  for (int cur = v; ws_->parent_[static_cast<std::size_t>(cur)] != -1;
+       cur = ws_->parent_[static_cast<std::size_t>(cur)]) {
     ++hops;
   }
   return hops;

@@ -18,9 +18,7 @@ struct ServeMetrics {
   obs::MetricId routes = obs::counter_id("serve.routes");
   obs::MetricId publishes = obs::counter_id("serve.publishes");
   obs::MetricId epoch = obs::gauge_id("serve.snapshot_epoch");
-  obs::MetricId readers = obs::gauge_id("serve.readers_live");
   obs::MetricId age = obs::gauge_id("serve.snapshot_age");
-  obs::MetricId retired = obs::gauge_id("serve.retired_pending");
   obs::MetricId query_us = obs::histogram_id("serve.query_us");
   obs::MetricId route_us = obs::histogram_id("serve.route_us");
   obs::MetricId publish_us = obs::histogram_id("serve.publish_us");
@@ -53,20 +51,19 @@ void check_pair(const TopologySnapshot& snap, int u, int v) {
 
 }  // namespace
 
-QueryEngine::QueryEngine(ServeOptions opts) : opts_(opts) {
-  const int threads = runtime::resolve_threads(opts_.threads);
+QueryEngine::QueryEngine(ServeOptions opts) {
+  const int threads = runtime::resolve_threads(opts.threads);
   if (threads > 1) pool_.emplace(threads);
 }
 
 std::uint64_t QueryEngine::publish_snapshot(std::unique_ptr<TopologySnapshot> snap) {
   const auto t0 = Clock::now();
-  snap->oracle.build(snap->csr, opts_.oracle, build_ws_, pool_ ? &*pool_ : nullptr);
+  snap->oracle.build(snap->csr, OracleConfig{}, build_ws_, pool_ ? &*pool_ : nullptr);
   const std::uint64_t epoch = store_.publish(std::move(snap));
   if (obs::enabled()) {
     const ServeMetrics& m = serve_metrics();
     obs::counter_add(m.publishes, 1);
     obs::gauge_set(m.epoch, static_cast<std::int64_t>(epoch));
-    obs::gauge_set(m.retired, static_cast<std::int64_t>(store_.retired_pending()));
     obs::histogram_record(m.publish_us, micros_since(t0));
   }
   return epoch;
@@ -98,28 +95,10 @@ void QueryEngine::attach(dynamic::DynamicSpanner& engine) {
       [this](const dynamic::DynamicSpanner& committed) { this->publish(committed); });
 }
 
-QueryEngine::Reader::Reader(QueryEngine& engine)
-    : engine_(&engine), slot_(engine.store_.register_reader()) {
-  obs::gauge_set(serve_metrics().readers, engine.store_.readers_registered());
-}
-
-QueryEngine::Reader::Reader(Reader&& o) noexcept
-    : engine_(o.engine_), slot_(o.slot_), ws_(std::move(o.ws_)) {
-  o.engine_ = nullptr;
-  o.slot_ = nullptr;
-}
-
-QueryEngine::Reader::~Reader() {
-  if (engine_ != nullptr && slot_ != nullptr) {
-    engine_->store_.unregister_reader(slot_);
-    obs::gauge_set(serve_metrics().readers, engine_->store_.readers_registered());
-  }
-}
-
 QueryEngine::DistanceAnswer QueryEngine::Reader::distance(int u, int v) {
   const bool timed = obs::enabled();
   const auto t0 = timed ? Clock::now() : Clock::time_point{};
-  const SnapshotStore::ReadGuard guard = engine_->store_.acquire(*slot_);
+  const SnapshotStore::ReadGuard guard = engine_->store_.acquire();
   const TopologySnapshot& snap = *guard;
   check_pair(snap, u, v);
   const ServeMetrics& m = serve_metrics();
@@ -160,7 +139,7 @@ QueryEngine::RouteAnswer QueryEngine::Reader::route(int u, int v, std::vector<in
   const bool timed = obs::enabled();
   const auto t0 = timed ? Clock::now() : Clock::time_point{};
   if (path_out != nullptr) path_out->clear();
-  const SnapshotStore::ReadGuard guard = engine_->store_.acquire(*slot_);
+  const SnapshotStore::ReadGuard guard = engine_->store_.acquire();
   const TopologySnapshot& snap = *guard;
   check_pair(snap, u, v);
   const ServeMetrics& m = serve_metrics();

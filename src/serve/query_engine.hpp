@@ -8,13 +8,14 @@
 ///   ─────────────                         ──────────────────────────
 ///   DynamicSpanner::apply_batch(window)   Reader r = engine.reader();
 ///     └─ commit hook ──► QueryEngine::    r.distance(u, v) / r.route(u, v)
-///        publish: freeze CsrView and        └─ pin current snapshot
+///        publish: freeze CsrView and        └─ share the current snapshot
 ///        liveness, build RoutingOracle,        (SnapshotStore::acquire),
-///        SnapshotStore::publish (pointer       answer from oracle labels or
-///        flip + grace-period reclaim)          exact-Dijkstra fallback, unpin
+///        SnapshotStore::publish (swap the      answer from oracle labels or
+///        shared pointer under its mutex)       exact-Dijkstra fallback, let go
 ///
-/// Readers never block the writer and the writer never blocks readers; the
-/// only synchronization is the snapshot store's epoch protocol. Every
+/// The writer builds every snapshot outside any lock; writer and readers
+/// meet only on the store's mutex, held for one pointer copy or swap. A
+/// snapshot is freed when the last reader holding it lets go. Every
 /// reader owns a private `DijkstraWorkspace`, so fallback searches are
 /// allocation-free once warm and the workspace's stale-view stamping keeps
 /// a query from leaking state into the next.
@@ -41,7 +42,6 @@
 namespace localspan::serve {
 
 struct ServeOptions {
-  OracleConfig oracle;
   /// Label-build parallelism for publish (runtime::resolve_threads
   /// semantics: 0 = LOCALSPAN_THREADS default). Labels are bit-identical at
   /// every thread count.
@@ -50,8 +50,8 @@ struct ServeOptions {
 
 /// One snapshot store + publish pipeline. Publishing is single-writer (the
 /// thread driving the dynamic engine); readers are arbitrary threads, each
-/// holding its own `Reader`. All readers must be destroyed before the
-/// engine (they borrow its store).
+/// holding its own `Reader`. Readers borrow the engine and must not
+/// outlive it; a `ReadGuard` they hand out may.
 class QueryEngine {
  public:
   explicit QueryEngine(ServeOptions opts = {});
@@ -83,16 +83,11 @@ class QueryEngine {
     bool via_oracle = false;  ///< the search radius came from the oracle.
   };
 
-  /// A reader thread's context: snapshot slot + private search workspace.
-  /// Create one per thread (reader()); not thread-safe itself.
+  /// A reader thread's context: the engine plus a private search
+  /// workspace. Create one per thread (reader()); not thread-safe itself.
   class Reader {
    public:
-    explicit Reader(QueryEngine& engine);
-    ~Reader();
-    Reader(Reader&& o) noexcept;
-    Reader& operator=(Reader&&) = delete;
-    Reader(const Reader&) = delete;
-    Reader& operator=(const Reader&) = delete;
+    explicit Reader(QueryEngine& engine) : engine_(&engine) {}
 
     /// Stretch-bounded distance query against the current snapshot.
     [[nodiscard]] DistanceAnswer distance(int u, int v);
@@ -102,25 +97,21 @@ class QueryEngine {
     /// (cleared first; left empty when unreachable).
     [[nodiscard]] RouteAnswer route(int u, int v, std::vector<int>* path_out = nullptr);
 
-    /// Pin the current snapshot explicitly (advanced use: batch several
+    /// Hold the current snapshot explicitly (advanced use: batch several
     /// reads against one consistent topology).
-    [[nodiscard]] SnapshotStore::ReadGuard pin() { return engine_->store_.acquire(*slot_); }
+    [[nodiscard]] SnapshotStore::ReadGuard pin() const { return engine_->store_.acquire(); }
 
    private:
     QueryEngine* engine_ = nullptr;
-    ReaderSlot* slot_ = nullptr;
     graph::DijkstraWorkspace ws_;
   };
 
-  /// Register a reader context for the calling (or a soon-to-run) thread.
+  /// A reader context for the calling (or a soon-to-run) thread.
   [[nodiscard]] Reader reader() { return Reader(*this); }
 
  private:
-  friend class Reader;
-
   std::uint64_t publish_snapshot(std::unique_ptr<TopologySnapshot> snap);
 
-  ServeOptions opts_;
   SnapshotStore store_;
   graph::DijkstraWorkspace build_ws_;            ///< serial label-build scratch.
   std::optional<runtime::WorkerPool> pool_;      ///< engaged when threads > 1.

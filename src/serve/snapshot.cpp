@@ -6,116 +6,32 @@ namespace localspan::serve {
 
 std::uint64_t SnapshotStore::publish(std::unique_ptr<TopologySnapshot> snap) {
   if (snap == nullptr) throw std::invalid_argument("SnapshotStore::publish: null snapshot");
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  snap->epoch = next_epoch_++;
-  snap->seal();
-  const std::uint64_t epoch = snap->epoch;
-
-  // Pointer first, epoch second: a reader that announced epoch e is then
-  // guaranteed to load a snapshot with epoch >= e (see the header protocol).
-  const TopologySnapshot* raw = snap.get();
-  if (current_owner_ != nullptr) limbo_.push_back(std::move(current_owner_));
-  current_owner_ = std::move(snap);
-  current_.store(raw, std::memory_order_seq_cst);
-  published_epoch_.store(epoch, std::memory_order_seq_cst);
-
-  reclaim_locked();
-  return epoch;
-}
-
-void SnapshotStore::try_reclaim() {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  reclaim_locked();
-}
-
-void SnapshotStore::reclaim_locked() {
-  if (limbo_.empty()) return;
-  std::uint64_t min_pinned = ReaderSlot::kQuiescent;
+  TopologySnapshot& fresh = *snap;  // no reader sees it before the swap
+  ReadGuard next(std::move(snap));
+  std::uint64_t epoch = 0;
   {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    for (const auto& slot : slots_) {
-      // acquire pairs with the reader's release on guard drop: everything
-      // the reader did to a snapshot happens-before a free it permits.
-      const std::uint64_t e = slot->epoch_.load(std::memory_order_seq_cst);
-      if (e < min_pinned) min_pinned = e;
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    epoch = current_ == nullptr ? 1 : current_->epoch + 1;
+    fresh.epoch = epoch;
+    fresh.seal();
+    current_.swap(next);
   }
-  // A snapshot with epoch E was retired by the publish of E+1; any reader
-  // that could still hold it pins an epoch <= E. Free those strictly below
-  // every pin (quiescent slots impose no floor).
-  std::size_t kept = 0;
-  for (auto& dead : limbo_) {
-    if (dead->epoch < min_pinned) {
-      ++reclaimed_;
-      dead.reset();
-    } else {
-      limbo_[kept++] = std::move(dead);
-    }
-  }
-  limbo_.resize(kept);
+  return epoch;  // `next` now holds the predecessor: dropped here
 }
 
-ReaderSlot* SnapshotStore::register_reader() {
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  for (auto& slot : slots_) {
-    if (!slot->registered_) {
-      slot->registered_ = true;
-      return slot.get();
-    }
+SnapshotStore::ReadGuard SnapshotStore::acquire() const {
+  ReadGuard snap;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    snap = current_;
   }
-  slots_.push_back(std::make_unique<ReaderSlot>());
-  slots_.back()->registered_ = true;
-  return slots_.back().get();
+  if (snap == nullptr) throw std::logic_error("SnapshotStore::acquire: nothing published yet");
+  return snap;
 }
 
-void SnapshotStore::unregister_reader(ReaderSlot* slot) {
-  if (slot == nullptr) return;
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  slot->epoch_.store(ReaderSlot::kQuiescent, std::memory_order_release);
-  slot->registered_ = false;  // cell stays allocated for reuse; scans skip quiescent
-}
-
-SnapshotStore::ReadGuard SnapshotStore::acquire(ReaderSlot& slot) {
-  if (slot.pinned()) {
-    throw std::logic_error(
-        "SnapshotStore::acquire: slot already pins a snapshot (one guard per reader at a time)");
-  }
-  const std::uint64_t e = published_epoch_.load(std::memory_order_seq_cst);
-  slot.epoch_.store(e, std::memory_order_seq_cst);
-  const TopologySnapshot* snap = current_.load(std::memory_order_seq_cst);
-  if (snap == nullptr) {
-    slot.epoch_.store(ReaderSlot::kQuiescent, std::memory_order_release);
-    throw std::logic_error("SnapshotStore::acquire: nothing published yet");
-  }
-  return ReadGuard(snap, &slot);
-}
-
-int SnapshotStore::readers_registered() const {
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  int count = 0;
-  for (const auto& slot : slots_) {
-    if (slot->registered_) ++count;
-  }
-  return count;
-}
-
-int SnapshotStore::readers_pinned() const {
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  int count = 0;
-  for (const auto& slot : slots_) {
-    if (slot->epoch_.load(std::memory_order_seq_cst) != ReaderSlot::kQuiescent) ++count;
-  }
-  return count;
-}
-
-std::size_t SnapshotStore::retired_pending() const {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  return limbo_.size();
-}
-
-std::uint64_t SnapshotStore::reclaimed() const {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  return reclaimed_;
+std::uint64_t SnapshotStore::current_epoch() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return current_ == nullptr ? 0 : current_->epoch;
 }
 
 }  // namespace localspan::serve

@@ -217,6 +217,25 @@ if(NOT EXISTS "${WORK_DIR}/tiny_dynamic.json")
   message(FATAL_ERROR "dynamic did not create tiny_dynamic.json")
 endif()
 
+# dynamic/serve reject flags the run would ignore: a demo-mode size next to
+# the file that replaces the demo input, a seed with nothing left to seed,
+# and a check level for full recomputes, which are never certified.
+run_cli_err("dynamic: --n has no effect with --in" dynamic --in tiny.lsi --n 64 --eps 0.5)
+run_cli_err("serve: --n has no effect with --in" serve --in tiny.lsi --n 64 --eps 0.5)
+run_cli_err("dynamic: --events has no effect with --churn"
+            dynamic --in tiny.lsi --churn tiny_churn.json --events 12 --eps 0.5)
+run_cli_err("dynamic: --seed has no effect with --in and --churn"
+            dynamic --in tiny.lsi --churn tiny_churn.json --seed 3 --eps 0.5)
+run_cli_err("dynamic: --check has no effect with --baseline-full"
+            dynamic --in tiny.lsi --churn tiny_churn.json --baseline-full --check full --eps 0.5)
+
+# serve: reader threads query epoch-published snapshots while churn windows
+# republish; the final audit checks the served distances (exit 0 = PASS).
+run_cli(0 serve_out serve --n 256 --events 32 --readers 2 --queries 200 --quiet)
+if(NOT serve_out MATCHES "epochs: " OR NOT serve_out MATCHES "final audit: [^\n]* -> PASS")
+  message(FATAL_ERROR "serve output shape mismatch:\n${serve_out}")
+endif()
+
 # unknown trace model -> error exit.
 run_cli(1 badmodel_out trace --in tiny.lsi --model bogus --out x.json)
 

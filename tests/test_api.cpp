@@ -125,6 +125,25 @@ TEST(Options, TypeMismatchIsRejectedUpFront) {
                std::invalid_argument);
 }
 
+TEST(Options, RelaxedDistRejectsTranscriptRecording) {
+  // relaxed-dist returns the spanner alone, so a delivery transcript it
+  // recorded would be thrown away: the option is not in its schema.
+  const UbgInstance inst = testinfra::Scenario{}.make();
+  for (const char* net : {"sync", "async"}) {
+    api::Options opts;
+    opts.set("net", net);
+    opts.set("net-transcript", "true");
+    try {
+      static_cast<void>(api::registry().build(
+          "relaxed-dist", api::BuildRequest{inst, practical(inst.config.alpha), std::move(opts)}));
+      FAIL() << "net-transcript accepted under net=" << net;
+    } catch (const std::invalid_argument& ex) {
+      const std::string msg = ex.what();
+      EXPECT_NE(msg.find("does not accept option 'net-transcript'"), std::string::npos) << msg;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Capability enforcement and request plumbing.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 /// Tests for the query-serving subsystem (src/serve/): the epoch-published
-/// snapshot store's lifecycle and grace-period reclamation, concurrent
+/// snapshot store's lifecycle and shared-ownership reclamation, concurrent
 /// readers against live publishes (the TSan-audited leg), routing-oracle
 /// stretch equivalence against exact Dijkstra across the scenario matrix,
 /// bit-identity of oracle labels at every thread count, the dynamic-engine
@@ -59,10 +59,9 @@ gr::Graph path_graph(int n) {
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotStore, AcquireBeforePublishThrows) {
-  sv::SnapshotStore store;
-  sv::ReaderSlot* slot = store.register_reader();
-  EXPECT_THROW(static_cast<void>(store.acquire(*slot)), std::logic_error);
-  store.unregister_reader(slot);
+  const sv::SnapshotStore store;
+  EXPECT_EQ(store.current_epoch(), 0u);
+  EXPECT_THROW(static_cast<void>(store.acquire()), std::logic_error);
 }
 
 TEST(SnapshotStore, EpochsAreMonotoneAndGuardSeesSealedSnapshot) {
@@ -73,68 +72,47 @@ TEST(SnapshotStore, EpochsAreMonotoneAndGuardSeesSealedSnapshot) {
   EXPECT_LT(e1, e2);
   EXPECT_EQ(store.current_epoch(), e2);
 
-  sv::ReaderSlot* slot = store.register_reader();
-  {
-    const sv::SnapshotStore::ReadGuard guard = store.acquire(*slot);
-    EXPECT_EQ(guard->epoch, e2);
-    EXPECT_EQ(guard->checksum, guard->compute_checksum());
-    EXPECT_TRUE(slot->pinned());
-    // Reader discipline: one pin per slot at a time.
-    EXPECT_THROW(static_cast<void>(store.acquire(*slot)), std::logic_error);
-  }
-  EXPECT_FALSE(slot->pinned());
-  store.unregister_reader(slot);
+  const sv::SnapshotStore::ReadGuard guard = store.acquire();
+  EXPECT_EQ(guard->epoch, e2);
+  EXPECT_EQ(guard->checksum, guard->compute_checksum());
+  // One thread may hold several guards; they share the current snapshot.
+  const sv::SnapshotStore::ReadGuard again = store.acquire();
+  EXPECT_EQ(again.get(), guard.get());
 }
 
-TEST(SnapshotStore, PinnedSnapshotBlocksReclaimUntilReleased) {
+TEST(SnapshotStore, HeldSnapshotOutlivesNewerPublishesUntilReleased) {
   sv::SnapshotStore store;
   const gr::Graph g = path_graph(8);
   store.publish(make_snapshot(g));
 
-  sv::ReaderSlot* slot = store.register_reader();
-  sv::SnapshotStore::ReadGuard guard = store.acquire(*slot);
-  const std::uint64_t pinned_epoch = guard->epoch;
+  sv::SnapshotStore::ReadGuard guard = store.acquire();
+  const std::weak_ptr<const sv::TopologySnapshot> watch = guard;
+  const std::uint64_t held_epoch = guard->epoch;
 
-  // Two newer publishes retire epoch 1 and then epoch 2; the pin on epoch 1
-  // must keep it (and only it needs keeping — epoch 2 has no readers, but
-  // its epoch is >= the pin so the conservative scan keeps it too).
+  // Two newer publishes replace epoch 1 and then epoch 2. The guard keeps
+  // epoch 1 alive; epoch 2 has no holder left and is freed at once.
   store.publish(make_snapshot(g));
+  const std::weak_ptr<const sv::TopologySnapshot> second = store.acquire();
   store.publish(make_snapshot(g));
-  EXPECT_EQ(store.retired_pending(), 2u);
-  store.try_reclaim();
-  EXPECT_EQ(store.retired_pending(), 2u);
+  EXPECT_TRUE(second.expired());
+  EXPECT_EQ(store.current_epoch(), held_epoch + 2);
 
-  // The pinned snapshot is still fully valid while newer epochs exist.
-  EXPECT_EQ(guard->epoch, pinned_epoch);
+  // The held snapshot is still fully valid while newer epochs exist.
+  ASSERT_FALSE(watch.expired());
+  EXPECT_EQ(guard->epoch, held_epoch);
   EXPECT_EQ(guard->checksum, guard->compute_checksum());
   gr::DijkstraWorkspace ws(guard->n);
   EXPECT_DOUBLE_EQ(ws.distance(guard->csr, 0, 7), 7.0);
 
-  guard.release();
-  store.try_reclaim();
-  EXPECT_EQ(store.retired_pending(), 0u);
-  EXPECT_EQ(store.reclaimed(), 2u);
-  store.unregister_reader(slot);
-}
-
-TEST(SnapshotStore, ReaderRegistrationReusesSlots) {
-  sv::SnapshotStore store;
-  sv::ReaderSlot* a = store.register_reader();
-  sv::ReaderSlot* b = store.register_reader();
-  EXPECT_EQ(store.readers_registered(), 2);
-  store.unregister_reader(a);
-  EXPECT_EQ(store.readers_registered(), 1);
-  sv::ReaderSlot* c = store.register_reader();  // reuses a's cell
-  EXPECT_EQ(store.readers_registered(), 2);
-  store.unregister_reader(b);
-  store.unregister_reader(c);
-  EXPECT_EQ(store.readers_registered(), 0);
+  // Its last holder lets go: freed.
+  guard.reset();
+  EXPECT_TRUE(watch.expired());
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent readers during publish/retire. Run under TSan in CI: the
-// checksum recomputation would catch a half-built snapshot, a stale pin a
-// use-after-free, and TSan any missing happens-before edge.
+// Concurrent readers during live publishes. Run under TSan in CI: the
+// checksum recomputation would catch a half-built snapshot, ASan a
+// snapshot freed under a reader, and TSan any missing happens-before edge.
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotStoreConcurrency, ReadersSurviveLivePublishAndReclaim) {
@@ -146,7 +124,6 @@ TEST(SnapshotStoreConcurrency, ReadersSurviveLivePublishAndReclaim) {
   constexpr int kReaders = 4;
   constexpr int kPublishes = 24;
   constexpr int kQueriesPerReader = 400;
-  std::atomic<bool> stop{false};
   std::atomic<long long> checked{0};
 
   std::vector<std::thread> readers;
@@ -172,18 +149,17 @@ TEST(SnapshotStoreConcurrency, ReadersSurviveLivePublishAndReclaim) {
   }
 
   // The writer republishes the same topology over and over; every publish
-  // retires the predecessor and reclaims what the grace period allows.
+  // drops the store's hold on the predecessor.
   for (int p = 0; p < kPublishes; ++p) {
     qe.publish(inst.g, 1.5);
   }
-  stop.store(true);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(checked.load(), static_cast<long long>(kReaders) * kQueriesPerReader);
-  // With no readers pinned, one final publish drains every retired epoch.
-  qe.store().try_reclaim();
-  EXPECT_EQ(qe.store().retired_pending(), 0u);
-  EXPECT_EQ(qe.store().readers_pinned(), 0);
+  // The readers let go of every snapshot: the store holds the last one
+  // alone.
+  EXPECT_EQ(qe.store().current_epoch(), static_cast<std::uint64_t>(kPublishes) + 1);
+  EXPECT_EQ(qe.store().acquire().use_count(), 2);  // the store's + this copy
 }
 
 // ---------------------------------------------------------------------------

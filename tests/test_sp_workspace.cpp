@@ -172,40 +172,6 @@ TEST_P(SpWorkspaceMatrixTest, DistanceMatchesSpDistance) {
   }
 }
 
-TEST_P(SpWorkspaceMatrixTest, HeapArityDoesNotChangeResults) {
-  // The workspace heap is d-ary with a compile-time arity (production uses
-  // 4). Arity only reorders pops among equal keys, and every settled vertex
-  // relaxes with its final distance, so the settled set and every distance
-  // must be bitwise identical between a binary and a 4-ary heap; parents may
-  // legitimately differ on exact ties, so they are checked against the dense
-  // reference instead of across arities.
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const gr::Graph& g = inst.g;
-  gr::BasicDijkstraWorkspace<2> binary;
-  gr::BasicDijkstraWorkspace<4> quad;
-  for (const double radius : {0.1, 0.45, gr::kInf}) {
-    for (int src : {0, g.n() / 2, g.n() - 1}) {
-      const gr::ShortestPaths dense = radius == gr::kInf
-                                          ? gr::dijkstra(g, src)
-                                          : gr::dijkstra_bounded(g, src, radius);
-      const gr::SpView b = binary.bounded(g, src, radius);
-      const gr::SpView q = quad.bounded(g, src, radius);
-      expect_equivalent(g, dense, b);
-      expect_equivalent(g, dense, q);
-      for (int v = 0; v < g.n(); ++v) {
-        EXPECT_EQ(b.dist(v), q.dist(v)) << "vertex " << v;  // bitwise
-        EXPECT_EQ(b.reached(v), q.reached(v)) << "vertex " << v;
-      }
-      EXPECT_EQ(b.touched().size(), q.touched().size());
-    }
-  }
-  const auto energy = [](double w) { return w * w; };
-  const std::vector<int> sources{0, g.n() / 3, g.n() - 1};
-  const gr::SpView mb = binary.multi_bounded(g, sources, 0.6, energy);
-  const gr::SpView mq = quad.multi_bounded(g, sources, 0.6, energy);
-  for (int v = 0; v < g.n(); ++v) EXPECT_EQ(mb.dist(v), mq.dist(v)) << "vertex " << v;
-}
-
 INSTANTIATE_TEST_SUITE_P(Matrix, SpWorkspaceMatrixTest,
                          ::testing::ValuesIn(localspan::testinfra::standard_matrix()),
                          ScenarioName());
@@ -628,33 +594,6 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   static_cast<void>(ws.bounded_to_all(g, 7, targets(7), 0.8));
   allocs = g_allocs.load() - allocs;
   EXPECT_EQ(allocs, 0) << "warmed target-set search allocated";
-}
-
-TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothingAtEveryArity) {
-  // The 4-ary production heap and the binary reference both keep the
-  // zero-steady-state-allocation invariant: arity changes sift fan-out, not
-  // buffer ownership.
-  const localspan::ubg::UbgInstance inst =
-      Scenario{2, localspan::ubg::Placement::kUniform, 0.75, 256, 3}.make();
-  const gr::Graph& g = inst.g;
-  const std::vector<int> sources{1, 5, 9};
-  gr::BasicDijkstraWorkspace<2> binary;
-  gr::BasicDijkstraWorkspace<4> quad;
-  const auto sweep = [&](auto& ws) {
-    static_cast<void>(ws.bounded(g, 2, gr::kInf));
-    static_cast<void>(ws.multi_bounded(g, sources, 0.8));
-    static_cast<void>(ws.distance(g, 0, g.n() - 1));
-  };
-  sweep(binary);  // warm-up
-  sweep(quad);
-  long long allocs = g_allocs.load();
-  sweep(binary);
-  allocs = g_allocs.load() - allocs;
-  EXPECT_EQ(allocs, 0) << "warmed binary-heap searches allocated";
-  allocs = g_allocs.load();
-  sweep(quad);
-  allocs = g_allocs.load() - allocs;
-  EXPECT_EQ(allocs, 0) << "warmed 4-ary-heap searches allocated";
 }
 
 TEST(SpWorkspaceAlloc, CsrReassignAllocatesNothingOnceGrown) {

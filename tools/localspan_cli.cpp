@@ -37,6 +37,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/spanner_algorithm.hpp"
@@ -582,9 +583,16 @@ struct DynamicSetup {
 /// Enable obs if asked, then load the instance and churn trace. Demo mode:
 /// with no --in, generate an instance in place (and with no --churn, a
 /// poisson trace over it) so the whole pipeline runs with zero input files.
+/// A demo-mode size flag next to the file it would replace is a usage error.
 /// Returns nullopt after printing "<cmd>: invalid trace: ..." when the trace
 /// does not replay on the instance.
 std::optional<DynamicSetup> dynamic_setup(const Args& args, const char* cmd) {
+  for (const auto& [flag, file] : {std::pair{"n", "in"}, std::pair{"events", "churn"}}) {
+    if (args.has(flag) && args.has(file)) {
+      throw std::invalid_argument(std::string(cmd) + ": --" + flag + " has no effect with --" +
+                                  file + " (no demo input is generated)");
+    }
+  }
   obs_enable_if_requested(args);
   DynamicSetup s;
   if (args.has("in")) {
@@ -630,6 +638,14 @@ int cmd_dynamic(const Args& args) {
   args.require_known("dynamic", {"in", "churn", "eps", "strict", "check", "baseline-full",
                                  "quiet", "out-json", "batch", "threads",
                                  "obs-json", "trace", "n", "events", "seed"});
+  if (args.has("seed") && args.has("in") && args.has("churn")) {
+    throw std::invalid_argument(
+        "dynamic: --seed has no effect with --in and --churn (nothing is generated)");
+  }
+  if (args.has("check") && args.has("baseline-full")) {
+    throw std::invalid_argument(
+        "dynamic: --check has no effect with --baseline-full (a full recompute is not certified)");
+  }
   std::optional<DynamicSetup> setup = dynamic_setup(args, "dynamic");
   if (!setup) return 1;
   auto& [inst, trace, params, opts, check] = *setup;
@@ -809,7 +825,7 @@ int cmd_serve(const Args& args) {
         g0->oracle.truncated() ? ", truncated" : "");
   }
 
-  // Reader threads: each owns a Reader (slot + private workspace) and a
+  // Reader threads: each owns a Reader (private workspace) and a
   // private latency log; results merge after the join so the hot loop has
   // no shared state at all.
   struct ReaderReport {
@@ -874,9 +890,8 @@ int cmd_serve(const Args& args) {
     churn_seconds += st.seconds;
     ++windows;
     if (!quiet) {
-      std::printf("window %-4d %3zu events -> epoch %llu (%zu retired pending)  %.2f ms\n",
-                  windows, len, static_cast<unsigned long long>(qe.store().current_epoch()),
-                  qe.store().retired_pending(), 1e3 * st.seconds);
+      std::printf("window %-4d %3zu events -> epoch %llu  %.2f ms\n", windows, len,
+                  static_cast<unsigned long long>(qe.store().current_epoch()), 1e3 * st.seconds);
     }
   }
   for (std::thread& t : threads) t.join();
@@ -913,25 +928,19 @@ int cmd_serve(const Args& args) {
               pct(0.99), pct(1.0));
   std::printf("  %lld oracle-answered, %lld exact-fallback, %lld routed, %lld unreachable\n",
               oracle_answered, exact_answered, routed, unreachable);
-  std::printf("  epochs: %llu published (initial %llu), %zu retired pending, %llu reclaimed\n",
+  std::printf("  epochs: %llu published (initial %llu)\n",
               static_cast<unsigned long long>(qe.store().current_epoch()),
-              static_cast<unsigned long long>(epoch0), qe.store().retired_pending(),
-              static_cast<unsigned long long>(qe.store().reclaimed()));
+              static_cast<unsigned long long>(epoch0));
 
   // Exit-code audit: sample pairs on the final snapshot and check every
   // served distance against the exact one (route() is exact by construction,
   // so it doubles as the reference). The oracle may only overestimate, and
-  // only up to its declared bound.
+  // only up to its declared bound. The writer is done, so every answer
+  // comes from the snapshot pinned here.
   serve::QueryEngine::Reader auditor = qe.reader();
-  double bound = 0.0;
-  bool bound_holds = false;
-  {
-    // Scoped pin: distance()/route() below pin per call, and a reader slot
-    // holds at most one guard at a time.
-    const serve::SnapshotStore::ReadGuard snap = auditor.pin();
-    bound = snap->oracle.stretch_bound();
-    bound_holds = !snap->oracle.truncated();
-  }
+  const serve::SnapshotStore::ReadGuard final_snap = auditor.pin();
+  const double bound = final_snap->oracle.stretch_bound();
+  const bool bound_holds = !final_snap->oracle.truncated();
   std::mt19937_64 rng(seed ^ 0xA5A5A5A5ULL);
   std::uniform_int_distribution<int> pick(0, n0 - 1);
   int audited = 0;
