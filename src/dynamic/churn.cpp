@@ -5,6 +5,7 @@
 #include <limits>
 #include <random>
 #include <set>
+#include <stdexcept>
 
 namespace localspan::dynamic {
 
@@ -69,6 +70,7 @@ ChurnTrace trace_shell(const ubg::UbgInstance& inst) {
 }  // namespace
 
 ChurnTrace poisson_churn(const ubg::UbgInstance& inst, const PoissonChurnConfig& cfg) {
+  if (!(cfg.rate > 0.0)) throw std::invalid_argument("poisson_churn: rate must be > 0");
   ChurnTrace trace = trace_shell(inst);
   std::mt19937_64 rng(cfg.seed);
   std::exponential_distribution<double> gap(cfg.rate);
@@ -113,6 +115,8 @@ ChurnTrace poisson_churn(const ubg::UbgInstance& inst, const PoissonChurnConfig&
 }
 
 ChurnTrace random_waypoint(const ubg::UbgInstance& inst, const WaypointConfig& cfg) {
+  // The sampling loop advances time by sample_dt: zero or NaN never ends it.
+  if (!(cfg.sample_dt > 0.0)) throw std::invalid_argument("random_waypoint: sample_dt must be > 0");
   ChurnTrace trace = trace_shell(inst);
   std::mt19937_64 rng(cfg.seed);
   const int movers = std::clamp(cfg.movers, 0, inst.g.n());

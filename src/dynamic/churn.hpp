@@ -72,7 +72,8 @@ struct ChurnTrace {
 /// unit time; each event is a join (uniform position in the deployment box)
 /// with probability `join_fraction`, else the departure of a uniformly
 /// chosen live node. Joins reuse the lowest departed id before minting new
-/// ones, so the id space stays compact.
+/// ones, so the id space stays compact. \throws std::invalid_argument unless
+/// rate > 0.
 struct PoissonChurnConfig {
   int events = 64;
   double rate = 4.0;           ///< expected events per unit time.
@@ -84,7 +85,8 @@ struct PoissonChurnConfig {
 /// Random waypoint mobility: `movers` distinct nodes each pick a uniform
 /// waypoint, travel toward it at `speed` (distance per unit time), and pick
 /// a new one on arrival. Positions are sampled every `sample_dt` for
-/// `duration` time units and emitted as move events.
+/// `duration` time units and emitted as move events. \throws
+/// std::invalid_argument unless sample_dt > 0.
 struct WaypointConfig {
   int movers = 8;
   double speed = 0.25;

@@ -87,6 +87,17 @@ if(meta_events LESS n_tracks)
   message(FATAL_ERROR "obs_trace.json has ${meta_events} thread_name metadata events for "
     "${n_tracks} tracks")
 endif()
+# Complete events are sorted by start time across every track. A regex scan
+# reads the whole trace (only complete events carry a "ts").
+string(REGEX MATCHALL "\"ts\": [0-9.]+" ts_fields "${trace}")
+set(prev_ts 0)
+foreach(field IN LISTS ts_fields)
+  string(REGEX REPLACE "\"ts\": " "" ts "${field}")
+  if(ts LESS prev_ts)
+    message(FATAL_ERROR "obs_trace.json timestamps are not monotone: ${ts} after ${prev_ts}")
+  endif()
+  set(prev_ts "${ts}")
+endforeach()
 
 # --- Metrics snapshot: dyn.* counters and the per-region histograms -------
 file(READ "${WORK_DIR}/obs_stats.json" stats)
@@ -112,6 +123,11 @@ foreach(hist dyn.regions dyn.region_ball dyn.region_harvest_us)
     message(FATAL_ERROR "obs_stats.json histogram ${hist} is empty")
   endif()
 endforeach()
+# Every one of the 64 churn events is counted.
+string(JSON dyn_events GET "${stats}" "counters" "dyn.events")
+if(dyn_events LESS 64)
+  message(FATAL_ERROR "obs_stats.json counter dyn.events is ${dyn_events}, expected >= 64")
+endif()
 string(JSON batch_count GET "${stats}" "spans" "dyn.apply_batch" "count")
 if(batch_count LESS 1)
   message(FATAL_ERROR "obs_stats.json has no dyn.apply_batch span")
@@ -231,5 +247,44 @@ if(NOT cover_centers EQUAL cg_centers)
   message(FATAL_ERROR "cover.centers=${cover_centers} but cg.centers=${cg_centers}: "
     "some cover ball went unrecorded")
 endif()
+
+# --- route and verify count their search work -----------------------------
+# route's trials count their pairs and heap pops, verify's stretch pass its
+# vertices and heap pops; each must be nonzero in the --obs-json snapshot.
+execute_process(
+  COMMAND "${CLI}" gen --n 512 --alpha 0.75 --dim 2 --seed 3 --out route.lsi
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "localspan_cli gen exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+foreach(run "route;route_stats.json;route.pairs;route.heap_pops"
+            "verify;verify_stats.json;stretch.vertices;stretch.heap_pops")
+  list(GET run 0 cmd)
+  list(GET run 1 stats_file)
+  set(extra "")
+  if(cmd STREQUAL "route")
+    set(extra --trials 50)
+  endif()
+  execute_process(
+    COMMAND "${CLI}" ${cmd} --in route.lsi --eps 0.5 ${extra} --obs-json ${stats_file}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "localspan_cli ${cmd} --obs-json exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
+  file(READ "${WORK_DIR}/${stats_file}" cmd_stats)
+  foreach(idx 2 3)
+    list(GET run ${idx} counter)
+    string(JSON val ERROR_VARIABLE c_err GET "${cmd_stats}" "counters" "${counter}")
+    if(NOT c_err STREQUAL "NOTFOUND" OR NOT val GREATER 0)
+      message(FATAL_ERROR "${cmd} --obs-json: counter ${counter} missing or zero (${val})")
+    endif()
+  endforeach()
+endforeach()
 
 message(STATUS "cli_obs_smoke: trace has ${x_events} events on ${n_tracks} tracks; all checks passed")

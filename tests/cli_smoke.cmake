@@ -239,4 +239,75 @@ endif()
 # unknown trace model -> error exit.
 run_cli(1 badmodel_out trace --in tiny.lsi --model bogus --out x.json)
 
+# An output file that cannot be opened is an error, not a "wrote" line.
+run_cli_err("cannot open no_such_dir/x\\.dot" span --in tiny.lsi --eps 0.5 --out-dot no_such_dir/x.dot)
+run_cli_err("cannot open no_such_dir/x\\.csv" span --in tiny.lsi --eps 0.5 --out-csv no_such_dir/x.csv)
+
+# An explicit --batch 1 runs the per-event path, --out-json included, and
+# prints what the run without --batch prints (timings aside). Only a bare
+# --batch means 64-event windows.
+run_cli(0 per_event_out dynamic --in tiny.lsi --churn tiny_churn.json --eps 0.5 --out-json b1.json)
+run_cli(0 batch1_out dynamic --in tiny.lsi --churn tiny_churn.json --eps 0.5 --batch 1
+        --out-json b1.json)
+foreach(v per_event_out batch1_out)
+  string(REGEX REPLACE "[0-9]+\\.[0-9]+ (ms|s|events/s)" "T \\1" ${v} "${${v}}")
+endforeach()
+if(NOT batch1_out MATCHES "t=[0-9.]+ +(join|leave) " OR NOT batch1_out STREQUAL per_event_out)
+  message(FATAL_ERROR "dynamic --batch 1 differs from the per-event run:\n${per_event_out}\n${batch1_out}")
+endif()
+
+# The flag parser: a flag given twice, a value after a switch, a flag the
+# chosen model ignores, an out-of-range value and a bare value flag are
+# usage errors naming the flag.
+run_cli_err("span: --eps given more than once" span --in tiny.lsi --eps 0.5 --eps 3)
+run_cli_err("gen: --out given more than once" gen --out a.lsi --out b.lsi)
+run_cli_err("dynamic: --quiet is a switch and takes no value" dynamic --quiet 0)
+run_cli_err("span: --strict is a switch and takes no value" span --in tiny.lsi --strict no)
+run_cli_err("trace: --no-rejoin is a switch and takes no value" trace --in tiny.lsi --no-rejoin 0)
+run_cli_err("trace: --speed has no effect: model 'poisson'"
+            trace --in tiny.lsi --model poisson --speed 9)
+run_cli_err("trace: --rejoin-time has no effect with --no-rejoin"
+            trace --in tiny.lsi --model failure --no-rejoin --rejoin-time 3)
+run_cli_err("trace: --events must be >= 0, got '-3'" trace --in tiny.lsi --events -3)
+run_cli_err("trace: --dt must be > 0, got '0'" trace --in tiny.lsi --model waypoint --dt 0)
+run_cli_err("serve: --batch needs a value" serve --batch)
+
+# The usage text is generated from the flag tables: for every command, the
+# flags it lists are the allowed list of its unknown-flag error.
+execute_process(COMMAND "${CLI}" RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE usage_text)
+# Keep list separators and brackets in help text from splitting lines.
+string(REPLACE ";" "," usage_text "${usage_text}")
+string(REPLACE "[" "(" usage_text "${usage_text}")
+string(REPLACE "]" ")" usage_text "${usage_text}")
+string(REPLACE "\n" ";" usage_lines "${usage_text}")
+set(usage_cmd "")
+set(usage_cmds "")
+foreach(line IN LISTS usage_lines)
+  if(line MATCHES "^([a-z]+): " AND NOT CMAKE_MATCH_1 STREQUAL "usage")
+    set(usage_cmd "${CMAKE_MATCH_1}")
+    list(APPEND usage_cmds "${usage_cmd}")
+    set(usage_flags_${usage_cmd} "")
+  elseif(line MATCHES "^  (--[a-z-]+)" AND NOT usage_cmd STREQUAL "")
+    list(APPEND usage_flags_${usage_cmd} "${CMAKE_MATCH_1}")
+  endif()
+endforeach()
+set(all_cmds gen span verify route trace dynamic serve)
+if(NOT usage_cmds STREQUAL "${all_cmds}")
+  message(FATAL_ERROR "usage lists commands '${usage_cmds}', expected '${all_cmds}':\n${usage_text}")
+endif()
+foreach(cmd IN LISTS all_cmds)
+  execute_process(COMMAND "${CLI}" ${cmd} --no-such-flag WORKING_DIRECTORY "${WORK_DIR}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT err MATCHES "unknown flag --no-such-flag \\(allowed: ([^)]*)\\)")
+    message(FATAL_ERROR "${cmd} --no-such-flag: no allowed list in:\n${err}")
+  endif()
+  string(REGEX MATCHALL "--[a-z-]+" allowed "${CMAKE_MATCH_1}")
+  set(listed ${usage_flags_${cmd}})
+  list(SORT allowed)
+  list(SORT listed)
+  if(NOT listed STREQUAL allowed)
+    message(FATAL_ERROR "usage of ${cmd} lists '${listed}' but ${cmd} accepts '${allowed}'")
+  endif()
+endforeach()
+
 message(STATUS "cli_smoke: all checks passed")

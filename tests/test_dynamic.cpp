@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
 
 #include "core/params.hpp"
 #include "core/verify.hpp"
@@ -92,6 +93,19 @@ TEST(ChurnGenerators, WaypointMovesStayInBoxAndRespectSpeed) {
         it != last.end() ? it->second : inst.points[ev.node];
     EXPECT_LE(localspan::geom::distance(from, ev.pos), cfg.speed * cfg.sample_dt + 1e-9);
     last.insert_or_assign(ev.node, ev.pos);
+  }
+}
+
+TEST(ChurnGenerators, RejectNonPositiveRateAndSampleInterval) {
+  const ub::UbgInstance inst = small_instance();
+  for (const double bad : {0.0, -1.0, std::nan("")}) {
+    dy::PoissonChurnConfig poisson;
+    poisson.rate = bad;
+    EXPECT_THROW(static_cast<void>(dy::poisson_churn(inst, poisson)), std::invalid_argument);
+    // sample_dt <= 0 never advances the sampling clock: it must throw, not hang.
+    dy::WaypointConfig waypoint;
+    waypoint.sample_dt = bad;
+    EXPECT_THROW(static_cast<void>(dy::random_waypoint(inst, waypoint)), std::invalid_argument);
   }
 }
 
