@@ -71,8 +71,8 @@ const std::vector<OptionSpec> kRelaxedOptionSchema{
 /// Phase schema of the relaxed-greedy phase loop (the obs span names its
 /// per-bin pipeline emits), shared by the sequential and distributed drivers.
 const std::vector<std::string> kRelaxedPhaseSchema{
-    "construct", "rg.bins",          "rg.phase0",  "rg.cover",      "rg.filter",
-    "rg.select", "rg.cluster_graph", "rg.queries", "rg.redundancy"};
+    "construct", "rg.bins",   "rg.phase0",        "rg.snapshot", "rg.cover",
+    "rg.filter", "rg.select", "rg.cluster_graph", "rg.queries",  "rg.redundancy"};
 
 class RelaxedAlgorithm final : public SpannerAlgorithm {
  public:

@@ -199,9 +199,10 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
   return cg;
 }
 
-double query_on_h(graph::DijkstraWorkspace& ws, const graph::CsrView& h, int x, int y, double bound,
+double query_on_h(graph::DijkstraWorkspace& ws, const graph::CsrView& h,
+                  const graph::EuclideanPotential& potential, int x, int y, double bound,
                   int* hops_out) {
-  const graph::SpView sp = ws.bounded_to(h, x, y, bound);
+  const graph::SpView sp = ws.bounded_to(h, x, y, bound, potential);
   const double d = sp.dist(y);
   if (hops_out != nullptr) *hops_out = sp.path_hops(y);
   return d;

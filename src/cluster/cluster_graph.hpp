@@ -53,9 +53,13 @@ struct ClusterGraph {
 /// Answer one §2.2.4 query on H: sp_H(x, y) truncated at `bound`
 /// (returns kInf if it exceeds the bound). If `hops_out` is non-null it
 /// receives the hop count of the found path (-1 when none), validating
-/// Lemma 8's O(1)-hop claim. One early-exit bounded search on the caller's
-/// workspace: zero allocation once the workspace is warm.
-[[nodiscard]] double query_on_h(graph::DijkstraWorkspace& ws, const graph::CsrView& h, int x, int y,
+/// Lemma 8's O(1)-hop claim. One goal-directed search on the caller's
+/// workspace, bounded by `bound`: `potential` must be admissible on H, as
+/// `graph::euclidean_potential(h, points)` is. The distance is the plain
+/// search's bit for bit, and no allocation happens once the workspace is
+/// warm.
+[[nodiscard]] double query_on_h(graph::DijkstraWorkspace& ws, const graph::CsrView& h,
+                                const graph::EuclideanPotential& potential, int x, int y,
                                 double bound, int* hops_out = nullptr);
 
 }  // namespace localspan::cluster

@@ -92,11 +92,16 @@ std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidat
 }
 
 std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph::CsrView& h,
+                                      const geom::Points& pts,
                                       const std::vector<PhaseEdge>& queries, double t,
                                       int* max_hops, runtime::WorkerPool* pool) {
-  // Each query is an independent early-exit bounded search on the frozen H,
+  // Each query is an independent goal-directed search on the frozen H,
   // committed in query order, so to_add and the hop statistic are identical
   // for every thread count (max over ints is order-insensitive anyway).
+  // h(x) = ρ·|xy| with ρ = min over H's edges of w/|uv| is admissible: an
+  // x–y path of H weighs Σ w ≥ ρ·Σ|uv| ≥ ρ·|xy| by the triangle inequality,
+  // whatever the weights are (a G'_{i-1} path sum, under any transform).
+  const graph::EuclideanPotential potential = graph::euclidean_potential(h, pts);
   struct Answer {
     double dist;
     int hops;
@@ -107,7 +112,7 @@ std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph:
       pool, ws, static_cast<int>(queries.size()),
       [&](graph::DijkstraWorkspace& qws, int, int i, Answer& a) {
         const PhaseEdge& q = queries[static_cast<std::size_t>(i)];
-        a.dist = cluster::query_on_h(qws, h, q.u, q.v, t * q.w, &a.hops);
+        a.dist = cluster::query_on_h(qws, h, potential, q.u, q.v, t * q.w, &a.hops);
       },
       [&](int i, const Answer& a) {
         const PhaseEdge& q = queries[static_cast<std::size_t>(i)];
@@ -285,6 +290,7 @@ struct RgMetrics {
   obs::MetricId heap_pops = obs::counter_id("rg.heap_pops");
   obs::MetricId phase0 = obs::span_id("rg.phase0");
   obs::MetricId bins_span = obs::span_id("rg.bins");
+  obs::MetricId snapshot_span = obs::span_id("rg.snapshot");
   obs::MetricId cover_span = obs::span_id("rg.cover");
   obs::MetricId filter_span = obs::span_id("rg.filter");
   obs::MetricId select_span = obs::span_id("rg.select");
@@ -437,7 +443,10 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
 
     // (i) cluster cover of G'_{i-1} (the injected step), given a frozen CSR
     // snapshot of G'_{i-1} that the cluster graph reuses.
-    csr.assign(result.spanner);
+    {
+      const obs::Span span(rg_metrics().snapshot_span);
+      csr.assign(result.spanner);
+    }
     const cluster::ClusterCover cover = [&] {
       const obs::Span span(rg_metrics().cover_span);
       return steps.cover(csr, radius, ws);
@@ -505,7 +514,8 @@ RelaxedGreedyResult run_relaxed_phases(const ubg::UbgInstance& inst, const Param
     // (iv) shortest-path queries on H (lazy update: all answered before adds).
     const std::vector<PhaseEdge> to_add = [&] {
       const obs::Span span(rg_metrics().queries_span);
-      return detail::answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
+      return detail::answer_queries(ws, cg.h, inst.points, queries, params.t,
+                                    &st.max_query_hops, pool);
     }();
     for (const PhaseEdge& e : to_add) result.spanner.add_edge(e.u, e.v, e.w);
     st.added = static_cast<int>(to_add.size());

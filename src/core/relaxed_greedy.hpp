@@ -183,11 +183,14 @@ struct CoveredCone {
 
 /// §2.2.4: answer all queries on H; returns the edges to add (those with
 /// sp_H(x,y) > t·w(x,y)). Updates `max_hops` with the Lemma 8 quantity.
-/// One early-exit bounded search per query, no per-query allocation once
+/// One goal-directed search per query, bounded by t·w(x,y), under the
+/// Euclidean potential of H over `pts` (the instance's positions); each
+/// answer is the plain search's bit for bit. No per-query allocation once
 /// the workspace is warm. With a pool the per-query searches run in
 /// parallel (results committed in query order — bit-identical to serial).
 [[nodiscard]] std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws,
                                                     const graph::CsrView& h,
+                                                    const geom::Points& pts,
                                                     const std::vector<PhaseEdge>& queries,
                                                     double t, int* max_hops,
                                                     runtime::WorkerPool* pool = nullptr);

@@ -15,14 +15,15 @@
 /// workspace performs **zero allocations** per search. A bounded search
 /// therefore costs O(|ball| log |ball|), independent of n.
 ///
-/// The one exception is routing's point-to-point sp(s, d), whose ball is
-/// the whole disk of radius sp(s, d). `distance(g, u, v, bound, potential)`
-/// answers it goal-directed: heap keys are g(x) + h(x) with the admissible
-/// potential h(x) = ρ·|xv| of `EuclideanPotential`, so the search settles
-/// roughly an ellipse around the segment instead of the disk. It stops only
-/// when the smallest key exceeds g(v)·(1 + 1e-9), which makes the answer
-/// bit-for-bit the plain search's (the argument is at `run`). Every other
-/// search uses `ZeroPotential`, which compiles to the plain loop.
+/// The exceptions are the point-to-point searches whose ball is the whole
+/// disk of radius sp(s, d): routing's sp(s, d) and the §2.2.4 queries on the
+/// cluster graph H. `distance` and `bounded_to` take an optional potential
+/// and answer them goal-directed: heap keys are g(x) + h(x) with the
+/// admissible potential h(x) = ρ·|xd| of `EuclideanPotential`, so the search
+/// settles roughly an ellipse around the segment instead of the disk. It
+/// stops only when the smallest key exceeds g(d)·(1 + 1e-9), which makes the
+/// answer bit-for-bit the plain search's (the argument is at `run`). Every
+/// other search uses `ZeroPotential`, which compiles to the plain loop.
 ///
 /// A per-edge witness check reads only a few distances from each ball:
 /// u's checked neighbours. `bounded_to_all` marks such a target set in an
@@ -272,15 +273,19 @@ class DijkstraWorkspace {
 
   /// Single-source search bounded by `radius` that stops as soon as `target`
   /// is settled (the view still answers dist/parent/path_hops for the target
-  /// and every vertex settled before it).
-  template <class G>
-  SpView bounded_to(const G& g, int src, int target, double radius) {
+  /// and every vertex settled before it). Under an admissible `potential`
+  /// the search is goal-directed, as in `distance`: the target reads the
+  /// plain search's distance bit for bit, and its parent chain is a path of
+  /// that length, so path_hops(target) counts its hops.
+  template <class G, class Potential = ZeroPotential>
+  SpView bounded_to(const G& g, int src, int target, double radius,
+                    const Potential& potential = {}) {
     check_radius(radius);
     if (target < 0 || target >= g.n()) {
       throw std::invalid_argument("dijkstra: target out of range");
     }
     const int srcs[1] = {src};
-    return run(g, srcs, radius, target, IdentityWeight{});
+    return run(g, srcs, radius, target, IdentityWeight{}, potential);
   }
 
   /// Single-source search bounded by `radius` that stops once every vertex
@@ -520,12 +525,9 @@ class DijkstraWorkspace {
       const auto i = static_cast<std::size_t>(x);
       stamp_[i] = epoch_now_;
       dist_[i] = gx;
-      if constexpr (kGoal) {
-        h_[i] = h(x, target);  // distance() reads only the target's g
-      } else {
-        parent_[i] = parent;
-        touched_.push_back(x);
-      }
+      parent_[i] = parent;
+      touched_.push_back(x);
+      if constexpr (kGoal) h_[i] = h(x, target);
       push(gx, i, x);
     };
     for (int s : sources) {
@@ -550,7 +552,7 @@ class DijkstraWorkspace {
           stamp(nb.to, nd, v);
         } else if (nd < dist_[to]) {
           dist_[to] = nd;
-          if constexpr (!kGoal) parent_[to] = v;
+          parent_[to] = v;
           push(nd, to, nb.to);
         } else {
           continue;

@@ -66,6 +66,17 @@ T take(std::istream& is) {
   return v;
 }
 
+/// Bytes between the read position and the end of a seekable stream; 0 when
+/// the stream cannot seek.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 // -------------------------------------------------------------------------
 // Structural validation shared by both readers. The readers enforce the
 // *syntax* (grammar, field types, arity); this enforces the *semantics*
@@ -225,11 +236,11 @@ dynamic::ChurnTrace read_trace_binary(std::istream& is) {
   trace.alpha = take<double>(is);
   trace.side = take<double>(is);
   const std::uint64_t count = take<std::uint64_t>(is);
-  // The count comes from an untrusted header: cap the up-front reservation
-  // so a corrupt file fails with "truncated binary trace" below instead of
-  // attempting an absurd allocation. (Genuine oversized traces still load —
-  // the vector grows normally past the reservation.)
-  trace.events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20)));
+  // The count comes from an untrusted header: reserve no more events than
+  // the bytes left can hold (13 per event at least: a leave's kind, node and
+  // time), so a corrupt count fails with "truncated binary trace" below
+  // having sized nothing by it. A stream that cannot seek grows as it reads.
+  trace.events.reserve(static_cast<std::size_t>(std::min(count, bytes_left(is) / 13)));
   for (std::uint64_t i = 0; i < count; ++i) {
     dynamic::ChurnEvent ev;
     const auto kind = take<std::uint8_t>(is);

@@ -16,6 +16,7 @@ set(cases
   "fail_malformed=BENCH_E1.json: unexpected end of JSON input"
   "fail_schema_version=BENCH_E1.json has schema_version '2'"
   "fail_e6_rows=E6 has 8 records, expected >= 9"
+  "fail_e9_hops=E9 row 1 max query hops (L8) is '51', expected <= 50 (1x L8 cap 2+ceil(tr/d))"
   "fail_e15_alloc=E15 meta alloc_free_steady_state is 'no', expected yes"
   "fail_e15_baseline_columns=E15 row 4 inc ms/ev is '1000', expected <= 7.155"
   "fail_e15_obs_overhead=E15 meta obs_overhead_pct is '4.5', expected <= 3"

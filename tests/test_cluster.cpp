@@ -71,14 +71,18 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 
 namespace {
 
-/// A partial-spanner-like graph to cluster: greedy spanner of a UBG.
-gr::Graph partial_spanner(std::uint64_t seed, int n = 200) {
+/// The UBG the partial spanners below are built on.
+ub::UbgInstance ubg_of(std::uint64_t seed, int n = 200) {
   ub::UbgConfig cfg;
   cfg.n = n;
   cfg.alpha = 0.7;
   cfg.seed = seed;
-  const auto inst = ub::make_ubg(cfg);
-  return localspan::core::seq_greedy(inst.g, 1.5);
+  return ub::make_ubg(cfg);
+}
+
+/// A partial-spanner-like graph to cluster: greedy spanner of a UBG.
+gr::Graph partial_spanner(std::uint64_t seed, int n = 200) {
+  return localspan::core::seq_greedy(ubg_of(seed, n).g, 1.5);
 }
 
 /// The library builds covers and cluster graphs on a frozen CSR snapshot
@@ -500,7 +504,8 @@ TEST(ClusterGraph, Lemma7PathApproximation) {
 }
 
 TEST(ClusterGraph, Lemma8QueriesHaveConstantHops) {
-  const gr::Graph gp = partial_spanner(14);
+  const ub::UbgInstance inst = ubg_of(14);
+  const gr::Graph gp = localspan::core::seq_greedy(inst.g, 1.5);
   const double w_prev = 0.3;
   const double delta = 0.1;
   const double t = 1.5;
@@ -508,6 +513,7 @@ TEST(ClusterGraph, Lemma8QueriesHaveConstantHops) {
   const auto cover = cover_of(gp, delta * w_prev);
   const auto cg = cluster_graph_of(gp, cover, w_prev);
   const int hop_cap = 2 + static_cast<int>(std::ceil(t * r / delta));
+  const gr::EuclideanPotential potential = gr::euclidean_potential(cg.h, inst.points);
   gr::DijkstraWorkspace ws;
   for (int x = 0; x < gp.n(); x += 5) {
     for (int y = 0; y < gp.n(); y += 11) {
@@ -515,7 +521,7 @@ TEST(ClusterGraph, Lemma8QueriesHaveConstantHops) {
       // Only query-edge-like pairs: Euclidean-scale weight in (W, rW].
       int hops = -1;
       const double bound = t * r * w_prev;
-      const double d = cl::query_on_h(ws, cg.h, x, y, bound, &hops);
+      const double d = cl::query_on_h(ws, cg.h, potential, x, y, bound, &hops);
       if (d == gr::kInf) continue;
       EXPECT_LE(hops, hop_cap);
     }
@@ -527,11 +533,13 @@ TEST(ClusterGraph, QueryOnHRespectsBound) {
   h.add_edge(0, 1, 1.0);
   h.add_edge(1, 2, 1.0);
   const gr::CsrView csr(h);
+  const localspan::geom::Points pts{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
+  const gr::EuclideanPotential potential = gr::euclidean_potential(csr, pts);
   gr::DijkstraWorkspace ws;
   int hops = -1;
-  EXPECT_EQ(cl::query_on_h(ws, csr, 0, 2, 1.5, &hops), gr::kInf);
+  EXPECT_EQ(cl::query_on_h(ws, csr, potential, 0, 2, 1.5, &hops), gr::kInf);
   EXPECT_EQ(hops, -1);
-  EXPECT_DOUBLE_EQ(cl::query_on_h(ws, csr, 0, 2, 2.5, &hops), 2.0);
+  EXPECT_DOUBLE_EQ(cl::query_on_h(ws, csr, potential, 0, 2, 2.5, &hops), 2.0);
   EXPECT_EQ(hops, 2);
 }
 

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -21,11 +23,13 @@
 #include "cluster/cluster_graph.hpp"
 #include "cluster/cover.hpp"
 #include "cluster_reference.hpp"
+#include "core/bins.hpp"
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "core/verify.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
+#include "ext/energy.hpp"
 #include "ext/fault_tolerant.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
@@ -358,9 +362,115 @@ TEST_P(ParallelMatrixTest, RelaxedGreedyAndVerifyMatchSerialBitForBit) {
   }
 }
 
+namespace {
+
+/// Runs the phase loop and answers each phase's §2.2.4 queries a second
+/// time with the plain search (`bounded_to` with no potential). The loop's
+/// goal-directed answers must match it: per query the distance bits and the
+/// hop count, per phase the added count and the Lemma 8 hop statistic. The
+/// queries are rebuilt from the phase's inputs: the cover step hands out
+/// G'_{i-1}, and after_phase names the bin.
+void expect_goal_directed_queries_match_plain(const localspan::ubg::UbgInstance& inst,
+                                              const localspan::core::Params& params,
+                                              const localspan::core::RelaxedGreedyOptions& opts) {
+  namespace cd = localspan::core::detail;
+  const std::function<double(double)> transform =
+      opts.weight_transform ? opts.weight_transform : [](double len) { return len; };
+  std::vector<gr::Edge> weighted;
+  std::vector<double> lens;
+  for (const gr::Edge& e : inst.g.edges()) {
+    weighted.push_back({e.u, e.v, transform(e.w)});
+    lens.push_back(e.w);
+  }
+  const auto bins = localspan::core::group_edges_by_bin(
+      weighted, localspan::core::BinSchema(params.alpha, params.r, inst.g.n()), lens);
+  gr::CsrView gp;  // G'_{i-1} of the running phase
+  cl::ClusterCover cover;
+  gr::DijkstraWorkspace ws;
+  int checked = 0;
+  static_cast<void>(cd::run_relaxed_phases(
+      inst, params, opts,
+      {.cover = [&](const gr::CsrView& csr, double radius, gr::DijkstraWorkspace& cws) {
+         gp = csr;
+         cover = cl::sequential_cover(csr, radius, cws);
+         return cover;
+       },
+       .mis = [&](const gr::Graph& j) {
+         return localspan::mis::luby_mis_parallel(j, 7, nullptr, opts.worker_pool);
+       },
+       .after_phase = [&](const localspan::core::PhaseStats& st) {
+         const cl::ClusterGraph cg =
+             cl::build_cluster_graph(gp, cover, transform(st.w_lo), ws);
+         std::vector<cd::PhaseEdge> candidates;
+         for (const gr::Edge& e : bins[static_cast<std::size_t>(st.bin)]) {
+           if (std::ranges::any_of(gp.neighbors(e.u),
+                                   [&](const gr::Neighbor& nb) { return nb.to == e.v; })) {
+             continue;
+           }
+           const cd::PhaseEdge pe{e.u, e.v, inst.points.distance(e.u, e.v), e.w};
+           if (!cd::is_covered_edge(inst.points, inst.config.alpha, gp, pe, params.theta)) {
+             candidates.push_back(pe);
+           }
+         }
+         const auto queries = cd::select_query_edges(candidates, cover, params.t, nullptr);
+         ASSERT_EQ(static_cast<int>(queries.size()), st.queries) << "bin " << st.bin;
+         const gr::EuclideanPotential potential = gr::euclidean_potential(cg.h, inst.points);
+         int added = 0;
+         int worst_hops = 0;
+         for (const cd::PhaseEdge& q : queries) {
+           const double bound = params.t * q.w;
+           int goal_hops = -1;
+           const double goal = cl::query_on_h(ws, cg.h, potential, q.u, q.v, bound, &goal_hops);
+           const gr::SpView plain = ws.bounded_to(cg.h, q.u, q.v, bound);
+           EXPECT_EQ(std::bit_cast<std::uint64_t>(goal),
+                     std::bit_cast<std::uint64_t>(plain.dist(q.v)))
+               << "bin " << st.bin << " query {" << q.u << ", " << q.v << "}";
+           EXPECT_EQ(goal_hops, plain.path_hops(q.v))
+               << "bin " << st.bin << " query {" << q.u << ", " << q.v << "}";
+           if (plain.dist(q.v) <= bound) {
+             worst_hops = std::max(worst_hops, plain.path_hops(q.v));
+           } else {
+             ++added;
+           }
+           ++checked;
+         }
+         EXPECT_EQ(st.added, added) << "bin " << st.bin;
+         EXPECT_EQ(st.max_query_hops, worst_hops) << "bin " << st.bin;
+       }}));
+  EXPECT_GT(checked, 0) << "no phase asked a query";
+}
+
+}  // namespace
+
+TEST_P(ParallelMatrixTest, GoalDirectedQueriesMatchThePlainSearch) {
+  const localspan::ubg::UbgInstance inst = GetParam().make();
+  const auto params = localspan::core::Params::practical_params(0.5, inst.config.alpha);
+  rt::WorkerPool pool(4);
+  for (rt::WorkerPool* p : {static_cast<rt::WorkerPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    localspan::core::RelaxedGreedyOptions opts;
+    opts.worker_pool = p;
+    expect_goal_directed_queries_match_plain(inst, params, opts);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Matrix, ParallelMatrixTest,
                          ::testing::ValuesIn(localspan::testinfra::standard_matrix()),
                          ScenarioName());
+
+TEST(ParallelGoalDirectedQueries, MatchThePlainSearchUnderTheEnergyTransform) {
+  const localspan::ubg::UbgInstance inst = Scenario{2, localspan::ubg::Placement::kClustered,
+                                                    0.75, 256, 3}.make();
+  const auto params = localspan::core::Params::practical_params(0.5, inst.config.alpha);
+  rt::WorkerPool pool(4);
+  for (rt::WorkerPool* p : {static_cast<rt::WorkerPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "1 thread" : "4 threads");
+    localspan::core::RelaxedGreedyOptions opts;
+    opts.weight_transform = localspan::ext::energy_transform(1.0, 2.0);
+    opts.worker_pool = p;
+    expect_goal_directed_queries_match_plain(inst, params, opts);
+  }
+}
 
 TEST(ParallelFaultTolerant, MatchesSerialAcrossVariantsAndThreadCounts) {
   const localspan::ubg::UbgInstance inst =

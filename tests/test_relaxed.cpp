@@ -441,9 +441,10 @@ TEST(AnswerQueries, AddsExactlyTheUnreachable) {
   // Query {0,2}: H-path of 2.0 <= t*w for w=1.5, t=1.5 (2.25) -> not added.
   // Query {0,3}: no H-path -> added.
   std::vector<core::detail::PhaseEdge> queries{{0, 2, 1.5, 1.5}, {0, 3, 1.5, 1.5}};
+  const localspan::geom::Points pts{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {1.5, 0.0}};
   int hops = 0;
   gr::DijkstraWorkspace ws;
-  const auto to_add = core::detail::answer_queries(ws, gr::CsrView(h), queries, 1.5, &hops);
+  const auto to_add = core::detail::answer_queries(ws, gr::CsrView(h), pts, queries, 1.5, &hops);
   ASSERT_EQ(to_add.size(), 1u);
   EXPECT_EQ(to_add[0].v, 3);
   EXPECT_EQ(hops, 2);

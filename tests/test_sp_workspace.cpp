@@ -354,6 +354,22 @@ TEST(SpWorkspace, BoundedToEarlyExitAnswersTarget) {
   EXPECT_EQ(sp2.path_hops(4), -1);
 }
 
+TEST(SpWorkspace, GoalDirectedBoundedToReportsTheTargetsPath) {
+  // The path graph laid out on a line, each weight at least its length: the
+  // Euclidean potential is admissible, and the search keeps its parent lane.
+  const gr::Graph g = path_graph();
+  const localspan::geom::Points pts{{0.0, 0.0}, {1.0, 0.0}, {1.5, 0.0}, {3.0, 0.0}, {4.0, 0.0}};
+  const gr::EuclideanPotential potential = gr::euclidean_potential(g, pts);
+  gr::DijkstraWorkspace ws;
+  const gr::SpView sp = ws.bounded_to(g, 0, 3, gr::kInf, potential);
+  EXPECT_DOUBLE_EQ(sp.dist(3), 3.5);
+  EXPECT_EQ(sp.path_hops(3), 3);
+  EXPECT_EQ(sp.parent(3), 2);
+  const gr::SpView sp2 = ws.bounded_to(g, 0, 4, 2.0, potential);
+  EXPECT_EQ(sp2.dist(4), gr::kInf);
+  EXPECT_EQ(sp2.path_hops(4), -1);
+}
+
 TEST(SpWorkspace, EpochWraparoundRebasesStamps) {
   const gr::Graph g = path_graph();
   gr::DijkstraWorkspace ws;

@@ -2,16 +2,54 @@
 // sniffing, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <new>
 #include <sstream>
 
 #include "dynamic/churn.hpp"
 #include "io/trace_io.hpp"
 #include "ubg/generator.hpp"
+
+// ---------------------------------------------------------------------------
+// Counting allocator: every operator-new in this binary adds its request
+// size to one counter, so a test can bound what one call allocates.
+// ---------------------------------------------------------------------------
+namespace {
+std::atomic<long long> g_alloc_bytes{0};
+}  // namespace
+
+// The replacement operator new allocates with std::malloc, so operator
+// delete frees with std::free — GCC's new/delete-pair analysis cannot see
+// through the replacement and flags the (correct) pairing.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace dy = localspan::dynamic;
 namespace io = localspan::io;
@@ -214,6 +252,30 @@ TEST(TraceBinary, RejectsBadMagicAndTruncation) {
     EXPECT_THROW(static_cast<void>(io::read_trace_binary(truncated)), std::runtime_error)
         << "cut=" << cut;
   }
+}
+
+TEST(TraceBinary, ClaimedCountReservesNoMoreThanTheBytesLeft) {
+  // A 36-byte header that claims 2^62 events and carries none: the read
+  // fails on the first missing event, having sized nothing by the count.
+  dy::ChurnTrace empty;
+  empty.dim = 2;
+  empty.alpha = 0.75;
+  empty.side = 5.0;
+  std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+  io::write_trace_binary(out, empty);
+  std::string bytes = out.str();
+  ASSERT_EQ(bytes.size(), 36u);
+  const std::uint64_t claim = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + 28, &claim, sizeof(claim));  // the event count
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  const long long before = g_alloc_bytes.load();
+  try {
+    static_cast<void>(io::read_trace_binary(in));
+    ADD_FAILURE() << "a trace short of its claimed events loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trace_io: truncated binary trace");
+  }
+  EXPECT_LT(g_alloc_bytes.load() - before, 1LL << 16);
 }
 
 TEST(TraceBinary, RejectsNonFiniteHeaderDoubles) {

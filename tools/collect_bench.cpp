@@ -174,6 +174,8 @@ constexpr Skip kCores = Skip::kCores;
 const char* const kDijkstra = "the oracle must beat per-query Dijkstra";
 
 const Gate kGates[] = {
+    {"E9", S::kFirst, "max query hops (L8)", P::kAtMostRef, 1, 0, kNo, "lemma8_hops",
+     "L8 cap 2+ceil(tr/d)", "an H query path is longer than Lemma 8's hop cap"},
     {"E12|E15", S::kScaling, "threads", P::kCount},
     {"E12|E15", S::kScaling, "speedup", P::kPositive},
     {"E12|E15", S::kScaling, "speedup", P::kBest, 1.2, 0, kCores, "thread_scaling_speedup", 0,
