@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -258,14 +257,8 @@ ObsOverhead measure_obs_overhead(const core::Params& params, bool quick) {
     dynamic::DynamicOptions opts;
     opts.threads = 1;
     dynamic::DynamicSpanner engine(inst, params, opts);
-    const std::vector<dynamic::ChurnEvent>& evs = trace.events;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < evs.size(); i += static_cast<std::size_t>(batch)) {
-      const std::size_t len =
-          std::min<std::size_t>(static_cast<std::size_t>(batch), evs.size() - i);
-      static_cast<void>(
-          engine.apply_batch(std::span<const dynamic::ChurnEvent>(evs.data() + i, len)));
-    }
+    static_cast<void>(dynamic::apply_windows(engine, trace.events, batch));
     return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
         .count();
   };
@@ -389,23 +382,18 @@ int main() {
       dynamic::DynamicOptions opts;
       opts.threads = threads;
       dynamic::DynamicSpanner engine(inst, params, opts);
-      double seconds = 0.0;
       long long regions = 0;
       long long ball_union = 0;
       int windows = 0;
       int fallbacks = 0;
       const std::vector<dynamic::ChurnEvent>& evs = trace.events;
-      for (std::size_t i = 0; i < evs.size(); i += static_cast<std::size_t>(batch)) {
-        const std::size_t len =
-            std::min<std::size_t>(static_cast<std::size_t>(batch), evs.size() - i);
-        const dynamic::BatchStats st =
-            engine.apply_batch(std::span<const dynamic::ChurnEvent>(evs.data() + i, len));
-        seconds += st.seconds;
-        regions += st.regions;
-        ball_union += st.ball_union;
-        ++windows;
-        if (st.fell_back) ++fallbacks;
-      }
+      const double seconds = dynamic::apply_windows(
+          engine, evs, batch, [&](int window, const dynamic::BatchStats& st) {
+            regions += st.regions;
+            ball_union += st.ball_union;
+            windows = window;
+            if (st.fell_back) ++fallbacks;
+          });
       const auto count = static_cast<double>(std::max<std::size_t>(1, evs.size()));
       const double ms_ev = 1e3 * seconds / count;
       batch_table.add_row(

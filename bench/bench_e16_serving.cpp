@@ -7,11 +7,13 @@
 /// policy, i.e. exactly what QueryEngine::Reader::distance runs) is timed
 /// against answering every query with a fresh early-exit Dijkstra. The
 /// speedup is algorithmic — label lookups are ~O(label) while Dijkstra is
-/// ~O(ball log ball) — so it holds on a 1-core container. Every timed
-/// query is also checked against the exact distance: served >= exact and
-/// served <= bound * exact (the oracle's declared stretch bound, 5 with
-/// the default sigma = beta = 2); `stretch_ok` in meta reports the sweep's
-/// verdict and collect_bench fails the artifact when it is not "yes".
+/// ~O(ball log ball) — so it holds on a 1-core container. The Dijkstra-
+/// timed prefix of the queries is also audited with serve::audit, the
+/// predicate the CLI's `serve` uses: served >= exact, and served <= bound *
+/// exact (the oracle's declared stretch bound, 5 with the default sigma =
+/// beta = 2) unless the oracle is truncated, which voids the upper bound.
+/// `stretch_ok` in meta reports the verdict and collect_bench fails the
+/// artifact when it is not "yes".
 ///
 /// Table 2 (concurrent serving): R reader threads issue distance/route
 /// queries nonstop while the writer ingests churn windows through
@@ -20,17 +22,17 @@
 /// reader lets go. Reported: aggregate qps, exact p50/p99/max query
 /// latency (merged per-thread logs, so publish pauses show up as tail
 /// latency, which is the claim under test), epochs published and the
-/// oracle hit rate.
+/// oracle hit rate. The load is serve::run_readers, the CLI's harness; each
+/// cell's final snapshot is audited on 256 pairs, and the verdict is ANDed
+/// into `stretch_ok`.
 ///
 /// LOCALSPAN_BENCH_QUICK=1 trims sizes/queries for CI smoke runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <random>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -40,6 +42,7 @@
 #include "dynamic/dynamic_spanner.hpp"
 #include "graph/sp_workspace.hpp"
 #include "runtime/parallel.hpp"
+#include "serve/load.hpp"
 #include "serve/query_engine.hpp"
 
 using namespace localspan;
@@ -51,20 +54,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::vector<std::pair<int, int>> draw_pairs(int n, int count, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<int> pick(0, n - 1);
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const int s = pick(rng);
-    int d = pick(rng);
-    if (s == d) d = (d + 1) % n;
-    pairs.emplace_back(s, d);
-  }
-  return pairs;
 }
 
 struct StaticCell {
@@ -107,7 +96,7 @@ StaticCell run_static(int n, int serve_queries, int dij_queries, const core::Par
     cell.bound = snap->oracle.stretch_bound();
   }
 
-  const std::vector<std::pair<int, int>> pairs = draw_pairs(n, serve_queries, 7);
+  const std::vector<std::pair<int, int>> pairs = serve::draw_pairs(n, serve_queries, 7);
   // Warm the reader workspace (first fallback sizes the buffers).
   for (int i = 0; i < std::min(serve_queries, 32); ++i) {
     static_cast<void>(reader.distance(pairs[static_cast<std::size_t>(i)].first,
@@ -128,40 +117,20 @@ StaticCell run_static(int n, int serve_queries, int dij_queries, const core::Par
   // stable after a few hundred searches; full sweeps at n=100000 would
   // dominate the bench for no information).
   cell.dij_timed = std::min(dij_queries, serve_queries);
+  const auto timed = std::span(pairs).first(static_cast<std::size_t>(cell.dij_timed));
   const graph::CsrView csr(spanner);
   graph::DijkstraWorkspace ws(spanner.n());
-  std::vector<double> exact(static_cast<std::size_t>(cell.dij_timed));
   {
     const auto t0 = Clock::now();
-    for (int i = 0; i < cell.dij_timed; ++i) {
-      exact[static_cast<std::size_t>(i)] =
-          ws.distance(csr, pairs[static_cast<std::size_t>(i)].first,
-                      pairs[static_cast<std::size_t>(i)].second);
-    }
+    for (const auto& [s, d] : timed) static_cast<void>(ws.distance(csr, s, d));
     cell.dij_us = 1e6 * seconds_since(t0) / std::max(cell.dij_timed, 1);
   }
 
-  // Stretch audit over the exact prefix: served in [exact, bound * exact].
-  double stretch_sum = 0.0;
-  int stretch_count = 0;
-  for (int i = 0; i < cell.dij_timed; ++i) {
-    const double served = reader
-                              .distance(pairs[static_cast<std::size_t>(i)].first,
-                                        pairs[static_cast<std::size_t>(i)].second)
-                              .distance;
-    const double ex = exact[static_cast<std::size_t>(i)];
-    if (ex == graph::kInf) {
-      if (served != graph::kInf) cell.stretch_ok = false;
-      continue;
-    }
-    const double tol = 1e-9 * std::max(1.0, ex);
-    if (served < ex - tol || served > cell.bound * ex + tol) cell.stretch_ok = false;
-    const double ratio = ex > 0.0 ? served / ex : 1.0;
-    stretch_sum += ratio;
-    cell.max_stretch = std::max(cell.max_stretch, ratio);
-    ++stretch_count;
-  }
-  cell.mean_stretch = stretch_count > 0 ? stretch_sum / stretch_count : 1.0;
+  // Stretch audit over the same prefix, with its own exact searches.
+  const serve::AuditReport audit = serve::audit(qe, timed);
+  cell.stretch_ok = audit.ok();
+  cell.mean_stretch = audit.mean_ratio;
+  cell.max_stretch = audit.max_ratio;
   return cell;
 }
 
@@ -177,6 +146,7 @@ struct ChurnCell {
   double max_us = 0.0;
   double hit_pct = 0.0;
   double repair_s = 0.0;
+  bool stretch_ok = true;  ///< serve::audit of the final snapshot.
 };
 
 ChurnCell run_churn(const ubg::UbgInstance& inst, const dynamic::ChurnTrace& trace,
@@ -192,71 +162,19 @@ ChurnCell run_churn(const ubg::UbgInstance& inst, const dynamic::ChurnTrace& tra
   qe.attach(engine);
   qe.publish(engine);
 
-  struct ThreadLog {
-    std::vector<std::int64_t> lat_ns;
-    long long hits = 0;
-    double seconds = 0.0;
-  };
-  std::vector<ThreadLog> logs(static_cast<std::size_t>(readers));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(readers));
-  for (int k = 0; k < readers; ++k) {
-    threads.emplace_back([&qe, &logs, k, n, queries] {
-      ThreadLog& log = logs[static_cast<std::size_t>(k)];
-      serve::QueryEngine::Reader reader = qe.reader();
-      std::mt19937_64 rng(0xC0FFEEu + static_cast<unsigned>(k));
-      std::uniform_int_distribution<int> pick(0, n - 1);
-      log.lat_ns.reserve(static_cast<std::size_t>(queries));
-      const auto t0 = Clock::now();
-      for (int q = 0; q < queries; ++q) {
-        const int s = pick(rng);
-        int d = pick(rng);
-        if (s == d) d = (d + 1) % n;
-        const auto q0 = Clock::now();
-        if (q % 8 == 7) {
-          static_cast<void>(reader.route(s, d));
-        } else if (reader.distance(s, d).via_oracle) {
-          ++log.hits;
-        }
-        log.lat_ns.push_back(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - q0).count());
-      }
-      log.seconds = seconds_since(t0);
-    });
-  }
-
-  for (std::size_t i = 0; i < trace.events.size(); i += static_cast<std::size_t>(batch)) {
-    const std::size_t len =
-        std::min<std::size_t>(static_cast<std::size_t>(batch), trace.events.size() - i);
-    cell.repair_s +=
-        engine.apply_batch(std::span<const dynamic::ChurnEvent>(trace.events.data() + i, len))
-            .seconds;
-    ++cell.windows;
-  }
-  for (std::thread& t : threads) t.join();
+  const serve::LoadReport load = serve::run_readers(qe, {readers, queries, n, 7}, [&] {
+    cell.repair_s = dynamic::apply_windows(
+        engine, trace.events, batch,
+        [&](int window, const dynamic::BatchStats&) { cell.windows = window; });
+  });
   cell.epochs = qe.store().current_epoch();
-
-  std::vector<std::int64_t> lat;
-  long long hits = 0;
-  double slowest = 0.0;
-  for (const ThreadLog& log : logs) {
-    lat.insert(lat.end(), log.lat_ns.begin(), log.lat_ns.end());
-    hits += log.hits;
-    slowest = std::max(slowest, log.seconds);
-  }
-  std::sort(lat.begin(), lat.end());
-  const auto pct = [&lat](double p) {
-    if (lat.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(p * (static_cast<double>(lat.size()) - 1.0));
-    return static_cast<double>(lat[idx]) / 1e3;
-  };
-  cell.qps = slowest > 0.0 ? static_cast<double>(lat.size()) / slowest : 0.0;
-  cell.p50_us = pct(0.50);
-  cell.p99_us = pct(0.99);
-  cell.max_us = pct(1.0);
-  const long long distance_queries =
-      static_cast<long long>(readers) * queries - static_cast<long long>(readers) * (queries / 8);
-  cell.hit_pct = 100.0 * static_cast<double>(hits) / std::max(distance_queries, 1LL);
+  cell.qps = load.qps();
+  cell.p50_us = load.percentile(0.50);
+  cell.p99_us = load.percentile(0.99);
+  cell.max_us = load.percentile(1.0);
+  cell.hit_pct =
+      100.0 * static_cast<double>(load.oracle) / std::max(load.oracle + load.exact, 1LL);
+  cell.stretch_ok = serve::audit(qe, serve::draw_pairs(n, 256, 7)).ok();
   return cell;
 }
 
@@ -300,7 +218,6 @@ int main() {
     }
     report.print("E16: oracle-served distance queries vs per-query Dijkstra", table);
   }
-  report.meta("stretch_ok", std::string(stretch_ok ? "yes" : "no"));
 
   {
     // Concurrent serving under churn: readers vs one repairing writer.
@@ -318,6 +235,7 @@ int main() {
                      "p50 us", "p99 us", "max us", "hit %", "repair s"});
     for (int readers : quick ? std::vector<int>{2} : std::vector<int>{1, 2, 4}) {
       const ChurnCell cell = run_churn(inst, trace, params, readers, queries, batch);
+      stretch_ok = stretch_ok && cell.stretch_ok;
       table.add_row({bu::fmt_int(n), bu::fmt_int(cell.readers),
                      bu::fmt_int(cell.queries_per_reader),
                      bu::fmt_int(static_cast<long long>(cell.events)), bu::fmt_int(cell.windows),
@@ -327,6 +245,7 @@ int main() {
     }
     report.print("E16: concurrent serving under live churn (snapshot flips per window)", table);
   }
+  report.meta("stretch_ok", std::string(stretch_ok ? "yes" : "no"));
 
   if (!stretch_ok) std::printf("E16: STRETCH AUDIT FAILED — see stretch columns above\n");
   return report.write() && stretch_ok ? 0 : 1;

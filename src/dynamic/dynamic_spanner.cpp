@@ -310,6 +310,20 @@ BatchStats DynamicSpanner::apply_batch(std::span<const ChurnEvent> events) {
   return st;
 }
 
+double apply_windows(DynamicSpanner& engine, std::span<const ChurnEvent> events, int width,
+                     const WindowHook& on_window) {
+  if (width < 1) throw std::invalid_argument("apply_windows: window width must be >= 1");
+  const auto w = static_cast<std::size_t>(width);
+  double seconds = 0.0;
+  int window = 0;
+  for (std::size_t i = 0; i < events.size(); i += w) {
+    const BatchStats st = engine.apply_batch(events.subspan(i, std::min(w, events.size() - i)));
+    seconds += st.seconds;
+    if (on_window) on_window(++window, st);
+  }
+  return seconds;
+}
+
 BatchStats DynamicSpanner::run_window(std::span<const ChurnEvent> events) {
   const auto t0 = std::chrono::steady_clock::now();
   BatchStats st;

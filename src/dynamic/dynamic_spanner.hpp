@@ -366,4 +366,15 @@ class DynamicSpanner {
   int mutation_depth_ = 0;
 };
 
+/// Hook for apply_windows: the window's number (from 1) and its stats.
+using WindowHook = std::function<void(int window, const BatchStats&)>;
+
+/// The one churn-window loop: feed `events` to engine.apply_batch in
+/// consecutive windows of `width` events (the last may be shorter), hand
+/// each window's stats to `on_window` when it is set, and return the summed
+/// BatchStats::seconds. \throws std::invalid_argument when width < 1;
+/// apply_batch's errors propagate.
+double apply_windows(DynamicSpanner& engine, std::span<const ChurnEvent> events, int width,
+                     const WindowHook& on_window = {});
+
 }  // namespace localspan::dynamic

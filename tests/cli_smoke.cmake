@@ -230,10 +230,23 @@ run_cli_err("dynamic: --check has no effect with --baseline-full"
             dynamic --in tiny.lsi --churn tiny_churn.json --baseline-full --check full --eps 0.5)
 
 # serve: reader threads query epoch-published snapshots while churn windows
-# republish; the final audit checks the served distances (exit 0 = PASS).
+# republish; the final audit checks the served distances and the spanner
+# audit certifies the final spanner (exit 0 = both PASS).
 run_cli(0 serve_out serve --n 256 --events 32 --readers 2 --queries 200 --quiet)
-if(NOT serve_out MATCHES "epochs: " OR NOT serve_out MATCHES "final audit: [^\n]* -> PASS")
+if(NOT serve_out MATCHES "epochs: " OR NOT serve_out MATCHES "final audit: [^\n]* -> PASS"
+   OR NOT serve_out MATCHES "spanner audit: PASS")
   message(FATAL_ERROR "serve output shape mismatch:\n${serve_out}")
+endif()
+# The serving:, epochs: and final audit: lines depend only on the seeded
+# trace, the pairs and the labels, which are bit-identical at every thread
+# count.
+run_cli(0 serve_t1_out serve --n 256 --events 32 --readers 2 --queries 200 --quiet --threads 1)
+run_cli(0 serve_t4_out serve --n 256 --events 32 --readers 2 --queries 200 --quiet --threads 4)
+foreach(v serve_t1_out serve_t4_out)
+  string(REGEX MATCHALL "(serving|  epochs|final audit): [^\n]*" ${v} "${${v}}")
+endforeach()
+if(NOT serve_t1_out STREQUAL serve_t4_out OR NOT serve_t1_out MATCHES "final audit")
+  message(FATAL_ERROR "serve differs across thread counts:\n${serve_t1_out}\n${serve_t4_out}")
 endif()
 
 # unknown trace model -> error exit.

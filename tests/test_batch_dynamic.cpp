@@ -73,7 +73,7 @@ co::Params practical(const ub::UbgInstance& inst, double eps = 0.5) {
   return co::Params::practical_params(eps, inst.config.alpha);
 }
 
-/// Replay a trace through apply_batch in windows of `batch` events,
+/// Replay a trace through apply_windows in windows of `batch` events,
 /// recording the per-window region count and fallback tally.
 struct BatchReplay {
   std::vector<int> regions_per_window;
@@ -84,15 +84,12 @@ struct BatchReplay {
 
 BatchReplay replay_batched(dy::DynamicSpanner& engine, const dy::ChurnTrace& trace, int batch) {
   BatchReplay out;
-  const std::vector<dy::ChurnEvent>& evs = trace.events;
-  for (std::size_t off = 0; off < evs.size(); off += static_cast<std::size_t>(batch)) {
-    const std::size_t len = std::min(static_cast<std::size_t>(batch), evs.size() - off);
-    const dy::BatchStats st = engine.apply_batch(std::span<const dy::ChurnEvent>(&evs[off], len));
+  dy::apply_windows(engine, trace.events, batch, [&](int, const dy::BatchStats& st) {
     out.regions_per_window.push_back(st.regions);
     out.region_of_event.push_back(engine.last_region_of_event());
     if (st.fell_back) ++out.fallbacks;
     if (st.check_ran && !st.check_passed) ++out.failed_checks;
-  }
+  });
   return out;
 }
 
@@ -405,6 +402,55 @@ TEST(BatchDynamic, EmptyWindowIsANoop) {
   EXPECT_EQ(st.regions, 0);
   EXPECT_EQ(engine.spanner(), before);
   EXPECT_TRUE(engine.last_region_of_event().empty());
+}
+
+// apply_windows: the one window loop. A width below 1 is refused before
+// any window runs.
+TEST(ApplyWindows, WidthBelowOneThrows) {
+  const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 48, 2}.make();
+  dy::DynamicSpanner engine(inst, practical(inst));
+  dy::PoissonChurnConfig pc;
+  pc.events = 4;
+  const dy::ChurnTrace trace = dy::poisson_churn(inst, pc);
+  const gr::Graph before = engine.spanner();
+  for (const int width : {0, -1}) {
+    EXPECT_THROW(static_cast<void>(dy::apply_windows(engine, trace.events, width)),
+                 std::invalid_argument)
+        << "width " << width;
+  }
+  EXPECT_EQ(engine.spanner(), before);
+}
+
+TEST(ApplyWindows, EmptySpanRunsNoWindow) {
+  const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 48, 2}.make();
+  dy::DynamicSpanner engine(inst, practical(inst));
+  int calls = 0;
+  const double seconds =
+      dy::apply_windows(engine, {}, 4, [&](int, const dy::BatchStats&) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(seconds, 0.0);
+}
+
+TEST(ApplyWindows, NumbersWindowsFromOneAndShortensTheLast) {
+  const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 96, 3}.make();
+  dy::PoissonChurnConfig pc;
+  pc.events = 13;
+  pc.seed = 5;
+  const dy::ChurnTrace trace = dy::poisson_churn(inst, pc);
+  ASSERT_EQ(trace.events.size(), 13u);
+  dy::DynamicSpanner engine(inst, practical(inst));
+  std::vector<int> numbers;
+  std::vector<int> sizes;
+  double summed = 0.0;
+  const double seconds =
+      dy::apply_windows(engine, trace.events, 4, [&](int window, const dy::BatchStats& st) {
+        numbers.push_back(window);
+        sizes.push_back(st.events);
+        summed += st.seconds;
+      });
+  EXPECT_EQ(numbers, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sizes, (std::vector<int>{4, 4, 4, 1}));
+  EXPECT_EQ(seconds, summed);
 }
 
 // An invalid first event means nothing was ingested, so neither entry point

@@ -3,9 +3,11 @@
 /// readers against live publishes (the TSan-audited leg), routing-oracle
 /// stretch equivalence against exact Dijkstra across the scenario matrix,
 /// bit-identity of oracle labels at every thread count, the dynamic-engine
-/// commit hook, and route-path validity.
+/// commit hook, route-path validity, and the serving harness
+/// (within_bound, run_readers, audit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -21,6 +23,7 @@
 #include "graph/sp_workspace.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
+#include "serve/load.hpp"
 #include "serve/oracle.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/snapshot.hpp"
@@ -305,15 +308,12 @@ TEST(QueryEngineDynamic, CommitHookPublishesOncePerWindow) {
   engine.apply_batch(std::span<const dyn::ChurnEvent>{});
   EXPECT_EQ(qe.store().current_epoch(), e0);
 
-  std::uint64_t prev = e0;
   int windows = 0;
-  for (std::size_t i = 0; i < trace.events.size(); i += 16) {
-    const std::size_t len = std::min<std::size_t>(16, trace.events.size() - i);
-    engine.apply_batch(std::span<const dyn::ChurnEvent>(trace.events.data() + i, len));
-    ++windows;
-    EXPECT_EQ(qe.store().current_epoch(), prev + 1) << "window " << windows;
-    prev = qe.store().current_epoch();
-  }
+  dyn::apply_windows(engine, trace.events, 16, [&](int window, const dyn::BatchStats&) {
+    windows = window;
+    EXPECT_EQ(qe.store().current_epoch(), e0 + static_cast<std::uint64_t>(window))
+        << "window " << window;
+  });
   EXPECT_GT(windows, 1);
 
   // Served answers on the final snapshot agree with exact Dijkstra on the
@@ -387,6 +387,93 @@ TEST(QueryEngineRoute, RoutePathsAreValidAndExact) {
     EXPECT_NEAR(walked, exact, 1e-9 * std::max(1.0, exact));
   }
   EXPECT_GT(reachable, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The serving harness (serve/load.hpp): one acceptance predicate, one
+// reader-load loop, one audit.
+// ---------------------------------------------------------------------------
+
+TEST(ServeHarness, WithinBoundTable) {
+  const double inf = gr::kInf;
+  struct Case {
+    const char* what;
+    double served, exact, bound;
+    bool bound_holds, ok;
+  };
+  const Case cases[] = {
+      {"exact answer", 2.0, 2.0, 5.0, true, true},
+      {"within the bound", 9.0, 2.0, 5.0, true, true},
+      {"rounding below exact", 2.0 - 1e-12, 2.0, 5.0, true, true},
+      {"under-estimate", 1.9, 2.0, 5.0, true, false},
+      {"over the bound", 10.5, 2.0, 5.0, true, false},
+      {"truncated oracle: no upper bound", 10.5, 2.0, 5.0, false, true},
+      {"truncated oracle: still no under-estimate", 1.9, 2.0, 5.0, false, false},
+      {"unreachable served finite", 3.0, inf, 5.0, true, false},
+      {"unreachable served finite, truncated", 3.0, inf, 5.0, false, false},
+      {"unreachable served kInf", inf, inf, 5.0, true, true},
+      {"reachable served kInf", inf, 2.0, 5.0, true, false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(sv::within_bound(c.served, c.exact, c.bound, c.bound_holds), c.ok) << c.what;
+  }
+}
+
+TEST(ServeHarness, RunReadersCountsEveryQueryWhileTheWriterPublishes) {
+  const Scenario sc{2, localspan::ubg::Placement::kUniform, 0.75, 96, 4};
+  const UbgInstance inst = sc.make();
+  sv::QueryEngine qe;
+  qe.publish(inst.g, 1.5);
+  constexpr int kReaders = 3;
+  constexpr int kQueries = 203;
+  constexpr int kPublishes = 5;
+  const sv::LoadReport load =
+      sv::run_readers(qe, {kReaders, kQueries, inst.g.n(), 9}, [&] {
+        for (int p = 0; p < kPublishes; ++p) qe.publish(inst.g, 1.5);
+      });
+  const long long total = static_cast<long long>(kReaders) * kQueries;
+  EXPECT_EQ(static_cast<long long>(load.lat_ns.size()), total);
+  EXPECT_TRUE(std::is_sorted(load.lat_ns.begin(), load.lat_ns.end()));
+  EXPECT_EQ(load.routed, static_cast<long long>(kReaders) * (kQueries / 8));
+  EXPECT_EQ(load.oracle + load.exact + load.routed, total);
+  EXPECT_GE(qe.store().current_epoch(), static_cast<std::uint64_t>(kPublishes) + 1);
+  EXPECT_LE(load.percentile(0.5), load.percentile(1.0));
+  EXPECT_GE(load.qps(), 0.0);
+}
+
+TEST(ServeHarness, ReaderErrorIsRethrownAfterTheJoin) {
+  const gr::Graph g = path_graph(8);
+  sv::QueryEngine qe;
+  qe.publish(g, 1.5);
+  // Pairs drawn from [0, 64) fall outside the 8-vertex snapshot.
+  bool writer_ran = false;
+  EXPECT_THROW(static_cast<void>(sv::run_readers(qe, {2, 50, 64, 1}, [&] { writer_ran = true; })),
+               std::invalid_argument);
+  EXPECT_TRUE(writer_ran);
+}
+
+TEST(ServeHarness, AuditOnTwoComponentsCountsOnlySharedComponentPairs) {
+  // Two paths, 0..5 and 6..11, with no edge between them.
+  gr::Graph g(12);
+  for (int v = 0; v + 1 < 12; ++v) {
+    if (v != 5) g.add_edge(v, v + 1, 1.0);
+  }
+  sv::QueryEngine qe;
+  qe.publish(g, 1.5);
+  const std::vector<std::pair<int, int>> pairs = sv::draw_pairs(12, 200, 3);
+  const sv::AuditReport rep = sv::audit(qe, pairs);
+  const auto same_side = [](int a, int b) { return (a < 6) == (b < 6); };
+  const long long shared = std::count_if(pairs.begin(), pairs.end(), [&](const auto& p) {
+    return same_side(p.first, p.second);
+  });
+  EXPECT_GT(shared, 0);
+  EXPECT_LT(shared, 200);
+  EXPECT_EQ(rep.violations, 0);
+  EXPECT_TRUE(rep.ok());
+  EXPECT_TRUE(rep.first.empty());
+  EXPECT_EQ(rep.reachable, shared);
+  EXPECT_GE(rep.mean_ratio, 1.0 - 1e-9);
+  EXPECT_LE(rep.max_ratio, rep.bound + 1e-9);
 }
 
 }  // namespace

@@ -6,20 +6,15 @@
 /// `span --algo list` prints its self-description. Exit code 0 on success /
 /// verification pass, 1 otherwise.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
-#include <random>
-#include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,6 +29,7 @@
 #include "obs/obs.hpp"
 #include "route/routing.hpp"
 #include "runtime/parallel.hpp"
+#include "serve/load.hpp"
 #include "serve/query_engine.hpp"
 #include "ubg/generator.hpp"
 
@@ -559,25 +555,6 @@ DynamicSetup dynamic_setup(const Flags& f, const char* cmd) {
   return s;
 }
 
-/// The churn-window loop of `dynamic --batch` and `serve`'s writer: feed
-/// `events` to apply_batch in windows of `batch`, hand each window's stats
-/// to `on_window` (windows numbered from 1), and return the total repair
-/// time of all windows.
-using WindowHook = std::function<void(int window, const dynamic::BatchStats&)>;
-double run_windows(dynamic::DynamicSpanner& engine, std::span<const dynamic::ChurnEvent> events,
-                   int batch, const WindowHook& on_window) {
-  const auto width = static_cast<std::size_t>(batch);
-  double seconds = 0.0;
-  int window = 0;
-  for (std::size_t i = 0; i < events.size(); i += width) {
-    const dynamic::BatchStats st =
-        engine.apply_batch(events.subspan(i, std::min(width, events.size() - i)));
-    seconds += st.seconds;
-    on_window(++window, st);
-  }
-  return seconds;
-}
-
 int cmd_dynamic(const Flags& f) {
   auto [inst, trace, params, opts] = dynamic_setup(f, "dynamic");
   opts.always_full_recompute = f.has("baseline-full");
@@ -598,8 +575,8 @@ int cmd_dynamic(const Flags& f) {
     long long ball_union = 0;
     int windows = 0;
     int fallbacks = 0;
-    const double total_seconds =
-        run_windows(engine, trace.events, batch, [&](int window, const dynamic::BatchStats& st) {
+    const double total_seconds = dynamic::apply_windows(
+        engine, trace.events, batch, [&](int window, const dynamic::BatchStats& st) {
           regions += st.regions;
           ball_union += st.ball_union;
           windows = window;
@@ -687,9 +664,9 @@ int cmd_dynamic(const Flags& f) {
 /// hook republishes an immutable snapshot (frozen CSR + routing oracle)
 /// after every window; R reader threads hammer distance/route queries
 /// against whichever snapshot is current while the writer repairs the next
-/// one. Exit code checks the served answers against exact Dijkstra on the
-/// final snapshot: every estimate must be >= the true distance and within
-/// the oracle's declared stretch bound.
+/// one (serve::run_readers). Exit code: the served distances on the final
+/// snapshot must pass serve::audit, and the final spanner the independent
+/// certificate `dynamic` ends with.
 int cmd_serve(const Flags& f) {
   auto [inst, trace, params, dopts] = dynamic_setup(f, "serve");
   const int batch = f.integer("batch");
@@ -713,141 +690,45 @@ int cmd_serve(const Flags& f) {
         g0->oracle.truncated() ? ", truncated" : "");
   }
 
-  // Reader threads: each owns a Reader (private workspace) and a
-  // private latency log; results merge after the join so the hot loop has
-  // no shared state at all.
-  struct ReaderReport {
-    std::vector<std::int64_t> lat_ns;
-    long long oracle_answered = 0;
-    long long exact_answered = 0;
-    long long routed = 0;
-    long long unreachable = 0;
-    double seconds = 0.0;
-    std::exception_ptr error;
-  };
-  std::vector<ReaderReport> reports(static_cast<std::size_t>(readers));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(readers));
-  for (int k = 0; k < readers; ++k) {
-    threads.emplace_back([&qe, &reports, k, n0, queries, seed] {
-      ReaderReport& rep = reports[static_cast<std::size_t>(k)];
-      try {
-        const std::string label = "reader-" + std::to_string(k);
-        obs::set_thread_label(label.c_str());
-        serve::QueryEngine::Reader reader = qe.reader();
-        std::mt19937_64 rng(seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(k + 1)));
-        std::uniform_int_distribution<int> pick(0, n0 - 1);
-        rep.lat_ns.reserve(static_cast<std::size_t>(queries));
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int q = 0; q < queries; ++q) {
-          const int s = pick(rng);
-          int d = pick(rng);
-          if (s == d) d = (d + 1) % n0;
-          const auto q0 = std::chrono::steady_clock::now();
-          if (q % 8 == 7) {
-            const serve::QueryEngine::RouteAnswer a = reader.route(s, d);
-            ++rep.routed;
-            if (!a.reachable) ++rep.unreachable;
-          } else {
-            const serve::QueryEngine::DistanceAnswer a = reader.distance(s, d);
-            if (a.via_oracle) ++rep.oracle_answered;
-            else ++rep.exact_answered;
-            if (a.distance == graph::kInf) ++rep.unreachable;
-          }
-          rep.lat_ns.push_back(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                                   q0)
-                  .count());
-        }
-        rep.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      } catch (...) {
-        rep.error = std::current_exception();
-      }
-    });
-  }
-
-  // The writer: ingest churn windows while the readers run. Every
+  // The writer ingests churn windows while the readers run. Every
   // apply_batch commit fires the hook and flips the published snapshot.
   int windows = 0;
-  const double churn_seconds =
-      run_windows(engine, trace.events, batch, [&](int window, const dynamic::BatchStats& st) {
-        windows = window;
-        if (quiet) return;
-        std::printf("window %-4d %3d events -> epoch %llu  %.2f ms\n", window, st.events,
-                    static_cast<unsigned long long>(qe.store().current_epoch()), 1e3 * st.seconds);
-      });
-  for (std::thread& t : threads) t.join();
-  for (const ReaderReport& rep : reports) {
-    if (rep.error) std::rethrow_exception(rep.error);
-  }
-
-  // Merge the per-thread latency logs for exact percentiles.
-  std::vector<std::int64_t> lat;
-  long long oracle_answered = 0;
-  long long exact_answered = 0;
-  long long routed = 0;
-  long long unreachable = 0;
-  double slowest = 0.0;
-  for (const ReaderReport& rep : reports) {
-    lat.insert(lat.end(), rep.lat_ns.begin(), rep.lat_ns.end());
-    oracle_answered += rep.oracle_answered;
-    exact_answered += rep.exact_answered;
-    routed += rep.routed;
-    unreachable += rep.unreachable;
-    slowest = std::max(slowest, rep.seconds);
-  }
-  std::sort(lat.begin(), lat.end());
-  const auto pct = [&lat](double p) {
-    if (lat.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(p * (static_cast<double>(lat.size()) - 1.0));
-    return static_cast<double>(lat[idx]) / 1e3;  // ns -> us
-  };
-  const double qps = slowest > 0.0 ? static_cast<double>(lat.size()) / slowest : 0.0;
+  double churn_seconds = 0.0;
+  const serve::LoadReport load = serve::run_readers(qe, {readers, queries, n0, seed}, [&] {
+    churn_seconds = dynamic::apply_windows(
+        engine, trace.events, batch, [&](int window, const dynamic::BatchStats& st) {
+          windows = window;
+          if (quiet) return;
+          std::printf("window %-4d %3d events -> epoch %llu  %.2f ms\n", window, st.events,
+                      static_cast<unsigned long long>(qe.store().current_epoch()),
+                      1e3 * st.seconds);
+        });
+  });
   std::printf(
       "\n%d readers x %d queries against live churn (%zu events, %d windows, %.3f s repair):\n",
       readers, queries, trace.events.size(), windows, churn_seconds);
-  std::printf("  %.0f queries/s, latency p50=%.1f us p99=%.1f us max=%.1f us\n", qps, pct(0.50),
-              pct(0.99), pct(1.0));
+  std::printf("  %.0f queries/s, latency p50=%.1f us p99=%.1f us max=%.1f us\n", load.qps(),
+              load.percentile(0.50), load.percentile(0.99), load.percentile(1.0));
   std::printf("  %lld oracle-answered, %lld exact-fallback, %lld routed, %lld unreachable\n",
-              oracle_answered, exact_answered, routed, unreachable);
+              load.oracle, load.exact, load.routed, load.unreachable);
   std::printf("  epochs: %llu published (initial %llu)\n",
               static_cast<unsigned long long>(qe.store().current_epoch()),
               static_cast<unsigned long long>(epoch0));
 
-  // Exit-code audit: sample pairs on the final snapshot and check every
-  // served distance against the exact one (route() is exact by construction,
-  // so it doubles as the reference). The oracle may only overestimate, and
-  // only up to its declared bound. The writer is done, so every answer
-  // comes from the snapshot pinned here.
-  serve::QueryEngine::Reader auditor = qe.reader();
-  const serve::SnapshotStore::ReadGuard final_snap = auditor.pin();
-  const double bound = final_snap->oracle.stretch_bound();
-  const bool bound_holds = !final_snap->oracle.truncated();
-  std::mt19937_64 rng(seed ^ 0xA5A5A5A5ULL);
-  std::uniform_int_distribution<int> pick(0, n0 - 1);
-  int audited = 0;
-  int violations = 0;
-  for (int i = 0; i < 256; ++i) {
-    const int s = pick(rng);
-    int d = pick(rng);
-    if (s == d) d = (d + 1) % n0;
-    const double est = auditor.distance(s, d).distance;
-    const serve::QueryEngine::RouteAnswer exact = auditor.route(s, d);
-    const double tol = 1e-9 * std::max(1.0, exact.distance);
-    audited += exact.reachable ? 1 : 0;
-    // Unreachable pairs must be served as unreachable (exact is kInf then).
-    const bool bad = !exact.reachable ? est != graph::kInf
-                                      : est < exact.distance - tol ||
-                                            (bound_holds && est > bound * exact.distance + tol);
-    if (bad && ++violations <= 5) {
-      std::fprintf(stderr, "audit violation: d(%d,%d) served %.6f, exact %.6f (bound %.2f)\n", s,
-                   d, est, exact.distance, bound);
-    }
+  // The writer is done, so the audit sees the final snapshot.
+  const serve::AuditReport served =
+      serve::audit(qe, serve::draw_pairs(n0, 256, seed ^ 0xA5A5A5A5ULL));
+  for (const serve::AuditReport::Violation& v : served.first) {
+    std::fprintf(stderr, "audit violation: d(%d,%d) served %.6f, exact %.6f (bound %.2f)\n", v.s,
+                 v.d, v.served, v.exact, served.bound);
   }
-  std::printf("final audit: %d pairs served within stretch bound %.2f -> %s\n", audited, bound,
-              violations == 0 ? "PASS" : "FAIL");
+  std::printf("final audit: %d pairs served within stretch bound %.2f -> %s\n", served.reachable,
+              served.bound, served.ok() ? "PASS" : "FAIL");
+  const core::VerificationReport rep =
+      core::verify_spanner(engine.instance(), engine.spanner(), params.t);
+  std::printf("spanner audit: %s\n", rep.summary().c_str());
   obs_write_outputs(f);
-  return violations == 0 ? 0 : 1;
+  return served.ok() && rep.ok() ? 0 : 1;
 }
 
 struct Command {
