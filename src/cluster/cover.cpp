@@ -4,7 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "graph/components.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -60,31 +59,6 @@ ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
     }
   }
   return cover;
-}
-
-CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, double ratio,
-                               int max_levels, graph::DijkstraWorkspace& ws) {
-  if (base_radius <= 0.0) throw std::invalid_argument("cover_hierarchy: base_radius must be > 0");
-  if (ratio <= 1.0) throw std::invalid_argument("cover_hierarchy: ratio must be > 1");
-  if (max_levels < 1) throw std::invalid_argument("cover_hierarchy: max_levels must be >= 1");
-
-  CoverHierarchy hier;
-  if (gp.n() == 0) {
-    hier.complete = true;
-    return hier;
-  }
-  const int components = graph::connected_components(gp).count;
-  double radius = base_radius;
-  for (int level = 0; level < max_levels; ++level) {
-    hier.radii.push_back(radius);
-    hier.levels.push_back(sequential_cover(gp, radius, ws));
-    if (static_cast<int>(hier.levels.back().centers.size()) == components) {
-      hier.complete = true;
-      break;
-    }
-    radius *= ratio;
-  }
-  return hier;
 }
 
 namespace {

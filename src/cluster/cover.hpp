@@ -38,35 +38,10 @@ struct ClusterCover {
 /// each center's absorption sweep walks only the ball the bounded search
 /// settled (O(Σ|ball| log |ball|) total instead of O(n · centers)), and the
 /// workspace is reused across centers (and phases) so the steady state
-/// allocates nothing.
+/// allocates nothing. serve::RoutingOracle runs the same sweep per level,
+/// with each search widened to its label reach (serve/oracle.hpp).
 [[nodiscard]] ClusterCover sequential_cover(const graph::CsrView& gp, double radius,
                                             graph::DijkstraWorkspace& ws);
-
-/// A geometric stack of cluster covers of one frozen graph: level ℓ is a
-/// sequential_cover at radius base_radius · ratio^ℓ. This is the structure
-/// the serve-layer routing oracle consumes — each level contributes one
-/// landmark-label family, and the stack as a whole answers distance queries
-/// with multiplicative stretch (see serve/oracle.hpp for the bound).
-struct CoverHierarchy {
-  std::vector<double> radii;         ///< radii[ℓ] = base_radius · ratio^ℓ.
-  std::vector<ClusterCover> levels;  ///< levels[ℓ] = cover at radii[ℓ].
-
-  /// True when the top level has exactly one cluster per connected
-  /// component, i.e. any connected pair shares a top-level center. When
-  /// false (max_levels hit first), far pairs may miss every level and the
-  /// oracle must fall back to an exact search for them.
-  bool complete = false;
-};
-
-/// Build the cover stack bottom-up, stopping early once a level has one
-/// center per connected component (further doublings cannot coarsen it).
-/// Each level is an independent sequential_cover of the same frozen gp.
-///
-/// \throws std::invalid_argument for base_radius <= 0, ratio <= 1, or
-/// max_levels < 1.
-[[nodiscard]] CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius,
-                                             double ratio, int max_levels,
-                                             graph::DijkstraWorkspace& ws);
 
 /// MIS-based construction (§3.2.1) on a frozen CSR snapshot: build the
 /// proximity graph J on V with {x,y} ∈ J iff sp_gp(x,y) <= radius (distinct

@@ -1,19 +1,22 @@
 #include "graph/labels.hpp"
 
+#include <algorithm>
+
 namespace localspan::graph {
 
-void LandmarkLabels::assign(const std::vector<std::vector<LabelEntry>>& rows) {
-  offsets_.clear();
-  entries_.clear();
-  offsets_.reserve(rows.size() + 1);
-  offsets_.push_back(0);
-  std::size_t total = 0;
-  for (const auto& row : rows) total += row.size();
-  entries_.reserve(total);
-  for (const auto& row : rows) {
-    entries_.insert(entries_.end(), row.begin(), row.end());
-    offsets_.push_back(static_cast<int>(entries_.size()));
+void LandmarkLabels::assign(int n, std::span<const BallEntry> balls) {
+  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const BallEntry& b : balls) ++offsets_[static_cast<std::size_t>(b.vertex) + 1];
+  for (std::size_t v = 1; v < offsets_.size(); ++v) offsets_[v] += offsets_[v - 1];
+  // offsets_[v] is v's write cursor; it ends at v's row end, so one shift
+  // right restores the row starts.
+  entries_.resize(balls.size());
+  for (const BallEntry& b : balls) {
+    int& cursor = offsets_[static_cast<std::size_t>(b.vertex)];
+    entries_[static_cast<std::size_t>(cursor++)] = {b.center, b.dist};
   }
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
 }
 
 double min_common_distance(std::span<const LabelEntry> a,

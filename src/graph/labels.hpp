@@ -10,9 +10,9 @@
 ///
 /// This header owns only the *container*: a CSR-shaped (offsets + flat
 /// entry array) structure, one per cover level, frozen after construction.
-/// Rows are sorted by center id (the oracle builder commits per-center
-/// results in ascending center order, which produces that invariant for
-/// free), so `min_common_distance` is a linear merge.
+/// It is laid out from the level's cover balls by one counting sort by
+/// vertex; the balls arrive in ascending center order, so every row comes
+/// out sorted by center id and `min_common_distance` is a linear merge.
 ///
 /// Everything here is plain value-semantic data: snapshots of it can be
 /// published read-only to concurrent reader threads, and `operator==` gives
@@ -34,15 +34,22 @@ struct LabelEntry {
   bool operator==(const LabelEntry&) const = default;
 };
 
+/// `vertex` in the ball of `center`, at exact distance `dist`.
+struct BallEntry {
+  int center = -1;
+  int vertex = -1;
+  double dist = 0.0;
+};
+
 /// Frozen per-vertex landmark labels for one cover level.
 class LandmarkLabels {
  public:
   LandmarkLabels() = default;
 
-  /// Freeze from per-vertex rows. Each rows[v] must already be sorted by
-  /// ascending center id (asserted in debug builds by the oracle's tests,
-  /// relied on by min_common_distance).
-  void assign(const std::vector<std::vector<LabelEntry>>& rows);
+  /// Lay out an n-vertex level from its centers' balls, taken ball after
+  /// ball in ascending center order: label(v) gets {c, d} per entry
+  /// {c, v, d}, rows sorted by center, by one counting sort by vertex.
+  void assign(int n, std::span<const BallEntry> balls);
 
   [[nodiscard]] int n() const noexcept { return static_cast<int>(offsets_.size()) - 1; }
 

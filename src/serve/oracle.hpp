@@ -5,14 +5,16 @@
 ///
 /// Structure (built per published snapshot, read-only afterwards):
 ///
-///   * A geometric cover hierarchy (cluster::cover_hierarchy) of the frozen
-///     spanner: level ℓ is a §2.2.1 sequential cover at radius
-///     r_ℓ = r_0 · σ^ℓ, stopping once a level has one cluster per component.
+///   * A geometric stack of §2.2.1 sequential covers of the frozen spanner:
+///     level ℓ at radius r_ℓ = r_0 · σ^ℓ, stopping once a level has one
+///     cluster per component.
 ///   * Per level, landmark labels (graph::LandmarkLabels): label_ℓ(v) holds
 ///     every level-ℓ center within shortest-path distance β·r_ℓ of v, with
-///     the exact distance, computed by one bounded Dijkstra per center
-///     (radius β·r_ℓ) and committed in ascending-center order — so labels
-///     are bit-identical at every thread count.
+///     the exact distance. Each level is one sweep in id order: a new center
+///     runs one bounded Dijkstra at β·r_ℓ, whose ball gives its label entries
+///     and, within r_ℓ, the vertices it covers; a counting sort by vertex
+///     lays the balls out flat. A pool builds a wave of levels at once and
+///     commits them in level order — bit-identical at every thread count.
 ///
 /// Query: estimate(u, v) = min over levels ℓ, min over centers c in
 /// label_ℓ(u) ∩ label_ℓ(v) of d(u,c) + d(c,v). Every candidate is the length
@@ -36,7 +38,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/cover.hpp"
 #include "graph/labels.hpp"
 #include "graph/sp_workspace.hpp"
 
@@ -61,8 +62,8 @@ class RoutingOracle {
   RoutingOracle() = default;
 
   /// Build labels for the frozen snapshot `csr`. Single-owner during build;
-  /// `ws` is the serial workspace, `pool` (optional) parallelizes the
-  /// per-center label searches with deterministic commits.
+  /// `ws` is the serial workspace, `pool` (optional) builds threads() levels
+  /// at a time with deterministic commits.
   void build(const graph::CsrView& csr, const OracleConfig& cfg, graph::DijkstraWorkspace& ws,
              runtime::WorkerPool* pool = nullptr);
 

@@ -248,6 +248,11 @@ endforeach()
 if(NOT serve_t1_out STREQUAL serve_t4_out OR NOT serve_t1_out MATCHES "final audit")
   message(FATAL_ERROR "serve differs across thread counts:\n${serve_t1_out}\n${serve_t4_out}")
 endif()
+# The oracle's levels and label entries are pinned to the two-pass build's
+# (a cover search, then a label search, per center per level).
+if(NOT serve_t1_out MATCHES "serving: n=256, 710 spanner edges, oracle 5 levels \\(4769 label entries, bound 5\\.00\\)")
+  message(FATAL_ERROR "serve --n 256: oracle shape changed:\n${serve_t1_out}")
+endif()
 
 # unknown trace model -> error exit.
 run_cli(1 badmodel_out trace --in tiny.lsi --model bogus --out x.json)

@@ -2,18 +2,22 @@
 /// snapshot store's lifecycle and shared-ownership reclamation, concurrent
 /// readers against live publishes (the TSan-audited leg), routing-oracle
 /// stretch equivalence against exact Dijkstra across the scenario matrix,
-/// bit-identity of oracle labels at every thread count, the dynamic-engine
-/// commit hook, route-path validity, and the serving harness
-/// (within_bound, run_readers, audit).
+/// oracle builds equal to the two-pass reference, bit-identity of oracle
+/// labels at every thread count, a warm oracle build's allocation count,
+/// the dynamic-engine commit hook, route-path validity, and the serving
+/// harness (within_bound, run_readers, audit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "graph/sp_workspace.hpp"
+#include "oracle_reference.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 #include "serve/load.hpp"
@@ -36,6 +41,41 @@ using localspan::runtime::WorkerPool;
 using localspan::testinfra::Scenario;
 using localspan::testinfra::ScenarioName;
 using localspan::ubg::UbgInstance;
+
+// ---------------------------------------------------------------------------
+// Counting allocator: every operator new in this binary bumps g_allocs, and
+// the allocation-count test snapshots it around one oracle build.
+// ---------------------------------------------------------------------------
+namespace {
+std::atomic<long long> g_allocs{0};
+}  // namespace
+
+// The replacement operator new allocates with std::malloc, so operator
+// delete frees with std::free — GCC's new/delete-pair analysis cannot see
+// through the replacement and flags the (correct) pairing.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -267,21 +307,118 @@ TEST(RoutingOracle, ConfigValidation) {
 // ---------------------------------------------------------------------------
 
 TEST(RoutingOracleDeterminism, LabelsBitIdenticalAcrossThreadCounts) {
-  const Scenario sc{2, localspan::ubg::Placement::kClustered, 0.75, 128, 9};
-  const UbgInstance inst = sc.make();
-  const gr::CsrView csr(inst.g);
+  // A pool builds threads() levels per wave: the default build of a small
+  // instance fits in one wave; a unit path's ~9 levels take several waves
+  // at 2 and 4 threads; max_levels 5 truncates inside a part-filled wave.
+  const UbgInstance inst = Scenario{2, localspan::ubg::Placement::kClustered, 0.75, 128, 9}.make();
+  const gr::Graph path = path_graph(300);
+  struct Case {
+    const char* name;
+    const gr::Graph* g;
+    sv::OracleConfig cfg;
+  };
+  for (const Case& c : {Case{"clustered", &inst.g, {}}, Case{"path", &path, {}},
+                        Case{"path max_levels 5", &path, {.max_levels = 5}}}) {
+    const gr::CsrView csr(*c.g);
+    gr::DijkstraWorkspace ws(c.g->n());
+    sv::RoutingOracle serial;
+    serial.build(csr, c.cfg, ws);
+    ASSERT_GT(serial.levels(), 0) << c.name;
+    ASSERT_GT(serial.total_label_entries(), 0) << c.name;
+    if (c.g == &path) {
+      EXPECT_GT(serial.levels(), 4) << c.name;
+    }
+    EXPECT_EQ(serial.truncated(), c.cfg.max_levels == 5) << c.name;
 
-  gr::DijkstraWorkspace ws(inst.g.n());
-  sv::RoutingOracle serial;
-  serial.build(csr, sv::OracleConfig{}, ws);
-  ASSERT_GT(serial.levels(), 0);
-  ASSERT_GT(serial.total_label_entries(), 0);
+    for (int threads : {2, 3, 4}) {
+      WorkerPool pool(threads);
+      sv::RoutingOracle parallel;
+      parallel.build(csr, c.cfg, ws, &pool);
+      EXPECT_EQ(serial, parallel) << c.name << ", thread count " << threads;
+    }
+  }
+}
 
-  for (int threads : {2, 4}) {
-    WorkerPool pool(threads);
-    sv::RoutingOracle parallel;
-    parallel.build(csr, sv::OracleConfig{}, ws, &pool);
-    EXPECT_EQ(serial, parallel) << "thread count " << threads;
+// ---------------------------------------------------------------------------
+// Reference: the one-sweep build equals the two-pass build (a cover search
+// per center, then a label search per center) in every field and row.
+// ---------------------------------------------------------------------------
+
+class OracleReferenceTest : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(OracleReferenceTest, OneSweepBuildEqualsTwoPassReference) {
+  const UbgInstance inst = GetParam().make();
+  const int n = inst.g.n();
+  // The same deployment cut into two halves by id: at least two components.
+  gr::Graph split(n);
+  for (int u = 0; u < n; ++u) {
+    for (const gr::Neighbor& nb : inst.g.neighbors(u)) {
+      if (u < nb.to && (u < n / 2) == (nb.to < n / 2)) split.add_edge(u, nb.to, nb.w);
+    }
+  }
+  struct Config {
+    std::string name;
+    sv::OracleConfig cfg;
+  };
+  const Config configs[] = {
+      {"default", {}},
+      {"max_levels 1", {.max_levels = 1}},
+      {"max_levels 2", {.max_levels = 2}},
+      {"sigma 3, beta 2.5", {.level_ratio = 3.0, .label_reach = 2.5}},
+      {"base_radius 0.3", {.base_radius = 0.3}},
+  };
+  WorkerPool pool(3);
+  for (const gr::Graph* g : {&inst.g, static_cast<const gr::Graph*>(&split)}) {
+    const gr::CsrView csr(*g);
+    gr::DijkstraWorkspace ws(n);
+    for (const auto& [name, cfg] : configs) {
+      const sv::ReferenceOracle ref = sv::reference_oracle(csr, cfg);
+      const std::string where = name + (g == &split ? ", split" : "");
+      if (cfg.max_levels == 1) {
+        EXPECT_TRUE(ref.truncated) << where;
+      }
+      for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr), &pool}) {
+        sv::RoutingOracle oracle;
+        oracle.build(csr, cfg, ws, p);
+        EXPECT_TRUE(oracle == ref) << where << (p != nullptr ? ", 3 threads" : ", serial");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, OracleReferenceTest,
+                         ::testing::ValuesIn(localspan::testinfra::standard_matrix()),
+                         ScenarioName());
+
+// ---------------------------------------------------------------------------
+// Allocations: a warm build lays each level out in flat buffers, so its
+// allocation count per level does not grow with n.
+// ---------------------------------------------------------------------------
+
+TEST(RoutingOracleAllocations, WarmBuildAllocationsPerLevelDoNotGrowWithN) {
+  // Per level: the labels' offsets and entries and the level's place in the
+  // oracle; per build: a fixed set of sweep buffers per wave slot. A build
+  // with one row vector per vertex would allocate about n times per level.
+  constexpr long long kPerLevel = 6;
+  constexpr long long kPerBuild = 24;
+  WorkerPool one(1);
+  WorkerPool four(4);
+  for (const int n : {512, 8192}) {
+    const UbgInstance inst = Scenario{2, localspan::ubg::Placement::kUniform, 0.75, n, 5}.make();
+    const gr::CsrView csr(inst.g);
+    gr::DijkstraWorkspace ws(n);
+    for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &one, &four}) {
+      sv::RoutingOracle warm;
+      warm.build(csr, sv::OracleConfig{}, ws, pool);  // warms the workspaces
+      const long long before = g_allocs.load();
+      sv::RoutingOracle oracle;
+      oracle.build(csr, sv::OracleConfig{}, ws, pool);
+      const long long allocs = g_allocs.load() - before;
+      ASSERT_FALSE(oracle.truncated());
+      const int threads = pool != nullptr ? pool->threads() : 0;
+      EXPECT_LE(allocs, kPerBuild + kPerLevel * oracle.levels())
+          << "n=" << n << " threads=" << threads << " levels=" << oracle.levels();
+    }
   }
 }
 
