@@ -16,10 +16,10 @@
 /// larger than the balls.
 ///
 /// The meta block records `alloc_free_steady_state`: a counting-allocator
-/// probe (global operator new/delete override below) verifies that a
-/// warmed-up workspace search and a warmed-up local certify perform zero
-/// heap allocations — the property that makes repair cost O(|ball|) in
-/// memory traffic, not just in work.
+/// probe (tests/counting_allocator.hpp) verifies that a warmed-up workspace
+/// search and a warmed-up local certify perform zero heap allocations — the
+/// property that makes repair cost O(|ball|) in memory traffic, not just in
+/// work.
 ///
 /// The baseline is timed on a prefix of the trace (the mean is stable after
 /// a few events) — `timed` in the table says how many events the baseline
@@ -27,10 +27,8 @@
 ///
 /// LOCALSPAN_BENCH_QUICK=1 trims sizes/events for CI smoke runs.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +38,7 @@
 #include "bench_util.hpp"
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
+#include "counting_allocator.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "graph/sp_workspace.hpp"
@@ -48,45 +47,6 @@
 
 using namespace localspan;
 namespace bu = localspan::benchutil;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every heap allocation in this binary bumps the
-// counter, so a window around a warmed-up hot path measures its true
-// allocation count (zero is the target).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow variants must be replaced too (std::stable_sort's temporary
-// buffer allocates through them; a half-replaced set trips ASan's
-// alloc-dealloc-mismatch check).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

@@ -92,7 +92,8 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
   active_.assign(static_cast<std::size_t>(inst_.g.n()), 1);
   active_count_ = inst_.g.n();
   scratch_in_scope_.assign(static_cast<std::size_t>(inst_.g.n()), 0);
-  batch_owner_.assign(static_cast<std::size_t>(inst_.g.n()), -1);
+  local_id_.assign(static_cast<std::size_t>(inst_.g.n()), -1);
+  in_core_.assign(static_cast<std::size_t>(inst_.g.n()), 0);
   // Every relaxed_greedy run (local repairs and full recomputes) shares one
   // workspace so the steady state reuses its buffers. One long-lived worker
   // team serves the local reruns and the certify sweep; spawning it once
@@ -101,15 +102,6 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
   const int threads = runtime::resolve_threads(opts_.threads);
   if (threads > 1) pool_.emplace(threads);
   opts_.greedy.worker_pool = pool_ ? &*pool_ : nullptr;
-  // Per-worker region-extraction scratch; a serial engine has worker 0's.
-  // Sized eagerly (and kept in step by ensure_slot) rather than lazily
-  // inside the harvest: region→worker assignment is dynamic, so lazy
-  // growth would leave rarely-hit workers cold and break the
-  // zero-allocation steady state nondeterministically.
-  worker_local_id_.assign(static_cast<std::size_t>(threads),
-                          std::vector<int>(static_cast<std::size_t>(inst_.g.n()), -1));
-  worker_in_core_.assign(static_cast<std::size_t>(threads),
-                         std::vector<char>(static_cast<std::size_t>(inst_.g.n()), 0));
   // Per-worker greedy options for the batch path's concurrent region
   // reruns: each worker repairs its regions with a *serial* relaxed_greedy
   // against its own pool workspace (no nested dispatch). Built once here so
@@ -123,7 +115,7 @@ DynamicSpanner::DynamicSpanner(ubg::UbgInstance inst, const core::Params& params
       worker_greedy_opts_.push_back(std::move(o));
     }
   }
-  full_recompute();
+  rebuild();
 }
 
 double DynamicSpanner::active_weight(double len) const {
@@ -151,9 +143,8 @@ void DynamicSpanner::ensure_slot(int v) {
     spanner_.add_vertex();
     ++inst_.config.n;
     scratch_in_scope_.push_back(0);
-    batch_owner_.push_back(-1);
-    for (std::vector<int>& ids : worker_local_id_) ids.push_back(-1);
-    for (std::vector<char>& flags : worker_in_core_) flags.push_back(0);
+    local_id_.push_back(-1);
+    in_core_.push_back(0);
   }
 }
 
@@ -179,8 +170,18 @@ void DynamicSpanner::check_position(const geom::Point& pos) const {
 
 void DynamicSpanner::full_recompute() {
   const CommitNotifier notify(*this);
+  rebuild();
+}
+
+void DynamicSpanner::rebuild() {
   const obs::Span span(dyn_metrics().full_span);
   spanner_ = core::relaxed_greedy(inst_, params_, opts_.greedy).spanner;
+}
+
+graph::SpView DynamicSpanner::ball(const std::vector<int>& seeds, double radius) const {
+  const std::function<double(double)>& tf = opts_.greedy.weight_transform;
+  return tf ? ws_.multi_bounded(inst_.g, seeds, radius, graph::TransformRef{&tf})
+            : ws_.multi_bounded(inst_.g, seeds, radius);
 }
 
 void DynamicSpanner::ingest_event(const ChurnEvent& ev, int* spanner_removed,
@@ -246,10 +247,7 @@ bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_o
   // local certify costs O(|scope|) and a warmed one allocates nothing.
   scratch_scoped_.clear();
   if (!modified.empty()) {
-    const double scope_radius = witness_bound_ + wmax_;
-    const graph::SpView sp =
-        tf ? ws_.multi_bounded(inst_.g, modified, scope_radius, graph::TransformRef{&tf})
-           : ws_.multi_bounded(inst_.g, modified, scope_radius);
+    const graph::SpView sp = ball(modified, witness_bound_ + wmax_);
     for (int v : sp.touched()) {
       scratch_in_scope_[static_cast<std::size_t>(v)] = 1;
       scratch_scoped_.push_back(v);
@@ -342,7 +340,7 @@ BatchStats DynamicSpanner::run_window(std::span<const ChurnEvent> events) {
       ingest_event(events[static_cast<std::size_t>(ingested)], &st.spanner_edges_removed, &touched);
     }
     if (opts_.always_full_recompute) {
-      full_recompute();
+      rebuild();
     } else {
       repair_window(&st);
     }
@@ -353,7 +351,7 @@ BatchStats DynamicSpanner::run_window(std::span<const ChurnEvent> events) {
     // restores a certified spanner before the error propagates. The window
     // is not rolled back. A window that failed on its first event changed
     // nothing and keeps its spanner.
-    if (ingested > 0) full_recompute();
+    if (ingested > 0) rebuild();
     throw;
   }
 
@@ -384,8 +382,6 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   // of the window covers every per-event ball — this is the coalescing
   // payoff: a burst of k overlapping events costs one |U|-sized search
   // instead of k of them. The per-event balls are never materialized.
-  runtime::WorkerPool* const tm = opts_.greedy.worker_pool;
-  const std::function<double(double)>& tf = opts_.greedy.weight_transform;
   // The merged modified set doubles as the deduplicated seed list; the
   // commit below appends the splice endpoints.
   batch_modified_.clear();
@@ -399,9 +395,7 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   if (!batch_modified_.empty()) {
     const graph::SpView sp = [&] {
       const obs::Span span(dyn_metrics().ball_span);
-      return tf ? ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_,
-                                    graph::TransformRef{&tf})
-                : ws_.multi_bounded(inst_.g, batch_modified_, ball_radius_);
+      return ball(batch_modified_, ball_radius_);
     }();
     batch_union_.assign(sp.touched().begin(), sp.touched().end());
     std::sort(batch_union_.begin(), batch_union_.end());
@@ -409,80 +403,50 @@ void DynamicSpanner::repair_window(BatchStats* st) {
                           static_cast<std::int64_t>(batch_union_.size()));
     flush_heap_ops(ws_, nullptr);
 
-    // Phase 3: deterministic region partition. Label U's connected
-    // components (BFS in ascending node order over the U-induced
-    // subgraph), then union-find events sharing a component, in event
-    // order. Two overlapping per-event balls always share a component, so
-    // this merges at least as much as ball-overlap would — regions stay
+    // Phase 3: deterministic region partition, one union-find over the
+    // window's events (node i) and U's vertices (node count + v). Uniting
+    // both ends of every edge inside U and each event with its seeds makes
+    // its classes U's connected components joined through shared events.
+    // Overlapping per-event balls always share a component, so regions stay
     // vertex-disjoint and every event ball stays inside its region, which
-    // is all the witness-locality argument needs. The partition is a pure
-    // function of the window (no parallel phase feeds it).
-    comp_event_.clear();
-    for (int u : batch_union_) {
-      if (batch_owner_[static_cast<std::size_t>(u)] >= 0) continue;
-      const int comp = static_cast<int>(comp_event_.size());
-      comp_event_.push_back(-1);
-      batch_queue_.clear();
-      batch_queue_.push_back(u);
-      batch_owner_[static_cast<std::size_t>(u)] = comp;
-      while (!batch_queue_.empty()) {
-        const int v = batch_queue_.back();
-        batch_queue_.pop_back();
-        for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-          if (!sp.reached(nb.to)) continue;  // outside U
-          int& owner = batch_owner_[static_cast<std::size_t>(nb.to)];
-          if (owner < 0) {
-            owner = comp;
-            batch_queue_.push_back(nb.to);
-          }
-        }
-      }
-    }
-
-    if (batch_uf_.size() < static_cast<std::size_t>(count)) {
-      batch_uf_.resize(static_cast<std::size_t>(count));
-      batch_root_region_.resize(static_cast<std::size_t>(count));
-    }
-    for (int i = 0; i < count; ++i) {
-      batch_uf_[static_cast<std::size_t>(i)] = i;
-      batch_root_region_[static_cast<std::size_t>(i)] = -1;
-    }
-    const auto find_root = [this](int a) {
-      while (batch_uf_[static_cast<std::size_t>(a)] != a) {
-        batch_uf_[static_cast<std::size_t>(a)] =
-            batch_uf_[static_cast<std::size_t>(batch_uf_[static_cast<std::size_t>(a)])];
-        a = batch_uf_[static_cast<std::size_t>(a)];
+    // is all the witness-locality argument needs. The smaller root wins, so
+    // a class is rooted at its first event. The partition is a pure
+    // function of the window; only U's entries are read, each set below.
+    const std::size_t uf_size = static_cast<std::size_t>(count + inst_.g.n());
+    if (region_uf_.size() < uf_size) region_uf_.resize(uf_size);
+    for (int i = 0; i < count; ++i) region_uf_[static_cast<std::size_t>(i)] = i;
+    for (int v : batch_union_) region_uf_[static_cast<std::size_t>(count + v)] = count + v;
+    const auto find = [this](int a) {  // with path halving
+      while (region_uf_[static_cast<std::size_t>(a)] != a) {
+        int& parent = region_uf_[static_cast<std::size_t>(a)];
+        a = parent = region_uf_[static_cast<std::size_t>(parent)];
       }
       return a;
     };
-    for (int i = 0; i < count; ++i) {
-      for (int s : batch_touched_[static_cast<std::size_t>(i)]) {
-        // Seeds are sources of the union search, so they are in U and
-        // labeled. The first event touching a component anchors it; later
-        // ones union into the anchor.
-        int& first = comp_event_[static_cast<std::size_t>(batch_owner_[static_cast<std::size_t>(s)])];
-        if (first < 0) {
-          first = i;
-        } else {
-          const int ra = find_root(first);
-          const int rb = find_root(i);
-          // The smaller root wins, so every class is rooted at its first
-          // member event.
-          if (ra != rb) batch_uf_[static_cast<std::size_t>(std::max(ra, rb))] = std::min(ra, rb);
-        }
+    const auto unite = [&](int a, int b) {
+      a = find(a);
+      b = find(b);
+      if (a != b) region_uf_[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+    };
+    for (int v : batch_union_) {
+      for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
+        if (v < nb.to && sp.reached(nb.to)) unite(count + v, count + nb.to);
       }
     }
-
-    int balled_events = 0;
+    // Seeds are sources of the union search, so they are in U.
+    for (int i = 0; i < count; ++i) {
+      for (int s : batch_touched_[static_cast<std::size_t>(i)]) unite(i, count + s);
+    }
     for (int i = 0; i < count; ++i) {
       if (batch_touched_[static_cast<std::size_t>(i)].empty()) continue;
-      ++balled_events;
-      int& region = batch_root_region_[static_cast<std::size_t>(find_root(i))];
-      if (region < 0) region = nregions++;
-      region_of_event_[static_cast<std::size_t>(i)] = region;
+      // i's root is its region's first event: i itself when it opens a new
+      // region, else an earlier event, numbered already.
+      const int root = find(i);
+      if (root != i) ++st->merged_events;
+      region_of_event_[static_cast<std::size_t>(i)] =
+          root == i ? nregions++ : region_of_event_[static_cast<std::size_t>(root)];
     }
     st->regions = nregions;
-    st->merged_events = balled_events - nregions;
     obs::histogram_record(dyn_metrics().regions, nregions);
 
     if (batch_regions_.size() < static_cast<std::size_t>(nregions)) {
@@ -490,42 +454,29 @@ void DynamicSpanner::repair_window(BatchStats* st) {
     }
     for (int r = 0; r < nregions; ++r) {
       RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
-      rg.events.clear();
+      rg.events = 0;
       rg.ball.clear();
       rg.core.clear();
       rg.sub_edges = 0;
       rg.drops.clear();
       rg.adds.clear();
     }
-    for (int i = 0; i < count; ++i) {
-      const int r = region_of_event_[static_cast<std::size_t>(i)];
-      if (r < 0) continue;
-      batch_regions_[static_cast<std::size_t>(r)].events.push_back(i);
+    for (int r : region_of_event_) {
+      if (r >= 0) ++batch_regions_[static_cast<std::size_t>(r)].events;
     }
-    // Component -> region, then one ascending pass over U fills every
-    // region's ball (already sorted) and core (dist is the union search's
-    // min-over-seeds; the minimizing seed lies in the same component, so
-    // the per-region core is exact).
-    comp_region_.assign(comp_event_.size(), -1);
-    for (std::size_t c = 0; c < comp_event_.size(); ++c) {
-      if (comp_event_[c] >= 0) {
-        comp_region_[c] = region_of_event_[static_cast<std::size_t>(comp_event_[c])];
-      }
-    }
+    // One ascending pass over U fills every region's ball (already sorted)
+    // and core. Every vertex of U is joined to a seed through U (a shortest
+    // path from the nearest seed stays inside the ball), so its root is an
+    // event. dist is the union search's min-over-seeds, and the minimizing
+    // seed lies in the same region, so the per-region core is exact.
     for (int v : batch_union_) {
-      const int comp = batch_owner_[static_cast<std::size_t>(v)];
-      batch_owner_[static_cast<std::size_t>(v)] = -1;  // stamp reset, same pass
-      const int r = comp_region_[static_cast<std::size_t>(comp)];
-      if (r < 0) continue;
-      RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
+      const int root = find(count + v);
+      RegionScratch& rg = batch_regions_[static_cast<std::size_t>(
+          region_of_event_[static_cast<std::size_t>(root)])];
       rg.ball.push_back(v);
       if (sp.dist(v) <= core_radius_) rg.core.push_back(v);
     }
-    for (int r = 0; r < nregions; ++r) {
-      RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
-      st->ball_union += static_cast<int>(rg.ball.size());
-      st->max_region_ball = std::max(st->max_region_ball, static_cast<int>(rg.ball.size()));
-    }
+    st->ball_union = static_cast<int>(batch_union_.size());
   }
 
   // Phases 4+5, one scatter/commit: harvest every region's splice in
@@ -539,19 +490,24 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   const bool obs_on = obs::enabled();
   std::vector<std::int64_t> harvest_us;
   if (obs_on) harvest_us.assign(static_cast<std::size_t>(nregions), 0);
-  const auto harvest_region = [&](int r, std::vector<int>& local_id, std::vector<char>& in_core,
-                                  const core::RelaxedGreedyOptions& gopts) {
+  // local_id_ and in_core_ are shared by concurrent harvests, race-free: a
+  // harvest writes only its own ball's entries and reads those of its ball
+  // vertices' G-neighbours and spanner neighbours (the spanner is a
+  // subgraph of G). An edge with both ends in U unites them, so each such
+  // neighbour lies in the same region's ball or outside U, where nobody
+  // writes.
+  const auto harvest_region = [&](int r, const core::RelaxedGreedyOptions& gopts) {
     const obs::Span span(dyn_metrics().region_span);
     const auto h0 = std::chrono::steady_clock::now();
     RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
     for (std::size_t j = 0; j < rg.ball.size(); ++j) {
-      local_id[static_cast<std::size_t>(rg.ball[j])] = static_cast<int>(j);
+      local_id_[static_cast<std::size_t>(rg.ball[j])] = static_cast<int>(j);
     }
-    for (int v : rg.core) in_core[static_cast<std::size_t>(v)] = 1;
+    for (int v : rg.core) in_core_[static_cast<std::size_t>(v)] = 1;
     int sub_edges = 0;
     for (int v : rg.ball) {
       for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-        if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) ++sub_edges;
+        if (v < nb.to && local_id_[static_cast<std::size_t>(nb.to)] >= 0) ++sub_edges;
       }
     }
     rg.sub_edges = sub_edges;
@@ -570,9 +526,9 @@ void DynamicSpanner::repair_window(BatchStats* st) {
       for (int v : rg.ball) sub.points.push_back(inst_.points.row(v));
       for (int v : rg.ball) {
         for (const graph::Neighbor& nb : inst_.g.neighbors(v)) {
-          if (v < nb.to && local_id[static_cast<std::size_t>(nb.to)] >= 0) {
-            sub.g.add_edge(local_id[static_cast<std::size_t>(v)],
-                           local_id[static_cast<std::size_t>(nb.to)], nb.w);
+          if (v < nb.to && local_id_[static_cast<std::size_t>(nb.to)] >= 0) {
+            sub.g.add_edge(local_id_[static_cast<std::size_t>(v)],
+                           local_id_[static_cast<std::size_t>(nb.to)], nb.w);
           }
         }
       }
@@ -580,9 +536,9 @@ void DynamicSpanner::repair_window(BatchStats* st) {
       // The local result replaces the core-internal standing edges; edges
       // crossing the core boundary stay so distant witnesses survive.
       for (int v : rg.ball) {
-        if (!in_core[static_cast<std::size_t>(v)]) continue;
+        if (!in_core_[static_cast<std::size_t>(v)]) continue;
         for (const graph::Neighbor& nb : spanner_.neighbors(v)) {
-          if (v < nb.to && in_core[static_cast<std::size_t>(nb.to)]) {
+          if (v < nb.to && in_core_[static_cast<std::size_t>(nb.to)]) {
             rg.drops.emplace_back(v, nb.to);
           }
         }
@@ -592,8 +548,8 @@ void DynamicSpanner::repair_window(BatchStats* st) {
                            rg.ball[static_cast<std::size_t>(e.v)], e.w});
       }
     }
-    for (int v : rg.ball) local_id[static_cast<std::size_t>(v)] = -1;
-    for (int v : rg.core) in_core[static_cast<std::size_t>(v)] = 0;
+    for (int v : rg.ball) local_id_[static_cast<std::size_t>(v)] = -1;
+    for (int v : rg.core) in_core_[static_cast<std::size_t>(v)] = 0;
     if (obs_on) {
       harvest_us[static_cast<std::size_t>(r)] = std::chrono::duration_cast<std::chrono::microseconds>(
                                                     std::chrono::steady_clock::now() - h0)
@@ -608,25 +564,26 @@ void DynamicSpanner::repair_window(BatchStats* st) {
   // with the engine-level greedy options instead (pool-parallel *inside*
   // the one rerun when a team exists); relaxed_greedy is bit-identical at
   // every thread count, so nothing observable changes.
+  runtime::WorkerPool* const tm = opts_.greedy.worker_pool;
   const bool parallel_regions = tm != nullptr && tm->threads() > 1 && nregions > 1;
   {
     const obs::Span splice_span(dyn_metrics().splice_span);
     runtime::scatter_commit(
         parallel_regions ? tm : nullptr, ws_, nregions,
         [&](graph::DijkstraWorkspace&, int worker, int r) {
-          harvest_region(r, worker_local_id_[static_cast<std::size_t>(worker)],
-                         worker_in_core_[static_cast<std::size_t>(worker)],
-                         parallel_regions ? worker_greedy_opts_[static_cast<std::size_t>(worker)]
-                                          : opts_.greedy);
+          harvest_region(r, parallel_regions
+                                ? worker_greedy_opts_[static_cast<std::size_t>(worker)]
+                                : opts_.greedy);
         },
         [&](int r) {
           RegionScratch& rg = batch_regions_[static_cast<std::size_t>(r)];
           if (obs_on) {
             const DynMetrics& m = dyn_metrics();
             obs::histogram_record(m.region_ball, static_cast<std::int64_t>(rg.ball.size()));
-            obs::histogram_record(m.region_events, static_cast<std::int64_t>(rg.events.size()));
+            obs::histogram_record(m.region_events, rg.events);
             obs::histogram_record(m.region_harvest_us, harvest_us[static_cast<std::size_t>(r)]);
           }
+          st->max_region_ball = std::max(st->max_region_ball, static_cast<int>(rg.ball.size()));
           st->sub_edges += rg.sub_edges;
           for (const auto& [u, v] : rg.drops) {
             spanner_.remove_edge(u, v);
@@ -653,7 +610,7 @@ void DynamicSpanner::repair_window(BatchStats* st) {
                            ? certify({}, &st->certify_scope)
                            : certify(batch_modified_, &st->certify_scope);
     if (!st->check_passed) {
-      full_recompute();
+      rebuild();
       st->fell_back = true;
     }
   }

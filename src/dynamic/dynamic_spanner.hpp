@@ -178,11 +178,11 @@ class DynamicSpanner {
   /// certifier-equivalent spanner at the end — but the repair work is
   /// *coalesced*: ONE multi-source bounded search from every seed of the
   /// window computes the union dirty ball U = ∪ ball(D_i) on the final
-  /// topology, events are partitioned by the connected components of U
-  /// (overlapping balls always share a component, so this refines the
-  /// ball-overlap union-find upward — never apart), components touching a
-  /// common event are unioned into disjoint repair regions, the regions are
-  /// repaired in parallel on the
+  /// topology, one union-find over U's vertices and the window's events
+  /// (uniting the ends of every edge inside U, and each event with its
+  /// seeds) splits U into disjoint repair regions — U's connected
+  /// components joined through shared events, so overlapping balls always
+  /// share a region — the regions are repaired in parallel on the
   /// engine-owned worker team (regions are vertex-disjoint, so their local
   /// reruns read frozen state and are independent by the witness-locality
   /// argument at the top of this file), splices are committed serially in
@@ -249,19 +249,15 @@ class DynamicSpanner {
   }
 
  private:
-  /// Depth-counted RAII around every mutating entry point: the hook fires
-  /// exactly once, when the *outermost* mutation completes normally (the
-  /// window body reaches full_recompute() from inside apply() /
-  /// apply_batch(), which must not double-fire), and never during stack
-  /// unwinding (a hook must not run — let alone throw — mid-propagation).
+  /// RAII around each public mutator: the hook fires when the mutation
+  /// completes normally, and never during stack unwinding (a hook must not
+  /// run — let alone throw — mid-propagation). The window body rebuilds
+  /// through rebuild(), which never notifies, so each mutation fires once.
   struct CommitNotifier {
     explicit CommitNotifier(DynamicSpanner& e) noexcept
-        : eng(e), exceptions_on_entry(std::uncaught_exceptions()) {
-      ++eng.mutation_depth_;
-    }
+        : eng(e), exceptions_on_entry(std::uncaught_exceptions()) {}
     ~CommitNotifier() {
-      if (--eng.mutation_depth_ == 0 && eng.commit_hook_ &&
-          std::uncaught_exceptions() == exceptions_on_entry) {
+      if (eng.commit_hook_ && std::uncaught_exceptions() == exceptions_on_entry) {
         eng.commit_hook_(eng);
       }
     }
@@ -275,6 +271,12 @@ class DynamicSpanner {
   [[nodiscard]] geom::Point parked_position(int v) const;
   void ensure_slot(int v);
   void check_position(const geom::Point& pos) const;
+
+  /// full_recompute() without the commit notification.
+  void rebuild();
+
+  /// One bounded search from `seeds` in the active weight, on ws_.
+  [[nodiscard]] graph::SpView ball(const std::vector<int>& seeds, double radius) const;
 
   /// Add UBG edges between `node` (live, position set) and every live node
   /// within connect_radius, appending the connected partners to `touched`.
@@ -314,20 +316,19 @@ class DynamicSpanner {
 
   // ---- Window scratch (apply and apply_batch), reused across windows so a
   // warmed steady-state window allocates nothing. Indexed per event / per
-  // region / per worker; cleared or stamp-reset between windows.
+  // region / per vertex; cleared or reset between windows.
   std::vector<std::vector<int>> batch_touched_;  ///< per-event seed sets D_i.
-  std::vector<int> batch_union_;        ///< union dirty ball U (ascending node ids).
-  std::vector<int> batch_queue_;        ///< BFS queue for component labeling.
-  std::vector<int> batch_owner_;        ///< per-vertex component id within U; -1 clean.
-  std::vector<int> comp_event_;         ///< component -> first event touching it.
-  std::vector<int> comp_region_;        ///< component -> region index.
-  std::vector<int> batch_uf_;           ///< union-find parents over window events.
-  std::vector<int> batch_root_region_;  ///< uf root -> region index; -1 unseen.
-  std::vector<int> region_of_event_;    ///< last window: event -> region (-1 none).
-  /// One disjoint repair region: member events, the union ball/core, and the
-  /// harvested splice (drops/adds) awaiting its serial in-order commit.
+  std::vector<int> batch_union_;      ///< union dirty ball U (ascending node ids).
+  /// The region partition: one union-find over U's vertices and the
+  /// window's events (in a window of k events, event i is node i and
+  /// vertex v is node k + v).
+  std::vector<int> region_uf_;
+  std::vector<int> region_of_event_;  ///< last window: event -> region (-1 none).
+  /// One disjoint repair region: its member-event count, the union
+  /// ball/core, and the harvested splice (drops/adds) awaiting its serial
+  /// in-order commit.
   struct RegionScratch {
-    std::vector<int> events;
+    int events = 0;
     std::vector<int> ball;  ///< sorted; disjoint from every other region's.
     std::vector<int> core;  ///< sorted subset of ball.
     int sub_edges = 0;
@@ -336,11 +337,11 @@ class DynamicSpanner {
   };
   std::vector<RegionScratch> batch_regions_;
   std::vector<int> batch_modified_;  ///< merged modified set for the one certify.
-  /// Per-worker region-extraction scratch, sized to n and stamp-reset after
-  /// each region: local ids (-1 outside the region's ball) and core flags
-  /// (0 outside its core). A serial engine has worker 0's only.
-  std::vector<std::vector<int>> worker_local_id_;
-  std::vector<std::vector<char>> worker_in_core_;
+  /// Region-extraction scratch, sized to n and reset after each region:
+  /// local ids (-1 outside the region's ball) and core flags (0 outside its
+  /// core). Concurrent harvests share them (see repair_window).
+  std::vector<int> local_id_;
+  std::vector<char> in_core_;
   /// Per-worker relaxed-greedy options for concurrent region reruns: each
   /// points at that worker's pool workspace and is forced serial
   /// (worker_pool = nullptr) so regions never nest dispatches. Built once
@@ -363,7 +364,6 @@ class DynamicSpanner {
 
   /// Post-commit notification (see set_commit_hook / CommitNotifier).
   std::function<void(const DynamicSpanner&)> commit_hook_;
-  int mutation_depth_ = 0;
 };
 
 /// Hook for apply_windows: the window's number (from 1) and its stats.

@@ -274,6 +274,17 @@ if(NOT batch1_out MATCHES "t=[0-9.]+ +(join|leave) " OR NOT batch1_out STREQUAL 
   message(FATAL_ERROR "dynamic --batch 1 differs from the per-event run:\n${per_event_out}\n${batch1_out}")
 endif()
 
+# Batched windows repair regions concurrently at --threads 4, yet the final
+# topology and its audit match the one-thread run's.
+foreach(threads 1 4)
+  run_cli(0 batch_t${threads}_out dynamic --batch 32 --n 1024 --events 256 --quiet
+          --threads ${threads})
+  string(REGEX MATCHALL "final( audit)?: [^\n]*" batch_t${threads}_out "${batch_t${threads}_out}")
+endforeach()
+if(NOT batch_t1_out STREQUAL batch_t4_out OR NOT batch_t1_out MATCHES "final audit: PASS")
+  message(FATAL_ERROR "dynamic --batch 32 differs across thread counts:\n${batch_t1_out}\n${batch_t4_out}")
+endif()
+
 # The flag parser: a flag given twice, a value after a switch, a flag the
 # chosen model ignores, an out-of-range value and a bare value flag are
 # usage errors naming the flag.

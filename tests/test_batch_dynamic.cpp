@@ -5,16 +5,15 @@
 // state (counting allocator).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <new>
 #include <random>
 #include <span>
 #include <vector>
 
 #include "core/params.hpp"
 #include "core/verify.hpp"
+#include "counting_allocator.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "geom/point.hpp"
@@ -29,43 +28,6 @@ namespace gr = localspan::graph;
 namespace rt = localspan::runtime;
 namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in this binary bumps the counter.
-// Tests snapshot it around a warmed-up hot path; the infrastructure around
-// the window (gtest, streams) may allocate freely.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow variants must be replaced too (std::stable_sort's temporary
-// buffer allocates through them; a half-replaced set trips ASan's
-// alloc-dealloc-mismatch check).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -572,6 +534,35 @@ TEST(BatchDynamic, DisjointEventsPartitionIntoSingletonRegions) {
   EXPECT_EQ(mst.regions, 1);
   EXPECT_EQ(mst.merged_events, 1);
   EXPECT_EQ(engine.last_region_of_event(), (std::vector<int>{0, 0}));
+}
+
+// One event whose seeds fall into two components of U still forms one
+// region: the middle of three far-away nodes on a line 0.9 apart leaves,
+// and its ex-neighbours, 1.8 apart, are each alone in the union ball.
+TEST(BatchDynamic, EventBridgingComponentsFormsOneRegion) {
+  const ub::UbgInstance inst = ti::Scenario{2, ub::Placement::kUniform, 0.75, 48, 2}.make();
+  const co::Params params = practical(inst);
+  for (int threads : {1, 4}) {
+    dy::DynamicOptions opts;
+    opts.threads = threads;
+    dy::DynamicSpanner engine(inst, params, opts);
+    const int first = inst.config.n;
+    std::vector<dy::ChurnEvent> joins;
+    for (int k = 0; k < 3; ++k) {
+      ge::Point p(2);
+      p[0] = 400.0 + 0.9 * k;
+      p[1] = 400.0;
+      joins.push_back({0.1 * (k + 1), dy::EventKind::kJoin, first + k, p});
+    }
+    static_cast<void>(engine.apply_batch(joins));
+
+    const std::vector<dy::ChurnEvent> leave{{1.0, dy::EventKind::kLeave, first + 1, ge::Point(2)}};
+    const dy::BatchStats st = engine.apply_batch(leave);
+    EXPECT_EQ(st.regions, 1) << "threads=" << threads;
+    EXPECT_EQ(st.merged_events, 0) << "threads=" << threads;
+    EXPECT_EQ(st.ball_union, 2) << "threads=" << threads;
+    EXPECT_EQ(engine.last_region_of_event(), (std::vector<int>{0})) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +16,7 @@
 #include "cluster_reference.hpp"
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
+#include "counting_allocator.hpp"
 #include "dijkstra_reference.hpp"
 #include "mis_reference.hpp"
 #include "runtime/parallel.hpp"
@@ -29,45 +28,6 @@ namespace gr = localspan::graph;
 namespace rt = localspan::runtime;
 namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in this binary adds its request
-// size to one counter and one to another. The linear-memory and
-// allocation-count tests snapshot them around one call.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_bytes{0};
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

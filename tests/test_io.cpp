@@ -1,7 +1,6 @@
 // Tests for instance serialization, DOT and CSV export.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -9,12 +8,12 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "core/bins.hpp"
+#include "counting_allocator.hpp"
 #include "geom/point.hpp"
 #include "io/serialize.hpp"
 #include "ubg/generator.hpp"
@@ -22,41 +21,6 @@
 namespace io = localspan::io;
 namespace ub = localspan::ubg;
 namespace gr = localspan::graph;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in this binary adds its request
-// size to one counter, so a test can bound what one call allocates.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_alloc_bytes{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

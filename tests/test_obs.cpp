@@ -7,57 +7,18 @@
 /// Chrome-trace / JSON exports.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
+#include "counting_allocator.hpp"
 #include "obs/obs.hpp"
 #include "ubg/generator.hpp"
 
 namespace obs = localspan::obs;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in this binary bumps the counter.
-// Tests snapshot it around a warmed-up probe window; the infrastructure
-// around the window (gtest, streams) may allocate freely.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow variants must be replaced too (a half-replaced set trips
-// ASan's alloc-dealloc-mismatch check).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

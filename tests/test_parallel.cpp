@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -27,6 +26,7 @@
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "core/verify.hpp"
+#include "counting_allocator.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "ext/energy.hpp"
@@ -45,44 +45,6 @@ namespace gr = localspan::graph;
 namespace cl = localspan::cluster;
 using localspan::testinfra::Scenario;
 using localspan::testinfra::ScenarioName;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in this binary bumps the counter,
-// so windows around warmed-up hot paths measure their true allocation count.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow variants must be replaced too: std::stable_sort's temporary
-// buffer allocates through them, and a half-replaced set trips ASan's
-// alloc-dealloc-mismatch check (default operator new vs our free).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "core/params.hpp"
+#include "counting_allocator.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "graph/sp_workspace.hpp"
@@ -41,41 +41,6 @@ using localspan::runtime::WorkerPool;
 using localspan::testinfra::Scenario;
 using localspan::testinfra::ScenarioName;
 using localspan::ubg::UbgInstance;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator new in this binary bumps g_allocs, and
-// the allocation-count test snapshots it around one oracle build.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

@@ -7,13 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <new>
 #include <random>
 #include <ranges>
 #include <stdexcept>
@@ -22,6 +20,7 @@
 
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
+#include "counting_allocator.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
 #include "dijkstra_reference.hpp"
@@ -31,45 +30,6 @@
 namespace gr = localspan::graph;
 using localspan::testinfra::Scenario;
 using localspan::testinfra::ScenarioName;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in this binary bumps the counter.
-// Tests snapshot it around a warmed-up hot path; the infrastructure around
-// the window (gtest, streams) may allocate freely.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<long long> g_allocs{0};
-}  // namespace
-
-// The replacement operator new allocates with std::malloc, so operator
-// delete frees with std::free — GCC's new/delete-pair analysis cannot see
-// through the replacement and flags the (correct) pairing.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow variants must be replaced too (std::stable_sort's temporary
-// buffer allocates through them; a half-replaced set trips ASan's
-// alloc-dealloc-mismatch check).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
